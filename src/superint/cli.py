@@ -42,8 +42,7 @@ def _add_common(p, points=100):
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the timestamp from reports (CI determinism)")
     p.add_argument("--threads", type=int, default=1,
-                   help="cap point-parallel fan-out (results are identical "
-                        "at any thread count)")
+                   help="accepted for compatibility; has no effect")
 
 
 def _spec_from_args(args):

@@ -18,13 +18,14 @@ magnitude), recording the exit time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, StepFailure
 from .jets import Dual4, PhasePoint
-from .poisson import _bracket_jets
+from .poisson import bracket_jets, casimir_terms
 from .systems import (SystemSpec, algebra_constants, build_fns, hamiltonian,
                       integral_A, integral_B, sample_domain)
 
@@ -88,8 +89,7 @@ def _in_domain(spec, fns, dom, y):
         return False
     try:
         g = fns.metric(float(xi), float(eta))
-        X, Y = fns.X_of_xi(float(xi)), fns.Y_of_eta(float(eta))
-        gt = fns.F_tilde(X + Y) + fns.G_tilde(X - Y)
+        gt = fns.tilde_metric(float(xi), float(eta))
     except (DomainError, FloatingPointError, ZeroDivisionError):
         return False
     # both conformal factors must stay non-degenerate: g divides H and A,
@@ -196,14 +196,13 @@ def conserved_values(spec: SystemSpec, points: PhasePoint):
     H = hamiltonian(spec, enforce_min_g=False).eval(points)
     A = integral_A(spec).eval(points)
     B = integral_B(spec).eval(points)
-    C = _bracket_jets(A, B)
+    C = bracket_jets(A, B)
     E0 = float(np.atleast_1d(H.val)[0])
     con = algebra_constants(spec, E0)
-    Av, Bv = A.val, B.val
-    kcomb = (C.val**2 - 2.0 * con.alpha * Av**2 * Bv - 2.0 * con.gamma * Av * Bv**2
-             - 2.0 * con.delta * Av * Bv - con.epsilon * Bv**2 - 2.0 * con.zeta * Bv
-             + (2.0 / 3.0) * con.a * Av**3 + con.d * Av**2 + 2.0 * con.z * Av)
-    return {"H": H.val, "A": Av, "B": Bv, "K": kcomb}
+    # summed row by row: numpy's axis-0 sum groups the terms differently for
+    # a single state, and the exported K must not depend on the length
+    kcomb = functools.reduce(np.add, casimir_terms(con, C.val, A.val, B.val))
+    return {"H": H.val, "A": A.val, "B": B.val, "K": kcomb}
 
 
 def drift_report(spec: SystemSpec, traj: Trajectory) -> dict:

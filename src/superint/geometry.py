@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import Jet2, Observable
-from .poisson import _bracket_jets
+from .poisson import bracket
 from .systems import SystemSpec, build_fns, hamiltonian, sample_points
 
 __all__ = [
@@ -116,23 +116,6 @@ def classify_curvature(spec: SystemSpec, n_points: int = 50,
 # ---------------------------------------------------------------------------
 # Revolution detection
 
-# Real recoordinatization used for the directional test in (X, Y).  This is
-# the class's B-integral map except for II1, whose own map is the identity;
-# there the log map linearizes the Lie metric's xi-dependence, which is the
-# natural real map exhibiting rotational symmetry (e.g. g = kappa xi eta).
-_XY_KIND = {"I1": "sqrt", "I2": "log", "I3": "atanexp",
-            "II1": "log", "II2": "sqrt", "II3": "log"}
-
-
-def _dcoord(kind, c):
-    """d(coordinate)/dX evaluated at the native coordinate c (= sqrt(A))."""
-    if kind == "sqrt":      # X = 2 sqrt(c)
-        return np.sqrt(c)
-    if kind == "log":       # X = ln c
-        return c
-    # X = arctan(e^c)
-    return np.exp(c) + np.exp(-c)
-
 
 def _directional_residuals(spec: SystemSpec, xi, eta, coords: str):
     """Normalized |dg/d(xi-eta)| and |dg/d(xi+eta)| samples (or X,Y analogue)."""
@@ -140,28 +123,26 @@ def _directional_residuals(spec: SystemSpec, xi, eta, coords: str):
         g = _metric_jet(spec, xi, eta)
         gx, gy = g.grad[0], g.grad[1]
     elif coords == "transformed":
-        kind = _XY_KIND[spec.tag]
-        sx = _dcoord(kind, np.asarray(xi, dtype=float))
-        sy = _dcoord(kind, np.asarray(eta, dtype=float))
         fns = build_fns(spec)
-        xj = Jet2.seed(np.asarray(xi, dtype=float), 0)
-        ej = Jet2.seed(np.asarray(eta, dtype=float), 1)
+        # d xi / dX and d eta / dY of the class's B-integral map, except for
+        # II1, whose own map is the identity; there the log map (d xi / dX =
+        # xi) linearizes the Lie metric's xi-dependence, which is the natural
+        # real map exhibiting rotational symmetry (e.g. g = kappa xi eta).
+        if spec.tag == "II1":
+            dxi = deta = lambda c: c
+        else:
+            dxi, deta = fns.sqrtA, fns.sqrtB
+        xi = np.asarray(xi, dtype=float)
+        eta = np.asarray(eta, dtype=float)
+        xj, ej = Jet2.seed(xi, 0), Jet2.seed(eta, 1)
         # transformed conformal factor g~ = g * (dxi/dX) * (deta/dY)
-        gt = fns.metric(xj, ej) * _dcoord_jet(kind, xj) * _dcoord_jet(kind, ej)
-        gx = gt.grad[0] * sx   # d g~ / dX
-        gy = gt.grad[1] * sy   # d g~ / dY
+        gt = fns.metric(xj, ej) * dxi(xj) * deta(ej)
+        gx = gt.grad[0] * dxi(xi)    # d g~ / dX
+        gy = gt.grad[1] * deta(eta)  # d g~ / dY
     else:
         raise ValueError("coords must be 'liouville' or 'transformed'")
     scale = 1.0 + np.maximum(np.abs(gx), np.abs(gy))
     return np.abs(gx - gy) / scale, np.abs(gx + gy) / scale
-
-
-def _dcoord_jet(kind, j: Jet2) -> Jet2:
-    if kind == "sqrt":
-        return j.sqrt()
-    if kind == "log":
-        return j
-    return j.exp() + (-j).exp()
 
 
 def revolution_check(spec: SystemSpec, n_points: int = 50, seed: int = 0xC0FFEE,
@@ -222,7 +203,5 @@ def linear_integral_check(spec: SystemSpec, sign: str, n_points: int = 50,
     """
     rng = np.random.default_rng(seed)
     pts = sample_points(spec, n_points, rng, require_tilde=False)
-    H = hamiltonian(spec).eval(pts)
-    L = linear_observable(spec, sign, coords).eval(pts)
-    br = _bracket_jets(H, L)
+    br = bracket(hamiltonian(spec), linear_observable(spec, sign, coords), pts)
     return float((np.abs(br.val) / (1.0 + br.val_scale)).max())

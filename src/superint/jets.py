@@ -129,9 +129,6 @@ class Jet2:
         """Second partial w.r.t. variables i, j (symmetric single storage)."""
         return self.hess[_PACK[(i, j)]]
 
-    def order1(self):
-        return self.val, self.grad
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -385,38 +382,6 @@ def jet_seed(point: PhasePoint):
     shape = point.shape
     comps = [np.broadcast_to(c, shape) for c in point.components()]
     return tuple(Jet2.seed(val, i) for i, val in enumerate(comps))
-
-
-_ARITH = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-_FNS = {
-    "neg": lambda a: -a,
-    "inv": lambda a: a.inv(),
-    "sqrt": lambda a: a.sqrt(),
-    "exp": lambda a: a.exp(),
-    "ln": lambda a: a.log(),
-    "sin": lambda a: a.sin(),
-    "cos": lambda a: a.cos(),
-    "tan": lambda a: a.tan(),
-    "arctan": lambda a: a.arctan(),
-}
-
-
-def jet_arith(a: Jet2, b: Jet2, op: str) -> Jet2:
-    """Binary jet arithmetic by name: add, sub, mul, div."""
-    return _ARITH[op](a, b)
-
-
-def jet_fn(a: Jet2, fn: str, exponent=None) -> Jet2:
-    """Unary jet function by name; pow_int/pow_real take ``exponent``."""
-    if fn in ("pow_int", "pow_real"):
-        return a ** (int(exponent) if fn == "pow_int" else float(exponent))
-    return _FNS[fn](a)
 
 
 @dataclass(frozen=True)

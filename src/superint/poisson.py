@@ -19,11 +19,9 @@ sample points otherwise drown the tolerance in float64 roundoff).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import IllConditioned
 from .jets import Jet2, Observable, PhasePoint
@@ -33,6 +31,8 @@ from .systems import (SystemSpec, algebra_constants, constants_poly, hamiltonian
 __all__ = [
     "BracketValue",
     "bracket",
+    "bracket_jets",
+    "casimir_terms",
     "bracket_fd",
     "c_observable",
     "verify_algebra",
@@ -75,7 +75,8 @@ class BracketValue:
     grad_scale: np.ndarray
 
 
-def _bracket_jets(F: Jet2, G: Jet2) -> BracketValue:
+def bracket_jets(F: Jet2, G: Jet2) -> BracketValue:
+    """{F, G} from already evaluated order-2 jets of F and G."""
     terms = np.stack([F.grad[q] * G.grad[p] for q, p in _PAIRS]
                      + [-F.grad[p] * G.grad[q] for q, p in _PAIRS])
     val = terms.sum(axis=0)
@@ -94,7 +95,7 @@ def _bracket_jets(F: Jet2, G: Jet2) -> BracketValue:
 
 def bracket(F: Observable, G: Observable, point: PhasePoint) -> BracketValue:
     """{F, G} at ``point`` (batched), with first derivatives."""
-    return _bracket_jets(F.eval(point), G.eval(point))
+    return bracket_jets(F.eval(point), G.eval(point))
 
 
 def bracket_fd(F: Observable, G: Observable, point: PhasePoint, h: float = 1e-5):
@@ -217,19 +218,32 @@ def _norm(num, *scales):
     return np.abs(num) / (1.0 + s)
 
 
-def _row_residuals(spec, pts, a_off=0.0, b_off=0.0):
+def casimir_terms(con, c, a, b):
+    """The signed terms of the Casimir combination, stacked on axis 0.
+
+    C^2 - 2 alpha A^2 B - 2 gamma A B^2 - 2 delta A B - epsilon B^2
+    - 2 zeta B + (2/3) a A^3 + d A^2 + 2 z A, with the structure constants
+    ``con``; their sum equals K(H) wherever A, B and C = {A, B} are the
+    values of the integrals.
+    """
+    return np.stack([c**2, -2.0 * con.alpha * a**2 * b,
+                     -2.0 * con.gamma * a * b**2, -2.0 * con.delta * a * b,
+                     -con.epsilon * b**2, -2.0 * con.zeta * b,
+                     (2.0 / 3.0) * con.a * a**3, con.d * a**2,
+                     2.0 * con.z * a])
+
+
+def _row_residuals(spec, obs, pts, a_off=0.0, b_off=0.0):
     """Per-point residuals of HA, HB, HC, AC-row, BC-row and the Casimir.
 
-    ``a_off``/``b_off`` are the affine-match offsets (normally zero).
-    Returns a dict of residual arrays.
+    ``obs`` holds the observables H, A and B; ``a_off``/``b_off`` are the
+    affine-match offsets (normally zero).  Returns a dict of residual arrays.
     """
-    H = hamiltonian(spec).eval(pts)
-    A = integral_A(spec).eval(pts)
-    B = integral_B(spec).eval(pts)
+    H, A, B = (o.eval(pts) for o in obs)
 
-    C = _bracket_jets(A, B)
-    HA = _bracket_jets(H, A)
-    HB = _bracket_jets(H, B)
+    C = bracket_jets(A, B)
+    HA = bracket_jets(H, A)
+    HB = bracket_jets(H, B)
     HC_val, HC_scale = _grad_bracket_value(H, C)
     AC_val, AC_scale = _grad_bracket_value(A, C)
     BC_val, BC_scale = _grad_bracket_value(B, C)
@@ -248,11 +262,8 @@ def _row_residuals(spec, pts, a_off=0.0, b_off=0.0):
     rhs_BC, s_BC = poly_terms(con.a * Av**2, -con.gamma * Bv**2,
                               -2.0 * con.alpha * Av * Bv, con.d * Av,
                               -con.delta * Bv, con.z * one)
-    kcomb, s_K = poly_terms(C.val**2, -2.0 * con.alpha * Av**2 * Bv,
-                            -2.0 * con.gamma * Av * Bv**2, -2.0 * con.delta * Av * Bv,
-                            -con.epsilon * Bv**2, -2.0 * con.zeta * Bv,
-                            (2.0 / 3.0) * con.a * Av**3, con.d * Av**2,
-                            2.0 * con.z * Av)
+    kterms = casimir_terms(con, C.val, Av, Bv)
+    kcomb, s_K = kterms.sum(axis=0), np.abs(kterms).max(axis=0)
     # roundoff carrier of C^2 via C's own contraction scale
     s_K = np.maximum(s_K, np.abs(C.val) * C.val_scale)
 
@@ -266,35 +277,51 @@ def _row_residuals(spec, pts, a_off=0.0, b_off=0.0):
     }
 
 
-def _chunked_max(spec, pts, names, threads, a_off=0.0, b_off=0.0, chunk=256):
-    """Max residual per identity over fixed chunks (thread-count invariant)."""
+def _chunked_max(spec, obs, pts, names, a_off=0.0, b_off=0.0, chunk=256):
+    """Max residual per identity over fixed chunks of the points."""
     arr = pts.as_array()
-    n = arr.shape[1]
-    bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-
-    def work(b):
-        lo, hi = b
-        sub = PhasePoint.from_array(arr[:, lo:hi])
-        res = _row_residuals(spec, sub, a_off, b_off)
-        return {k: float(res[k].max()) for k in names}
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(work, bounds))
-    else:
-        parts = [work(b) for b in bounds]
-    return {k: max(p[k] for p in parts) for k in names}
+    maxima = []
+    for lo in range(0, arr.shape[1], chunk):
+        sub = PhasePoint.from_array(arr[:, lo:lo + chunk])
+        res = _row_residuals(spec, obs, sub, a_off, b_off)
+        maxima.append([res[k].max() for k in names])
+    # np.max, unlike the builtin max, keeps a NaN from any chunk
+    return dict(zip(names, map(float, np.max(maxima, axis=0))))
 
 
-def _fit_offsets(spec, pts):
+def _fit_offsets(spec, obs, pts):
     """Affine-match pre-step: constant offsets for A and B (q=1, r=0)."""
+    # imported here: the fit runs only on a failing row, and scipy.optimize
+    # would otherwise dominate the import time of the CLI
+    from scipy.optimize import least_squares
 
     def cost(x):
-        res = _row_residuals(spec, pts, a_off=x[0], b_off=x[1])
+        res = _row_residuals(spec, obs, pts, a_off=x[0], b_off=x[1])
         return np.concatenate([res["AC_row"], res["BC_row"], res["casimir"]])
 
     sol = least_squares(cost, x0=np.zeros(2), method="lm", max_nfev=60)
     return float(sol.x[0]), float(sol.x[1])
+
+
+def _verify(kind, spec, n_points, seed, tols, trigger):
+    """Certify the identities named in ``tols`` on one sample of the domain.
+
+    If an identity in ``trigger`` exceeds its tolerance, the affine-match
+    pre-step fits constant offsets for A and B and re-verifies;
+    ``correction_applied`` records whether that was needed (it must not be,
+    for the printed forms).
+    """
+    pts = sample_points(spec, n_points, np.random.default_rng(seed))
+    obs = (hamiltonian(spec), integral_A(spec), integral_B(spec))
+    worst = _chunked_max(spec, obs, pts, tols)
+    correction = None
+    if any(worst[k] > tols[k] for k in trigger):
+        a_off, b_off = _fit_offsets(spec, obs, pts)
+        correction = {"a_offset": a_off, "b_offset": b_off}
+        worst = _chunked_max(spec, obs, pts, tols, a_off, b_off)
+    idents = tuple(Identity(k, worst[k], tol) for k, tol in tols.items())
+    return VerificationReport(kind, spec, seed, n_points, idents,
+                              correction is not None, correction)
 
 
 def verify_algebra(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SEED,
@@ -302,48 +329,23 @@ def verify_algebra(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SE
                    threads: int = 1) -> VerificationReport:
     """Certify {H,A} = {H,B} = {H,C} = 0 and the two quadratic-algebra rows.
 
-    Constants are evaluated per point at E = H(point).  If a raw row
-    residual exceeds tolerance, the affine-match pre-step fits constant
-    offsets for A and B and re-verifies; ``correction_applied`` records
-    whether that was needed (it must not be, for the printed forms).
+    Constants are evaluated per point at E = H(point); a failing row
+    triggers the affine correction.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
-    rng = np.random.default_rng(seed)
-    pts = sample_points(spec, n_points, rng)
-    names = ("HA", "HB", "HC", "AC_row", "BC_row")
     tols = {"HA": tol_bracket, "HB": tol_bracket, "HC": tol_bracket,
             "AC_row": tol_nested, "BC_row": tol_nested}
-
-    worst = _chunked_max(spec, pts, names, threads)
-    correction_applied = False
-    correction = None
-    if any(worst[k] > tols[k] for k in ("AC_row", "BC_row")):
-        a_off, b_off = _fit_offsets(spec, pts)
-        correction_applied = True
-        correction = {"a_offset": a_off, "b_offset": b_off}
-        worst = _chunked_max(spec, pts, names, threads, a_off, b_off)
-
-    idents = tuple(Identity(k, worst[k], tols[k]) for k in names)
-    return VerificationReport("algebra", spec, seed, n_points, idents,
-                              correction_applied, correction)
+    return _verify("algebra", spec, n_points, seed, tols, ("AC_row", "BC_row"))
 
 
 def verify_casimir(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SEED,
                    tol: float = TOL_NESTED, threads: int = 1) -> VerificationReport:
-    """Certify C^2 - (quadratic-algebra combination) = K(H) per class."""
-    rng = np.random.default_rng(seed)
-    pts = sample_points(spec, n_points, rng)
-    names = ("casimir",)
-    worst = _chunked_max(spec, pts, names, threads)
-    correction_applied = False
-    correction = None
-    if worst["casimir"] > tol:
-        a_off, b_off = _fit_offsets(spec, pts)
-        correction_applied = True
-        correction = {"a_offset": a_off, "b_offset": b_off}
-        worst = _chunked_max(spec, pts, names, threads, a_off, b_off)
-    idents = (Identity("casimir", worst["casimir"], tol),)
-    return VerificationReport("casimir", spec, seed, n_points, idents,
-                              correction_applied, correction)
+    """Certify C^2 - (quadratic-algebra combination) = K(H) per class.
+
+    A failing Casimir triggers the affine correction.  ``threads`` is
+    accepted for compatibility and has no effect.
+    """
+    return _verify("casimir", spec, n_points, seed, {"casimir": tol}, ("casimir",))
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,11 @@ class SystemFns:
             return self.F(eta) * xi + self.G(eta)
         return self.F(xi + eta) + self.G(xi - eta)
 
+    def tilde_metric(self, xi, eta):
+        """Recoordinatized conformal factor F~(X+Y) + G~(X-Y) at (xi, eta)."""
+        X, Y = self.X_of_xi(xi), self.Y_of_eta(eta)
+        return self.F_tilde(X + Y) + self.G_tilde(X - Y)
+
     def potential_numerator(self, xi, eta):
         if self.tag.startswith("II"):
             return self.f_pot(eta) * xi + self.g_pot(eta)
@@ -726,11 +731,6 @@ def sample_points(spec: SystemSpec, n: int, rng, domain: SampleDomain = None,
     """
     dom = domain or sample_domain(spec)
     fns = build_fns(spec)
-
-    def tilde_metric(xi, eta):
-        X, Y = fns.X_of_xi(xi), fns.Y_of_eta(eta)
-        return fns.F_tilde(X + Y) + fns.G_tilde(X - Y)
-
     out = []
     total = 0
     accepted = 0
@@ -747,7 +747,7 @@ def sample_points(spec: SystemSpec, n: int, rng, domain: SampleDomain = None,
             ok &= np.abs(g) >= dom.min_abs_g
             ok &= np.isfinite(g)
             if require_tilde:
-                gt = np.where(ok, tilde_metric(np.where(ok, xi, 1.0), np.where(ok, eta, 1.0)), np.inf)
+                gt = np.where(ok, fns.tilde_metric(np.where(ok, xi, 1.0), np.where(ok, eta, 1.0)), np.inf)
                 ok &= np.abs(gt) >= dom.min_abs_g
                 ok &= np.isfinite(gt)
         total += batch

@@ -127,3 +127,11 @@ def test_reports_byte_identical_across_thread_counts():
     c = run(*args, "--threads", "1")
     assert a.returncode == b.returncode == c.returncode == 0
     assert a.stdout == b.stdout == c.stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the affine correction uses scipy.optimize, and it rarely runs
+    code = "import sys, superint.cli; print('scipy.optimize' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from superint.errors import DomainError
-from superint.jets import PhasePoint
-from superint.systems import SystemSpec
-from superint.dynamics import (clamp_energy, drift_report, integrate,
-                               trajectory_csv)
+from superint.jets import PhasePoint, norm_residual
+from superint.poisson import TOL_NESTED
+from superint.systems import SystemSpec, algebra_constants
+from superint.dynamics import (clamp_energy, conserved_values, drift_report,
+                               integrate, trajectory_csv)
 
 # The five pinned (spec, initial) pairs of the acceptance suite; all stay
 # inside their class domains for at least 10 time units.
@@ -48,6 +49,16 @@ def test_fixed_pairs_conserve(spec, y0):
     rep = drift_report(spec, traj)
     for name in ("H", "A", "B", "K"):
         assert rep[name]["normalized"] <= 1e-6, (spec.tag, name)
+
+
+@pytest.mark.parametrize("spec,y0", FIXED_PAIRS, ids=[s.tag for s, _ in FIXED_PAIRS])
+def test_casimir_value_is_certified_constant(spec, y0):
+    # every function of H, A and B is conserved, so drift cannot expose a
+    # wrong Casimir combination; its value must be the certified K(E0)
+    traj = integrate(spec, PhasePoint(*y0), t_end=10.0, rel_tol=1e-10)
+    vals = conserved_values(spec, traj.points)
+    K = algebra_constants(spec, float(vals["H"][0])).K_casimir
+    assert norm_residual(vals["K"], K).max() <= TOL_NESTED
 
 
 @pytest.mark.parametrize("spec,y0", FIXED_PAIRS[:2], ids=["I1", "I2"])

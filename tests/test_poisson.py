@@ -155,6 +155,26 @@ def test_affine_correction_absorbs_constant_offset(monkeypatch):
     assert doc["correction_applied"] is True and "correction" in doc
 
 
+def test_nan_in_a_later_chunk_fails(monkeypatch):
+    # a non-finite residual in any chunk, not only the first, must fail
+    import superint.poisson as poisson_mod
+    real_row_residuals = poisson_mod._row_residuals
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        res = real_row_residuals(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            res["HA"][0] = np.nan
+        return res
+
+    monkeypatch.setattr(poisson_mod, "_row_residuals", poisoned)
+    rep = verify_algebra(SystemSpec("I2", **GENERIC), n_points=512)
+    assert len(calls) == 2
+    assert not rep.passed
+    assert np.isnan(rep.identities[0].max_residual)
+
+
 def test_report_document_schema():
     rep = verify_algebra(SystemSpec("I1", **GENERIC), n_points=50, seed=7)
     doc = rep.to_dict()
