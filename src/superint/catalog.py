@@ -237,8 +237,11 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = 0xC0FFEE,
 
     Every draw also runs the quadratic-algebra verification on the
     instantiated system; passing requires both.  Metadata-only claims
-    report ``unverifiable`` (not failed).
+    report ``unverifiable`` (not failed).  ``free_draws`` below 1 raises
+    ``ValueError``: a row checked zero times is not verified.
     """
+    if free_draws < 1:
+        raise ValueError(f"free_draws must be at least 1, got {free_draws}")
     if not entry.machine_checkable:
         return EntryVerification(entry.row_id, entry.claim_kind, "unverifiable")
 

@@ -34,15 +34,23 @@ def _add_spec_args(p):
     p.add_argument("--spec-file", help="JSON file with the flat spec document")
 
 
-def _add_common(p, points=100):
-    p.add_argument("--points", type=int, default=points)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--output", help="write the report to this path")
-    p.add_argument("--format", choices=("json", "human", "csv"), default="json")
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the timestamp from reports (CI determinism)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
+def _count(text):
+    """argparse type of a count: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+# flags only some report commands read
+_OPTIONAL_ARGS = {
+    "tol-bracket": dict(type=float, default=TOL_BRACKET,
+                        help="tolerance for first brackets"),
+    "tol-nested": dict(type=float, default=TOL_NESTED,
+                       help="tolerance for nested brackets / Casimir"),
+    "threads": dict(type=int, default=1,
+                    help="accepted for compatibility; has no effect"),
+}
 
 
 def _spec_from_args(args):
@@ -80,6 +88,15 @@ def _emit(doc, args, human_lines=None):
         with open(args.output, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
+
+
+def _write(text, path):
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_verify(args):
@@ -171,7 +188,7 @@ def _cmd_tables(args):
     if args.format == "csv":
         text = "table,row_id,claim,status\n" + "\n".join(
             f"{r['table']},{r['row_id']},{r['claim']},{r['status']}" for r in rows) + "\n"
-        (open(args.output, "w").write(text) if args.output else sys.stdout.write(text))
+        _write(text, args.output)
         return 0 if ok else 1
     _emit(doc, args, human)
     return 0 if ok else 1
@@ -188,12 +205,7 @@ def _cmd_trajectory(args):
     point = clamp_energy(spec, PhasePoint(*vals))
     traj = integrate(spec, point, t_end=args.t_end, rel_tol=args.rel_tol,
                      abs_tol=args.abs_tol)
-    csv = trajectory_csv(spec, traj)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
+    _write(trajectory_csv(spec, traj), args.output)
     rep = drift_report(spec, traj)
     summary = {"status": traj.status, "steps": traj.stats,
                "drifts": {k: v["normalized"] for k, v in rep.items()}}
@@ -205,12 +217,7 @@ def _cmd_trajectory(args):
 
 def _cmd_dump_catalog(args):
     doc = catalog.catalog_json()
-    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(doc, sort_keys=True, indent=1) + "\n", args.output)
     return 0
 
 
@@ -221,21 +228,28 @@ def build_parser():
                     "with quadratic integrals of motion.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, fn, help, points=100, spec=True):
+    def cmd(name, fn, help, points=100, spec=True, optional=(),
+            formats=("json", "human")):
+        """A report command: spec flags, report flags and the optional flags named."""
         p = sub.add_parser(name, help=help)
         if spec:
             _add_spec_args(p)
-        _add_common(p, points=points)
-        p.add_argument("--tol-bracket", type=float, default=TOL_BRACKET,
-                       help="tolerance for first brackets")
-        p.add_argument("--tol-nested", type=float, default=TOL_NESTED,
-                       help="tolerance for nested brackets / Casimir")
+        p.add_argument("--points", type=_count, default=points)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--output", help="write the report to this path")
+        p.add_argument("--format", choices=formats, default="json")
+        p.add_argument("--no-timestamp", action="store_true",
+                       help="omit the timestamp from reports (CI determinism)")
+        for flag in optional:
+            p.add_argument(f"--{flag}", **_OPTIONAL_ARGS[flag])
         p.set_defaults(fn=fn)
         return p
 
     cmd("verify", _cmd_verify,
-        "verify {H,A}={H,B}={H,C}=0 and the quadratic-algebra rows")
-    cmd("casimir", _cmd_casimir, "verify the Casimir identity")
+        "verify {H,A}={H,B}={H,C}=0 and the quadratic-algebra rows",
+        optional=("tol-bracket", "tol-nested", "threads"))
+    cmd("casimir", _cmd_casimir, "verify the Casimir identity",
+        optional=("tol-nested", "threads"))
     p = cmd("curvature", _cmd_curvature, "classify the Gaussian curvature",
             points=50)
     p.add_argument("--expect", choices=("zero", "constant", "nonconstant"),
@@ -243,16 +257,19 @@ def build_parser():
     cmd("revolution", _cmd_revolution, "directional surface-of-revolution test",
         points=50)
     p = cmd("linear", _cmd_linear, "check a linear integral p_xi +/- p_eta",
-            points=50)
+            points=50, optional=("tol-bracket",))
     p.add_argument("--sign", choices=("plus", "minus", "both"), default="both")
 
     p = cmd("tables", _cmd_tables, "sweep the classification tables",
-            points=50, spec=False)
+            points=50, spec=False, formats=("json", "human", "csv"))
     p.add_argument("--table", choices=catalog.TABLES + ("all",), default="all")
-    p.add_argument("--draws", type=int, default=5)
+    p.add_argument("--draws", type=_count, default=5)
 
-    p = cmd("trajectory", _cmd_trajectory,
-        "integrate Hamilton's equations and export CSV")
+    p = sub.add_parser("trajectory",
+                       help="integrate Hamilton's equations and export CSV")
+    _add_spec_args(p)
+    p.add_argument("--output", help="write the CSV to this path")
+    p.set_defaults(fn=_cmd_trajectory)
     p.add_argument("--initial", required=True, help="xi,eta,p_xi,p_eta")
     p.add_argument("--t-end", type=float, default=10.0)
     p.add_argument("--rel-tol", type=float, default=1e-10)

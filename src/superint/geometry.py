@@ -59,11 +59,6 @@ class CurvatureClass:
     def is_zero(self):
         return self.tag == "Zero"
 
-    def is_constant(self, expected=None, tol=1e-7):
-        if self.tag != "Constant":
-            return False
-        return expected is None or abs(self.mean - expected) <= tol
-
 
 def _metric_jet(spec: SystemSpec, xi, eta) -> Jet2:
     fns = build_fns(spec)
@@ -89,24 +84,17 @@ def curvature_log_form(spec: SystemSpec, xi, eta):
     return -lng.hess_at(0, 1) / (2.0 * g.val)
 
 
-def _sample_coords(spec, n, rng, domain=None):
-    pts = sample_points(spec, n, rng, domain=domain, require_tilde=False)
-    return pts.xi, pts.eta
-
-
 def classify_curvature(spec: SystemSpec, n_points: int = 50,
-                       seed: int = 0xC0FFEE, tol_zero: float = TOL_CURV_ZERO,
-                       tol_const: float = TOL_CURV_CONST) -> CurvatureClass:
+                       seed: int = 0xC0FFEE) -> CurvatureClass:
     """Sample the domain, compute K pointwise and classify the field."""
-    rng = np.random.default_rng(seed)
-    xi, eta = _sample_coords(spec, n_points, rng)
-    K = curvature(spec, xi, eta)
+    pts = sample_points(spec, n_points, np.random.default_rng(seed), require_tilde=False)
+    K = curvature(spec, pts.xi, pts.eta)
     max_abs = float(np.abs(K).max())
     mean = float(K.mean())
     std = float(K.std())
-    if max_abs <= tol_zero:
+    if max_abs <= TOL_CURV_ZERO:
         tag = "Zero"
-    elif std <= tol_const:
+    elif std <= TOL_CURV_CONST:
         tag = "Constant"
     else:
         tag = "NonConstant"
@@ -155,9 +143,8 @@ def revolution_check(spec: SystemSpec, n_points: int = 50, seed: int = 0xC0FFEE,
     metric.  With ``coords='transformed'`` the test runs on the
     recoordinatized conformal factor.
     """
-    rng = np.random.default_rng(seed)
-    xi, eta = _sample_coords(spec, n_points, rng)
-    r_sum, r_diff = _directional_residuals(spec, xi, eta, coords)
+    pts = sample_points(spec, n_points, np.random.default_rng(seed), require_tilde=False)
+    r_sum, r_diff = _directional_residuals(spec, pts.xi, pts.eta, coords)
     sum_only = float(r_sum.max()) <= tol
     diff_only = float(r_diff.max()) <= tol
     if sum_only and diff_only:

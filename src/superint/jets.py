@@ -10,6 +10,10 @@ A :class:`Dual4` is the order-1 little sibling (value + gradient, plain
 Python floats) used where only first derivatives are needed at scalar
 points and per-call overhead matters, e.g. inside the ODE right-hand side.
 
+Both share one derivative rule per primitive (f, f' and f'' at the value);
+each applies the chain rule to its own storage, and both raise the same
+:class:`DomainError` outside a primitive's domain, NaN included.
+
 :func:`fd_derivatives` is the independent finite-difference oracle used to
 cross-check jet propagation.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -43,13 +48,12 @@ __all__ = [
 
 VAR_NAMES = ("xi", "eta", "p_xi", "p_eta")
 
-# Packed storage of the symmetric 4x4 Hessian: upper triangle, row major.
+# Packed storage of the symmetric 4x4 Hessian: upper triangle, row major;
+# _UNPACK[i, j] is the packed position of entry (i, j), in either order.
 _IU = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
 _JU = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
-_PACK = {}
-for _p, (_i, _j) in enumerate(zip(_IU, _JU)):
-    _PACK[(_i, _j)] = _p
-    _PACK[(_j, _i)] = _p
+_UNPACK = np.empty((4, 4), dtype=int)
+_UNPACK[_IU, _JU] = _UNPACK[_JU, _IU] = np.arange(10)
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,79 @@ class PhasePoint:
         return PhasePoint(*parts)
 
 
-class Jet2:
+class _Jet:
+    """The derivative rules shared by :class:`Jet2` and :class:`Dual4`.
+
+    Each rule computes f, f' and f'' at ``val`` in the math namespace ``_m``
+    and hands them to ``_chain`` (``Dual4`` drops f'').  Domain checks give
+    ``_require`` the condition that must hold (``val > 0``), so NaN, for
+    which every comparison is false, fails them.  Subclasses keep the
+    storage arithmetic: +, -, *, negation, ``_div`` by a plain number and
+    ``_one``, the constant ``x ** 0``.
+    """
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        if isinstance(other, _Jet):
+            return self * other.inv()
+        return self._div(other)
+
+    def __rtruediv__(self, other):
+        return self.inv() * other
+
+    def __pow__(self, p):
+        v = self.val
+        if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
+            n = int(p)
+            if n == 0:
+                return self._one()
+            if n == 1:
+                return self
+            return self._chain(v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
+        self._require(v > 0.0, "pow_real")
+        return self._chain(v**p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
+
+    def inv(self):
+        v = self.val
+        self._require(v != 0.0, "inv")
+        return self._chain(1.0 / v, -1.0 / v**2, 2.0 / v**3)
+
+    def sqrt(self):
+        v = self.val
+        self._require(v > 0.0, "sqrt")
+        r = self._m.sqrt(v)
+        return self._chain(r, 0.5 / r, -0.25 / (r * v))
+
+    def exp(self):
+        e = self._m.exp(self.val)
+        return self._chain(e, e, e)
+
+    def log(self):
+        v = self.val
+        self._require(v > 0.0, "ln")
+        return self._chain(self._m.log(v), 1.0 / v, -1.0 / v**2)
+
+    def sin(self):
+        s, c = self._m.sin(self.val), self._m.cos(self.val)
+        return self._chain(s, c, -s)
+
+    def cos(self):
+        s, c = self._m.sin(self.val), self._m.cos(self.val)
+        return self._chain(c, -s, -c)
+
+    def tan(self):
+        t = self._m.tan(self.val)
+        sec2 = 1.0 + t * t
+        return self._chain(t, sec2, 2.0 * t * sec2)
+
+    def arctan(self):
+        v = self.val
+        d = 1.0 / (1.0 + v**2)  # Dual4's float pow kept; numpy computes v * v
+        return self._chain(self._m.arctan(v), d, -2.0 * v * d * d)
+
+
+class Jet2(_Jet):
     """Value with first and second partials w.r.t. the 4 phase variables.
 
     ``val`` has an arbitrary batch shape S; ``grad`` has shape (4,)+S and
@@ -102,6 +178,7 @@ class Jet2:
     """
 
     __slots__ = ("val", "grad", "hess")
+    _m = np
 
     def __init__(self, val, grad, hess):
         self.val = np.asarray(val, dtype=float)
@@ -127,9 +204,13 @@ class Jet2:
 
     def hess_at(self, i: int, j: int):
         """Second partial w.r.t. variables i, j (symmetric single storage)."""
-        return self.hess[_PACK[(i, j)]]
+        return self.hess[_UNPACK[i, j]]
 
-    # -- arithmetic ---------------------------------------------------
+    def hess_full(self):
+        """The full (4, 4)+S Hessian, gathered from the packed storage."""
+        return self.hess[_UNPACK]
+
+    # -- storage arithmetic -------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet2):
@@ -162,38 +243,15 @@ class Jet2:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            return self * other.inv()
-        return Jet2(self.val / other, self.grad / other, self.hess / other)
+    def _div(self, c):
+        return Jet2(self.val / c, self.grad / c, self.hess / c)
 
-    def __rtruediv__(self, other):
-        return self.inv() * other
-
-    def __pow__(self, p):
-        if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
-            n = int(p)
-            if n == 0:
-                return Jet2.constant(1.0, self.val.shape)
-            if n == 1:
-                return self
-            return self._chain(
-                self.val**n, n * self.val ** (n - 1),
-                n * (n - 1) * self.val ** (n - 2),
-            )
-        self._require(self.val > 0.0, "pow_real")
-        return self._chain(
-            self.val**p, p * self.val ** (p - 1.0),
-            p * (p - 1.0) * self.val ** (p - 2.0),
-        )
-
-    # -- primitive functions -------------------------------------------
+    def _one(self):
+        return Jet2.constant(1.0, self.val.shape)
 
     def _require(self, ok, primitive):
-        ok = np.broadcast_to(np.asarray(ok), np.broadcast_shapes(np.shape(ok), self.val.shape))
         if not np.all(ok):
-            bad = np.broadcast_to(self.val, ok.shape)[~ok]
-            raise DomainError(primitive, float(bad.flat[0]))
+            raise DomainError(primitive, float(self.val[~ok].flat[0]))
 
     def _chain(self, f, f1, f2):
         """Order-2 chain rule for a scalar function applied to this jet."""
@@ -201,48 +259,18 @@ class Jet2:
         hess = f1 * self.hess + f2 * (self.grad[_IU] * self.grad[_JU])
         return Jet2(f, grad, hess)
 
-    def inv(self):
-        self._require(self.val != 0.0, "inv")
-        v = self.val
-        return self._chain(1.0 / v, -1.0 / v**2, 2.0 / v**3)
 
-    def sqrt(self):
-        self._require(self.val > 0.0, "sqrt")
-        r = np.sqrt(self.val)
-        return self._chain(r, 0.5 / r, -0.25 / (r * self.val))
-
-    def exp(self):
-        e = np.exp(self.val)
-        return self._chain(e, e, e)
-
-    def log(self):
-        self._require(self.val > 0.0, "ln")
-        v = self.val
-        return self._chain(np.log(v), 1.0 / v, -1.0 / v**2)
-
-    def sin(self):
-        s, c = np.sin(self.val), np.cos(self.val)
-        return self._chain(s, c, -s)
-
-    def cos(self):
-        s, c = np.sin(self.val), np.cos(self.val)
-        return self._chain(c, -s, -c)
-
-    def tan(self):
-        t = np.tan(self.val)
-        sec2 = 1.0 + t * t
-        return self._chain(t, sec2, 2.0 * t * sec2)
-
-    def arctan(self):
-        v = self.val
-        d = 1.0 / (1.0 + v * v)
-        return self._chain(np.arctan(v), d, -2.0 * v * d * d)
+# math's scalar functions under numpy's names, so Dual4 stays on plain floats
+_FLOAT_MATH = SimpleNamespace(sqrt=math.sqrt, exp=math.exp, log=math.log,
+                              sin=math.sin, cos=math.cos, tan=math.tan,
+                              arctan=math.atan)
 
 
-class Dual4:
+class Dual4(_Jet):
     """Order-1 forward-mode number over the 4 phase variables (scalar only)."""
 
     __slots__ = ("val", "d")
+    _m = _FLOAT_MATH
 
     def __init__(self, val, d=(0.0, 0.0, 0.0, 0.0)):
         self.val = val
@@ -254,9 +282,7 @@ class Dual4:
         d[var] = 1.0
         return cls(float(value), tuple(d))
 
-    def _lift(self, f, f1):
-        a, b, c, e = self.d
-        return Dual4(f, (f1 * a, f1 * b, f1 * c, f1 * e))
+    # -- storage arithmetic -------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Dual4):
@@ -288,93 +314,55 @@ class Dual4:
             a, b = self.d, other.d
             return Dual4(u * v, (a[0] * v + b[0] * u, a[1] * v + b[1] * u,
                                  a[2] * v + b[2] * u, a[3] * v + b[3] * u))
-        return self._lift(self.val * other, other)
+        return self._chain(self.val * other, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Dual4):
-            return self * other.inv()
-        return self._lift(self.val / other, 1.0 / other)
+    def _div(self, c):
+        return self._chain(self.val / c, 1.0 / c)
 
-    def __rtruediv__(self, other):
-        return self.inv() * other
+    def _one(self):
+        return Dual4(1.0)
 
-    def __pow__(self, p):
-        if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
-            n = int(p)
-            if n == 0:
-                return Dual4(1.0)
-            if n == 1:
-                return self
-            return self._lift(self.val**n, n * self.val ** (n - 1))
-        if self.val <= 0.0:
-            raise DomainError("pow_real", self.val)
-        return self._lift(self.val**p, p * self.val ** (p - 1.0))
+    def _require(self, ok, primitive):
+        if not ok:
+            raise DomainError(primitive, float(self.val))
 
-    def inv(self):
-        if self.val == 0.0:
-            raise DomainError("inv", self.val)
-        return self._lift(1.0 / self.val, -1.0 / self.val**2)
-
-    def sqrt(self):
-        if self.val <= 0.0:
-            raise DomainError("sqrt", self.val)
-        r = math.sqrt(self.val)
-        return self._lift(r, 0.5 / r)
-
-    def exp(self):
-        e = math.exp(self.val)
-        return self._lift(e, e)
-
-    def log(self):
-        if self.val <= 0.0:
-            raise DomainError("ln", self.val)
-        return self._lift(math.log(self.val), 1.0 / self.val)
-
-    def sin(self):
-        return self._lift(math.sin(self.val), math.cos(self.val))
-
-    def cos(self):
-        return self._lift(math.cos(self.val), -math.sin(self.val))
-
-    def tan(self):
-        t = math.tan(self.val)
-        return self._lift(t, 1.0 + t * t)
-
-    def arctan(self):
-        return self._lift(math.atan(self.val), 1.0 / (1.0 + self.val**2))
+    def _chain(self, f, f1, f2=None):
+        """First-order chain rule; the second derivative is not carried."""
+        a, b, c, e = self.d
+        return Dual4(f, (f1 * a, f1 * b, f1 * c, f1 * e))
 
 
 # Generic math entry points so the same formula code runs on Jet2, Dual4
 # or plain floats/ndarrays.
 
 def sqrt(x):
-    return x.sqrt() if isinstance(x, (Jet2, Dual4)) else np.sqrt(x)
+    return x.sqrt() if isinstance(x, _Jet) else np.sqrt(x)
 
 
 def exp(x):
-    return x.exp() if isinstance(x, (Jet2, Dual4)) else np.exp(x)
+    return x.exp() if isinstance(x, _Jet) else np.exp(x)
 
 
 def log(x):
-    return x.log() if isinstance(x, (Jet2, Dual4)) else np.log(x)
+    return x.log() if isinstance(x, _Jet) else np.log(x)
 
 
 def sin(x):
-    return x.sin() if isinstance(x, (Jet2, Dual4)) else np.sin(x)
+    return x.sin() if isinstance(x, _Jet) else np.sin(x)
 
 
 def cos(x):
-    return x.cos() if isinstance(x, (Jet2, Dual4)) else np.cos(x)
+    return x.cos() if isinstance(x, _Jet) else np.cos(x)
 
 
 def tan(x):
-    return x.tan() if isinstance(x, (Jet2, Dual4)) else np.tan(x)
+    return x.tan() if isinstance(x, _Jet) else np.tan(x)
 
 
 def arctan(x):
-    return x.arctan() if isinstance(x, (Jet2, Dual4)) else np.arctan(x)
+    return x.arctan() if isinstance(x, _Jet) else np.arctan(x)
 
 
 def jet_seed(point: PhasePoint):
@@ -419,12 +407,14 @@ class Observable:
         return float(out), np.zeros(4)
 
 
-def fd_derivatives(obs: Observable, point: PhasePoint, h: float = 1e-5,
-                   h_hess: float = 1e-4):
+_H_HESS = 1e-4  # step of the finite-difference Hessian stencils
+
+
+def fd_derivatives(obs: Observable, point: PhasePoint, h: float = 1e-5):
     """Finite-difference gradient and packed Hessian of ``obs`` at ``point``.
 
     Central second-order stencils: gradient error O(h^2), Hessian error
-    O(h_hess^2).  This is the oracle against which jet propagation is
+    O(_H_HESS^2).  This is the oracle against which jet propagation is
     certified; it shares no code with the jet rules.
     """
 
@@ -440,14 +430,14 @@ def fd_derivatives(obs: Observable, point: PhasePoint, h: float = 1e-5,
     for p, (i, j) in enumerate(zip(_IU, _JU)):
         if i == j:
             hess[p] = (
-                f(point.shifted(i, +h_hess)) - 2.0 * f0 + f(point.shifted(i, -h_hess))
-            ) / h_hess**2
+                f(point.shifted(i, +_H_HESS)) - 2.0 * f0 + f(point.shifted(i, -_H_HESS))
+            ) / _H_HESS**2
         else:
-            pp = f(point.shifted(i, +h_hess).shifted(j, +h_hess))
-            pm = f(point.shifted(i, +h_hess).shifted(j, -h_hess))
-            mp = f(point.shifted(i, -h_hess).shifted(j, +h_hess))
-            mm = f(point.shifted(i, -h_hess).shifted(j, -h_hess))
-            hess[p] = (pp - pm - mp + mm) / (4.0 * h_hess**2)
+            pp = f(point.shifted(i, +_H_HESS).shifted(j, +_H_HESS))
+            pm = f(point.shifted(i, +_H_HESS).shifted(j, -_H_HESS))
+            mp = f(point.shifted(i, -_H_HESS).shifted(j, +_H_HESS))
+            mm = f(point.shifted(i, -_H_HESS).shifted(j, -_H_HESS))
+            hess[p] = (pp - pm - mp + mm) / (4.0 * _H_HESS**2)
     return grad, hess
 
 

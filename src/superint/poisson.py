@@ -19,7 +19,7 @@ sample points otherwise drown the tolerance in float64 roundoff).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,15 +49,10 @@ __all__ = [
 DEFAULT_SEED = 0xC0FFEE
 TOL_BRACKET = 1e-9   # first brackets {H, .}
 TOL_NESTED = 1e-8    # nested brackets (algebra rows), Casimir
+_RIDGE_FACTOR = 1e-12  # membership fit: ridge relative to the top singular value
+_HOLDOUT = 0.2         # membership fit: share of the points held out
 
 _PAIRS = ((0, 2), (1, 3))  # (coordinate, conjugate momentum) index pairs
-
-
-def _hess_full(jet: Jet2):
-    """Unpack the 10-entry Hessian to a (4, 4, ...) view-like array."""
-    h = jet.hess
-    idx = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
-    return h[idx]
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ def bracket_jets(F: Jet2, G: Jet2) -> BracketValue:
     val = terms.sum(axis=0)
     val_scale = np.abs(terms).max(axis=0)
 
-    FH, GH = _hess_full(F), _hess_full(G)
+    FH, GH = F.hess_full(), G.hess_full()
     gterms = []
     for q, p in _PAIRS:
         gterms += [FH[q] * G.grad[p], F.grad[q] * GH[p],
@@ -172,7 +167,6 @@ class VerificationReport:
     identities: tuple
     correction_applied: bool = False
     correction: dict = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def passed(self):
@@ -191,8 +185,6 @@ class VerificationReport:
         }
         if self.correction:
             doc["correction"] = self.correction
-        if self.extra:
-            doc.update(self.extra)
         return doc
 
     def to_json(self, **kwargs):
@@ -368,9 +360,7 @@ class MembershipResult:
 
 
 def polynomial_membership(target, generators, spec: SystemSpec, degree: int = 3,
-                          n_points: int = 400, seed: int = DEFAULT_SEED,
-                          ridge_factor: float = 1e-12,
-                          holdout: float = 0.2) -> MembershipResult:
+                          n_points: int = 400, seed: int = DEFAULT_SEED) -> MembershipResult:
     """Least-squares membership of ``target`` in polynomials of the generators.
 
     Fits target(point) over all monomials H^i A^j B^k with i+j+k <= degree,
@@ -390,7 +380,7 @@ def polynomial_membership(target, generators, spec: SystemSpec, degree: int = 3,
 
     X = np.stack([gvals[0]**i * gvals[1]**j * gvals[2]**k for i, j, k in monos],
                  axis=1)
-    n_hold = max(1, int(round(holdout * n_points)))
+    n_hold = max(1, int(round(_HOLDOUT * n_points)))
     train = slice(0, n_points - n_hold)
     hold = slice(n_points - n_hold, n_points)
 
@@ -411,7 +401,7 @@ def polynomial_membership(target, generators, spec: SystemSpec, degree: int = 3,
             f"scaled design condition {condition:.3e} exceeds 1e12; "
             "sampling looks functionally dependent - enlarge the domain")
 
-    lam = ridge_factor * sv[0]
+    lam = _RIDGE_FACTOR * sv[0]
     aug = np.vstack([Xs, lam * np.eye(Xs.shape[1])])
     rhs = np.concatenate([yw, np.zeros(Xs.shape[1])])
     cs, *_ = np.linalg.lstsq(aug, rhs, rcond=None)

@@ -438,6 +438,14 @@ def hamiltonian(spec: SystemSpec, enforce_min_g: bool = True) -> Observable:
     return Observable(fn, label="H")
 
 
+def _liouville_form(p1, p2, F, G, f, g):
+    """p1^2 + p2^2 - 2 p1 p2 (F - G)/(F + G) + 4 (f G - g F)/(F + G)."""
+    m = F + G
+    return (p1**2 + p2**2
+            - 2.0 * p1 * p2 * (F - G) / m
+            + 4.0 * (f * G - g * F) / m)
+
+
 def integral_A(spec: SystemSpec) -> Observable:
     """The first quadratic integral, in Liouville (Class I) or Lie (Class II) form."""
     fns = build_fns(spec)
@@ -445,12 +453,8 @@ def integral_A(spec: SystemSpec) -> Observable:
     if spec.is_class_one():
         def fn(xi, eta, p_xi, p_eta):
             u, v = xi + eta, xi - eta
-            Fu, Gv = fns.F(u), fns.G(v)
-            fu, gv = fns.f_pot(u), fns.g_pot(v)
-            g = Fu + Gv
-            return (p_xi**2 + p_eta**2
-                    - 2.0 * p_xi * p_eta * (Fu - Gv) / g
-                    + 4.0 * (fu * Gv - gv * Fu) / g)
+            return _liouville_form(p_xi, p_eta, fns.F(u), fns.G(v),
+                                   fns.f_pot(u), fns.g_pot(v))
     else:
         def fn(xi, eta, p_xi, p_eta):
             g = fns.metric(xi, eta)
@@ -477,12 +481,8 @@ def integral_B(spec: SystemSpec) -> Observable:
         pX = fns.sqrtA(xi) * p_xi
         pY = fns.sqrtB(eta) * p_eta
         U, V = X + Y, X - Y
-        Ft, Gt = fns.F_tilde(U), fns.G_tilde(V)
-        ft, gt = fns.f_tilde(U), fns.g_tilde(V)
-        gm = Ft + Gt
-        return (pX**2 + pY**2
-                - 2.0 * pX * pY * (Ft - Gt) / gm
-                + 4.0 * (ft * Gt - gt * Ft) / gm)
+        return _liouville_form(pX, pY, fns.F_tilde(U), fns.G_tilde(V),
+                               fns.f_tilde(U), fns.g_tilde(V))
 
     return Observable(fn, label="B")
 
@@ -720,16 +720,17 @@ def algebra_constants(spec: SystemSpec, E: float) -> AlgebraConstants:
 # Sampling
 
 
-def sample_points(spec: SystemSpec, n: int, rng, domain: SampleDomain = None,
-                  require_tilde: bool = True) -> PhasePoint:
+def sample_points(spec: SystemSpec, n: int, rng, require_tilde: bool = True) -> PhasePoint:
     """Draw ``n`` phase points from the class domain by rejection.
 
     Points satisfy all exclusions, ``|g| >= min_abs_g`` and (when the
     class defines a recoordinatized metric) ``|F~ + G~| >= min_abs_g``.
     Raises :class:`SamplingError` when more than 90% of candidates are
-    rejected.
+    rejected, and ``ValueError`` when ``n`` is below 1.
     """
-    dom = domain or sample_domain(spec)
+    if n < 1:
+        raise ValueError(f"need at least one sample point, got n={n}")
+    dom = sample_domain(spec)
     fns = build_fns(spec)
     out = []
     total = 0

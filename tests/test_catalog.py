@@ -123,6 +123,13 @@ def test_verify_tampered_row_fails():
     assert v.status == "failed"
 
 
+@pytest.mark.parametrize("draws", [0, -1])
+def test_verify_entry_rejects_non_positive_draws(draws):
+    # zero draws would check nothing and still report the row verified
+    with pytest.raises(ValueError):
+        verify_entry(_row("F_2"), free_draws=draws)
+
+
 def test_r11_marked_new():
     assert "new" in _row("R_11").literature
 

@@ -4,6 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from superint.cli import main
+
 BASE = [sys.executable, "-m", "superint.cli"]
 
 GENERIC_FLAGS = ["--class", "I1", "--kappa", "1", "--lambda", "0.5", "--mu", "-0.3",
@@ -135,3 +139,28 @@ def test_import_leaves_scipy_optimize_unloaded():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--class", "I1", "--nu", "2", "--points", "0"],
+    ["casimir", "--class", "I1", "--nu", "2", "--points", "-3"],
+    ["curvature", "--class", "I1", "--nu", "2", "--points", "0"],
+    ["tables", "--table", "T3", "--points", "-1"],
+    ["tables", "--table", "T3", "--draws", "0"],
+    ["tables", "--table", "T3", "--draws", "-2"],
+])
+def test_non_positive_counts_exit_2(argv, capsys):
+    # a count of zero checks nothing: it is a configuration error, not a pass
+    assert main(argv) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "--class", "II2", "--nu", "2", "--initial", "1,1,0.7,0.6",
+     "--points", "10"],
+    ["curvature", "--class", "II1", "--kappa", "1", "--threads", "2"],
+    ["revolution", "--class", "I1", "--nu", "1", "--tol-nested", "1e-3"],
+    ["verify", "--class", "I1", "--nu", "2", "--format", "csv"],
+])
+def test_flags_a_command_does_not_read_exit_2(argv):
+    assert main(argv) == 2

@@ -268,3 +268,21 @@ def test_pow_int_negative_base():
 def test_pow_real_requires_positive():
     with pytest.raises(DomainError):
         Jet2.seed(-2.0, 0) ** 1.5
+
+
+@pytest.mark.parametrize("primitive, value, apply", [
+    ("inv", 0.0, lambda x: x.inv()),
+    ("sqrt", -1.0, lambda x: x.sqrt()),
+    ("sqrt", np.nan, lambda x: x.sqrt()),
+    ("ln", -1.0, lambda x: x.log()),
+    ("ln", np.nan, lambda x: x.log()),
+    ("pow_real", -2.0, lambda x: x ** 1.5),
+], ids=["inv-zero", "sqrt-negative", "sqrt-nan", "ln-negative", "ln-nan",
+        "pow-negative"])
+def test_jet2_and_dual4_raise_the_same_domain_error(primitive, value, apply):
+    raised = []
+    for cls in (Jet2, Dual4):
+        with pytest.raises(DomainError) as err:
+            apply(cls.seed(value, 0))
+        raised.append((err.value.primitive, repr(err.value.value)))
+    assert raised[0] == raised[1] == (primitive, repr(float(value)))

@@ -175,6 +175,38 @@ def test_nan_in_a_later_chunk_fails(monkeypatch):
     assert np.isnan(rep.identities[0].max_residual)
 
 
+def test_every_structure_constant_mutation_fails(monkeypatch):
+    # mutation audit: x1.01 and +0.01 on each coefficient of every class's
+    # constants_poly (189 mutants that differ from the printed constants);
+    # the affine fit is stubbed out so that it cannot absorb a mutant
+    import dataclasses
+    import superint.poisson as poisson_mod
+    from superint.systems import constants_poly
+
+    monkeypatch.setattr(poisson_mod, "_fit_offsets", lambda *args: (0.0, 0.0))
+    mutants = survivors = 0
+    for tag in CLASS_TAGS:
+        spec = SystemSpec(tag, **GENERIC)
+        cp = constants_poly(spec)
+        for f in dataclasses.fields(cp):
+            coefs = np.atleast_1d(getattr(cp, f.name)).astype(float)
+            for i in range(coefs.size):
+                for mutated in (coefs[i] * 1.01, coefs[i] + 0.01):
+                    if mutated == coefs[i]:
+                        continue
+                    new = coefs.copy()
+                    new[i] = mutated
+                    value = new if np.ndim(getattr(cp, f.name)) else float(new[0])
+                    mutant = dataclasses.replace(cp, **{f.name: value})
+                    monkeypatch.setattr(poisson_mod, "algebra_constants",
+                                        lambda s, E, mutant=mutant: mutant.at_energy(E))
+                    mutants += 1
+                    survivors += (verify_algebra(spec).passed
+                                  and verify_casimir(spec).passed)
+    assert mutants == 189
+    assert survivors == 0
+
+
 def test_report_document_schema():
     rep = verify_algebra(SystemSpec("I1", **GENERIC), n_points=50, seed=7)
     doc = rep.to_dict()

@@ -292,6 +292,12 @@ def test_degenerate_spec_sampling_error():
         sample_points(SystemSpec("I1"), 50, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_sample_points_rejects_non_positive_count(n):
+    with pytest.raises(ValueError, match="at least one"):
+        sample_points(SystemSpec("I1", **GENERIC), n, np.random.default_rng(0))
+
+
 def test_samples_respect_domain():
     spec = SystemSpec("I1", **GENERIC)
     dom = sample_domain(spec)
