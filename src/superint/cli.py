@@ -84,10 +84,7 @@ def _emit(doc, args, human_lines=None):
         text = "\n".join(human_lines or [json.dumps(doc, sort_keys=True)]) + "\n"
     else:
         text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _write(text, args.output)
 
 
 def _write(text, path):

@@ -56,9 +56,6 @@ class CurvatureClass:
     mean: float
     stddev: float
 
-    def is_zero(self):
-        return self.tag == "Zero"
-
 
 def _metric_jet(spec: SystemSpec, xi, eta) -> Jet2:
     fns = build_fns(spec)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import IllConditioned
 from .jets import Jet2, Observable, PhasePoint
-from .systems import (SystemSpec, algebra_constants, constants_poly, hamiltonian,
-                      integral_A, integral_B, sample_points, spec_to_dict)
+from .systems import (SystemSpec, algebra_constants, constants_poly, integral_A,
+                      integral_B, integrals, sample_points, spec_to_dict)
 
 __all__ = [
     "BracketValue",
@@ -53,6 +53,7 @@ _RIDGE_FACTOR = 1e-12  # membership fit: ridge relative to the top singular valu
 _HOLDOUT = 0.2         # membership fit: share of the points held out
 
 _PAIRS = ((0, 2), (1, 3))  # (coordinate, conjugate momentum) index pairs
+_CHUNK = 2048  # points per residual pass; the max over chunks is exact
 
 
 @dataclass(frozen=True)
@@ -70,13 +71,16 @@ class BracketValue:
     grad_scale: np.ndarray
 
 
+def _contract(dF, dG):
+    """Value and largest |term| of the canonical contraction of gradients dF, dG."""
+    terms = np.stack([dF[q] * dG[p] for q, p in _PAIRS]
+                     + [-dF[p] * dG[q] for q, p in _PAIRS])
+    return terms.sum(axis=0), np.abs(terms).max(axis=0)
+
+
 def bracket_jets(F: Jet2, G: Jet2) -> BracketValue:
     """{F, G} from already evaluated order-2 jets of F and G."""
-    terms = np.stack([F.grad[q] * G.grad[p] for q, p in _PAIRS]
-                     + [-F.grad[p] * G.grad[q] for q, p in _PAIRS])
-    val = terms.sum(axis=0)
-    val_scale = np.abs(terms).max(axis=0)
-
+    val, val_scale = _contract(F.grad, G.grad)
     FH, GH = F.hess_full(), G.hess_full()
     gterms = []
     for q, p in _PAIRS:
@@ -104,14 +108,11 @@ def bracket_fd(F: Observable, G: Observable, point: PhasePoint, h: float = 1e-5)
 
 def _grad_bracket_value(Xjet: Jet2, C: BracketValue):
     """Value and scale of {X, C} from X's gradient and C's gradient."""
-    terms = np.stack([Xjet.grad[q] * C.grad[p] for q, p in _PAIRS]
-                     + [-Xjet.grad[p] * C.grad[q] for q, p in _PAIRS])
+    val, term_scale = _contract(Xjet.grad, C.grad)
     # error carriers: X's gradient times the roundoff scale of C's gradient
     carriers = np.stack([np.abs(Xjet.grad[q]) * C.grad_scale[p] for q, p in _PAIRS]
                         + [np.abs(Xjet.grad[p]) * C.grad_scale[q] for q, p in _PAIRS])
-    val = terms.sum(axis=0)
-    scale = np.maximum(np.abs(terms).max(axis=0), carriers.max(axis=0))
-    return val, scale
+    return val, np.maximum(term_scale, carriers.max(axis=0))
 
 
 class CObservable:
@@ -225,17 +226,18 @@ def casimir_terms(con, c, a, b):
                      2.0 * con.z * a])
 
 
-def _row_residuals(spec, obs, pts, a_off=0.0, b_off=0.0):
+def _row_residuals(spec, hab, pts, a_off=0.0, b_off=0.0):
     """Per-point residuals of HA, HB, HC, AC-row, BC-row and the Casimir.
 
-    ``obs`` holds the observables H, A and B; ``a_off``/``b_off`` are the
-    affine-match offsets (normally zero).  Returns a dict of residual arrays.
+    ``hab`` maps points to the jets of H, A and B (``systems.integrals``);
+    ``a_off``/``b_off`` are the affine-match offsets (normally zero).
+    Returns a dict of residual arrays.
     """
-    H, A, B = (o.eval(pts) for o in obs)
+    H, A, B = hab(pts)
 
     C = bracket_jets(A, B)
-    HA = bracket_jets(H, A)
-    HB = bracket_jets(H, B)
+    HA_val, HA_scale = _contract(H.grad, A.grad)
+    HB_val, HB_scale = _contract(H.grad, B.grad)
     HC_val, HC_scale = _grad_bracket_value(H, C)
     AC_val, AC_scale = _grad_bracket_value(A, C)
     BC_val, BC_scale = _grad_bracket_value(B, C)
@@ -260,8 +262,8 @@ def _row_residuals(spec, obs, pts, a_off=0.0, b_off=0.0):
     s_K = np.maximum(s_K, np.abs(C.val) * C.val_scale)
 
     return {
-        "HA": _norm(HA.val, HA.val_scale),
-        "HB": _norm(HB.val, HB.val_scale),
+        "HA": _norm(HA_val, HA_scale),
+        "HB": _norm(HB_val, HB_scale),
         "HC": _norm(HC_val, HC_scale),
         "AC_row": _norm(AC_val - rhs_AC, AC_scale, s_AC),
         "BC_row": _norm(BC_val - rhs_BC, BC_scale, s_BC),
@@ -269,26 +271,26 @@ def _row_residuals(spec, obs, pts, a_off=0.0, b_off=0.0):
     }
 
 
-def _chunked_max(spec, obs, pts, names, a_off=0.0, b_off=0.0, chunk=256):
-    """Max residual per identity over fixed chunks of the points."""
+def _chunked_max(spec, hab, pts, names, a_off=0.0, b_off=0.0):
+    """Max residual per identity over chunks of ``_CHUNK`` points."""
     arr = pts.as_array()
     maxima = []
-    for lo in range(0, arr.shape[1], chunk):
-        sub = PhasePoint.from_array(arr[:, lo:lo + chunk])
-        res = _row_residuals(spec, obs, sub, a_off, b_off)
+    for lo in range(0, arr.shape[1], _CHUNK):
+        sub = PhasePoint.from_array(arr[:, lo:lo + _CHUNK])
+        res = _row_residuals(spec, hab, sub, a_off, b_off)
         maxima.append([res[k].max() for k in names])
     # np.max, unlike the builtin max, keeps a NaN from any chunk
     return dict(zip(names, map(float, np.max(maxima, axis=0))))
 
 
-def _fit_offsets(spec, obs, pts):
+def _fit_offsets(spec, hab, pts):
     """Affine-match pre-step: constant offsets for A and B (q=1, r=0)."""
     # imported here: the fit runs only on a failing row, and scipy.optimize
     # would otherwise dominate the import time of the CLI
     from scipy.optimize import least_squares
 
     def cost(x):
-        res = _row_residuals(spec, obs, pts, a_off=x[0], b_off=x[1])
+        res = _row_residuals(spec, hab, pts, a_off=x[0], b_off=x[1])
         return np.concatenate([res["AC_row"], res["BC_row"], res["casimir"]])
 
     sol = least_squares(cost, x0=np.zeros(2), method="lm", max_nfev=60)
@@ -304,13 +306,13 @@ def _verify(kind, spec, n_points, seed, tols, trigger):
     for the printed forms).
     """
     pts = sample_points(spec, n_points, np.random.default_rng(seed))
-    obs = (hamiltonian(spec), integral_A(spec), integral_B(spec))
-    worst = _chunked_max(spec, obs, pts, tols)
+    hab = integrals(spec)
+    worst = _chunked_max(spec, hab, pts, tols)
     correction = None
     if any(worst[k] > tols[k] for k in trigger):
-        a_off, b_off = _fit_offsets(spec, obs, pts)
+        a_off, b_off = _fit_offsets(spec, hab, pts)
         correction = {"a_offset": a_off, "b_offset": b_off}
-        worst = _chunked_max(spec, obs, pts, tols, a_off, b_off)
+        worst = _chunked_max(spec, hab, pts, tols, a_off, b_off)
     idents = tuple(Identity(k, worst[k], tol) for k, tol in tols.items())
     return VerificationReport(kind, spec, seed, n_points, idents,
                               correction is not None, correction)

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import DomainError, SamplingError
-from .jets import Jet2, Observable, PhasePoint, exp, log, sqrt, tan, arctan
+from .jets import Jet2, Observable, PhasePoint, arctan, exp, jet_seed, log, sqrt, tan
 
 __all__ = [
     "CLASS_TAGS",
@@ -42,6 +42,7 @@ __all__ = [
     "hamiltonian",
     "integral_A",
     "integral_B",
+    "integrals",
     "metric_observable",
     "characteristic_residual",
     "structural_pde_residual",
@@ -203,11 +204,23 @@ class SystemFns:
     intF: Callable = None    # Class II only: antiderivative of F
     intf: Callable = None    # Class II only: antiderivative of f_pot
 
+    def pair(self, first, second, xi, eta):
+        """``first`` and ``second`` at their arguments, and their combination.
+
+        The arguments are ``u = xi + eta`` and ``v = xi - eta`` for Class I
+        and ``eta`` for Class II; the combination is ``first + second``
+        (Class I) or ``first * xi + second`` (Class II): g for ``(F, G)``,
+        w for ``(f_pot, g_pot)``.  ``first`` is evaluated before ``second``.
+        """
+        if self.tag.startswith("II"):
+            a, b = first(eta), second(eta)
+            return a, b, a * xi + b
+        a, b = first(xi + eta), second(xi - eta)
+        return a, b, a + b
+
     def metric(self, xi, eta):
         """Conformal factor g at (xi, eta); arguments may be jets."""
-        if self.tag.startswith("II"):
-            return self.F(eta) * xi + self.G(eta)
-        return self.F(xi + eta) + self.G(xi - eta)
+        return self.pair(self.F, self.G, xi, eta)[2]
 
     def tilde_metric(self, xi, eta):
         """Recoordinatized conformal factor F~(X+Y) + G~(X-Y) at (xi, eta)."""
@@ -215,9 +228,7 @@ class SystemFns:
         return self.F_tilde(X + Y) + self.G_tilde(X - Y)
 
     def potential_numerator(self, xi, eta):
-        if self.tag.startswith("II"):
-            return self.f_pot(eta) * xi + self.g_pot(eta)
-        return self.f_pot(xi + eta) + self.g_pot(xi - eta)
+        return self.pair(self.f_pot, self.g_pot, xi, eta)[2]
 
 
 def _one(u):
@@ -423,19 +434,9 @@ def _guard_metric(g, min_abs_g):
                           f"|g| below {min_abs_g} (degenerate metric at sample)")
 
 
-def hamiltonian(spec: SystemSpec, enforce_min_g: bool = True) -> Observable:
-    """H = (p_xi p_eta + w(xi, eta)) / g(xi, eta)."""
-    fns = build_fns(spec)
-    dom = sample_domain(spec)
-
-    def fn(xi, eta, p_xi, p_eta):
-        g = fns.metric(xi, eta)
-        if enforce_min_g and isinstance(g, Jet2):
-            _guard_metric(g, dom.min_abs_g)
-        w = fns.potential_numerator(xi, eta)
-        return (p_xi * p_eta + w) / g
-
-    return Observable(fn, label="H")
+def _h_form(p_xi, p_eta, g, w):
+    """H = (p_xi p_eta + w) / g."""
+    return (p_xi * p_eta + w) / g
 
 
 def _liouville_form(p1, p2, F, G, f, g):
@@ -446,24 +447,55 @@ def _liouville_form(p1, p2, F, G, f, g):
             + 4.0 * (f * G - g * F) / m)
 
 
+def _a_form(fns, eta, p_xi, p_eta, metric, potential):
+    """A from the metric and potential pairs ``(F, G, g)`` and ``(f, g_pot, w)``.
+
+    Liouville form for Class I; Lie form with the antiderivatives ``intF``
+    and ``intf`` for Class II.
+    """
+    F, G, g = metric
+    f, g_pot, w = potential
+    if not fns.tag.startswith("II"):
+        return _liouville_form(p_xi, p_eta, F, G, f, g_pot)
+    beta = fns.intF(eta)
+    return (p_xi**2
+            - 2.0 * p_xi * p_eta * beta / g
+            - 2.0 * w * beta / g
+            + 2.0 * fns.intf(eta))
+
+
+def _b_form(fns, xi, eta, p_xi, p_eta):
+    """B: the Liouville form of the tilde functions in the (X, Y) coordinates."""
+    X, Y = fns.X_of_xi(xi), fns.Y_of_eta(eta)
+    pX = fns.sqrtA(xi) * p_xi
+    pY = fns.sqrtB(eta) * p_eta
+    U, V = X + Y, X - Y
+    return _liouville_form(pX, pY, fns.F_tilde(U), fns.G_tilde(V),
+                           fns.f_tilde(U), fns.g_tilde(V))
+
+
+def hamiltonian(spec: SystemSpec, enforce_min_g: bool = True) -> Observable:
+    """H = (p_xi p_eta + w(xi, eta)) / g(xi, eta)."""
+    fns = build_fns(spec)
+    dom = sample_domain(spec)
+
+    def fn(xi, eta, p_xi, p_eta):
+        g = fns.metric(xi, eta)
+        if enforce_min_g and isinstance(g, Jet2):
+            _guard_metric(g, dom.min_abs_g)
+        w = fns.potential_numerator(xi, eta)
+        return _h_form(p_xi, p_eta, g, w)
+
+    return Observable(fn, label="H")
+
+
 def integral_A(spec: SystemSpec) -> Observable:
     """The first quadratic integral, in Liouville (Class I) or Lie (Class II) form."""
     fns = build_fns(spec)
 
-    if spec.is_class_one():
-        def fn(xi, eta, p_xi, p_eta):
-            u, v = xi + eta, xi - eta
-            return _liouville_form(p_xi, p_eta, fns.F(u), fns.G(v),
-                                   fns.f_pot(u), fns.g_pot(v))
-    else:
-        def fn(xi, eta, p_xi, p_eta):
-            g = fns.metric(xi, eta)
-            w = fns.potential_numerator(xi, eta)
-            beta = fns.intF(eta)
-            return (p_xi**2
-                    - 2.0 * p_xi * p_eta * beta / g
-                    - 2.0 * w * beta / g
-                    + 2.0 * fns.intf(eta))
+    def fn(xi, eta, p_xi, p_eta):
+        return _a_form(fns, eta, p_xi, p_eta, fns.pair(fns.F, fns.G, xi, eta),
+                       fns.pair(fns.f_pot, fns.g_pot, xi, eta))
 
     return Observable(fn, label="A")
 
@@ -477,14 +509,33 @@ def integral_B(spec: SystemSpec) -> Observable:
     fns = build_fns(spec)
 
     def fn(xi, eta, p_xi, p_eta):
-        X, Y = fns.X_of_xi(xi), fns.Y_of_eta(eta)
-        pX = fns.sqrtA(xi) * p_xi
-        pY = fns.sqrtB(eta) * p_eta
-        U, V = X + Y, X - Y
-        return _liouville_form(pX, pY, fns.F_tilde(U), fns.G_tilde(V),
-                               fns.f_tilde(U), fns.g_tilde(V))
+        return _b_form(fns, xi, eta, p_xi, p_eta)
 
     return Observable(fn, label="B")
+
+
+def integrals(spec: SystemSpec) -> Callable[[PhasePoint], tuple]:
+    """One pass for H, A and B: a map from points to their order-2 jets.
+
+    The closed forms are built once, and H and A share the metric and
+    potential pairs (g and w; for Class I also F(u), G(v), f(u), g(v)).
+    The jets equal the ``eval`` of :func:`hamiltonian`, :func:`integral_A`
+    and :func:`integral_B` bit for bit, and the first ``DomainError`` is the
+    one the three would raise in that order.
+    """
+    fns = build_fns(spec)
+    min_abs_g = sample_domain(spec).min_abs_g
+
+    def evaluate(point: PhasePoint):
+        xi, eta, p_xi, p_eta = jet_seed(point)
+        metric = fns.pair(fns.F, fns.G, xi, eta)
+        _guard_metric(metric[2], min_abs_g)
+        potential = fns.pair(fns.f_pot, fns.g_pot, xi, eta)
+        return (_h_form(p_xi, p_eta, metric[2], potential[2]),
+                _a_form(fns, eta, p_xi, p_eta, metric, potential),
+                _b_form(fns, xi, eta, p_xi, p_eta))
+
+    return evaluate
 
 
 def metric_observable(spec: SystemSpec) -> Observable:

@@ -133,6 +133,16 @@ def test_reports_byte_identical_across_thread_counts():
     assert a.stdout == b.stdout == c.stdout
 
 
+def test_output_file_replaces_stdout(tmp_path):
+    out = tmp_path / "r.json"
+    args = ["verify", *GENERIC_FLAGS, "--points", "100", "--no-timestamp"]
+    to_file = run(*args, "--output", str(out))
+    to_stdout = run(*args)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert to_file.stdout == ""
+    assert out.read_text() == to_stdout.stdout
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # only the affine correction uses scipy.optimize, and it rarely runs
     code = "import sys, superint.cli; print('scipy.optimize' in sys.modules)"

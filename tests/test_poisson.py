@@ -139,13 +139,18 @@ def test_affine_correction_absorbs_constant_offset(monkeypatch):
     # must be absorbed by the affine-match pre-step and flagged, while the
     # printed forms keep passing raw
     import superint.poisson as poisson_mod
-    from superint.systems import integral_A as real_integral_A
+    from superint.systems import integrals as real_integrals
 
-    def shifted_integral_A(spec):
-        A = real_integral_A(spec)
-        return Observable(lambda *args: A.fn(*args) + 3.0, label="A+3")
+    def shifted_integrals(spec):
+        hab = real_integrals(spec)
 
-    monkeypatch.setattr(poisson_mod, "integral_A", shifted_integral_A)
+        def evaluate(point):
+            H, A, B = hab(point)
+            return H, A + 3.0, B
+
+        return evaluate
+
+    monkeypatch.setattr(poisson_mod, "integrals", shifted_integrals)
     spec = SystemSpec("II1", **GENERIC)
     rep = verify_algebra(spec, n_points=100)
     assert rep.passed
@@ -169,10 +174,24 @@ def test_nan_in_a_later_chunk_fails(monkeypatch):
         return res
 
     monkeypatch.setattr(poisson_mod, "_row_residuals", poisoned)
-    rep = verify_algebra(SystemSpec("I2", **GENERIC), n_points=512)
+    rep = verify_algebra(SystemSpec("I2", **GENERIC), n_points=2 * poisson_mod._CHUNK)
     assert len(calls) == 2
     assert not rep.passed
     assert np.isnan(rep.identities[0].max_residual)
+
+
+@pytest.mark.parametrize("chunk", [256, 1000])
+def test_chunk_size_cannot_change_a_report(monkeypatch, chunk):
+    # the residual max over chunks is exact, so the chunk size moves speed only
+    import superint.poisson as poisson_mod
+
+    runs = [(SystemSpec(tag, **GENERIC), 5000, {}) for tag in ("I2", "I3", "II2")]
+    runs.append((SystemSpec("I3", **GENERIC), 2500, {"tol_nested": 1e-30}))
+    default = [verify_algebra(spec, n_points=n, **kw).to_json() for spec, n, kw in runs]
+    assert '"correction_applied": true' in default[-1]
+    monkeypatch.setattr(poisson_mod, "_CHUNK", chunk)
+    assert [verify_algebra(spec, n_points=n, **kw).to_json()
+            for spec, n, kw in runs] == default
 
 
 def test_every_structure_constant_mutation_fails(monkeypatch):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from superint.errors import SamplingError
+from superint.errors import DomainError, SamplingError
 from superint.jets import PhasePoint
 from superint.systems import (CLASS_TAGS, SystemSpec, algebra_constants,
                               build_fns, characteristic_residual, hamiltonian,
-                              integral_A, integral_B, metric_observable,
+                              integral_A, integral_B, integrals, metric_observable,
                               sample_domain, sample_points, spec_from_dict,
                               spec_to_dict, structural_pde_residual)
 
@@ -108,6 +108,28 @@ def test_b_i2_no_momentum_free_term():
     xi, eta = rng.uniform(0.4, 1.8, 20), rng.uniform(0.4, 1.8, 20)
     vals = B.value(PhasePoint(xi, eta, np.zeros(20), np.zeros(20)))
     assert np.abs(vals).max() <= 1e-12
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_shared_pass_equals_separate_integrals(tag):
+    spec = SystemSpec(tag, **GENERIC)
+    pts = sample_points(spec, 300, np.random.default_rng(21))
+    shared = integrals(spec)(pts)
+    for obs, jet in zip((hamiltonian(spec), integral_A(spec), integral_B(spec)), shared):
+        ref = obs.eval(pts)
+        for part in ("val", "grad", "hess"):
+            assert np.array_equal(getattr(jet, part), getattr(ref, part)), (obs.label, part)
+
+
+def test_shared_pass_raises_the_metric_error():
+    spec = SystemSpec("II1", nu=1e-4)   # g = 1e-4 everywhere, below MIN_ABS_G
+    pt = PhasePoint(1.0, 1.0, 0.5, 0.5)
+    with pytest.raises(DomainError) as shared:
+        integrals(spec)(pt)
+    with pytest.raises(DomainError) as separate:
+        hamiltonian(spec).eval(pt)
+    assert shared.value.primitive == separate.value.primitive == "metric"
+    assert str(shared.value) == str(separate.value)
 
 
 def test_tilde_metric_consistency():
