@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -40,6 +41,22 @@ def _count(text):
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
+
+
+def _positive(text):
+    """argparse type of a duration: a finite float above 0."""
+    x = float(text)
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return x
+
+
+def _tolerance(text):
+    """argparse type of a tolerance: a finite float of at least 0."""
+    x = float(text)
+    if not (math.isfinite(x) and x >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return x
 
 
 # flags only some report commands read
@@ -199,6 +216,8 @@ def _cmd_trajectory(args):
             raise ValueError
     except ValueError:
         raise ConfigError("--initial must be 'xi,eta,p_xi,p_eta'")
+    if args.rel_tol == 0 and args.abs_tol == 0:
+        raise ConfigError("--rel-tol and --abs-tol cannot both be 0")
     point = clamp_energy(spec, PhasePoint(*vals))
     traj = integrate(spec, point, t_end=args.t_end, rel_tol=args.rel_tol,
                      abs_tol=args.abs_tol)
@@ -268,9 +287,9 @@ def build_parser():
     p.add_argument("--output", help="write the CSV to this path")
     p.set_defaults(fn=_cmd_trajectory)
     p.add_argument("--initial", required=True, help="xi,eta,p_xi,p_eta")
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
+    p.add_argument("--t-end", type=_positive, default=10.0)
+    p.add_argument("--rel-tol", type=_tolerance, default=1e-10)
+    p.add_argument("--abs-tol", type=_tolerance, default=1e-12)
 
     p = sub.add_parser("dump-catalog", help="print the embedded table catalog")
     p.add_argument("--output")

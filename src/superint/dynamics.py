@@ -19,6 +19,7 @@ magnitude), recording the exit time.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,10 +106,17 @@ def integrate(spec: SystemSpec, initial: PhasePoint, t_end: float,
 
     Adaptive embedded RK5(4) with PI step control.  Observables are meant
     to be evaluated at accepted steps only (no dense output).  Raises
-    :class:`StepFailure` if the step size underflows below 1e-14.
+    :class:`StepFailure` if the step size underflows below 1e-14, and
+    ``ValueError`` unless ``t_end`` is finite and positive and the two
+    tolerances are finite, non-negative and not both zero.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {tol}")
+    if rel_tol == 0 and abs_tol == 0:
+        raise ValueError("rel_tol and abs_tol cannot both be zero")
     fns = build_fns(spec)
     dom = sample_domain(spec)
     rhs = _rhs_fn(spec)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet2, Observable
+from .jets import CoordJet, Observable
 from .poisson import bracket
 from .systems import SystemSpec, build_fns, hamiltonian, sample_points
 
@@ -57,13 +57,13 @@ class CurvatureClass:
     stddev: float
 
 
-def _metric_jet(spec: SystemSpec, xi, eta) -> Jet2:
+def _metric_jet(spec: SystemSpec, xi, eta) -> CoordJet:
     fns = build_fns(spec)
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     shape = np.broadcast_shapes(xi.shape, eta.shape)
-    return fns.metric(Jet2.seed(np.broadcast_to(xi, shape), 0),
-                      Jet2.seed(np.broadcast_to(eta, shape), 1))
+    return fns.metric(CoordJet.seed(np.broadcast_to(xi, shape), 0),
+                      CoordJet.seed(np.broadcast_to(eta, shape), 1))
 
 
 def curvature(spec: SystemSpec, xi, eta):
@@ -119,7 +119,7 @@ def _directional_residuals(spec: SystemSpec, xi, eta, coords: str):
             dxi, deta = fns.sqrtA, fns.sqrtB
         xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        xj, ej = Jet2.seed(xi, 0), Jet2.seed(eta, 1)
+        xj, ej = CoordJet.seed(xi, 0), CoordJet.seed(eta, 1)
         # transformed conformal factor g~ = g * (dxi/dX) * (deta/dY)
         gt = fns.metric(xj, ej) * dxi(xj) * deta(ej)
         gx = gt.grad[0] * dxi(xi)    # d g~ / dX

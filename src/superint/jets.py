@@ -1,10 +1,18 @@
-"""Order-2 jet arithmetic over the four phase variables.
+"""Order-2 jet arithmetic over the phase variables.
 
 A :class:`Jet2` carries a value together with all first and second partial
 derivatives with respect to ``(xi, eta, p_xi, p_eta)``, propagated through
 arithmetic by truncated Taylor rules.  Everything is batched: the value may
 be a scalar or an ndarray of sample points, and derivatives ride along with
 a leading axis of size 4 (gradient) / 10 (packed Hessian).
+
+A :class:`CoordJet` is the same jet over ``(xi, eta)`` alone, with leading
+axes of size 2 / 3: the closed forms of a system depend on the coordinates
+only, and on this layout they skip the derivative rows that would always be
+zero.  Its ``lift()`` pads it with zeros to the four-variable layout, and
+``+``, ``-``, ``*`` and ``/`` lift it on their own where it meets a
+:class:`Jet2`, so a momentum enters in four variables.  :func:`seed_phase`
+seeds the coordinates in two variables and the momenta in four.
 
 A :class:`Dual4` is the order-1 little sibling (value + gradient, plain
 Python floats) used where only first derivatives are needed at scalar
@@ -32,9 +40,11 @@ from .errors import DomainError
 __all__ = [
     "PhasePoint",
     "Jet2",
+    "CoordJet",
     "Dual4",
     "Observable",
     "jet_seed",
+    "seed_phase",
     "fd_derivatives",
     "norm_residual",
     "sqrt",
@@ -48,12 +58,17 @@ __all__ = [
 
 VAR_NAMES = ("xi", "eta", "p_xi", "p_eta")
 
-# Packed storage of the symmetric 4x4 Hessian: upper triangle, row major;
-# _UNPACK[i, j] is the packed position of entry (i, j), in either order.
-_IU = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
-_JU = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
-_UNPACK = np.empty((4, 4), dtype=int)
-_UNPACK[_IU, _JU] = _UNPACK[_JU, _IU] = np.arange(10)
+
+def _packed(nv):
+    """Packed storage of a symmetric nv x nv Hessian: upper triangle, row major.
+
+    Returns (_IU, _JU, _UNPACK); _UNPACK[i, j] is the packed position of
+    entry (i, j), in either order.
+    """
+    iu, ju = np.triu_indices(nv)
+    unpack = np.empty((nv, nv), dtype=int)
+    unpack[iu, ju] = unpack[ju, iu] = np.arange(iu.size)
+    return iu, ju, unpack
 
 
 @dataclass(frozen=True)
@@ -174,11 +189,15 @@ class Jet2(_Jet):
     ``val`` has an arbitrary batch shape S; ``grad`` has shape (4,)+S and
     ``hess`` has shape (10,)+S holding the upper triangle of the symmetric
     second-derivative matrix (single storage, so hess[i,j] and hess[j,i]
-    are the identical entry by construction).
+    are the identical entry by construction).  The layout is a class
+    attribute: ``_NV`` variables and the packing ``_IU``, ``_JU``,
+    ``_UNPACK``, which :class:`CoordJet` narrows to (xi, eta).
     """
 
     __slots__ = ("val", "grad", "hess")
     _m = np
+    _NV = 4
+    _IU, _JU, _UNPACK = _packed(4)
 
     def __init__(self, val, grad, hess):
         self.val = np.asarray(val, dtype=float)
@@ -190,64 +209,79 @@ class Jet2(_Jet):
     @classmethod
     def constant(cls, value, batch_shape=()):
         val = np.broadcast_to(np.asarray(value, dtype=float), batch_shape).copy()
-        return cls(val, np.zeros((4,) + batch_shape), np.zeros((10,) + batch_shape))
+        return cls(val, np.zeros((cls._NV,) + batch_shape),
+                   np.zeros((cls._IU.size,) + batch_shape))
 
     @classmethod
     def seed(cls, value, var: int):
         """Jet of coordinate ``var`` at ``value``: unit gradient, zero Hessian."""
         val = np.asarray(value, dtype=float)
-        grad = np.zeros((4,) + val.shape)
+        grad = np.zeros((cls._NV,) + val.shape)
         grad[var] = 1.0
-        return cls(val, grad, np.zeros((10,) + val.shape))
+        return cls(val, grad, np.zeros((cls._IU.size,) + val.shape))
+
+    def lift(self):
+        """This jet in the four-variable layout, which it already has."""
+        return self
 
     # -- accessors ----------------------------------------------------
 
     def hess_at(self, i: int, j: int):
         """Second partial w.r.t. variables i, j (symmetric single storage)."""
-        return self.hess[_UNPACK[i, j]]
+        return self.hess[self._UNPACK[i, j]]
 
     def hess_full(self):
-        """The full (4, 4)+S Hessian, gathered from the packed storage."""
-        return self.hess[_UNPACK]
+        """The full (nv, nv)+S Hessian, gathered from the packed storage."""
+        return self.hess[self._UNPACK]
 
     # -- storage arithmetic -------------------------------------------
+    # An operand in the other layout is lifted first; both then have 4.
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
-        return Jet2(self.val + other, self.grad, self.hess)
+            if other._NV != self._NV:
+                return self.lift() + other.lift()
+            return type(self)(self.val + other.val, self.grad + other.grad,
+                              self.hess + other.hess)
+        return type(self)(self.val + other, self.grad, self.hess)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.val - other.val, self.grad - other.grad, self.hess - other.hess)
-        return Jet2(self.val - other, self.grad, self.hess)
+            if other._NV != self._NV:
+                return self.lift() - other.lift()
+            return type(self)(self.val - other.val, self.grad - other.grad,
+                              self.hess - other.hess)
+        return type(self)(self.val - other, self.grad, self.hess)
 
     def __rsub__(self, other):
-        return Jet2(other - self.val, -self.grad, -self.hess)
+        return type(self)(other - self.val, -self.grad, -self.hess)
 
     def __neg__(self):
-        return Jet2(-self.val, -self.grad, -self.hess)
+        return type(self)(-self.val, -self.grad, -self.hess)
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
+            if other._NV != self._NV:
+                return self.lift() * other.lift()
             a, b = self, other
-            cross = a.grad[_IU] * b.grad[_JU] + b.grad[_IU] * a.grad[_JU]
-            return Jet2(
+            iu, ju = a._IU, a._JU
+            cross = a.grad[iu] * b.grad[ju] + b.grad[iu] * a.grad[ju]
+            return type(self)(
                 a.val * b.val,
                 a.grad * b.val + b.grad * a.val,
                 a.hess * b.val + b.hess * a.val + cross,
             )
-        return Jet2(self.val * other, self.grad * other, self.hess * other)
+        return type(self)(self.val * other, self.grad * other, self.hess * other)
 
     __rmul__ = __mul__
 
     def _div(self, c):
-        return Jet2(self.val / c, self.grad / c, self.hess / c)
+        return type(self)(self.val / c, self.grad / c, self.hess / c)
 
     def _one(self):
-        return Jet2.constant(1.0, self.val.shape)
+        return self.constant(1.0, self.val.shape)
 
     def _require(self, ok, primitive):
         if not np.all(ok):
@@ -256,8 +290,34 @@ class Jet2(_Jet):
     def _chain(self, f, f1, f2):
         """Order-2 chain rule for a scalar function applied to this jet."""
         grad = f1 * self.grad
-        hess = f1 * self.hess + f2 * (self.grad[_IU] * self.grad[_JU])
-        return Jet2(f, grad, hess)
+        hess = f1 * self.hess + f2 * (self.grad[self._IU] * self.grad[self._JU])
+        return type(self)(f, grad, hess)
+
+
+class CoordJet(Jet2):
+    """A :class:`Jet2` over the coordinates (xi, eta) alone.
+
+    ``grad`` has shape (2,)+S and ``hess`` (3,)+S: the partials with respect
+    to the momenta, always zero for a function of the coordinates, are not
+    stored.  The rules are those of :class:`Jet2`, on the non-zero entries
+    in the same order, so ``lift()`` equals the four-variable jet bit for
+    bit, up to the sign of a zero.
+    """
+
+    __slots__ = ()
+    _NV = 2
+    _IU, _JU, _UNPACK = _packed(2)
+    # where the packed (xi, eta) Hessian sits in the packed 4-variable one
+    _LIFT = Jet2._UNPACK[_IU, _JU]
+
+    def lift(self):
+        """The same jet in the four-variable layout, zero in the momenta."""
+        shape = self.val.shape
+        grad = np.zeros((Jet2._NV,) + shape)
+        grad[:self._NV] = self.grad
+        hess = np.zeros((Jet2._IU.size,) + shape)
+        hess[self._LIFT] = self.hess
+        return Jet2(self.val, grad, hess)
 
 
 # math's scalar functions under numpy's names, so Dual4 stays on plain floats
@@ -365,11 +425,21 @@ def arctan(x):
     return x.arctan() if isinstance(x, _Jet) else np.arctan(x)
 
 
+def seed_phase(point: PhasePoint):
+    """The jets of the four phase variables at ``point``, for evaluation.
+
+    xi and eta are :class:`CoordJet` seeds, so that everything computed
+    from the coordinates alone stays in two variables; p_xi and p_eta are
+    four-variable :class:`Jet2` seeds.
+    """
+    xi, eta, p_xi, p_eta = (np.broadcast_to(c, point.shape) for c in point.components())
+    return (CoordJet.seed(xi, 0), CoordJet.seed(eta, 1),
+            Jet2.seed(p_xi, 2), Jet2.seed(p_eta, 3))
+
+
 def jet_seed(point: PhasePoint):
     """The four coordinate jets at ``point``: val = component, grad = e_i, hess = 0."""
-    shape = point.shape
-    comps = [np.broadcast_to(c, shape) for c in point.components()]
-    return tuple(Jet2.seed(val, i) for i, val in enumerate(comps))
+    return tuple(j.lift() for j in seed_phase(point))
 
 
 @dataclass(frozen=True)
@@ -385,11 +455,11 @@ class Observable:
     label: str = ""
 
     def eval(self, point: PhasePoint) -> Jet2:
-        """Evaluate with order-2 jets (value + gradient + Hessian)."""
-        out = self.fn(*jet_seed(point))
+        """Evaluate with four-variable order-2 jets (value + gradient + Hessian)."""
+        out = self.fn(*seed_phase(point))
         if not isinstance(out, Jet2):
-            out = Jet2.constant(out, point.shape)
-        return out
+            return Jet2.constant(out, point.shape)
+        return out.lift()
 
     __call__ = eval
 
@@ -427,7 +497,7 @@ def fd_derivatives(obs: Observable, point: PhasePoint, h: float = 1e-5):
 
     hess = np.empty((10,) + point.shape)
     f0 = f(point)
-    for p, (i, j) in enumerate(zip(_IU, _JU)):
+    for p, (i, j) in enumerate(zip(Jet2._IU, Jet2._JU)):
         if i == j:
             hess[p] = (
                 f(point.shifted(i, +_H_HESS)) - 2.0 * f0 + f(point.shifted(i, -_H_HESS))

@@ -18,6 +18,7 @@ sample points otherwise drown the tolerance in float64 roundoff).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -257,7 +258,9 @@ def _row_residuals(spec, hab, pts, a_off=0.0, b_off=0.0):
                               -2.0 * con.alpha * Av * Bv, con.d * Av,
                               -con.delta * Bv, con.z * one)
     kterms = casimir_terms(con, C.val, Av, Bv)
-    kcomb, s_K = kterms.sum(axis=0), np.abs(kterms).max(axis=0)
+    # summed row by row: numpy's axis-0 sum of 8 or more rows groups the
+    # terms differently for a single point, so a one-point chunk would differ
+    kcomb, s_K = functools.reduce(np.add, kterms), np.abs(kterms).max(axis=0)
     # roundoff carrier of C^2 via C's own contraction scale
     s_K = np.maximum(s_K, np.abs(C.val) * C.val_scale)
 
@@ -271,12 +274,17 @@ def _row_residuals(spec, hab, pts, a_off=0.0, b_off=0.0):
     }
 
 
+def _chunks(pts):
+    """``pts`` in consecutive slices of ``_CHUNK`` points."""
+    arr = pts.as_array()
+    for lo in range(0, arr.shape[1], _CHUNK):
+        yield PhasePoint.from_array(arr[:, lo:lo + _CHUNK])
+
+
 def _chunked_max(spec, hab, pts, names, a_off=0.0, b_off=0.0):
     """Max residual per identity over chunks of ``_CHUNK`` points."""
-    arr = pts.as_array()
     maxima = []
-    for lo in range(0, arr.shape[1], _CHUNK):
-        sub = PhasePoint.from_array(arr[:, lo:lo + _CHUNK])
+    for sub in _chunks(pts):
         res = _row_residuals(spec, hab, sub, a_off, b_off)
         maxima.append([res[k].max() for k in names])
     # np.max, unlike the builtin max, keeps a NaN from any chunk
@@ -290,8 +298,12 @@ def _fit_offsets(spec, hab, pts):
     from scipy.optimize import least_squares
 
     def cost(x):
-        res = _row_residuals(spec, hab, pts, a_off=x[0], b_off=x[1])
-        return np.concatenate([res["AC_row"], res["BC_row"], res["casimir"]])
+        # chunked like _chunked_max, for its memory; each identity's points
+        # stay in order, so the vector is the one a single pass would give
+        res = [_row_residuals(spec, hab, sub, a_off=x[0], b_off=x[1])
+               for sub in _chunks(pts)]
+        return np.concatenate([r[k] for k in ("AC_row", "BC_row", "casimir")
+                               for r in res])
 
     sol = least_squares(cost, x0=np.zeros(2), method="lm", max_nfev=60)
     return float(sol.x[0]), float(sol.x[1])

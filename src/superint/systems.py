@@ -29,7 +29,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import DomainError, SamplingError
-from .jets import Jet2, Observable, PhasePoint, arctan, exp, jet_seed, log, sqrt, tan
+from .jets import (CoordJet, Jet2, Observable, PhasePoint, arctan, exp, log,
+                   seed_phase, sqrt, tan)
 
 __all__ = [
     "CLASS_TAGS",
@@ -519,15 +520,16 @@ def integrals(spec: SystemSpec) -> Callable[[PhasePoint], tuple]:
 
     The closed forms are built once, and H and A share the metric and
     potential pairs (g and w; for Class I also F(u), G(v), f(u), g(v)).
-    The jets equal the ``eval`` of :func:`hamiltonian`, :func:`integral_A`
-    and :func:`integral_B` bit for bit, and the first ``DomainError`` is the
-    one the three would raise in that order.
+    They run on (xi, eta) jets, lifted to four variables where a momentum
+    enters.  The jets equal the ``eval`` of :func:`hamiltonian`,
+    :func:`integral_A` and :func:`integral_B` bit for bit, and the first
+    ``DomainError`` is the one the three would raise in that order.
     """
     fns = build_fns(spec)
     min_abs_g = sample_domain(spec).min_abs_g
 
     def evaluate(point: PhasePoint):
-        xi, eta, p_xi, p_eta = jet_seed(point)
+        xi, eta, p_xi, p_eta = seed_phase(point)
         metric = fns.pair(fns.F, fns.G, xi, eta)
         _guard_metric(metric[2], min_abs_g)
         potential = fns.pair(fns.f_pot, fns.g_pot, xi, eta)
@@ -554,7 +556,7 @@ def metric_observable(spec: SystemSpec) -> Observable:
 
 def _univariate_jet(fn, x):
     """(fn(x), fn'(x), fn''(x)) for a univariate callable, via a jet in slot 0."""
-    j = fn(Jet2.seed(np.asarray(x, dtype=float), 0))
+    j = fn(CoordJet.seed(np.asarray(x, dtype=float), 0))
     if not isinstance(j, Jet2):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(np.asarray(j, dtype=float), x.shape), np.zeros(x.shape), np.zeros(x.shape)

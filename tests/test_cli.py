@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from superint.cli import main
+from superint.cli import build_parser, main
 
 BASE = [sys.executable, "-m", "superint.cli"]
 
@@ -165,9 +165,30 @@ def test_non_positive_counts_exit_2(argv, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+TRAJECTORY = ["trajectory", "--class", "II2", "--nu", "2", "--initial", "1,1,0.7,0.6"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--t-end", "0"], ["--t-end", "-1"], ["--t-end", "inf"],
+    ["--rel-tol", "-0.001"], ["--abs-tol", "-1"], ["--abs-tol", "inf"],
+    ["--rel-tol", "0", "--abs-tol", "0"],
+])
+def test_bad_trajectory_controls_exit_2(flags, tmp_path):
+    assert main(TRAJECTORY + flags + ["--output", str(tmp_path / "t.csv")]) == 2
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--t-end", "nan"], ["--rel-tol", "nan"]])
+def test_nan_trajectory_controls_fail_to_parse(flags):
+    # checked at parse time only: a NaN end time that got through would
+    # integrate until the step budget ran out
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(TRAJECTORY + flags)
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("argv", [
-    ["trajectory", "--class", "II2", "--nu", "2", "--initial", "1,1,0.7,0.6",
-     "--points", "10"],
+    TRAJECTORY + ["--points", "10"],
     ["curvature", "--class", "II1", "--kappa", "1", "--threads", "2"],
     ["revolution", "--class", "I1", "--nu", "1", "--tol-nested", "1e-3"],
     ["verify", "--class", "I1", "--nu", "2", "--format", "csv"],

@@ -110,6 +110,17 @@ def test_initial_outside_domain_rejected():
         integrate(spec, PhasePoint(1.0, 0.95, 0.0, 0.0), t_end=1.0)
 
 
+@pytest.mark.parametrize("controls", [
+    dict(t_end=0.0), dict(t_end=-1.0), dict(t_end=np.inf),
+    dict(t_end=1.0, rel_tol=-1e-10), dict(t_end=1.0, abs_tol=np.nan),
+    dict(t_end=1.0, rel_tol=0.0, abs_tol=0.0),
+])
+def test_bad_controls_raise_value_error(controls):
+    spec, y0 = FIXED_PAIRS[3]
+    with pytest.raises(ValueError):
+        integrate(spec, PhasePoint(*y0), **controls)
+
+
 def test_step_stats_recorded():
     spec, y0 = FIXED_PAIRS[3]
     traj = integrate(spec, PhasePoint(*y0), t_end=10.0, rel_tol=1e-10)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superint.errors import DomainError
-from superint.jets import (Dual4, Jet2, Observable, PhasePoint, arctan, cos,
-                           exp, fd_derivatives, jet_seed, log, norm_residual,
-                           sin, sqrt, tan)
+from superint.jets import (CoordJet, Dual4, Jet2, Observable, PhasePoint, arctan,
+                           cos, exp, fd_derivatives, jet_seed, log, norm_residual,
+                           seed_phase, sin, sqrt, tan)
 
 
 def test_seed_xi():
@@ -248,6 +248,63 @@ def test_dual4_matches_jet_gradient():
         j = obs.eval(pt)
         assert abs(val - float(j.val)) <= 1e-12 * (1 + abs(val))
         assert norm_residual(grad, j.grad).max() <= 1e-12
+
+
+_COORD_OPS = {
+    "sqrt": lambda v, w: sqrt(v),
+    "ln": lambda v, w: log(v),
+    "exp": lambda v, w: exp(0.3 * v),
+    "inv": lambda v, w: 1.0 / v,
+    "sin": lambda v, w: sin(v),
+    "cos": lambda v, w: cos(v),
+    "tan": lambda v, w: tan(0.5 * v),
+    "arctan": lambda v, w: arctan(v),
+    "pow_int": lambda v, w: v**3,
+    "pow_real": lambda v, w: v**1.5,
+    "neg": lambda v, w: -v,
+    "rsub": lambda v, w: 2.0 - v,
+    "add": lambda v, w: v + w,
+    "sub": lambda v, w: v - w,
+    "mul": lambda v, w: v * w,
+    "div": lambda v, w: v / w,
+}
+
+
+def _coord_composition(steps, xi, eta):
+    """A composition of the primitives on (xi, eta); every intermediate is
+    remapped into (1.03, 1.97) so that it stays inside each domain."""
+    v = 1.5 + 0.3 * arctan(0.7 * xi - 0.4 * eta)
+    for name, leaf, c in steps:
+        w = 1.5 + 0.3 * arctan(c * (xi, eta)[leaf])
+        v = 1.5 + 0.3 * arctan(_COORD_OPS[name](v, w))
+    return v
+
+
+def _assert_same_jet(got, ref):
+    assert type(got) is type(ref) is Jet2
+    for part in ("val", "grad", "hess"):
+        assert np.array_equal(getattr(got, part), getattr(ref, part)), part
+
+
+@given(steps=st.lists(st.tuples(st.sampled_from(sorted(_COORD_OPS)),
+                                st.integers(0, 1), st.floats(0.2, 1.0)),
+                      min_size=1, max_size=8),
+       xi=st.floats(0.3, 1.7), eta=st.floats(0.3, 1.7),
+       p=st.floats(-2.0, 2.0), q=st.floats(-2.0, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_coordinate_jets_lift_to_the_four_variable_jets(steps, xi, eta, p, q):
+    # the two-variable layout runs the same rules on the same non-zero
+    # entries, so lifting it gives the four-variable jet bit for bit
+    pt = PhasePoint(np.array([xi, eta, 1.0]), np.array([eta, 1.0, xi]), p, q)
+    two = _coord_composition(steps, *seed_phase(pt)[:2])
+    assert type(two) is CoordJet
+    _assert_same_jet(two.lift(), _coord_composition(steps, *jet_seed(pt)[:2]))
+
+    def mixed(xi, eta, p_xi, p_eta):
+        v = _coord_composition(steps, xi, eta)
+        return (p_xi * p_eta + v) / v - p_xi**2 * v + 3.0 * p_eta * (v - 1.0)
+
+    _assert_same_jet(mixed(*seed_phase(pt)), mixed(*jet_seed(pt)))
 
 
 def test_phase_point_rejects_non_finite():

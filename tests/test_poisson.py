@@ -194,6 +194,27 @@ def test_chunk_size_cannot_change_a_report(monkeypatch, chunk):
             for spec, n, kw in runs] == default
 
 
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_residuals_of_a_point_do_not_depend_on_its_batch(tag):
+    # a point alone gets the residuals it gets in a batch, so no chunk size,
+    # not even a one-point last chunk, and no chunking of the fit's cost
+    # can move a bit
+    from superint.poisson import _row_residuals
+    from superint.systems import integrals
+
+    spec = SystemSpec(tag, **GENERIC)
+    pts = sample_points(spec, 30, np.random.default_rng(3))
+    hab = integrals(spec)
+    for offsets in ((0.0, 0.0), (1e-9, -3e-9)):
+        batch = _row_residuals(spec, hab, pts, *offsets)
+        arr = pts.as_array()
+        for i in range(arr.shape[1]):
+            alone = _row_residuals(spec, hab, PhasePoint.from_array(arr[:, i:i + 1]),
+                                   *offsets)
+            for name, res in batch.items():
+                assert alone[name].tobytes() == res[i:i + 1].tobytes(), (name, i)
+
+
 def test_every_structure_constant_mutation_fails(monkeypatch):
     # mutation audit: x1.01 and +0.01 on each coefficient of every class's
     # constants_poly (189 mutants that differ from the printed constants);

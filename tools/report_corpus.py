@@ -1,0 +1,130 @@
+"""Print every output that a behaviour-preserving change must keep byte-identical.
+
+    python3 tools/report_corpus.py [SRC] > corpus.txt
+
+``SRC`` is the source tree to import ``superint`` from (default: this
+checkout's ``src``).  To check a change, run the script once per tree and
+compare the two outputs byte for byte:
+
+    python3 tools/report_corpus.py /path/to/parent/src > parent.txt
+    python3 tools/report_corpus.py > change.txt
+    cmp parent.txt change.txt
+
+The corpus is:
+
+* ``verify_algebra`` and ``verify_casimir`` JSON for the six classes at the
+  reference parameters and at two random admissible draws per class, at
+  100, 513 and 4097 points (4097 leaves a one-point last chunk), each also
+  with a forced affine correction at 513 and 4097 points;
+* every CLI command with ``--no-timestamp`` where it has it, with its
+  standard output, standard error and exit code, including the exit-2 and
+  exit-3 paths;
+* the five pinned trajectories as CSV through the CLI, with the summary it
+  writes to standard error.
+
+It takes about a minute on one core.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.abspath(sys.argv[1]) if len(sys.argv) > 1
+                else os.path.join(ROOT, "src"))
+
+from superint import cli  # noqa: E402
+from superint.errors import SamplingError  # noqa: E402
+from superint.poisson import verify_algebra, verify_casimir  # noqa: E402
+from superint.systems import CLASS_TAGS, SystemSpec, sample_points  # noqa: E402
+
+REF = dict(kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1, m=0.2, n=1.0)
+SIZES = (100, 513, 4097)
+FORCED_SIZES = (513, 4097)
+FORCING_TOL = 1e-30  # below any residual, so the affine correction always runs
+
+GENERIC = ["--class", "I1", "--kappa", "1", "--lambda", "0.5", "--mu", "-0.3",
+           "--nu", "2", "--k", "0.4", "--ell", "-0.1", "--m", "0.2", "--n", "1"]
+# the five pinned (spec, initial state) pairs of the acceptance suite
+TRAJECTORIES = [
+    ["--class", "I1", "--kappa", "0.184", "--lambda", "0.291", "--mu", "0.354",
+     "--nu", "1.254", "--k", "0.418", "--ell", "0.063", "--m", "0.212", "--n", "0.399",
+     "--initial", "1.053,0.348,0.007,0.359"],
+    ["--class", "I2", "--kappa", "0.381", "--lambda", "0.185", "--mu", "0.584",
+     "--nu", "1.348", "--k", "0.172", "--ell", "0.033", "--m", "0.348", "--n", "0.114",
+     "--initial", "1.192,0.4,-0.348,0.729"],
+    ["--class", "II1", "--mu", "1", "--nu", "1", "--m", "0.5", "--n", "0.2",
+     "--initial", "1.0,1.2,0.6,0.7"],
+    ["--class", "II2", "--kappa", "0.3", "--nu", "2", "--k", "0.3", "--n", "0.2",
+     "--initial", "1.0,1.0,0.7,0.6"],
+    ["--class", "II3", "--lambda", "0.5", "--mu", "0.5", "--nu", "2", "--m", "0.2",
+     "--n", "0.3", "--initial", "1.0,1.0,0.6,-0.4"],
+]
+CLI_RUNS = [
+    ["verify", *GENERIC, "--no-timestamp"],
+    ["verify", *GENERIC, "--no-timestamp", "--format", "human"],
+    ["verify", *GENERIC, "--no-timestamp", "--points", "5000"],
+    ["verify", *GENERIC, "--no-timestamp", "--tol-nested", "1e-30"],
+    ["casimir", *GENERIC, "--no-timestamp"],
+    ["casimir", "--class", "I3", *GENERIC[2:], "--no-timestamp", "--tol-nested", "1e-30"],
+    ["curvature", "--class", "II1", "--kappa", "1", "--no-timestamp", "--expect", "zero"],
+    ["curvature", *GENERIC, "--no-timestamp"],
+    ["revolution", "--class", "I1", "--mu", "0.5", "--nu", "1.5", "--no-timestamp"],
+    ["revolution", "--class", "II1", "--kappa", "1", "--no-timestamp"],
+    ["linear", "--class", "I2", "--lambda", "0.6", "--nu", "1.1", "--ell", "0.2",
+     "--n", "0.4", "--sign", "both", "--no-timestamp"],
+    ["tables", "--no-timestamp"],
+    ["tables", "--table", "T3", "--format", "csv"],
+    ["tables", "--table", "T2", "--format", "human", "--no-timestamp"],
+    ["dump-catalog"],
+    ["verify", "--class", "I1", "--nu", "2", "--points", "0"],
+    ["verify", "--class", "II1", "--no-timestamp"],
+] + [["trajectory", *args, "--t-end", "10"] for args in TRAJECTORIES]
+
+
+def _draws(tag, count, seed):
+    """``count`` random specs of class ``tag`` that admit 100 sample points."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        spec = SystemSpec(tag, *rng.uniform(-2.0, 2.0, size=8))
+        try:
+            sample_points(spec, 100, np.random.default_rng(0))
+        except SamplingError:
+            continue
+        out.append(spec)
+    return out
+
+
+def _library():
+    for i, tag in enumerate(CLASS_TAGS):
+        for spec in [SystemSpec(tag, **REF)] + _draws(tag, 2, 500 + i):
+            for n in SIZES:
+                print(verify_algebra(spec, n_points=n).to_json())
+                print(verify_casimir(spec, n_points=n).to_json())
+            for n in FORCED_SIZES:
+                print(verify_algebra(spec, n_points=n, tol_nested=FORCING_TOL).to_json())
+                print(verify_casimir(spec, n_points=n, tol=FORCING_TOL).to_json())
+
+
+def _cli():
+    for argv in CLI_RUNS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # what the interpreter would exit with
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                code = 1
+        print("$ superint " + " ".join(argv))
+        print(out.getvalue() + "--- stderr\n" + err.getvalue() + f"--- exit {code}")
+
+
+if __name__ == "__main__":
+    _library()
+    _cli()
