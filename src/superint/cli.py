@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -237,8 +238,21 @@ def _cmd_dump_catalog(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token of the form -<digit> or
+    -.<digit> as a value, so negative numbers in any notation (-1e-3) and
+    lists that start with one (-0.5,0.3) reach their flag; argparse alone
+    takes only -<digits> and -<digits>.<digits> for numbers.  No flag of
+    this CLI starts with a digit.  Subcommand parsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superint",
         description="Numerical certification of 2D superintegrable systems "
                     "with quadratic integrals of motion.")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, StepFailure
 from .jets import Dual4, PhasePoint
-from .poisson import bracket_jets, casimir_terms
+from .poisson import bracket_value, casimir_terms
 from .systems import (SystemSpec, algebra_constants, build_fns, hamiltonian,
                       integral_A, integral_B, sample_domain)
 
@@ -201,15 +201,16 @@ def conserved_values(spec: SystemSpec, points: PhasePoint):
     The Casimir combination freezes the energy-dependent constants at the
     first state's energy, making it a bona fide conserved scalar.
     """
-    H = hamiltonian(spec, enforce_min_g=False).eval(points)
-    A = integral_A(spec).eval(points)
-    B = integral_B(spec).eval(points)
-    C = bracket_jets(A, B)
+    # values only: C = {A, B} reads the gradients, so order-1 jets suffice
+    H = hamiltonian(spec, enforce_min_g=False).eval(points, 1)
+    A = integral_A(spec).eval(points, 1)
+    B = integral_B(spec).eval(points, 1)
+    C, _ = bracket_value(A, B)
     E0 = float(np.atleast_1d(H.val)[0])
     con = algebra_constants(spec, E0)
     # summed row by row: numpy's axis-0 sum groups the terms differently for
     # a single state, and the exported K must not depend on the length
-    kcomb = functools.reduce(np.add, casimir_terms(con, C.val, A.val, B.val))
+    kcomb = functools.reduce(np.add, casimir_terms(con, C, A.val, B.val))
     return {"H": H.val, "A": A.val, "B": B.val, "K": kcomb}
 
 

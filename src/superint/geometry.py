@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import CoordJet, Observable
-from .poisson import bracket
+from .poisson import bracket_value
 from .systems import SystemSpec, build_fns, hamiltonian, sample_points
 
 __all__ = [
@@ -57,13 +57,13 @@ class CurvatureClass:
     stddev: float
 
 
-def _metric_jet(spec: SystemSpec, xi, eta) -> CoordJet:
+def _metric_jet(spec: SystemSpec, xi, eta, order=2) -> CoordJet:
     fns = build_fns(spec)
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     shape = np.broadcast_shapes(xi.shape, eta.shape)
-    return fns.metric(CoordJet.seed(np.broadcast_to(xi, shape), 0),
-                      CoordJet.seed(np.broadcast_to(eta, shape), 1))
+    return fns.metric(CoordJet.seed(np.broadcast_to(xi, shape), 0, order),
+                      CoordJet.seed(np.broadcast_to(eta, shape), 1, order))
 
 
 def curvature(spec: SystemSpec, xi, eta):
@@ -103,9 +103,12 @@ def classify_curvature(spec: SystemSpec, n_points: int = 50,
 
 
 def _directional_residuals(spec: SystemSpec, xi, eta, coords: str):
-    """Normalized |dg/d(xi-eta)| and |dg/d(xi+eta)| samples (or X,Y analogue)."""
+    """Normalized |dg/d(xi-eta)| and |dg/d(xi+eta)| samples (or X,Y analogue).
+
+    Reads first derivatives only, so the jets are of order 1.
+    """
     if coords == "liouville":
-        g = _metric_jet(spec, xi, eta)
+        g = _metric_jet(spec, xi, eta, 1)
         gx, gy = g.grad[0], g.grad[1]
     elif coords == "transformed":
         fns = build_fns(spec)
@@ -119,7 +122,7 @@ def _directional_residuals(spec: SystemSpec, xi, eta, coords: str):
             dxi, deta = fns.sqrtA, fns.sqrtB
         xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        xj, ej = CoordJet.seed(xi, 0), CoordJet.seed(eta, 1)
+        xj, ej = CoordJet.seed(xi, 0, 1), CoordJet.seed(eta, 1, 1)
         # transformed conformal factor g~ = g * (dxi/dX) * (deta/dY)
         gt = fns.metric(xj, ej) * dxi(xj) * deta(ej)
         gx = gt.grad[0] * dxi(xi)    # d g~ / dX
@@ -187,5 +190,7 @@ def linear_integral_check(spec: SystemSpec, sign: str, n_points: int = 50,
     """
     rng = np.random.default_rng(seed)
     pts = sample_points(spec, n_points, rng, require_tilde=False)
-    br = bracket(hamiltonian(spec), linear_observable(spec, sign, coords), pts)
-    return float((np.abs(br.val) / (1.0 + br.val_scale)).max())
+    # the bracket's value reads gradients only: order-1 jets
+    val, scale = bracket_value(hamiltonian(spec).eval(pts, 1),
+                               linear_observable(spec, sign, coords).eval(pts, 1))
+    return float((np.abs(val) / (1.0 + scale)).max())

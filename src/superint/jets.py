@@ -6,6 +6,14 @@ arithmetic by truncated Taylor rules.  Everything is batched: the value may
 be a scalar or an ndarray of sample points, and derivatives ride along with
 a leading axis of size 4 (gradient) / 10 (packed Hessian).
 
+An order-1 jet is a :class:`Jet2` whose ``hess`` is left out (``None`` in
+storage): seeds, arithmetic, the chain rule and ``lift()`` skip the Hessian
+rows, and a result has a Hessian only if every operand had one.  The value
+and gradient rules never read the Hessian, so an order-1 jet's ``val`` and
+``grad`` equal the order-2 jet's bit for bit.  Reading ``hess``,
+``hess_at`` or ``hess_full`` of an order-1 jet raises ``AttributeError``.
+Callers that read no second derivative evaluate at order 1.
+
 A :class:`CoordJet` is the same jet over ``(xi, eta)`` alone, with leading
 axes of size 2 / 3: the closed forms of a system depend on the coordinates
 only, and on this layout they skip the derivative rows that would always be
@@ -115,7 +123,9 @@ class _Jet:
     """The derivative rules shared by :class:`Jet2` and :class:`Dual4`.
 
     Each rule computes f, f' and f'' at ``val`` in the math namespace ``_m``
-    and hands them to ``_chain`` (``Dual4`` drops f'').  Domain checks give
+    and hands them to ``_chain``; f'' only where the jet carries a Hessian
+    (``_hess`` is not None: never for ``Dual4`` or an order-1 jet, whose
+    ``_chain`` does not read it).  Domain checks give
     ``_require`` the condition that must hold (``val > 0``), so NaN, for
     which every comparison is false, fails them.  Subclasses keep the
     storage arithmetic: +, -, *, negation, ``_div`` by a plain number and
@@ -140,20 +150,22 @@ class _Jet:
                 return self._one()
             if n == 1:
                 return self
-            return self._chain(v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
+            return self._chain(v**n, n * v ** (n - 1),
+                               self._hess is not None and n * (n - 1) * v ** (n - 2))
         self._require(v > 0.0, "pow_real")
-        return self._chain(v**p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
+        return self._chain(v**p, p * v ** (p - 1.0),
+                           self._hess is not None and p * (p - 1.0) * v ** (p - 2.0))
 
     def inv(self):
         v = self.val
         self._require(v != 0.0, "inv")
-        return self._chain(1.0 / v, -1.0 / v**2, 2.0 / v**3)
+        return self._chain(1.0 / v, -1.0 / v**2, self._hess is not None and 2.0 / v**3)
 
     def sqrt(self):
         v = self.val
         self._require(v > 0.0, "sqrt")
         r = self._m.sqrt(v)
-        return self._chain(r, 0.5 / r, -0.25 / (r * v))
+        return self._chain(r, 0.5 / r, self._hess is not None and -0.25 / (r * v))
 
     def exp(self):
         e = self._m.exp(self.val)
@@ -162,25 +174,27 @@ class _Jet:
     def log(self):
         v = self.val
         self._require(v > 0.0, "ln")
-        return self._chain(self._m.log(v), 1.0 / v, -1.0 / v**2)
+        return self._chain(self._m.log(v), 1.0 / v,
+                           self._hess is not None and -1.0 / v**2)
 
     def sin(self):
         s, c = self._m.sin(self.val), self._m.cos(self.val)
-        return self._chain(s, c, -s)
+        return self._chain(s, c, self._hess is not None and -s)
 
     def cos(self):
         s, c = self._m.sin(self.val), self._m.cos(self.val)
-        return self._chain(c, -s, -c)
+        return self._chain(c, -s, self._hess is not None and -c)
 
     def tan(self):
         t = self._m.tan(self.val)
         sec2 = 1.0 + t * t
-        return self._chain(t, sec2, 2.0 * t * sec2)
+        return self._chain(t, sec2, self._hess is not None and 2.0 * t * sec2)
 
     def arctan(self):
         v = self.val
         d = 1.0 / (1.0 + v**2)  # Dual4's float pow kept; numpy computes v * v
-        return self._chain(self._m.arctan(v), d, -2.0 * v * d * d)
+        return self._chain(self._m.arctan(v), d,
+                           self._hess is not None and -2.0 * v * d * d)
 
 
 class Jet2(_Jet):
@@ -189,12 +203,13 @@ class Jet2(_Jet):
     ``val`` has an arbitrary batch shape S; ``grad`` has shape (4,)+S and
     ``hess`` has shape (10,)+S holding the upper triangle of the symmetric
     second-derivative matrix (single storage, so hess[i,j] and hess[j,i]
-    are the identical entry by construction).  The layout is a class
-    attribute: ``_NV`` variables and the packing ``_IU``, ``_JU``,
-    ``_UNPACK``, which :class:`CoordJet` narrows to (xi, eta).
+    are the identical entry by construction); an order-1 jet stores None
+    in its place.  The layout is a class attribute: ``_NV`` variables and
+    the packing ``_IU``, ``_JU``, ``_UNPACK``, which :class:`CoordJet`
+    narrows to (xi, eta).
     """
 
-    __slots__ = ("val", "grad", "hess")
+    __slots__ = ("val", "grad", "_hess")
     _m = np
     _NV = 4
     _IU, _JU, _UNPACK = _packed(4)
@@ -202,29 +217,47 @@ class Jet2(_Jet):
     def __init__(self, val, grad, hess):
         self.val = np.asarray(val, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
-        self.hess = np.asarray(hess, dtype=float)
+        self._hess = None if hess is None else np.asarray(hess, dtype=float)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, value, batch_shape=()):
-        val = np.broadcast_to(np.asarray(value, dtype=float), batch_shape).copy()
-        return cls(val, np.zeros((cls._NV,) + batch_shape),
-                   np.zeros((cls._IU.size,) + batch_shape))
+    def _zero_hess(cls, shape, order):
+        """Zero packed Hessian rows for an order-2 jet, None for order 1."""
+        return np.zeros((cls._IU.size,) + shape) if order == 2 else None
 
     @classmethod
-    def seed(cls, value, var: int):
-        """Jet of coordinate ``var`` at ``value``: unit gradient, zero Hessian."""
+    def constant(cls, value, batch_shape=(), order=2):
+        val = np.broadcast_to(np.asarray(value, dtype=float), batch_shape).copy()
+        return cls(val, np.zeros((cls._NV,) + batch_shape),
+                   cls._zero_hess(batch_shape, order))
+
+    @classmethod
+    def seed(cls, value, var: int, order=2):
+        """Jet of coordinate ``var`` at ``value``: unit gradient, zero Hessian
+        (none at ``order`` 1)."""
         val = np.asarray(value, dtype=float)
         grad = np.zeros((cls._NV,) + val.shape)
         grad[var] = 1.0
-        return cls(val, grad, np.zeros((cls._IU.size,) + val.shape))
+        return cls(val, grad, cls._zero_hess(val.shape, order))
 
     def lift(self):
         """This jet in the four-variable layout, which it already has."""
         return self
 
     # -- accessors ----------------------------------------------------
+
+    @property
+    def order(self):
+        """2 when the jet carries its Hessian, 1 when it does not."""
+        return 1 if self._hess is None else 2
+
+    @property
+    def hess(self):
+        """The packed Hessian rows; an order-1 jet has none and raises."""
+        if self._hess is None:
+            raise AttributeError("an order-1 jet carries no Hessian")
+        return self._hess
 
     def hess_at(self, i: int, j: int):
         """Second partial w.r.t. variables i, j (symmetric single storage)."""
@@ -236,14 +269,16 @@ class Jet2(_Jet):
 
     # -- storage arithmetic -------------------------------------------
     # An operand in the other layout is lifted first; both then have 4.
+    # The Hessian rows are skipped when an operand has none.
 
     def __add__(self, other):
         if isinstance(other, Jet2):
             if other._NV != self._NV:
                 return self.lift() + other.lift()
+            a, b = self._hess, other._hess
             return type(self)(self.val + other.val, self.grad + other.grad,
-                              self.hess + other.hess)
-        return type(self)(self.val + other, self.grad, self.hess)
+                              None if a is None or b is None else a + b)
+        return type(self)(self.val + other, self.grad, self._hess)
 
     __radd__ = __add__
 
@@ -251,46 +286,54 @@ class Jet2(_Jet):
         if isinstance(other, Jet2):
             if other._NV != self._NV:
                 return self.lift() - other.lift()
+            a, b = self._hess, other._hess
             return type(self)(self.val - other.val, self.grad - other.grad,
-                              self.hess - other.hess)
-        return type(self)(self.val - other, self.grad, self.hess)
+                              None if a is None or b is None else a - b)
+        return type(self)(self.val - other, self.grad, self._hess)
 
     def __rsub__(self, other):
-        return type(self)(other - self.val, -self.grad, -self.hess)
+        h = self._hess
+        return type(self)(other - self.val, -self.grad, None if h is None else -h)
 
     def __neg__(self):
-        return type(self)(-self.val, -self.grad, -self.hess)
+        h = self._hess
+        return type(self)(-self.val, -self.grad, None if h is None else -h)
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
             if other._NV != self._NV:
                 return self.lift() * other.lift()
             a, b = self, other
+            val = a.val * b.val
+            grad = a.grad * b.val + b.grad * a.val
+            if a._hess is None or b._hess is None:
+                return type(self)(val, grad, None)
             iu, ju = a._IU, a._JU
             cross = a.grad[iu] * b.grad[ju] + b.grad[iu] * a.grad[ju]
-            return type(self)(
-                a.val * b.val,
-                a.grad * b.val + b.grad * a.val,
-                a.hess * b.val + b.hess * a.val + cross,
-            )
-        return type(self)(self.val * other, self.grad * other, self.hess * other)
+            return type(self)(val, grad, a._hess * b.val + b._hess * a.val + cross)
+        h = self._hess
+        return type(self)(self.val * other, self.grad * other,
+                          None if h is None else h * other)
 
     __rmul__ = __mul__
 
     def _div(self, c):
-        return type(self)(self.val / c, self.grad / c, self.hess / c)
+        h = self._hess
+        return type(self)(self.val / c, self.grad / c, None if h is None else h / c)
 
     def _one(self):
-        return self.constant(1.0, self.val.shape)
+        return self.constant(1.0, self.val.shape, self.order)
 
     def _require(self, ok, primitive):
         if not np.all(ok):
             raise DomainError(primitive, float(self.val[~ok].flat[0]))
 
     def _chain(self, f, f1, f2):
-        """Order-2 chain rule for a scalar function applied to this jet."""
+        """Chain rule for a scalar function applied to this jet, to its order."""
         grad = f1 * self.grad
-        hess = f1 * self.hess + f2 * (self.grad[self._IU] * self.grad[self._JU])
+        if self._hess is None:
+            return type(self)(f, grad, None)
+        hess = f1 * self._hess + f2 * (self.grad[self._IU] * self.grad[self._JU])
         return type(self)(f, grad, hess)
 
 
@@ -315,8 +358,10 @@ class CoordJet(Jet2):
         shape = self.val.shape
         grad = np.zeros((Jet2._NV,) + shape)
         grad[:self._NV] = self.grad
+        if self._hess is None:
+            return Jet2(self.val, grad, None)
         hess = np.zeros((Jet2._IU.size,) + shape)
-        hess[self._LIFT] = self.hess
+        hess[self._LIFT] = self._hess
         return Jet2(self.val, grad, hess)
 
 
@@ -331,6 +376,7 @@ class Dual4(_Jet):
 
     __slots__ = ("val", "d")
     _m = _FLOAT_MATH
+    _hess = None  # order 1: the rules skip f''
 
     def __init__(self, val, d=(0.0, 0.0, 0.0, 0.0)):
         self.val = val
@@ -425,16 +471,17 @@ def arctan(x):
     return x.arctan() if isinstance(x, _Jet) else np.arctan(x)
 
 
-def seed_phase(point: PhasePoint):
+def seed_phase(point: PhasePoint, order=2):
     """The jets of the four phase variables at ``point``, for evaluation.
 
     xi and eta are :class:`CoordJet` seeds, so that everything computed
     from the coordinates alone stays in two variables; p_xi and p_eta are
-    four-variable :class:`Jet2` seeds.
+    four-variable :class:`Jet2` seeds.  At ``order`` 1 they carry no
+    Hessian, for callers that read values and gradients only.
     """
     xi, eta, p_xi, p_eta = (np.broadcast_to(c, point.shape) for c in point.components())
-    return (CoordJet.seed(xi, 0), CoordJet.seed(eta, 1),
-            Jet2.seed(p_xi, 2), Jet2.seed(p_eta, 3))
+    return (CoordJet.seed(xi, 0, order), CoordJet.seed(eta, 1, order),
+            Jet2.seed(p_xi, 2, order), Jet2.seed(p_eta, 3, order))
 
 
 def jet_seed(point: PhasePoint):
@@ -454,11 +501,12 @@ class Observable:
     fn: Callable
     label: str = ""
 
-    def eval(self, point: PhasePoint) -> Jet2:
-        """Evaluate with four-variable order-2 jets (value + gradient + Hessian)."""
-        out = self.fn(*seed_phase(point))
+    def eval(self, point: PhasePoint, order=2) -> Jet2:
+        """Evaluate with four-variable jets: value, gradient and, at ``order``
+        2, the Hessian."""
+        out = self.fn(*seed_phase(point, order))
         if not isinstance(out, Jet2):
-            return Jet2.constant(out, point.shape)
+            return Jet2.constant(out, point.shape, order)
         return out.lift()
 
     __call__ = eval

@@ -6,7 +6,9 @@ The canonical bracket in Liouville/Lie coordinates is
 
 Values of nested brackets like {A, {A, B}} need first derivatives of
 {A, B}, which in turn need second derivatives of A and B; that is why
-observables are evaluated with order-2 jets.
+the algebra rows are evaluated with order-2 jets.  The value of a single
+bracket needs gradients only, so the Casimir identity, a value identity
+in H, A, B and C = {A, B}, is evaluated with order-1 jets.
 
 Residuals are normalized as |lhs - rhs| / (1 + max(|lhs|, |rhs|)) where
 lhs/rhs are the signed-term aggregates of the identity under test; the
@@ -26,13 +28,14 @@ import numpy as np
 
 from .errors import IllConditioned
 from .jets import Jet2, Observable, PhasePoint
-from .systems import (SystemSpec, algebra_constants, constants_poly, integral_A,
-                      integral_B, integrals, sample_points, spec_to_dict)
+from .systems import (SystemSpec, constants_poly, integral_A, integral_B,
+                      integrals, sample_points, spec_to_dict)
 
 __all__ = [
     "BracketValue",
     "bracket",
     "bracket_jets",
+    "bracket_value",
     "casimir_terms",
     "bracket_fd",
     "c_observable",
@@ -55,6 +58,8 @@ _HOLDOUT = 0.2         # membership fit: share of the points held out
 
 _PAIRS = ((0, 2), (1, 3))  # (coordinate, conjugate momentum) index pairs
 _CHUNK = 2048  # points per residual pass; the max over chunks is exact
+_NESTED = ("HC", "AC_row", "BC_row")  # read {., C}, so the Hessians of A and B
+_FIT = ("AC_row", "BC_row", "casimir")  # the affine-match fit's residuals
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,14 @@ def bracket_jets(F: Jet2, G: Jet2) -> BracketValue:
     return BracketValue(val, grad, val_scale, grad_scale)
 
 
+def bracket_value(F: Jet2, G: Jet2):
+    """Value and largest |term| of {F, G} from the gradients of jets F and G.
+
+    Reads no Hessian, so order-1 jets suffice.
+    """
+    return _contract(F.grad, G.grad)
+
+
 def bracket(F: Observable, G: Observable, point: PhasePoint) -> BracketValue:
     """{F, G} at ``point`` (batched), with first derivatives."""
     return bracket_jets(F.eval(point), G.eval(point))
@@ -129,7 +142,9 @@ class CObservable:
         return bracket(self._A, self._B, point)
 
     def value(self, point: PhasePoint):
-        return self.order1(point).val
+        # the value reads only the gradients of A and B
+        val, _ = _contract(self._A.eval(point, 1).grad, self._B.eval(point, 1).grad)
+        return val
 
     __call__ = order1
 
@@ -227,51 +242,58 @@ def casimir_terms(con, c, a, b):
                      2.0 * con.z * a])
 
 
-def _row_residuals(spec, hab, pts, a_off=0.0, b_off=0.0):
-    """Per-point residuals of HA, HB, HC, AC-row, BC-row and the Casimir.
+def _row_residuals(cp, hab, pts, names, a_off=0.0, b_off=0.0):
+    """Per-point residuals of the identities in ``names``, as a dict.
 
-    ``hab`` maps points to the jets of H, A and B (``systems.integrals``);
-    ``a_off``/``b_off`` are the affine-match offsets (normally zero).
-    Returns a dict of residual arrays.
+    The identities are HA, HB, HC, AC_row, BC_row and casimir.  ``cp`` is
+    the spec's ``constants_poly``; ``hab`` maps points to the jets of H, A
+    and B (``systems.integrals``), of order 2 where ``names`` holds one of
+    ``_NESTED`` and of order 1 otherwise; ``a_off``/``b_off`` are the
+    affine-match offsets (normally zero).
     """
     H, A, B = hab(pts)
-
-    C = bracket_jets(A, B)
-    HA_val, HA_scale = _contract(H.grad, A.grad)
-    HB_val, HB_scale = _contract(H.grad, B.grad)
-    HC_val, HC_scale = _grad_bracket_value(H, C)
-    AC_val, AC_scale = _grad_bracket_value(A, C)
-    BC_val, BC_scale = _grad_bracket_value(B, C)
-
     E = H.val
-    con = algebra_constants(spec, E)
+    con = cp.at_energy(E)
     Av, Bv = A.val + a_off, B.val + b_off
+    res = {}
+    if "HA" in names:
+        res["HA"] = _norm(*_contract(H.grad, A.grad))
+    if "HB" in names:
+        res["HB"] = _norm(*_contract(H.grad, B.grad))
 
     def poly_terms(*terms):
         t = np.stack(terms)
         return t.sum(axis=0), np.abs(t).max(axis=0)
 
-    one = np.ones_like(E)
-    rhs_AC, s_AC = poly_terms(con.alpha * Av**2, 2.0 * con.gamma * Av * Bv,
-                              con.delta * Av, con.epsilon * Bv, con.zeta * one)
-    rhs_BC, s_BC = poly_terms(con.a * Av**2, -con.gamma * Bv**2,
-                              -2.0 * con.alpha * Av * Bv, con.d * Av,
-                              -con.delta * Bv, con.z * one)
-    kterms = casimir_terms(con, C.val, Av, Bv)
-    # summed row by row: numpy's axis-0 sum of 8 or more rows groups the
-    # terms differently for a single point, so a one-point chunk would differ
-    kcomb, s_K = functools.reduce(np.add, kterms), np.abs(kterms).max(axis=0)
-    # roundoff carrier of C^2 via C's own contraction scale
-    s_K = np.maximum(s_K, np.abs(C.val) * C.val_scale)
-
-    return {
-        "HA": _norm(HA_val, HA_scale),
-        "HB": _norm(HB_val, HB_scale),
-        "HC": _norm(HC_val, HC_scale),
-        "AC_row": _norm(AC_val - rhs_AC, AC_scale, s_AC),
-        "BC_row": _norm(BC_val - rhs_BC, BC_scale, s_BC),
-        "casimir": _norm(kcomb - con.K_casimir, s_K, np.abs(con.K_casimir)),
-    }
+    if any(k in names for k in _NESTED):
+        C = bracket_jets(A, B)
+        C_val, C_scale = C.val, C.val_scale
+        one = np.ones_like(E)
+        if "HC" in names:
+            res["HC"] = _norm(*_grad_bracket_value(H, C))
+        if "AC_row" in names:
+            AC_val, AC_scale = _grad_bracket_value(A, C)
+            rhs_AC, s_AC = poly_terms(con.alpha * Av**2, 2.0 * con.gamma * Av * Bv,
+                                      con.delta * Av, con.epsilon * Bv, con.zeta * one)
+            res["AC_row"] = _norm(AC_val - rhs_AC, AC_scale, s_AC)
+        if "BC_row" in names:
+            BC_val, BC_scale = _grad_bracket_value(B, C)
+            rhs_BC, s_BC = poly_terms(con.a * Av**2, -con.gamma * Bv**2,
+                                      -2.0 * con.alpha * Av * Bv, con.d * Av,
+                                      -con.delta * Bv, con.z * one)
+            res["BC_row"] = _norm(BC_val - rhs_BC, BC_scale, s_BC)
+    else:
+        # the value of C = {A, B} reads only the gradients of A and B
+        C_val, C_scale = _contract(A.grad, B.grad)
+    if "casimir" in names:
+        kterms = casimir_terms(con, C_val, Av, Bv)
+        # summed row by row: numpy's axis-0 sum of 8 or more rows groups the
+        # terms differently for a single point, so a one-point chunk would differ
+        kcomb, s_K = functools.reduce(np.add, kterms), np.abs(kterms).max(axis=0)
+        # roundoff carrier of C^2 via C's own contraction scale
+        s_K = np.maximum(s_K, np.abs(C_val) * C_scale)
+        res["casimir"] = _norm(kcomb - con.K_casimir, s_K, np.abs(con.K_casimir))
+    return res
 
 
 def _chunks(pts):
@@ -281,18 +303,21 @@ def _chunks(pts):
         yield PhasePoint.from_array(arr[:, lo:lo + _CHUNK])
 
 
-def _chunked_max(spec, hab, pts, names, a_off=0.0, b_off=0.0):
+def _chunked_max(cp, hab, pts, names, a_off=0.0, b_off=0.0):
     """Max residual per identity over chunks of ``_CHUNK`` points."""
     maxima = []
     for sub in _chunks(pts):
-        res = _row_residuals(spec, hab, sub, a_off, b_off)
+        res = _row_residuals(cp, hab, sub, names, a_off, b_off)
         maxima.append([res[k].max() for k in names])
     # np.max, unlike the builtin max, keeps a NaN from any chunk
     return dict(zip(names, map(float, np.max(maxima, axis=0))))
 
 
-def _fit_offsets(spec, hab, pts):
-    """Affine-match pre-step: constant offsets for A and B (q=1, r=0)."""
+def _fit_offsets(cp, hab, pts):
+    """Affine-match pre-step: constant offsets for A and B (q=1, r=0).
+
+    ``hab`` gives order-2 jets: the cost reads the algebra rows.
+    """
     # imported here: the fit runs only on a failing row, and scipy.optimize
     # would otherwise dominate the import time of the CLI
     from scipy.optimize import least_squares
@@ -300,10 +325,9 @@ def _fit_offsets(spec, hab, pts):
     def cost(x):
         # chunked like _chunked_max, for its memory; each identity's points
         # stay in order, so the vector is the one a single pass would give
-        res = [_row_residuals(spec, hab, sub, a_off=x[0], b_off=x[1])
+        res = [_row_residuals(cp, hab, sub, _FIT, a_off=x[0], b_off=x[1])
                for sub in _chunks(pts)]
-        return np.concatenate([r[k] for k in ("AC_row", "BC_row", "casimir")
-                               for r in res])
+        return np.concatenate([r[k] for k in _FIT for r in res])
 
     sol = least_squares(cost, x0=np.zeros(2), method="lm", max_nfev=60)
     return float(sol.x[0]), float(sol.x[1])
@@ -312,19 +336,21 @@ def _fit_offsets(spec, hab, pts):
 def _verify(kind, spec, n_points, seed, tols, trigger):
     """Certify the identities named in ``tols`` on one sample of the domain.
 
+    The pass evaluates order-2 jets only if a nested bracket is asked for.
     If an identity in ``trigger`` exceeds its tolerance, the affine-match
     pre-step fits constant offsets for A and B and re-verifies;
     ``correction_applied`` records whether that was needed (it must not be,
     for the printed forms).
     """
     pts = sample_points(spec, n_points, np.random.default_rng(seed))
-    hab = integrals(spec)
-    worst = _chunked_max(spec, hab, pts, tols)
+    cp = constants_poly(spec)
+    hab = integrals(spec, 2 if any(k in tols for k in _NESTED) else 1)
+    worst = _chunked_max(cp, hab, pts, tols)
     correction = None
     if any(worst[k] > tols[k] for k in trigger):
-        a_off, b_off = _fit_offsets(spec, hab, pts)
+        a_off, b_off = _fit_offsets(cp, integrals(spec, 2), pts)
         correction = {"a_offset": a_off, "b_offset": b_off}
-        worst = _chunked_max(spec, hab, pts, tols, a_off, b_off)
+        worst = _chunked_max(cp, hab, pts, tols, a_off, b_off)
     idents = tuple(Identity(k, worst[k], tol) for k, tol in tols.items())
     return VerificationReport(kind, spec, seed, n_points, idents,
                               correction is not None, correction)

@@ -515,21 +515,22 @@ def integral_B(spec: SystemSpec) -> Observable:
     return Observable(fn, label="B")
 
 
-def integrals(spec: SystemSpec) -> Callable[[PhasePoint], tuple]:
-    """One pass for H, A and B: a map from points to their order-2 jets.
+def integrals(spec: SystemSpec, order: int = 2) -> Callable[[PhasePoint], tuple]:
+    """One pass for H, A and B: a map from points to their jets of ``order``.
 
     The closed forms are built once, and H and A share the metric and
     potential pairs (g and w; for Class I also F(u), G(v), f(u), g(v)).
     They run on (xi, eta) jets, lifted to four variables where a momentum
     enters.  The jets equal the ``eval`` of :func:`hamiltonian`,
     :func:`integral_A` and :func:`integral_B` bit for bit, and the first
-    ``DomainError`` is the one the three would raise in that order.
+    ``DomainError`` is the one the three would raise in that order.  A
+    caller that reads no Hessian asks for ``order`` 1.
     """
     fns = build_fns(spec)
     min_abs_g = sample_domain(spec).min_abs_g
 
     def evaluate(point: PhasePoint):
-        xi, eta, p_xi, p_eta = seed_phase(point)
+        xi, eta, p_xi, p_eta = seed_phase(point, order)
         metric = fns.pair(fns.F, fns.G, xi, eta)
         _guard_metric(metric[2], min_abs_g)
         potential = fns.pair(fns.f_pot, fns.g_pot, xi, eta)

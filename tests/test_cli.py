@@ -195,3 +195,29 @@ def test_nan_trajectory_controls_fail_to_parse(flags):
 ])
 def test_flags_a_command_does_not_read_exit_2(argv):
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("argv, dest, value", [
+    (["verify", "--class", "I1", "--kappa", "-1e-3"], "p_kappa", -1e-3),
+    (["casimir", "--class", "II2", "--nu", "-2E+1"], "p_nu", -20.0),
+    (["verify", "--class", "I1", "--mu", "-.5"], "p_mu", -0.5),
+    (["trajectory", "--class", "I3", "--initial", "-0.5,0.3,0.1,0.2"],
+     "initial", "-0.5,0.3,0.1,0.2"),
+])
+def test_negative_values_parse_in_any_notation(argv, dest, value):
+    assert getattr(build_parser().parse_args(argv), dest) == value
+
+
+def test_negative_e_notation_reaches_the_flags_own_check(capsys):
+    # read as the value of --rel-tol, which then rejects it as negative
+    assert main(TRAJECTORY + ["--rel-tol", "-1e-10"]) == 2
+    assert "must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--class", "I1", "--bogus", "1"],
+    ["verify", "--class", "I1", "-x"],
+    ["verify", "--class", "I1", "--kappa", "--mu", "1"],
+])
+def test_unknown_or_missing_values_still_exit_2(argv):
+    assert main(argv) == 2

@@ -343,3 +343,63 @@ def test_jet2_and_dual4_raise_the_same_domain_error(primitive, value, apply):
             apply(cls.seed(value, 0))
         raised.append((err.value.primitive, repr(err.value.value)))
     assert raised[0] == raised[1] == (primitive, repr(float(value)))
+
+
+@given(steps=st.lists(st.tuples(st.sampled_from(sorted(_COORD_OPS)),
+                                st.integers(0, 1), st.floats(0.2, 1.0)),
+                      min_size=1, max_size=8),
+       xi=st.floats(0.3, 1.7), eta=st.floats(0.3, 1.7),
+       p=st.floats(-2.0, 2.0), q=st.floats(-2.0, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_order_one_jets_equal_the_order_two_values_and_gradients(steps, xi, eta, p, q):
+    # val and grad never read the Hessian, so leaving it out moves no bit;
+    # the operands mix CoordJet and Jet2, order 1 and 2 and plain numbers
+    pt = PhasePoint(np.array([xi, eta, 1.0]), np.array([eta, 1.0, xi]), p, q)
+
+    def mixed(xi, eta, p_xi, p_eta):
+        v = _coord_composition(steps, xi, eta)
+        return ((p_xi * p_eta + v) / v - p_xi**2 * v + 3.0 * p_eta * (v - 1.0)
+                - 2.0 * (p_xi / 4.0) * sqrt(v) + (-v) * v**0)
+
+    for seeds in (seed_phase(pt), jet_seed(pt)):
+        ref = mixed(*seeds)
+        for one in (seed_phase(pt, 1), jet_seed(pt)[:2] + seed_phase(pt, 1)[2:]):
+            got = mixed(*one)
+            assert type(got) is Jet2 and got.order == 1 and ref.order == 2
+            assert np.array_equal(got.val, ref.val)
+            assert np.array_equal(got.grad, ref.grad)
+    two = _coord_composition(steps, *seed_phase(pt)[:2])
+    one = _coord_composition(steps, *seed_phase(pt, 1)[:2])
+    assert type(one) is CoordJet and one.order == 1
+    for got, ref in ((one, two), (one.lift(), two.lift())):
+        assert np.array_equal(got.val, ref.val) and np.array_equal(got.grad, ref.grad)
+
+
+def test_an_order_one_jet_has_no_hessian_to_read():
+    for jet in (Jet2.seed(1.5, 2, order=1), CoordJet.seed(np.ones(3), 0, order=1),
+                CoordJet.seed(0.7, 1, order=1).lift(),
+                Jet2.constant(2.0, (4,), order=1), Jet2.seed(1.5, 0, order=1).exp()):
+        assert jet.order == 1
+        for read in (lambda j: j.hess, lambda j: j.hess_at(0, 1), lambda j: j.hess_full()):
+            with pytest.raises(AttributeError, match="order-1 jet"):
+                read(jet)
+    assert Observable(lambda xi, eta, p_xi, p_eta: 2.0).eval(
+        PhasePoint(1.0, 1.0, 0.0, 0.0), order=1).order == 1
+
+
+@pytest.mark.parametrize("primitive, value, apply", [
+    ("inv", 0.0, lambda x: 1.0 / x),
+    ("sqrt", -1.0, sqrt),
+    ("sqrt", 0.0, sqrt),
+    ("ln", -1.0, log),
+    ("ln", 0.0, log),
+    ("pow_real", -2.0, lambda x: x ** 1.5),
+])
+def test_order_one_raises_the_domain_error_of_order_two(primitive, value, apply):
+    raised = []
+    for cls in (Jet2, CoordJet):
+        for order in (2, 1):
+            with pytest.raises(DomainError) as err:
+                apply(cls.seed(np.array([1.0, value]), 0, order=order))
+            raised.append((err.value.primitive, repr(err.value.value)))
+    assert set(raised) == {(primitive, repr(float(value)))}

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from superint.errors import IllConditioned
@@ -106,14 +107,14 @@ def test_verify_casimir_passes(tag):
 
 def test_corrupted_delta_detected(monkeypatch):
     import superint.poisson as poisson_mod
-    from superint.systems import algebra_constants as real_constants
+    from superint.systems import constants_poly as real_poly
     from dataclasses import replace
 
-    def corrupted(spec, E):
-        con = real_constants(spec, E)
-        return replace(con, delta=con.delta + 1.0)
+    def corrupted(spec):
+        cp = real_poly(spec)
+        return replace(cp, delta=P.polyadd(cp.delta, [1.0]))  # delta(E) + 1
 
-    monkeypatch.setattr(poisson_mod, "algebra_constants", corrupted)
+    monkeypatch.setattr(poisson_mod, "constants_poly", corrupted)
     rep = verify_algebra(SystemSpec("I1", **GENERIC), n_points=100)
     assert not rep.passed
     failing = {i.name for i in rep.identities if not i.passed}
@@ -122,14 +123,14 @@ def test_corrupted_delta_detected(monkeypatch):
 
 def test_corrupted_casimir_detected(monkeypatch):
     import superint.poisson as poisson_mod
-    from superint.systems import algebra_constants as real_constants
+    from superint.systems import constants_poly as real_poly
     from dataclasses import replace
 
-    def corrupted(spec, E):
-        con = real_constants(spec, E)
-        return replace(con, K_casimir=con.K_casimir + 0.01 * E**3)
+    def corrupted(spec):
+        cp = real_poly(spec)
+        return replace(cp, K=P.polyadd(cp.K, [0.0, 0.0, 0.0, 0.01]))  # K(E) + 0.01 E^3
 
-    monkeypatch.setattr(poisson_mod, "algebra_constants", corrupted)
+    monkeypatch.setattr(poisson_mod, "constants_poly", corrupted)
     rep = verify_casimir(SystemSpec("I2", **GENERIC), n_points=100)
     assert not rep.passed
 
@@ -141,8 +142,8 @@ def test_affine_correction_absorbs_constant_offset(monkeypatch):
     import superint.poisson as poisson_mod
     from superint.systems import integrals as real_integrals
 
-    def shifted_integrals(spec):
-        hab = real_integrals(spec)
+    def shifted_integrals(spec, order=2):
+        hab = real_integrals(spec, order)
 
         def evaluate(point):
             H, A, B = hab(point)
@@ -200,19 +201,76 @@ def test_residuals_of_a_point_do_not_depend_on_its_batch(tag):
     # not even a one-point last chunk, and no chunking of the fit's cost
     # can move a bit
     from superint.poisson import _row_residuals
-    from superint.systems import integrals
+    from superint.systems import constants_poly, integrals
 
     spec = SystemSpec(tag, **GENERIC)
     pts = sample_points(spec, 30, np.random.default_rng(3))
-    hab = integrals(spec)
+    cp, hab = constants_poly(spec), integrals(spec)
+    names = ("HA", "HB", "HC", "AC_row", "BC_row", "casimir")
     for offsets in ((0.0, 0.0), (1e-9, -3e-9)):
-        batch = _row_residuals(spec, hab, pts, *offsets)
+        batch = _row_residuals(cp, hab, pts, names, *offsets)
+        assert tuple(batch) == names
         arr = pts.as_array()
         for i in range(arr.shape[1]):
-            alone = _row_residuals(spec, hab, PhasePoint.from_array(arr[:, i:i + 1]),
-                                   *offsets)
+            alone = _row_residuals(cp, hab, PhasePoint.from_array(arr[:, i:i + 1]),
+                                   names, *offsets)
             for name, res in batch.items():
                 assert alone[name].tobytes() == res[i:i + 1].tobytes(), (name, i)
+
+
+def _spy_integrals(monkeypatch, orders):
+    """Record the order of every H, A, B jet that the verifiers evaluate."""
+    import superint.poisson as poisson_mod
+    real = poisson_mod.integrals
+
+    def spy(spec, order=2):
+        hab = real(spec, order)
+
+        def evaluate(point):
+            jets = hab(point)
+            orders.append(tuple(j.order for j in jets))
+            return jets
+
+        return evaluate
+
+    monkeypatch.setattr(poisson_mod, "integrals", spy)
+
+
+def test_casimir_pass_builds_no_hessian(monkeypatch):
+    from superint.poisson import _CHUNK
+
+    orders = []
+    _spy_integrals(monkeypatch, orders)
+    spec = SystemSpec("I3", **GENERIC)
+    rep = verify_casimir(spec, n_points=2 * _CHUNK + 1)
+    assert rep.passed and orders == [(1, 1, 1)] * 3
+    orders.clear()
+    assert verify_algebra(spec, n_points=2 * _CHUNK + 1).passed
+    assert orders == [(2, 2, 2)] * 3
+
+
+def test_forced_casimir_correction_fits_at_order_two(monkeypatch):
+    # the fit reads the algebra rows; the pass before and after it does not
+    orders = []
+    _spy_integrals(monkeypatch, orders)
+    rep = verify_casimir(SystemSpec("II2", **GENERIC), n_points=100, tol=1e-30)
+    assert rep.correction_applied
+    assert orders[0] == orders[-1] == (1, 1, 1)
+    assert set(orders[1:-1]) == {(2, 2, 2)}
+
+
+@pytest.mark.parametrize("kw", [{}, {"tol_nested": 1e-30}], ids=["plain", "forced"])
+def test_constants_are_built_once_per_verifier_call(monkeypatch, kw):
+    import superint.poisson as poisson_mod
+    from superint.systems import constants_poly as real_poly
+
+    calls = []
+    monkeypatch.setattr(poisson_mod, "constants_poly",
+                        lambda spec: calls.append(spec) or real_poly(spec))
+    rep = verify_algebra(SystemSpec("I2", **GENERIC), n_points=3 * poisson_mod._CHUNK,
+                         **kw)
+    assert rep.correction_applied == bool(kw)
+    assert len(calls) == 1
 
 
 def test_every_structure_constant_mutation_fails(monkeypatch):
@@ -238,8 +296,8 @@ def test_every_structure_constant_mutation_fails(monkeypatch):
                     new[i] = mutated
                     value = new if np.ndim(getattr(cp, f.name)) else float(new[0])
                     mutant = dataclasses.replace(cp, **{f.name: value})
-                    monkeypatch.setattr(poisson_mod, "algebra_constants",
-                                        lambda s, E, mutant=mutant: mutant.at_energy(E))
+                    monkeypatch.setattr(poisson_mod, "constants_poly",
+                                        lambda s, mutant=mutant: mutant)
                     mutants += 1
                     survivors += (verify_algebra(spec).passed
                                   and verify_casimir(spec).passed)

@@ -146,6 +146,27 @@ def test_shared_pass_raises_the_metric_error():
     assert str(shared.value) == str(separate.value)
 
 
+def test_order_one_pass_raises_the_metric_error_of_order_two():
+    spec = SystemSpec("II1", nu=1e-4)   # g = 1e-4 everywhere, below MIN_ABS_G
+    pt = PhasePoint(1.0, 1.0, 0.5, 0.5)
+    errors = []
+    for evaluate in (integrals(spec), integrals(spec, 1),
+                     lambda p: hamiltonian(spec).eval(p, order=1)):
+        with pytest.raises(DomainError) as err:
+            evaluate(pt)
+        errors.append((err.value.primitive, str(err.value)))
+    assert errors[0][0] == "metric" and errors.count(errors[0]) == 3
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_order_one_pass_equals_order_two_values_and_gradients(tag):
+    spec = SystemSpec(tag, **GENERIC)
+    pts = sample_points(spec, 300, np.random.default_rng(23))
+    for one, two in zip(integrals(spec, 1)(pts), integrals(spec)(pts)):
+        assert one.order == 1 and two.order == 2
+        assert np.array_equal(one.val, two.val) and np.array_equal(one.grad, two.grad)
+
+
 def test_tilde_metric_consistency():
     # F~(X+Y) + G~(X-Y) must equal g * sqrt(A(xi) B(eta)) identically
     rng = np.random.default_rng(11)

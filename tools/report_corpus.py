@@ -20,7 +20,13 @@ The corpus is:
   standard output, standard error and exit code, including the exit-2 and
   exit-3 paths;
 * the five pinned trajectories as CSV through the CLI, with the summary it
-  writes to standard error.
+  writes to standard error;
+* the ``drift_report`` JSON of the five pinned trajectories, and
+  ``conserved_values`` at each of their initial states alone;
+* ``revolution_check`` in both coordinate systems, with the largest
+  directional residuals behind it, and ``linear_integral_check`` for every
+  sign and coordinate choice, on the six reference specs, the random draws
+  and three specs with such a structure.
 
 It takes about a minute on one core.
 """
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 
@@ -38,8 +45,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.abspath(sys.argv[1]) if len(sys.argv) > 1
                 else os.path.join(ROOT, "src"))
 
-from superint import cli  # noqa: E402
-from superint.errors import SamplingError  # noqa: E402
+from superint import cli, dynamics, geometry  # noqa: E402
+from superint.errors import SamplingError, SuperintError  # noqa: E402
+from superint.jets import PhasePoint  # noqa: E402
 from superint.poisson import verify_algebra, verify_casimir  # noqa: E402
 from superint.systems import CLASS_TAGS, SystemSpec, sample_points  # noqa: E402
 
@@ -101,15 +109,63 @@ def _draws(tag, count, seed):
     return out
 
 
-def _library():
+def _specs():
     for i, tag in enumerate(CLASS_TAGS):
-        for spec in [SystemSpec(tag, **REF)] + _draws(tag, 2, 500 + i):
-            for n in SIZES:
-                print(verify_algebra(spec, n_points=n).to_json())
-                print(verify_casimir(spec, n_points=n).to_json())
-            for n in FORCED_SIZES:
-                print(verify_algebra(spec, n_points=n, tol_nested=FORCING_TOL).to_json())
-                print(verify_casimir(spec, n_points=n, tol=FORCING_TOL).to_json())
+        yield from [SystemSpec(tag, **REF)] + _draws(tag, 2, 500 + i)
+
+
+def _library():
+    for spec in _specs():
+        for n in SIZES:
+            print(verify_algebra(spec, n_points=n).to_json())
+            print(verify_casimir(spec, n_points=n).to_json())
+        for n in FORCED_SIZES:
+            print(verify_algebra(spec, n_points=n, tol_nested=FORCING_TOL).to_json())
+            print(verify_casimir(spec, n_points=n, tol=FORCING_TOL).to_json())
+
+
+def _attempt(fn, *args, **kwargs):
+    """``fn``'s result, or the package error it raises, as a printable value."""
+    try:
+        return fn(*args, **kwargs)
+    except SuperintError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _json(value):
+    return json.dumps(value, sort_keys=True, default=lambda a: np.asarray(a).tolist())
+
+
+def _flow():
+    parser = cli.build_parser()
+    for argv in TRAJECTORIES:
+        ns = parser.parse_args(["trajectory", *argv])
+        spec = cli._spec_from_args(ns)
+        y0 = PhasePoint(*map(float, ns.initial.split(",")))
+        print(_json(dynamics.conserved_values(spec, y0)))
+        traj = dynamics.integrate(spec, dynamics.clamp_energy(spec, y0), t_end=10.0)
+        print(_json(dynamics.drift_report(spec, traj)))
+
+
+# specs with a revolution or linear-integral structure, as in CLI_RUNS
+SYMMETRIC = [SystemSpec("I1", mu=0.5, nu=1.5), SystemSpec("II1", kappa=1.0),
+             SystemSpec("I2", lam=0.6, nu=1.1, ell=0.2, n=0.4)]
+
+
+def _geometry():
+    for spec in [*_specs(), *SYMMETRIC]:
+        pts = sample_points(spec, 50, np.random.default_rng(0xC0FFEE), require_tilde=False)
+        for coords in ("liouville", "transformed"):
+            residuals = _attempt(geometry._directional_residuals, spec, pts.xi,
+                                 pts.eta, coords)
+            if not isinstance(residuals, str):
+                residuals = [float(r.max()) for r in residuals]
+            print(_json([spec.tag, coords, _attempt(geometry.revolution_check, spec,
+                                                    coords=coords), residuals]))
+        for sign in ("plus", "minus"):
+            for coords in ("liouville", "transformed", "eta-only", "xi-only"):
+                print(_json([spec.tag, sign, coords, _attempt(
+                    geometry.linear_integral_check, spec, sign, coords=coords)]))
 
 
 def _cli():
@@ -128,3 +184,5 @@ def _cli():
 if __name__ == "__main__":
     _library()
     _cli()
+    _flow()
+    _geometry()
