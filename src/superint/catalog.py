@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConstraintError, DomainError, SamplingError
 from . import geometry
-from .poisson import verify_algebra
+from .poisson import DEFAULT_SEED, verify_algebra
 from .systems import SystemSpec
 
 __all__ = ["CatalogEntry", "load_catalog", "lookup", "instantiate",
@@ -230,8 +230,8 @@ def _check_claim(entry, spec, seed, n_points, tol_linear):
     raise ValueError(f"claim {kind} is not dispatchable")
 
 
-def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = 0xC0FFEE,
-                 n_points: int = 50, tol_linear: float = 1e-9,
+def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_SEED,
+                 n_points: int = 50, tol_linear: float = geometry.TOL_LINEAR,
                  curvature_scales=(1.0, 2.0, -1.0)) -> EntryVerification:
     """Instantiate the row ``free_draws`` times and verify its claim.
 
@@ -260,7 +260,7 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = 0xC0FFEE,
                         c = geometry.classify_curvature(spec, n_points=n_points,
                                                         seed=draw_seed)
                         ok = (c.tag == "Constant" and abs(c.mean - scale) <= 1e-7
-                              and c.stddev <= 1e-8)
+                              and c.stddev <= geometry.TOL_CURV_CONST)
                         info = {"K": scale, "mean": c.mean, "stddev": c.stddev}
                     else:
                         ok, info = _check_claim(entry, spec, draw_seed, n_points,

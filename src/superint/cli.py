@@ -17,11 +17,11 @@ import sys
 import time
 
 from . import catalog, geometry
-from .dynamics import clamp_energy, drift_report, integrate, trajectory_csv
+from .dynamics import _csv, _drifts, clamp_energy, conserved_values, integrate
 from .errors import DomainError, SamplingError, StepFailure
 from .jets import PhasePoint
-from .poisson import (DEFAULT_SEED, TOL_BRACKET, TOL_NESTED, verify_algebra,
-                      verify_casimir)
+from .poisson import (DEFAULT_SEED, REPORT_SCHEMA, TOL_BRACKET, TOL_NESTED,
+                      verify_algebra, verify_casimir)
 from .systems import CLASS_TAGS, SystemSpec, spec_from_dict, spec_to_dict
 
 _SPEC_FLAGS = ["kappa", "lambda", "mu", "nu", "k", "ell", "m", "n"]
@@ -134,7 +134,7 @@ def _cmd_casimir(args):
 def _cmd_curvature(args):
     spec = _spec_from_args(args)
     c = geometry.classify_curvature(spec, n_points=args.points, seed=args.seed)
-    doc = {"schema": "superint-report/1", "kind": "curvature",
+    doc = {"schema": REPORT_SCHEMA, "kind": "curvature",
            "spec": spec_to_dict(spec), "seed": args.seed, "n_points": args.points,
            "classification": c.tag, "mean": c.mean, "stddev": c.stddev,
            "max_abs": c.max_abs}
@@ -153,7 +153,7 @@ def _cmd_revolution(args):
     for coords in ("liouville", "transformed"):
         out[coords] = geometry.revolution_check(spec, n_points=args.points,
                                                 seed=args.seed, coords=coords)
-    doc = {"schema": "superint-report/1", "kind": "revolution",
+    doc = {"schema": REPORT_SCHEMA, "kind": "revolution",
            "spec": spec_to_dict(spec), "seed": args.seed, "n_points": args.points,
            "result": out}
     verified = any(v != "Neither" for v in out.values())
@@ -177,7 +177,7 @@ def _cmd_linear(args):
             results[f"{sign}/{coords}"] = r
             if best is None or r < best:
                 best = r
-    doc = {"schema": "superint-report/1", "kind": "linear-integral",
+    doc = {"schema": REPORT_SCHEMA, "kind": "linear-integral",
            "spec": spec_to_dict(spec), "seed": args.seed, "n_points": args.points,
            "residuals": results, "tolerance": args.tol_bracket,
            "pass": best is not None and best <= args.tol_bracket}
@@ -196,7 +196,7 @@ def _cmd_tables(args):
             rows.append({"table": table, "row_id": entry.row_id,
                          "claim": entry.claim_kind, "status": v.status})
             ok &= v.passed
-    doc = {"schema": "superint-report/1", "kind": "tables", "seed": args.seed,
+    doc = {"schema": REPORT_SCHEMA, "kind": "tables", "seed": args.seed,
            "draws": args.draws, "rows": rows, "pass": ok}
     human = [f"{r['table']} {r['row_id']:22s} {r['claim']:18s} {r['status']}"
              for r in rows]
@@ -222,8 +222,9 @@ def _cmd_trajectory(args):
     point = clamp_energy(spec, PhasePoint(*vals))
     traj = integrate(spec, point, t_end=args.t_end, rel_tol=args.rel_tol,
                      abs_tol=args.abs_tol)
-    _write(trajectory_csv(spec, traj), args.output)
-    rep = drift_report(spec, traj)
+    vals = conserved_values(spec, traj.points)
+    _write(_csv(traj, vals), args.output)
+    rep = _drifts(vals)
     summary = {"status": traj.status, "steps": traj.stats,
                "drifts": {k: v["normalized"] for k, v in rep.items()}}
     if traj.exit_time is not None:

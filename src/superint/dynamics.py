@@ -18,7 +18,6 @@ magnitude), recording the exit time.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,9 +25,9 @@ import numpy as np
 
 from .errors import DomainError, StepFailure
 from .jets import Dual4, PhasePoint
-from .poisson import bracket_value, casimir_terms
-from .systems import (SystemSpec, algebra_constants, build_fns, hamiltonian,
-                      integral_A, integral_B, sample_domain)
+from .poisson import bracket_value, casimir_combination
+from .systems import (MIN_ABS_G, SystemSpec, algebra_constants, build_fns,
+                      hamiltonian, integrals, sample_domain)
 
 __all__ = ["Trajectory", "integrate", "drift_report", "trajectory_csv",
            "clamp_energy"]
@@ -82,7 +81,7 @@ def _rhs_fn(spec: SystemSpec):
     return rhs
 
 
-def _in_domain(spec, fns, dom, y):
+def _in_domain(fns, dom, y):
     xi, eta = y[0], y[1]
     if not np.all(np.isfinite(y)):
         return False
@@ -95,8 +94,8 @@ def _in_domain(spec, fns, dom, y):
         return False
     # both conformal factors must stay non-degenerate: g divides H and A,
     # the recoordinatized one divides B
-    return (np.isfinite(g) and abs(g) >= dom.min_abs_g
-            and np.isfinite(gt) and abs(gt) >= dom.min_abs_g)
+    return (np.isfinite(g) and abs(g) >= MIN_ABS_G
+            and np.isfinite(gt) and abs(gt) >= MIN_ABS_G)
 
 
 def integrate(spec: SystemSpec, initial: PhasePoint, t_end: float,
@@ -122,7 +121,7 @@ def integrate(spec: SystemSpec, initial: PhasePoint, t_end: float,
     rhs = _rhs_fn(spec)
 
     y = initial.as_array().astype(float).reshape(4)
-    if not _in_domain(spec, fns, dom, y):
+    if not _in_domain(fns, dom, y):
         raise DomainError("initial", tuple(y), "initial state outside class domain")
 
     t = 0.0
@@ -178,7 +177,7 @@ def integrate(spec: SystemSpec, initial: PhasePoint, t_end: float,
         min_dt, max_dt = min(min_dt, h), max(max_dt, h)
         y = y_new
         k[0] = k[6]  # FSAL
-        if not _in_domain(spec, fns, dom, y):
+        if not _in_domain(fns, dom, y):
             status, exit_time = "domain_exit", t
             break
         times.append(t)
@@ -199,18 +198,15 @@ def conserved_values(spec: SystemSpec, points: PhasePoint):
     """H, A, B and the Casimir combination along a batch of states.
 
     The Casimir combination freezes the energy-dependent constants at the
-    first state's energy, making it a bona fide conserved scalar.
+    first state's energy, making it a bona fide conserved scalar.  A state
+    with ``|g| < MIN_ABS_G``, which no stored trajectory state has, raises.
     """
     # values only: C = {A, B} reads the gradients, so order-1 jets suffice
-    H = hamiltonian(spec, enforce_min_g=False).eval(points, 1)
-    A = integral_A(spec).eval(points, 1)
-    B = integral_B(spec).eval(points, 1)
+    H, A, B = integrals(spec, 1)(points)
     C, _ = bracket_value(A, B)
     E0 = float(np.atleast_1d(H.val)[0])
     con = algebra_constants(spec, E0)
-    # summed row by row: numpy's axis-0 sum groups the terms differently for
-    # a single state, and the exported K must not depend on the length
-    kcomb = functools.reduce(np.add, casimir_terms(con, C, A.val, B.val))
+    kcomb, _ = casimir_combination(con, C, A.val, B.val)
     return {"H": H.val, "A": A.val, "B": B.val, "K": kcomb}
 
 
@@ -218,7 +214,10 @@ def drift_report(spec: SystemSpec, traj: Trajectory) -> dict:
     """Max |Q(t) - Q(0)| (absolute and normalized) for Q in {H, A, B, K}."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    vals = conserved_values(spec, traj.points)
+    return _drifts(conserved_values(spec, traj.points))
+
+
+def _drifts(vals):
     out = {}
     for name, q in vals.items():
         drift = float(np.abs(q - q[0]).max())
@@ -229,7 +228,10 @@ def drift_report(spec: SystemSpec, traj: Trajectory) -> dict:
 
 def trajectory_csv(spec: SystemSpec, traj: Trajectory) -> str:
     """CSV export: t,xi,eta,p_xi,p_eta,H,A,B,K with 17 significant digits."""
-    vals = conserved_values(spec, traj.points)
+    return _csv(traj, conserved_values(spec, traj.points))
+
+
+def _csv(traj, vals):
     cols = [traj.times, traj.states[0], traj.states[1], traj.states[2],
             traj.states[3], vals["H"], vals["A"], vals["B"], vals["K"]]
     lines = ["t,xi,eta,p_xi,p_eta,H,A,B,K"]

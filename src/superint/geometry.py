@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import CoordJet, Observable
-from .poisson import bracket_value
+from .poisson import DEFAULT_SEED, bracket_value
 from .systems import SystemSpec, build_fns, hamiltonian, sample_points
 
 __all__ = [
@@ -82,7 +82,7 @@ def curvature_log_form(spec: SystemSpec, xi, eta):
 
 
 def classify_curvature(spec: SystemSpec, n_points: int = 50,
-                       seed: int = 0xC0FFEE) -> CurvatureClass:
+                       seed: int = DEFAULT_SEED) -> CurvatureClass:
     """Sample the domain, compute K pointwise and classify the field."""
     pts = sample_points(spec, n_points, np.random.default_rng(seed), require_tilde=False)
     K = curvature(spec, pts.xi, pts.eta)
@@ -119,7 +119,7 @@ def _directional_residuals(spec: SystemSpec, xi, eta, coords: str):
         if spec.tag == "II1":
             dxi = deta = lambda c: c
         else:
-            dxi, deta = fns.sqrtA, fns.sqrtB
+            dxi = deta = fns.sqrtA
         xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
         xj, ej = CoordJet.seed(xi, 0, 1), CoordJet.seed(eta, 1, 1)
@@ -133,7 +133,7 @@ def _directional_residuals(spec: SystemSpec, xi, eta, coords: str):
     return np.abs(gx - gy) / scale, np.abs(gx + gy) / scale
 
 
-def revolution_check(spec: SystemSpec, n_points: int = 50, seed: int = 0xC0FFEE,
+def revolution_check(spec: SystemSpec, n_points: int = 50, seed: int = DEFAULT_SEED,
                      coords: str = "liouville",
                      tol: float = TOL_DIRECTIONAL) -> str:
     """Classify the metric's direction dependence: SumOnly, DiffOnly, Both or Neither.
@@ -169,7 +169,7 @@ def linear_observable(spec: SystemSpec, sign: str, coords: str = "liouville") ->
     if coords == "transformed":
         fns = build_fns(spec)
         return Observable(lambda xi, eta, p_xi, p_eta:
-                          fns.sqrtA(xi) * p_xi + s * fns.sqrtB(eta) * p_eta,
+                          fns.sqrtA(xi) * p_xi + s * fns.sqrtA(eta) * p_eta,
                           label=f"p_X{'+' if s > 0 else '-'}p_Y")
     if coords == "eta-only":
         return Observable(lambda xi, eta, p_xi, p_eta: p_eta + 0.0 * p_xi,
@@ -181,7 +181,7 @@ def linear_observable(spec: SystemSpec, sign: str, coords: str = "liouville") ->
 
 
 def linear_integral_check(spec: SystemSpec, sign: str, n_points: int = 50,
-                          seed: int = 0xC0FFEE,
+                          seed: int = DEFAULT_SEED,
                           coords: str = "liouville") -> float:
     """Max normalized residual of {H, p_xi +/- p_eta} over sampled points.
 

@@ -36,7 +36,7 @@ __all__ = [
     "bracket",
     "bracket_jets",
     "bracket_value",
-    "casimir_terms",
+    "casimir_combination",
     "bracket_fd",
     "c_observable",
     "verify_algebra",
@@ -46,11 +46,13 @@ __all__ = [
     "VerificationReport",
     "Identity",
     "DEFAULT_SEED",
+    "REPORT_SCHEMA",
     "TOL_BRACKET",
     "TOL_NESTED",
 ]
 
 DEFAULT_SEED = 0xC0FFEE
+REPORT_SCHEMA = "superint-report/1"  # the "schema" field of every report
 TOL_BRACKET = 1e-9   # first brackets {H, .}
 TOL_NESTED = 1e-8    # nested brackets (algebra rows), Casimir
 _RIDGE_FACTOR = 1e-12  # membership fit: ridge relative to the top singular value
@@ -191,7 +193,7 @@ class VerificationReport:
 
     def to_dict(self):
         doc = {
-            "schema": "superint-report/1",
+            "schema": REPORT_SCHEMA,
             "kind": self.kind,
             "spec": spec_to_dict(self.spec),
             "seed": self.seed,
@@ -227,19 +229,22 @@ def _norm(num, *scales):
     return np.abs(num) / (1.0 + s)
 
 
-def casimir_terms(con, c, a, b):
-    """The signed terms of the Casimir combination, stacked on axis 0.
+def casimir_combination(con, c, a, b):
+    """Value and largest |term| of the Casimir combination.
 
     C^2 - 2 alpha A^2 B - 2 gamma A B^2 - 2 delta A B - epsilon B^2
     - 2 zeta B + (2/3) a A^3 + d A^2 + 2 z A, with the structure constants
-    ``con``; their sum equals K(H) wherever A, B and C = {A, B} are the
-    values of the integrals.
+    ``con``; it equals K(H) wherever A, B and C = {A, B} are the values of
+    the integrals.
     """
-    return np.stack([c**2, -2.0 * con.alpha * a**2 * b,
-                     -2.0 * con.gamma * a * b**2, -2.0 * con.delta * a * b,
-                     -con.epsilon * b**2, -2.0 * con.zeta * b,
-                     (2.0 / 3.0) * con.a * a**3, con.d * a**2,
-                     2.0 * con.z * a])
+    terms = np.stack([c**2, -2.0 * con.alpha * a**2 * b,
+                      -2.0 * con.gamma * a * b**2, -2.0 * con.delta * a * b,
+                      -con.epsilon * b**2, -2.0 * con.zeta * b,
+                      (2.0 / 3.0) * con.a * a**3, con.d * a**2,
+                      2.0 * con.z * a])
+    # summed row by row: numpy's axis-0 sum of 8 or more rows groups the
+    # terms differently for a single point, so a one-point batch would differ
+    return functools.reduce(np.add, terms), np.abs(terms).max(axis=0)
 
 
 def _row_residuals(cp, hab, pts, names, a_off=0.0, b_off=0.0):
@@ -286,10 +291,7 @@ def _row_residuals(cp, hab, pts, names, a_off=0.0, b_off=0.0):
         # the value of C = {A, B} reads only the gradients of A and B
         C_val, C_scale = _contract(A.grad, B.grad)
     if "casimir" in names:
-        kterms = casimir_terms(con, C_val, Av, Bv)
-        # summed row by row: numpy's axis-0 sum of 8 or more rows groups the
-        # terms differently for a single point, so a one-point chunk would differ
-        kcomb, s_K = functools.reduce(np.add, kterms), np.abs(kterms).max(axis=0)
+        kcomb, s_K = casimir_combination(con, C_val, Av, Bv)
         # roundoff carrier of C^2 via C's own contraction scale
         s_K = np.maximum(s_K, np.abs(C_val) * C_scale)
         res["casimir"] = _norm(kcomb - con.K_casimir, s_K, np.abs(con.K_casimir))

@@ -13,7 +13,7 @@ The module builds, per subclass:
 * the first quadratic integral ``A`` (Liouville form for Class I, Lie form
   with hard-coded antiderivatives for Class II),
 * the second quadratic integral ``B`` through the per-class
-  recoordinatization ``(X, Y) = (X(xi), Y(eta))`` and the tilde functions,
+  recoordinatization ``(X, Y) = (X(xi), X(eta))`` and the tilde functions,
 * the characteristic-equation and structural-PDE residuals,
 * the structure constants of the quadratic Poisson algebra and the Casimir
   polynomial, as explicit polynomials in the energy.
@@ -22,6 +22,7 @@ The module builds, per subclass:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,7 +58,13 @@ __all__ = [
 
 CLASS_TAGS = ("I1", "I2", "I3", "II1", "II2", "II3")
 
-MIN_ABS_G = 1e-3
+MIN_ABS_G = 1e-3                # smallest admitted |g| (and |F~ + G~|)
+MOMENTUM_RANGE = (-2.0, 2.0)    # the sampled range of p_xi and p_eta
+
+
+def _class_one(tag):
+    """Class I (Liouville surfaces), as opposed to Class II (Lie surfaces)."""
+    return not tag.startswith("II")
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,7 @@ class SystemSpec:
         return (self.k, self.ell, self.m, self.n)
 
     def is_class_one(self):
-        return self.tag.startswith("I") and not self.tag.startswith("II")
+        return _class_one(self.tag)
 
 
 _FIELD_MAP = [("class", "tag"), ("kappa", "kappa"), ("lambda", "lam"), ("mu", "mu"),
@@ -129,47 +136,40 @@ class SampleDomain:
     ``exclusions`` are named predicates a point must satisfy (they keep
     poles and branch cuts away by a fixed margin); ``positivity`` lists the
     coordinates the class's maps require to stay positive.  A drawn point
-    always satisfies every exclusion and ``|g| >= min_abs_g``.
+    always satisfies every exclusion and ``|g| >= MIN_ABS_G``; its momenta
+    lie in ``MOMENTUM_RANGE``, the same for every class.
     """
 
     xi_range: tuple
     eta_range: tuple
-    momentum_range: tuple = (-2.0, 2.0)
     exclusions: tuple = ()        # (name, fn(xi, eta) -> bool array) pairs
     positivity: tuple = ()        # subset of ("xi", "eta") that must stay > 0
-    min_abs_g: float = MIN_ABS_G
 
     def admits(self, xi, eta):
         """Exclusion + positivity mask (metric magnitude is checked separately)."""
         ok = np.ones(np.broadcast_shapes(np.shape(xi), np.shape(eta)), dtype=bool)
-        if "xi" in self.positivity:
-            ok &= np.asarray(xi) > 1e-9
-        if "eta" in self.positivity:
-            ok &= np.asarray(eta) > 1e-9
+        for name, c in (("xi", xi), ("eta", eta)):
+            if name in self.positivity:
+                ok &= np.asarray(c) > 1e-9
         for _, fn in self.exclusions:
             ok &= fn(np.asarray(xi), np.asarray(eta))
         return ok
 
 
-def _dom(xi_range, eta_range, exclusions=(), positivity=()):
-    return SampleDomain(xi_range=xi_range, eta_range=eta_range,
-                        exclusions=exclusions, positivity=positivity)
-
-
 _DOMAINS = {
-    "I1": _dom((0.2, 2.0), (0.2, 2.0),
-               exclusions=(("|xi-eta| >= 0.15", lambda x, e: np.abs(x - e) >= 0.15),),
-               positivity=("xi", "eta")),
-    "I2": _dom((0.3, 2.0), (0.3, 2.0),
-               exclusions=(("|xi-eta| >= 0.15", lambda x, e: np.abs(x - e) >= 0.15),
-                           ("xi+eta >= 0.4", lambda x, e: x + e >= 0.4)),
-               positivity=("xi", "eta")),
-    "I3": _dom((-1.0, 1.0), (-1.0, 1.0),
-               exclusions=(("|xi-eta| >= 0.2", lambda x, e: np.abs(x - e) >= 0.2),
-                           ("|xi+eta| >= 0.2", lambda x, e: np.abs(x + e) >= 0.2))),
-    "II1": _dom((0.5, 2.0), (0.5, 2.0), positivity=("xi", "eta")),
-    "II2": _dom((0.2, 2.0), (0.3, 2.0), positivity=("xi", "eta")),
-    "II3": _dom((0.3, 2.0), (0.3, 2.0), positivity=("xi", "eta")),
+    "I1": SampleDomain((0.2, 2.0), (0.2, 2.0),
+                       exclusions=(("|xi-eta| >= 0.15", lambda x, e: np.abs(x - e) >= 0.15),),
+                       positivity=("xi", "eta")),
+    "I2": SampleDomain((0.3, 2.0), (0.3, 2.0),
+                       exclusions=(("|xi-eta| >= 0.15", lambda x, e: np.abs(x - e) >= 0.15),
+                                   ("xi+eta >= 0.4", lambda x, e: x + e >= 0.4)),
+                       positivity=("xi", "eta")),
+    "I3": SampleDomain((-1.0, 1.0), (-1.0, 1.0),
+                       exclusions=(("|xi-eta| >= 0.2", lambda x, e: np.abs(x - e) >= 0.2),
+                                   ("|xi+eta| >= 0.2", lambda x, e: np.abs(x + e) >= 0.2))),
+    "II1": SampleDomain((0.5, 2.0), (0.5, 2.0), positivity=("xi", "eta")),
+    "II2": SampleDomain((0.2, 2.0), (0.3, 2.0), positivity=("xi", "eta")),
+    "II3": SampleDomain((0.3, 2.0), (0.3, 2.0), positivity=("xi", "eta")),
 }
 
 
@@ -183,7 +183,9 @@ class SystemFns:
 
     For Class I the metric/potential builders take ``u = xi + eta`` and
     ``v = xi - eta``; for Class II they take ``eta`` alone.  All callables
-    accept jets, duals or plain arrays.
+    accept jets, duals or plain arrays.  ``A_of_xi``, ``sqrtA``, ``X_of_xi``
+    and ``char_constants`` are the class's entry of ``_CHARACTERISTIC``;
+    the B-side functions are the same callables taken at ``eta``.
     """
 
     tag: str
@@ -196,11 +198,8 @@ class SystemFns:
     f_tilde: Callable
     g_tilde: Callable
     A_of_xi: Callable
-    B_of_eta: Callable
     sqrtA: Callable          # d xi / dX, i.e. sqrt(A(xi)); identity map -> 1
-    sqrtB: Callable
     X_of_xi: Callable
-    Y_of_eta: Callable
     char_constants: tuple    # (alpha, gamma, a) of the characteristic equation
     intF: Callable = None    # Class II only: antiderivative of F
     intf: Callable = None    # Class II only: antiderivative of f_pot
@@ -213,7 +212,7 @@ class SystemFns:
         (Class I) or ``first * xi + second`` (Class II): g for ``(F, G)``,
         w for ``(f_pot, g_pot)``.  ``first`` is evaluated before ``second``.
         """
-        if self.tag.startswith("II"):
+        if not _class_one(self.tag):
             a, b = first(eta), second(eta)
             return a, b, a * xi + b
         a, b = first(xi + eta), second(xi - eta)
@@ -225,7 +224,7 @@ class SystemFns:
 
     def tilde_metric(self, xi, eta):
         """Recoordinatized conformal factor F~(X+Y) + G~(X-Y) at (xi, eta)."""
-        X, Y = self.X_of_xi(xi), self.Y_of_eta(eta)
+        X, Y = self.X_of_xi(xi), self.X_of_xi(eta)
         return self.F_tilde(X + Y) + self.G_tilde(X - Y)
 
     def potential_numerator(self, xi, eta):
@@ -256,12 +255,41 @@ def _terms(*pairs):
     return fn
 
 
+_Solution = namedtuple("_Solution", "A_of_xi sqrtA X_of_xi char_constants")
+
+
+def _ch(x):
+    """e^x + e^-x, the square root of the I3 solution."""
+    return exp(x) + exp(-x)
+
+
+# A(xi) solving 6 A'^2 = 3 gamma A^2 + 3 alpha A - a, d xi / dX = sqrt(A), X(xi)
+# and (alpha, gamma, a), keyed by the classes that use them; B(eta) = A(eta).
+_CHARACTERISTIC = {
+    ("I1", "II2"): _Solution(lambda x: x, sqrt, lambda x: 2.0 * sqrt(x), (0.0, 0.0, -6.0)),
+    ("I2", "II3"): _Solution(lambda x: x**2, lambda x: x, log, (8.0, 0.0, 0.0)),
+    ("I3",): _Solution(lambda x: _ch(x)**2, _ch, lambda x: arctan(exp(x)),
+                       (-32.0, 8.0, 0.0)),
+    ("II1",): _Solution(_one, _one, lambda x: x, (0.0, 0.0, 0.0)),
+}
+
+
+def _solution(tag):
+    """The characteristic solution of class ``tag``."""
+    return next(sol for tags, sol in _CHARACTERISTIC.items() if tag in tags)
+
+
 def build_fns(spec: SystemSpec) -> SystemFns:
     """Instantiate the closed forms of ``spec``'s subclass.
 
     Construction is total: parameter degeneracies surface later, at
     sampling or evaluation time.
     """
+    return SystemFns(spec.tag, **_solution(spec.tag)._asdict(), **_closed_forms(spec))
+
+
+def _closed_forms(spec: SystemSpec) -> dict:
+    """The ``SystemFns`` fields of ``spec``'s subclass besides its tag and solution."""
     ka, la, mu, nu = spec.metric_params
     k, el, m, n = spec.potential_params
     tag = spec.tag
@@ -284,16 +312,11 @@ def build_fns(spec: SystemSpec) -> SystemFns:
             return _terms((-c2 / 256.0, lambda v: v**6), (-c1 / 128.0, lambda v: v**4),
                           (-c0 / 16.0, sq), (cmu, inv2))
 
-        return SystemFns(
-            tag=tag,
+        return dict(
             F=F_of(la, ka, nu), G=G_of(la, mu, nu),
             f_pot=F_of(el, k, n), g_pot=G_of(el, m, n),
             F_tilde=Ft(la, ka, mu, nu), G_tilde=Gt(la, ka, mu, nu),
             f_tilde=Ft(el, k, m, n), g_tilde=Gt(el, k, m, n),
-            A_of_xi=ident, B_of_eta=ident,
-            sqrtA=sqrt, sqrtB=sqrt,
-            X_of_xi=lambda x: 2.0 * sqrt(x), Y_of_eta=lambda e: 2.0 * sqrt(e),
-            char_constants=(0.0, 0.0, -6.0),
         )
 
     if tag == "I2":
@@ -310,16 +333,11 @@ def build_fns(spec: SystemSpec) -> SystemFns:
             return _terms((c1, lambda v: exp(v) / (1.0 + exp(v))**2),
                           (cmu, lambda v: exp(v) / (exp(v) - 1.0)**2))
 
-        return SystemFns(
-            tag=tag,
+        return dict(
             F=F_of(la, ka, nu), G=G_of(la, mu, nu),
             f_pot=F_of(el, k, n), g_pot=G_of(el, m, n),
             F_tilde=Ft(la, nu), G_tilde=Gt(ka, mu),
             f_tilde=Ft(el, n), g_tilde=Gt(k, m),
-            A_of_xi=sq, B_of_eta=sq,
-            sqrtA=ident, sqrtB=ident,
-            X_of_xi=log, Y_of_eta=log,
-            char_constants=(8.0, 0.0, 0.0),
         )
 
     if tag == "I3":
@@ -332,19 +350,13 @@ def build_fns(spec: SystemSpec) -> SystemFns:
             return _terms((ca, lambda u: tan(u)**2), (cc, lambda u: tan(u)**-2),
                           (cd, _one))
 
-        ch = lambda x: exp(x) + exp(-x)
-        return SystemFns(
-            tag=tag,
+        return dict(
             F=FG(ka, la), G=FG(mu, nu),
             f_pot=FG(k, el), g_pot=FG(m, n),
             F_tilde=Ft((ka + 2.0 * la) / 4.0, (2.0 * nu - mu) / 4.0, (la + nu) / 2.0),
             G_tilde=Ft((2.0 * la - ka) / 4.0, (mu + 2.0 * nu) / 4.0, (la + nu) / 2.0),
             f_tilde=Ft((k + 2.0 * el) / 4.0, (2.0 * n - m) / 4.0, (el + n) / 2.0),
             g_tilde=Ft((2.0 * el - k) / 4.0, (m + 2.0 * n) / 4.0, (el + n) / 2.0),
-            A_of_xi=lambda x: ch(x)**2, B_of_eta=lambda e: ch(e)**2,
-            sqrtA=ch, sqrtB=ch,
-            X_of_xi=lambda x: arctan(exp(x)), Y_of_eta=lambda e: arctan(exp(e)),
-            char_constants=(-32.0, 8.0, 0.0),
         )
 
     if tag == "II1":
@@ -353,16 +365,11 @@ def build_fns(spec: SystemSpec) -> SystemFns:
         def Ft(cq, cl, c0):
             return _terms((cq / 4.0, sq), (cl / 2.0, ident), (0.5 * c0, _one))
 
-        return SystemFns(
-            tag=tag,
+        return dict(
             F=lin(ka, la), G=lin(mu, nu),
             f_pot=lin(k, el), g_pot=lin(m, n),
             F_tilde=Ft(ka, la + mu, nu), G_tilde=Ft(-ka, la - mu, nu),
             f_tilde=Ft(k, el + m, n), g_tilde=Ft(-k, el - m, n),
-            A_of_xi=_one, B_of_eta=_one,
-            sqrtA=_one, sqrtB=_one,
-            X_of_xi=ident, Y_of_eta=ident,
-            char_constants=(0.0, 0.0, 0.0),
             intF=_terms((ka / 2.0, sq), (la, ident)),
             intf=_terms((k / 2.0, sq), (el, ident)),
         )
@@ -384,16 +391,11 @@ def build_fns(spec: SystemSpec) -> SystemFns:
             return _terms((-c4 / 128.0, lambda v: v**4), (c3 / 16.0, lambda v: v**3),
                           (-c2 / 16.0, sq), (c1 / 4.0, ident))
 
-        return SystemFns(
-            tag=tag,
+        return dict(
             F=F_of(ka, la), G=G_of(ka, la, mu, nu),
             f_pot=F_of(k, el), g_pot=G_of(k, el, m, n),
             F_tilde=Ft(la, ka, nu, mu), G_tilde=Gt(la, ka, nu, mu),
             f_tilde=Ft(el, k, n, m), g_tilde=Gt(el, k, n, m),
-            A_of_xi=ident, B_of_eta=ident,
-            sqrtA=sqrt, sqrtB=sqrt,
-            X_of_xi=lambda x: 2.0 * sqrt(x), Y_of_eta=lambda e: 2.0 * sqrt(e),
-            char_constants=(0.0, 0.0, -6.0),
             intF=_terms((2.0 * ka, sqrt), (la, ident)),
             intf=_terms((2.0 * k, sqrt), (el, ident)),
         )
@@ -408,16 +410,11 @@ def build_fns(spec: SystemSpec) -> SystemFns:
     def Ft(ca, cb):
         return _terms((ca, lambda u: exp(2.0 * u)), (cb, exp))
 
-    return SystemFns(
-        tag=tag,
+    return dict(
         F=F_of(la, ka), G=G_of(nu, mu),
         f_pot=F_of(el, k), g_pot=G_of(n, m),
         F_tilde=Ft(la, nu), G_tilde=Ft(ka, mu),
         f_tilde=Ft(el, n), g_tilde=Ft(k, m),
-        A_of_xi=sq, B_of_eta=sq,
-        sqrtA=ident, sqrtB=ident,
-        X_of_xi=log, Y_of_eta=log,
-        char_constants=(8.0, 0.0, 0.0),
         intF=_terms((la / 2.0, sq), (-ka / 2.0, inv2)),
         intf=_terms((el / 2.0, sq), (-k / 2.0, inv2)),
     )
@@ -427,12 +424,12 @@ def build_fns(spec: SystemSpec) -> SystemFns:
 # Observables
 
 
-def _guard_metric(g, min_abs_g):
+def _guard_metric(g):
     gv = np.atleast_1d(g.val if isinstance(g, Jet2) else np.asarray(g))
-    small = np.abs(gv) < min_abs_g
+    small = np.abs(gv) < MIN_ABS_G
     if np.any(small):
         raise DomainError("metric", float(gv[small].flat[0]),
-                          f"|g| below {min_abs_g} (degenerate metric at sample)")
+                          f"|g| below {MIN_ABS_G} (degenerate metric at sample)")
 
 
 def _h_form(p_xi, p_eta, g, w):
@@ -456,7 +453,7 @@ def _a_form(fns, eta, p_xi, p_eta, metric, potential):
     """
     F, G, g = metric
     f, g_pot, w = potential
-    if not fns.tag.startswith("II"):
+    if _class_one(fns.tag):
         return _liouville_form(p_xi, p_eta, F, G, f, g_pot)
     beta = fns.intF(eta)
     return (p_xi**2
@@ -467,9 +464,9 @@ def _a_form(fns, eta, p_xi, p_eta, metric, potential):
 
 def _b_form(fns, xi, eta, p_xi, p_eta):
     """B: the Liouville form of the tilde functions in the (X, Y) coordinates."""
-    X, Y = fns.X_of_xi(xi), fns.Y_of_eta(eta)
+    X, Y = fns.X_of_xi(xi), fns.X_of_xi(eta)
     pX = fns.sqrtA(xi) * p_xi
-    pY = fns.sqrtB(eta) * p_eta
+    pY = fns.sqrtA(eta) * p_eta
     U, V = X + Y, X - Y
     return _liouville_form(pX, pY, fns.F_tilde(U), fns.G_tilde(V),
                            fns.f_tilde(U), fns.g_tilde(V))
@@ -478,12 +475,11 @@ def _b_form(fns, xi, eta, p_xi, p_eta):
 def hamiltonian(spec: SystemSpec, enforce_min_g: bool = True) -> Observable:
     """H = (p_xi p_eta + w(xi, eta)) / g(xi, eta)."""
     fns = build_fns(spec)
-    dom = sample_domain(spec)
 
     def fn(xi, eta, p_xi, p_eta):
         g = fns.metric(xi, eta)
         if enforce_min_g and isinstance(g, Jet2):
-            _guard_metric(g, dom.min_abs_g)
+            _guard_metric(g)
         w = fns.potential_numerator(xi, eta)
         return _h_form(p_xi, p_eta, g, w)
 
@@ -527,12 +523,11 @@ def integrals(spec: SystemSpec, order: int = 2) -> Callable[[PhasePoint], tuple]
     caller that reads no Hessian asks for ``order`` 1.
     """
     fns = build_fns(spec)
-    min_abs_g = sample_domain(spec).min_abs_g
 
     def evaluate(point: PhasePoint):
         xi, eta, p_xi, p_eta = seed_phase(point, order)
         metric = fns.pair(fns.F, fns.G, xi, eta)
-        _guard_metric(metric[2], min_abs_g)
+        _guard_metric(metric[2])
         potential = fns.pair(fns.f_pot, fns.g_pot, xi, eta)
         return (_h_form(p_xi, p_eta, metric[2], potential[2]),
                 _a_form(fns, eta, p_xi, p_eta, metric, potential),
@@ -590,11 +585,11 @@ def structural_pde_residual(spec: SystemSpec, which: str, xi, eta):
     eta = np.asarray(eta, dtype=float)
 
     A, A1, A2 = _univariate_jet(fns.A_of_xi, xi)
-    B, B1, B2 = _univariate_jet(fns.B_of_eta, eta)
+    B, B1, B2 = _univariate_jet(fns.A_of_xi, eta)  # B is the same solution at eta
 
+    Ffn = fns.F if which == "metric_pair" else fns.f_pot
+    Gfn = fns.G if which == "metric_pair" else fns.g_pot
     if spec.is_class_one():
-        Ffn = fns.F if which == "metric_pair" else fns.f_pot
-        Gfn = fns.G if which == "metric_pair" else fns.g_pot
         F, F1, F2 = _univariate_jet(Ffn, xi + eta)
         G, G1, G2 = _univariate_jet(Gfn, xi - eta)
         terms = np.stack([
@@ -604,8 +599,6 @@ def structural_pde_residual(spec: SystemSpec, which: str, xi, eta):
             2.0 * (A - B) * (F2 + G2),
         ])
     else:
-        Ffn = fns.F if which == "metric_pair" else fns.f_pot
-        Gfn = fns.G if which == "metric_pair" else fns.g_pot
         F, F1, F2 = _univariate_jet(Ffn, eta)
         G, G1, G2 = _univariate_jet(Gfn, eta)
         # g = F(eta) xi + G(eta): g_xixi = 0, g_etaeta = F'' xi + G''
@@ -688,6 +681,7 @@ def _padd(*polys):
 
 def constants_poly(spec: SystemSpec) -> ConstantsPoly:
     """Per-class structure constants as explicit energy polynomials."""
+    alpha, gamma, a = _solution(spec.tag).char_constants  # the characteristic equation's
     ka, la, mu, nu = spec.metric_params
     k, el, m, n = spec.potential_params
     K_ = _lin(ka, k)     # (kappa E - k)
@@ -698,7 +692,7 @@ def constants_poly(spec: SystemSpec) -> ConstantsPoly:
 
     if spec.tag == "I1":
         return ConstantsPoly(
-            alpha=0.0, gamma=0.0, a=-6.0,
+            alpha, gamma, a,
             delta=16.0 * K_,
             epsilon=256.0 * L_,
             zeta=-32.0 * _pmul(K_, N_),
@@ -711,7 +705,7 @@ def constants_poly(spec: SystemSpec) -> ConstantsPoly:
         KplusM = _padd(K_, M_)   # ((kappa+mu) E - (k+m))
         KminusM = _padd(K_, -M_)
         return ConstantsPoly(
-            alpha=8.0, gamma=0.0, a=0.0,
+            alpha, gamma, a,
             delta=zero,
             epsilon=256.0 * L_,
             zeta=_padd(-32.0 * _pmul(N_, N_), 256.0 * _pmul(L_, _padd(M_, -K_))),
@@ -722,7 +716,7 @@ def constants_poly(spec: SystemSpec) -> ConstantsPoly:
         )
     if spec.tag == "I3":
         return ConstantsPoly(
-            alpha=-32.0, gamma=8.0, a=0.0,
+            alpha, gamma, a,
             delta=zero,
             epsilon=zero,
             zeta=-32.0 * _pmul(L_, N_),
@@ -735,7 +729,7 @@ def constants_poly(spec: SystemSpec) -> ConstantsPoly:
         # z carries the factor 8 on both squares; the printed Casimir line
         # is consistent only with this grouping (fits to 1e-13 pointwise).
         return ConstantsPoly(
-            alpha=0.0, gamma=0.0, a=0.0,
+            alpha, gamma, a,
             delta=-8.0 * K_,
             epsilon=zero,
             zeta=8.0 * _pmul(L_, L_),
@@ -745,7 +739,7 @@ def constants_poly(spec: SystemSpec) -> ConstantsPoly:
         )
     if spec.tag == "II2":
         return ConstantsPoly(
-            alpha=0.0, gamma=0.0, a=-6.0,
+            alpha, gamma, a,
             delta=-4.0 * L_,
             epsilon=zero,
             zeta=8.0 * _pmul(K_, K_),
@@ -755,7 +749,7 @@ def constants_poly(spec: SystemSpec) -> ConstantsPoly:
         )
     # II3
     return ConstantsPoly(
-        alpha=8.0, gamma=0.0, a=0.0,
+        alpha, gamma, a,
         delta=zero,
         epsilon=zero,
         zeta=32.0 * _pmul(K_, L_),
@@ -777,8 +771,8 @@ def algebra_constants(spec: SystemSpec, E: float) -> AlgebraConstants:
 def sample_points(spec: SystemSpec, n: int, rng, require_tilde: bool = True) -> PhasePoint:
     """Draw ``n`` phase points from the class domain by rejection.
 
-    Points satisfy all exclusions, ``|g| >= min_abs_g`` and (when the
-    class defines a recoordinatized metric) ``|F~ + G~| >= min_abs_g``.
+    Points satisfy all exclusions, ``|g| >= MIN_ABS_G`` and (when the
+    class defines a recoordinatized metric) ``|F~ + G~| >= MIN_ABS_G``.
     Raises :class:`SamplingError` when more than 90% of candidates are
     rejected, and ``ValueError`` when ``n`` is below 1.
     """
@@ -794,16 +788,16 @@ def sample_points(spec: SystemSpec, n: int, rng, require_tilde: bool = True) -> 
     while accepted < n and total < max_candidates:
         xi = rng.uniform(*dom.xi_range, size=batch)
         eta = rng.uniform(*dom.eta_range, size=batch)
-        p_xi = rng.uniform(*dom.momentum_range, size=batch)
-        p_eta = rng.uniform(*dom.momentum_range, size=batch)
+        p_xi = rng.uniform(*MOMENTUM_RANGE, size=batch)
+        p_eta = rng.uniform(*MOMENTUM_RANGE, size=batch)
         ok = dom.admits(xi, eta)
         with np.errstate(all="ignore"):
             g = np.where(ok, fns.metric(xi, eta), np.inf)
-            ok &= np.abs(g) >= dom.min_abs_g
+            ok &= np.abs(g) >= MIN_ABS_G
             ok &= np.isfinite(g)
             if require_tilde:
                 gt = np.where(ok, fns.tilde_metric(np.where(ok, xi, 1.0), np.where(ok, eta, 1.0)), np.inf)
-                ok &= np.abs(gt) >= dom.min_abs_g
+                ok &= np.abs(gt) >= MIN_ABS_G
                 ok &= np.isfinite(gt)
         total += batch
         accepted += int(ok.sum())

@@ -208,6 +208,24 @@ def test_negative_values_parse_in_any_notation(argv, dest, value):
     assert getattr(build_parser().parse_args(argv), dest) == value
 
 
+def test_trajectory_evaluates_the_conserved_values_once(monkeypatch, tmp_path):
+    # one evaluation along the trajectory feeds the CSV and the drift summary
+    import superint.cli as cli_mod
+    import superint.dynamics as dynamics_mod
+
+    calls = []
+    real = dynamics_mod.conserved_values
+
+    def spy(spec, points):
+        calls.append(points.shape)
+        return real(spec, points)
+
+    monkeypatch.setattr(dynamics_mod, "conserved_values", spy)
+    monkeypatch.setattr(cli_mod, "conserved_values", spy, raising=False)
+    assert main(TRAJECTORY + ["--t-end", "1", "--output", str(tmp_path / "t.csv")]) == 0
+    assert len(calls) == 1
+
+
 def test_negative_e_notation_reaches_the_flags_own_check(capsys):
     # read as the value of --rel-tol, which then rejects it as negative
     assert main(TRAJECTORY + ["--rel-tol", "-1e-10"]) == 2

@@ -248,6 +248,18 @@ def test_dual4_matches_jet_gradient():
         j = obs.eval(pt)
         assert abs(val - float(j.val)) <= 1e-12 * (1 + abs(val))
         assert norm_residual(grad, j.grad).max() <= 1e-12
+    # the storage arithmetic with a plain number, which no composition reaches
+    pt = PhasePoint(0.9, 1.3, 0.6, -0.4)
+    for name, fn in [("sub", lambda x, e, p, q: x * p - 0.7),
+                     ("rsub", lambda x, e, p, q: 0.7 - x * q),
+                     ("neg", lambda x, e, p, q: -(e * p)),
+                     ("div", lambda x, e, p, q: (x * q) / 3.0),
+                     ("pow0", lambda x, e, p, q: (x * e) ** 0 + p)]:
+        obs = Observable(fn, name)
+        val, grad = obs.dual(pt)
+        j = obs.eval(pt)
+        assert abs(val - float(j.val)) <= 1e-12 * (1 + abs(val)), name
+        assert norm_residual(grad, j.grad).max() <= 1e-12, name
 
 
 _COORD_OPS = {

@@ -11,8 +11,8 @@ from superint.jets import Observable, PhasePoint, norm_residual
 from superint.poisson import (bracket, bracket_fd, c_observable,
                               casimir_coefficients, polynomial_membership,
                               verify_algebra, verify_casimir)
-from superint.systems import (CLASS_TAGS, SystemSpec, hamiltonian, integral_A,
-                              integral_B, sample_points)
+from superint.systems import (CLASS_TAGS, SystemSpec, characteristic_residual,
+                              hamiltonian, integral_A, integral_B, sample_points)
 
 GENERIC = dict(kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1, m=0.2, n=1.0)
 
@@ -89,6 +89,8 @@ def test_c_observable_antisymmetry_and_smoothness():
     A, B = integral_A(spec), integral_B(spec)
     cv2 = bracket(B, A, pts).val
     assert norm_residual(cv, -cv2).max() <= 1e-12
+    # the order-1 evaluation, with its gradient, has the same value bit for bit
+    assert np.array_equal(C(pts).val, cv)
 
 
 @pytest.mark.parametrize("tag", CLASS_TAGS)
@@ -303,6 +305,34 @@ def test_every_structure_constant_mutation_fails(monkeypatch):
                                   and verify_casimir(spec).passed)
     assert mutants == 189
     assert survivors == 0
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_every_characteristic_constant_mutation_fails(monkeypatch, tag):
+    # (alpha, gamma, a) has one home, the class's characteristic solution,
+    # which the characteristic equation and the algebra both read: x1.01
+    # (+0.01 for a 0) on any one of them must fail both; the affine fit is
+    # stubbed out so that it cannot absorb a mutant
+    import superint.poisson as poisson_mod
+    import superint.systems as systems_mod
+
+    monkeypatch.setattr(poisson_mod, "_fit_offsets", lambda *args: (0.0, 0.0))
+    spec = SystemSpec(tag, **GENERIC)
+    xs = sample_points(spec, 50, np.random.default_rng(3)).xi
+
+    def worst_characteristic():
+        # criterion 4's normalization and tolerance
+        return (np.abs(characteristic_residual(spec, xs)) / (1.0 + np.abs(xs))).max()
+
+    assert worst_characteristic() <= 1e-10
+    tags, sol = next((t, s) for t, s in systems_mod._CHARACTERISTIC.items() if tag in t)
+    for i, c in enumerate(sol.char_constants):
+        mutated = list(sol.char_constants)
+        mutated[i] = c * 1.01 if c != 0.0 else 0.01
+        monkeypatch.setitem(systems_mod._CHARACTERISTIC, tags,
+                            sol._replace(char_constants=tuple(mutated)))
+        assert worst_characteristic() > 1e-10, i
+        assert not (verify_algebra(spec).passed and verify_casimir(spec).passed), i
 
 
 def test_report_document_schema():
