@@ -36,15 +36,13 @@ import numpy as np
 from .errors import ConstraintError, DomainError, SamplingError
 from . import geometry
 from .poisson import DEFAULT_SEED, verify_algebra
-from .systems import SystemSpec
+from .systems import _FIELD_MAP, SystemSpec, spec_from_dict
 
 __all__ = ["CatalogEntry", "load_catalog", "lookup", "instantiate",
            "verify_entry", "EntryVerification", "catalog_json",
            "PARAM_NAMES", "TABLES"]
 
-PARAM_NAMES = ("kappa", "lambda", "mu", "nu", "k", "ell", "m", "n")
-_ATTR = {"kappa": "kappa", "lambda": "lam", "mu": "mu", "nu": "nu",
-         "k": "k", "ell": "ell", "m": "m", "n": "n"}
+PARAM_NAMES = tuple(key for key, _ in _FIELD_MAP[1:])   # every wire name but "class"
 TABLES = ("T1", "T2", "T3", "T4", "T5", "T6")
 
 _UNVERIFIABLE_CLAIMS = {"koenigs_form", "named_potential"}
@@ -162,7 +160,7 @@ def instantiate(entry: CatalogEntry, free_values: dict,
             raise ConstraintError(f"{entry.row_id}: tie target {c['param']} unresolved")
         values[p] = c["coef"] * values[c["param"]]
 
-    return SystemSpec(entry.cls, **{_ATTR[p]: values[p] for p in PARAM_NAMES})
+    return spec_from_dict({"class": entry.cls, **values})
 
 
 def _draw_frees(entry, rng):

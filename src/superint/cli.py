@@ -17,20 +17,19 @@ import sys
 import time
 
 from . import catalog, geometry
-from .dynamics import _csv, _drifts, clamp_energy, conserved_values, integrate
+from .dynamics import (ABS_TOL, REL_TOL, _csv, _drifts, clamp_energy, conserved_values,
+                       integrate)
 from .errors import DomainError, SamplingError, StepFailure
 from .jets import PhasePoint
 from .poisson import (DEFAULT_SEED, REPORT_SCHEMA, TOL_BRACKET, TOL_NESTED,
                       verify_algebra, verify_casimir)
-from .systems import CLASS_TAGS, SystemSpec, spec_from_dict, spec_to_dict
-
-_SPEC_FLAGS = ["kappa", "lambda", "mu", "nu", "k", "ell", "m", "n"]
+from .systems import CLASS_TAGS, spec_from_dict, spec_to_dict
 
 
 def _add_spec_args(p):
     p.add_argument("--class", dest="cls", choices=CLASS_TAGS,
                    help="system class tag")
-    for name in _SPEC_FLAGS:
+    for name in catalog.PARAM_NAMES:
         p.add_argument(f"--{name}", dest=f"p_{name}", type=float, default=0.0,
                        help=f"parameter {name} (default 0)")
     p.add_argument("--spec-file", help="JSON file with the flat spec document")
@@ -81,11 +80,9 @@ def _spec_from_args(args):
             raise ConfigError(f"bad spec file {args.spec_file}: {exc}")
     if not args.cls:
         raise ConfigError("either --class or --spec-file is required")
-    kwargs = {"kappa": args.p_kappa, "lam": args.p_lambda, "mu": args.p_mu,
-              "nu": args.p_nu, "k": args.p_k, "ell": args.p_ell,
-              "m": args.p_m, "n": args.p_n}
+    doc = {name: getattr(args, f"p_{name}") for name in catalog.PARAM_NAMES}
     try:
-        return SystemSpec(args.cls, **kwargs)
+        return spec_from_dict({"class": args.cls, **doc})
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -289,6 +286,7 @@ def build_parser():
         points=50)
     p = cmd("linear", _cmd_linear, "check a linear integral p_xi +/- p_eta",
             points=50, optional=("tol-bracket",))
+    p.set_defaults(tol_bracket=geometry.TOL_LINEAR)   # the bound catalog rows use
     p.add_argument("--sign", choices=("plus", "minus", "both"), default="both")
 
     p = cmd("tables", _cmd_tables, "sweep the classification tables",
@@ -303,8 +301,8 @@ def build_parser():
     p.set_defaults(fn=_cmd_trajectory)
     p.add_argument("--initial", required=True, help="xi,eta,p_xi,p_eta")
     p.add_argument("--t-end", type=_positive, default=10.0)
-    p.add_argument("--rel-tol", type=_tolerance, default=1e-10)
-    p.add_argument("--abs-tol", type=_tolerance, default=1e-12)
+    p.add_argument("--rel-tol", type=_tolerance, default=REL_TOL)
+    p.add_argument("--abs-tol", type=_tolerance, default=ABS_TOL)
 
     p = sub.add_parser("dump-catalog", help="print the embedded table catalog")
     p.add_argument("--output")

@@ -30,7 +30,10 @@ from .systems import (MIN_ABS_G, SystemSpec, algebra_constants, build_fns,
                       hamiltonian, integrals, sample_domain)
 
 __all__ = ["Trajectory", "integrate", "drift_report", "trajectory_csv",
-           "clamp_energy"]
+           "clamp_energy", "REL_TOL", "ABS_TOL"]
+
+REL_TOL = 1e-10   # the integrator's default relative tolerance
+ABS_TOL = 1e-12   # and absolute tolerance
 
 # Dormand-Prince 5(4) tableau; the 5th-order solution is propagated (FSAL).
 # The flow is autonomous, so the c-nodes never enter the stage evaluations.
@@ -99,7 +102,7 @@ def _in_domain(fns, dom, y):
 
 
 def integrate(spec: SystemSpec, initial: PhasePoint, t_end: float,
-              rel_tol: float = 1e-10, abs_tol: float = 1e-12,
+              rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL,
               max_steps: int = 1_000_000) -> Trajectory:
     """Integrate Hamilton's equations from ``initial`` for ``t_end`` time units.
 

@@ -183,9 +183,10 @@ class SystemFns:
 
     For Class I the metric/potential builders take ``u = xi + eta`` and
     ``v = xi - eta``; for Class II they take ``eta`` alone.  All callables
-    accept jets, duals or plain arrays.  ``A_of_xi``, ``sqrtA``, ``X_of_xi``
-    and ``char_constants`` are the class's entry of ``_CHARACTERISTIC``;
-    the B-side functions are the same callables taken at ``eta``.
+    accept jets, duals or plain arrays, and an optional memo (see
+    :func:`_at`).  ``A_of_xi``, ``sqrtA``, ``X_of_xi`` and
+    ``char_constants`` are the class's entry of ``_CHARACTERISTIC``; the
+    B-side functions are the same callables taken at ``eta``.
     """
 
     tag: str
@@ -204,23 +205,29 @@ class SystemFns:
     intF: Callable = None    # Class II only: antiderivative of F
     intf: Callable = None    # Class II only: antiderivative of f_pot
 
-    def pair(self, first, second, xi, eta):
-        """``first`` and ``second`` at their arguments, and their combination.
+    def arguments(self, xi, eta):
+        """The arguments of the pair functions: ``(xi + eta, xi - eta)`` for
+        Class I, ``(eta, eta)`` for Class II."""
+        if _class_one(self.tag):
+            return xi + eta, xi - eta
+        return eta, eta
 
-        The arguments are ``u = xi + eta`` and ``v = xi - eta`` for Class I
-        and ``eta`` for Class II; the combination is ``first + second``
-        (Class I) or ``first * xi + second`` (Class II): g for ``(F, G)``,
-        w for ``(f_pot, g_pot)``.  ``first`` is evaluated before ``second``.
+    def pair(self, first, second, xi, args, memo=None):
+        """``first`` and ``second`` at ``args``, and their combination.
+
+        ``args`` is :meth:`arguments` at (xi, eta); the combination is
+        ``first + second`` (Class I) or ``first * xi + second`` (Class II):
+        g for ``(F, G)``, w for ``(f_pot, g_pot)``.  ``first`` is evaluated
+        before ``second``.
         """
-        if not _class_one(self.tag):
-            a, b = first(eta), second(eta)
-            return a, b, a * xi + b
-        a, b = first(xi + eta), second(xi - eta)
-        return a, b, a + b
+        a, b = first(args[0], memo), second(args[1], memo)
+        if _class_one(self.tag):
+            return a, b, a + b
+        return a, b, a * xi + b
 
     def metric(self, xi, eta):
         """Conformal factor g at (xi, eta); arguments may be jets."""
-        return self.pair(self.F, self.G, xi, eta)[2]
+        return self.pair(self.F, self.G, xi, self.arguments(xi, eta))[2]
 
     def tilde_metric(self, xi, eta):
         """Recoordinatized conformal factor F~(X+Y) + G~(X-Y) at (xi, eta)."""
@@ -228,28 +235,71 @@ class SystemFns:
         return self.F_tilde(X + Y) + self.G_tilde(X - Y)
 
     def potential_numerator(self, xi, eta):
-        return self.pair(self.f_pot, self.g_pot, xi, eta)[2]
+        return self.pair(self.f_pot, self.g_pot, xi, self.arguments(xi, eta))[2]
 
 
-def _one(u):
-    return u * 0.0 + 1.0
+def _at(memo, fn, x):
+    """``fn(x, memo)``, evaluated once per ``fn`` and ``x`` in the dict ``memo``.
+
+    ``memo`` is one evaluation pass's cache, or None to evaluate every time.
+    The key is ``fn`` and ``id(x)``; the entry holds ``x``, so that the id
+    cannot pass to another object while the memo lives.  An entry is first
+    evaluated where it would be without the memo, so a pass raises the same
+    first ``DomainError``.
+    """
+    if memo is None:
+        return fn(x, None)
+    key = fn, id(x)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = fn(x, memo), x
+    return hit[0]
+
+
+# Basis functions ``fn(x, memo=None)``: each closed form is a sum of these
+# (``_terms``), and a basis reads the ones it is built from through ``_at``,
+# so within one memo each runs once per argument.  F and f, G and g, the
+# four tilde functions and intF and intf share them.
+_ident = lambda x, memo=None: x
+_one = lambda x, memo=None: x * 0.0 + 1.0
+_sqrt = lambda x, memo=None: sqrt(x)
+_rsqrt = lambda x, memo=None: _at(memo, _sqrt, x)**-1
+_log = lambda x, memo=None: log(x)
+_exp = lambda x, memo=None: exp(x)
+_exp2 = lambda x, memo=None: exp(2.0 * x)
+_tan = lambda x, memo=None: tan(x)
+
+
+def _power(p):
+    return lambda x, memo=None: x**p
+
+
+_POW = {p: _power(p) for p in (-3, -2, 2, 3, 4, 6)}
 
 
 def _terms(*pairs):
-    """Sum of coef * fn(x) over the pairs, dropping zero coefficients.
+    """Sum of coef * basis(x) over the pairs, in their order, dropping zero
+    coefficients.
 
     Dropping at construction keeps pole terms (1/v^2, cot^2, ...) out of
     the evaluation entirely when their coefficient vanishes, so degenerate
     rows evaluate cleanly on the pole locus instead of producing 0 * inf.
+    The sum takes the pass's memo and reads each basis through it.
     """
     active = [(c, f) for c, f in pairs if c != 0.0]
     if not active:
-        return lambda x: x * 0.0
+        return lambda x, memo=None: x * 0.0
+    (c0, f0), rest = active[0], active[1:]
 
-    def fn(x):
-        out = active[0][0] * active[0][1](x)
-        for c, f in active[1:]:
-            out = out + c * f(x)
+    def fn(x, memo=None):
+        if memo is None:    # direct calls: the flow's right-hand side runs this per stage
+            out = c0 * f0(x)
+            for c, f in rest:
+                out = out + c * f(x)
+            return out
+        out = c0 * _at(memo, f0, x)
+        for c, f in rest:
+            out = out + c * _at(memo, f, x)
         return out
 
     return fn
@@ -258,19 +308,20 @@ def _terms(*pairs):
 _Solution = namedtuple("_Solution", "A_of_xi sqrtA X_of_xi char_constants")
 
 
-def _ch(x):
+def _ch(x, memo=None):
     """e^x + e^-x, the square root of the I3 solution."""
-    return exp(x) + exp(-x)
+    return _at(memo, _exp, x) + exp(-x)
 
 
 # A(xi) solving 6 A'^2 = 3 gamma A^2 + 3 alpha A - a, d xi / dX = sqrt(A), X(xi)
 # and (alpha, gamma, a), keyed by the classes that use them; B(eta) = A(eta).
 _CHARACTERISTIC = {
-    ("I1", "II2"): _Solution(lambda x: x, sqrt, lambda x: 2.0 * sqrt(x), (0.0, 0.0, -6.0)),
-    ("I2", "II3"): _Solution(lambda x: x**2, lambda x: x, log, (8.0, 0.0, 0.0)),
-    ("I3",): _Solution(lambda x: _ch(x)**2, _ch, lambda x: arctan(exp(x)),
-                       (-32.0, 8.0, 0.0)),
-    ("II1",): _Solution(_one, _one, lambda x: x, (0.0, 0.0, 0.0)),
+    ("I1", "II2"): _Solution(_ident, _sqrt, lambda x, memo=None: 2.0 * _at(memo, _sqrt, x),
+                             (0.0, 0.0, -6.0)),
+    ("I2", "II3"): _Solution(_POW[2], _ident, _log, (8.0, 0.0, 0.0)),
+    ("I3",): _Solution(lambda x, memo=None: _at(memo, _ch, x)**2, _ch,
+                       lambda x, memo=None: arctan(_at(memo, _exp, x)), (-32.0, 8.0, 0.0)),
+    ("II1",): _Solution(_one, _one, _ident, (0.0, 0.0, 0.0)),
 }
 
 
@@ -293,9 +344,7 @@ def _closed_forms(spec: SystemSpec) -> dict:
     ka, la, mu, nu = spec.metric_params
     k, el, m, n = spec.potential_params
     tag = spec.tag
-    sq = lambda x: x**2
-    inv2 = lambda x: x**-2
-    ident = lambda x: x
+    sq, inv2, ident = _POW[2], _POW[-2], _ident
 
     if tag == "I1":
         def F_of(c2, c1, c0):
@@ -305,11 +354,11 @@ def _closed_forms(spec: SystemSpec) -> dict:
             return _terms((-c2, sq), (cmu, inv2), (0.5 * c0, _one))
 
         def Ft(c2, c1, cmu, c0):
-            return _terms((c2 / 256.0, lambda u: u**6), (c1 / 128.0, lambda u: u**4),
+            return _terms((c2 / 256.0, _POW[6]), (c1 / 128.0, _POW[4]),
                           (c0 / 16.0, sq), (-cmu, inv2))
 
         def Gt(c2, c1, cmu, c0):
-            return _terms((-c2 / 256.0, lambda v: v**6), (-c1 / 128.0, lambda v: v**4),
+            return _terms((-c2 / 256.0, _POW[6]), (-c1 / 128.0, _POW[4]),
                           (-c0 / 16.0, sq), (cmu, inv2))
 
         return dict(
@@ -327,11 +376,16 @@ def _closed_forms(spec: SystemSpec) -> dict:
             return _terms((-c2, sq), (cinv, inv2), (0.5 * c0, _one))
 
         def Ft(c2, c0):
-            return _terms((4.0 * c2, lambda u: exp(2.0 * u)), (c0, exp))
+            return _terms((4.0 * c2, _exp2), (c0, _exp))
+
+        def plus(v, memo=None):
+            return _at(memo, _exp, v) / (1.0 + _at(memo, _exp, v))**2
+
+        def minus(v, memo=None):
+            return _at(memo, _exp, v) / (_at(memo, _exp, v) - 1.0)**2
 
         def Gt(c1, cmu):
-            return _terms((c1, lambda v: exp(v) / (1.0 + exp(v))**2),
-                          (cmu, lambda v: exp(v) / (exp(v) - 1.0)**2))
+            return _terms((c1, plus), (cmu, minus))
 
         return dict(
             F=F_of(la, ka, nu), G=G_of(la, mu, nu),
@@ -341,14 +395,26 @@ def _closed_forms(spec: SystemSpec) -> dict:
         )
 
     if tag == "I3":
+        def den(u, memo=None):
+            return (_at(memo, _exp2, u) - 1.0)**2
+
+        def even(u, memo=None):
+            return _at(memo, _exp2, u) / _at(memo, den, u)
+
+        def odd(u, memo=None):
+            return _at(memo, _exp, u) * (1.0 + _at(memo, _exp2, u)) / _at(memo, den, u)
+
         def FG(ca, cb):
-            return _terms(
-                (ca, lambda u: exp(2.0 * u) / (exp(2.0 * u) - 1.0)**2),
-                (cb, lambda u: exp(u) * (1.0 + exp(2.0 * u)) / (exp(2.0 * u) - 1.0)**2))
+            return _terms((ca, even), (cb, odd))
+
+        def tan2(u, memo=None):
+            return _at(memo, _tan, u)**2
+
+        def cot2(u, memo=None):
+            return _at(memo, _tan, u)**-2
 
         def Ft(ca, cc, cd):
-            return _terms((ca, lambda u: tan(u)**2), (cc, lambda u: tan(u)**-2),
-                          (cd, _one))
+            return _terms((ca, tan2), (cc, cot2), (cd, _one))
 
         return dict(
             F=FG(ka, la), G=FG(mu, nu),
@@ -375,20 +441,18 @@ def _closed_forms(spec: SystemSpec) -> dict:
         )
 
     if tag == "II2":
-        rsqrt = lambda e: sqrt(e)**-1
-
         def F_of(ci, c0):
-            return _terms((ci, rsqrt), (c0, _one))
+            return _terms((ci, _rsqrt), (c0, _one))
 
         def G_of(ci, c0, cmu, cn):
-            return _terms((3.0 * ci, sqrt), (c0, ident), (cmu, rsqrt), (cn, _one))
+            return _terms((3.0 * ci, _sqrt), (c0, ident), (cmu, _rsqrt), (cn, _one))
 
         def Ft(c4, c3, c2, c1):
-            return _terms((c4 / 128.0, lambda u: u**4), (c3 / 16.0, lambda u: u**3),
+            return _terms((c4 / 128.0, _POW[4]), (c3 / 16.0, _POW[3]),
                           (c2 / 16.0, sq), (c1 / 4.0, ident))
 
         def Gt(c4, c3, c2, c1):
-            return _terms((-c4 / 128.0, lambda v: v**4), (c3 / 16.0, lambda v: v**3),
+            return _terms((-c4 / 128.0, _POW[4]), (c3 / 16.0, _POW[3]),
                           (-c2 / 16.0, sq), (c1 / 4.0, ident))
 
         return dict(
@@ -396,19 +460,19 @@ def _closed_forms(spec: SystemSpec) -> dict:
             f_pot=F_of(k, el), g_pot=G_of(k, el, m, n),
             F_tilde=Ft(la, ka, nu, mu), G_tilde=Gt(la, ka, nu, mu),
             f_tilde=Ft(el, k, n, m), g_tilde=Gt(el, k, n, m),
-            intF=_terms((2.0 * ka, sqrt), (la, ident)),
-            intf=_terms((2.0 * k, sqrt), (el, ident)),
+            intF=_terms((2.0 * ka, _sqrt), (la, ident)),
+            intf=_terms((2.0 * k, _sqrt), (el, ident)),
         )
 
     # II3
     def F_of(c1, c3):
-        return _terms((c1, ident), (c3, lambda e: e**-3))
+        return _terms((c1, ident), (c3, _POW[-3]))
 
     def G_of(c0, c2):
         return _terms((c0, _one), (c2, inv2))
 
     def Ft(ca, cb):
-        return _terms((ca, lambda u: exp(2.0 * u)), (cb, exp))
+        return _terms((ca, _exp2), (cb, _exp))
 
     return dict(
         F=F_of(la, ka), G=G_of(nu, mu),
@@ -445,7 +509,7 @@ def _liouville_form(p1, p2, F, G, f, g):
             + 4.0 * (f * G - g * F) / m)
 
 
-def _a_form(fns, eta, p_xi, p_eta, metric, potential):
+def _a_form(fns, eta, p_xi, p_eta, metric, potential, memo=None):
     """A from the metric and potential pairs ``(F, G, g)`` and ``(f, g_pot, w)``.
 
     Liouville form for Class I; Lie form with the antiderivatives ``intF``
@@ -455,21 +519,21 @@ def _a_form(fns, eta, p_xi, p_eta, metric, potential):
     f, g_pot, w = potential
     if _class_one(fns.tag):
         return _liouville_form(p_xi, p_eta, F, G, f, g_pot)
-    beta = fns.intF(eta)
+    beta = fns.intF(eta, memo)
     return (p_xi**2
             - 2.0 * p_xi * p_eta * beta / g
             - 2.0 * w * beta / g
-            + 2.0 * fns.intf(eta))
+            + 2.0 * fns.intf(eta, memo))
 
 
-def _b_form(fns, xi, eta, p_xi, p_eta):
+def _b_form(fns, xi, eta, p_xi, p_eta, memo=None):
     """B: the Liouville form of the tilde functions in the (X, Y) coordinates."""
-    X, Y = fns.X_of_xi(xi), fns.X_of_xi(eta)
-    pX = fns.sqrtA(xi) * p_xi
-    pY = fns.sqrtA(eta) * p_eta
+    X, Y = fns.X_of_xi(xi, memo), fns.X_of_xi(eta, memo)
+    pX = _at(memo, fns.sqrtA, xi) * p_xi    # sqrt(A) may be X's own basis
+    pY = _at(memo, fns.sqrtA, eta) * p_eta
     U, V = X + Y, X - Y
-    return _liouville_form(pX, pY, fns.F_tilde(U), fns.G_tilde(V),
-                           fns.f_tilde(U), fns.g_tilde(V))
+    return _liouville_form(pX, pY, fns.F_tilde(U, memo), fns.G_tilde(V, memo),
+                           fns.f_tilde(U, memo), fns.g_tilde(V, memo))
 
 
 def hamiltonian(spec: SystemSpec, enforce_min_g: bool = True) -> Observable:
@@ -491,8 +555,9 @@ def integral_A(spec: SystemSpec) -> Observable:
     fns = build_fns(spec)
 
     def fn(xi, eta, p_xi, p_eta):
-        return _a_form(fns, eta, p_xi, p_eta, fns.pair(fns.F, fns.G, xi, eta),
-                       fns.pair(fns.f_pot, fns.g_pot, xi, eta))
+        args = fns.arguments(xi, eta)
+        return _a_form(fns, eta, p_xi, p_eta, fns.pair(fns.F, fns.G, xi, args),
+                       fns.pair(fns.f_pot, fns.g_pot, xi, args))
 
     return Observable(fn, label="A")
 
@@ -516,22 +581,30 @@ def integrals(spec: SystemSpec, order: int = 2) -> Callable[[PhasePoint], tuple]
 
     The closed forms are built once, and H and A share the metric and
     potential pairs (g and w; for Class I also F(u), G(v), f(u), g(v)).
-    They run on (xi, eta) jets, lifted to four variables where a momentum
-    enters.  The jets equal the ``eval`` of :func:`hamiltonian`,
-    :func:`integral_A` and :func:`integral_B` bit for bit, and the first
-    ``DomainError`` is the one the three would raise in that order.  A
-    caller that reads no Hessian asks for ``order`` 1.
+    Each call keeps one memo (see :func:`_at`), dropped when it returns,
+    so each basis function runs once per argument jet: F and f share
+    theirs at u, G and g at v, the tilde functions at U and V, and in
+    Class II F, G, f, g, intF, intf, X and sqrt(A) share theirs at eta.
+    The memo fills as the forms ask: F(u), G(v), the metric guard, f(u),
+    g(v), then A's and B's own terms.  The forms run on (xi, eta) jets,
+    lifted to four variables where a momentum enters.  The jets equal the
+    ``eval`` of :func:`hamiltonian`, :func:`integral_A` and
+    :func:`integral_B` bit for bit, and the first ``DomainError`` is the
+    one the three would raise in that order.  A caller that reads no
+    Hessian asks for ``order`` 1.
     """
     fns = build_fns(spec)
 
     def evaluate(point: PhasePoint):
         xi, eta, p_xi, p_eta = seed_phase(point, order)
-        metric = fns.pair(fns.F, fns.G, xi, eta)
+        memo = {}
+        args = fns.arguments(xi, eta)
+        metric = fns.pair(fns.F, fns.G, xi, args, memo)
         _guard_metric(metric[2])
-        potential = fns.pair(fns.f_pot, fns.g_pot, xi, eta)
+        potential = fns.pair(fns.f_pot, fns.g_pot, xi, args, memo)
         return (_h_form(p_xi, p_eta, metric[2], potential[2]),
-                _a_form(fns, eta, p_xi, p_eta, metric, potential),
-                _b_form(fns, xi, eta, p_xi, p_eta))
+                _a_form(fns, eta, p_xi, p_eta, metric, potential, memo),
+                _b_form(fns, xi, eta, p_xi, p_eta, memo))
 
     return evaluate
 
@@ -768,13 +841,32 @@ def algebra_constants(spec: SystemSpec, E: float) -> AlgebraConstants:
 # Sampling
 
 
+def _screen(fns, xi, eta, require_tilde):
+    """Which of the points (xi, eta) have ``|g| >= MIN_ABS_G`` and, with
+    ``require_tilde``, ``|F~ + G~| >= MIN_ABS_G``, both finite; the tilde
+    metric is evaluated only where g passes."""
+    with np.errstate(all="ignore"):
+        g = fns.metric(xi, eta)
+        ok = (np.abs(g) >= MIN_ABS_G) & np.isfinite(g)
+        if require_tilde:
+            idx = np.flatnonzero(ok)
+            gt = fns.tilde_metric(xi[idx], eta[idx])
+            ok[idx] = (np.abs(gt) >= MIN_ABS_G) & np.isfinite(gt)
+    return ok
+
+
 def sample_points(spec: SystemSpec, n: int, rng, require_tilde: bool = True) -> PhasePoint:
     """Draw ``n`` phase points from the class domain by rejection.
 
     Points satisfy all exclusions, ``|g| >= MIN_ABS_G`` and (when the
     class defines a recoordinatized metric) ``|F~ + G~| >= MIN_ABS_G``.
-    Raises :class:`SamplingError` when more than 90% of candidates are
-    rejected, and ``ValueError`` when ``n`` is below 1.
+    Candidates are drawn in batches of ``max(4 n, 256)``; the metrics are
+    evaluated only on those that pass the exclusions, in draw order and in
+    blocks sized from the points still needed and the share kept so far,
+    and screening stops at the ``n``-th kept point.  The points are those
+    of screening every candidate, in the same order.  Raises
+    :class:`SamplingError` when more than 90% of candidates are rejected,
+    and ``ValueError`` when ``n`` is below 1.
     """
     if n < 1:
         raise ValueError(f"need at least one sample point, got n={n}")
@@ -783,6 +875,7 @@ def sample_points(spec: SystemSpec, n: int, rng, require_tilde: bool = True) -> 
     out = []
     total = 0
     accepted = 0
+    screened = 0
     batch = max(4 * n, 256)
     max_candidates = max(20 * n, 4000)
     while accepted < n and total < max_candidates:
@@ -790,18 +883,17 @@ def sample_points(spec: SystemSpec, n: int, rng, require_tilde: bool = True) -> 
         eta = rng.uniform(*dom.eta_range, size=batch)
         p_xi = rng.uniform(*MOMENTUM_RANGE, size=batch)
         p_eta = rng.uniform(*MOMENTUM_RANGE, size=batch)
-        ok = dom.admits(xi, eta)
-        with np.errstate(all="ignore"):
-            g = np.where(ok, fns.metric(xi, eta), np.inf)
-            ok &= np.abs(g) >= MIN_ABS_G
-            ok &= np.isfinite(g)
-            if require_tilde:
-                gt = np.where(ok, fns.tilde_metric(np.where(ok, xi, 1.0), np.where(ok, eta, 1.0)), np.inf)
-                ok &= np.abs(gt) >= MIN_ABS_G
-                ok &= np.isfinite(gt)
         total += batch
-        accepted += int(ok.sum())
-        out.append(np.stack([xi[ok], eta[ok], p_xi[ok], p_eta[ok]]))
+        todo = np.flatnonzero(dom.admits(xi, eta))
+        while todo.size and accepted < n:
+            need = n - accepted
+            # enough for ``need`` at the share kept so far, with a margin
+            size = need * (screened + 1) // (accepted + 1) + need // 4 + 16
+            block, todo = todo[:size], todo[size:]
+            keep = block[_screen(fns, xi[block], eta[block], require_tilde)]
+            screened += block.size
+            accepted += keep.size
+            out.append(np.stack([xi[keep], eta[keep], p_xi[keep], p_eta[keep]]))
     if accepted < n:
         raise SamplingError(
             f"domain for {spec.tag} rejected {100.0 * (1 - accepted / max(total, 1)):.1f}% "

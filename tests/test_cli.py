@@ -239,3 +239,26 @@ def test_negative_e_notation_reaches_the_flags_own_check(capsys):
 ])
 def test_unknown_or_missing_values_still_exit_2(argv):
     assert main(argv) == 2
+
+
+def test_pinned_defaults_come_from_their_modules(monkeypatch):
+    from superint import dynamics, geometry, poisson
+
+    # `linear` judges {H, L} against the bound the catalog rows use
+    monkeypatch.setattr(geometry, "TOL_LINEAR", 3e-9)
+    parser = build_parser()
+    assert parser.parse_args(["linear", "--class", "I1"]).tol_bracket == 3e-9
+    assert parser.parse_args(["verify", "--class", "I1"]).tol_bracket == poisson.TOL_BRACKET
+    ns = parser.parse_args(["trajectory", "--class", "I1", "--initial", "1,1,0,0"])
+    assert ns.rel_tol is dynamics.REL_TOL and ns.abs_tol is dynamics.ABS_TOL
+
+
+def test_spec_flags_are_the_wire_names():
+    from superint.catalog import PARAM_NAMES
+    from superint.cli import _spec_from_args
+    from superint.systems import SystemSpec
+
+    argv = ["verify", "--class", "II2"]
+    for i, name in enumerate(PARAM_NAMES):
+        argv += [f"--{name}", str(i + 1)]
+    assert _spec_from_args(build_parser().parse_args(argv)) == SystemSpec("II2", *range(1, 9))

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from superint import jets
 from superint.errors import DomainError, SamplingError
 from superint.jets import Jet2, PhasePoint, jet_seed
-from superint.systems import (CLASS_TAGS, MIN_ABS_G, SystemSpec, algebra_constants,
-                              build_fns, characteristic_residual, hamiltonian,
-                              integral_A, integral_B, integrals, metric_observable,
-                              sample_points, spec_from_dict,
-                              spec_to_dict, structural_pde_residual)
+from superint.systems import (CLASS_TAGS, MIN_ABS_G, MOMENTUM_RANGE, SystemSpec,
+                              algebra_constants, build_fns, characteristic_residual,
+                              hamiltonian, integral_A, integral_B, integrals,
+                              metric_observable, sample_domain, sample_points,
+                              spec_from_dict, spec_to_dict, structural_pde_residual)
 
 GENERIC = dict(kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1, m=0.2, n=1.0)
 
@@ -136,14 +137,48 @@ def test_shared_pass_equals_four_variable_jets(tag):
 
 
 def test_shared_pass_raises_the_metric_error():
-    spec = SystemSpec("II1", nu=1e-4)   # g = 1e-4 everywhere, below MIN_ABS_G
-    pt = PhasePoint(1.0, 1.0, 0.5, 0.5)
-    with pytest.raises(DomainError) as shared:
-        integrals(spec)(pt)
-    with pytest.raises(DomainError) as separate:
-        hamiltonian(spec).eval(pt)
-    assert shared.value.primitive == separate.value.primitive == "metric"
-    assert str(shared.value) == str(separate.value)
+    cases = [
+        (SystemSpec("II1", nu=1e-4), PhasePoint(1.0, 1.0, 0.5, 0.5)),  # g = 1e-4 everywhere
+        # g = 0, and f = 1/sqrt(eta) raises at eta < 0: the guard must come first
+        (SystemSpec("II2", k=1.0), PhasePoint(1.0, -0.5, 0.5, 0.5)),
+    ]
+    for spec, pt in cases:
+        for order in (2, 1):
+            with pytest.raises(DomainError) as shared:
+                integrals(spec, order)(pt)
+            with pytest.raises(DomainError) as separate:
+                hamiltonian(spec).eval(pt, order)
+            assert shared.value.primitive == separate.value.primitive == "metric"
+            assert str(shared.value) == str(separate.value)
+
+
+_PRIMITIVES = ("exp", "tan", "sqrt", "log", "arctan", "__pow__")
+
+
+@pytest.mark.parametrize("order", [2, 1])
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_shared_pass_applies_each_primitive_once_per_jet(tag, order, monkeypatch):
+    # the calls list holds every operand, so no id is reused during the pass
+    calls = []
+
+    def spy(name):
+        rule = getattr(jets._Jet, name)
+
+        def wrapped(self, *args):
+            calls.append((name, self, args))
+            return rule(self, *args)
+
+        return wrapped
+
+    spec = SystemSpec(tag, **GENERIC)
+    pts = sample_points(spec, 64, np.random.default_rng(24))
+    evaluate = integrals(spec, order)
+    for name in _PRIMITIVES:
+        monkeypatch.setattr(jets._Jet, name, spy(name))
+    evaluate(pts)
+    monkeypatch.undo()
+    keys = [(name, id(jet), args) for name, jet, args in calls]
+    assert calls and len(set(keys)) == len(keys)
 
 
 def test_order_one_pass_raises_the_metric_error_of_order_two():
@@ -342,6 +377,91 @@ def test_spec_from_dict_rejects_bad_docs():
 
 
 # -- sampling ---------------------------------------------------------------
+
+
+def _eager_sample_points(spec, n, rng, require_tilde=True):
+    """The reference: every candidate of a batch is screened on g and the
+    tilde metric before the kept ones are taken."""
+    dom = sample_domain(spec)
+    fns = build_fns(spec)
+    out = []
+    total = 0
+    accepted = 0
+    batch = max(4 * n, 256)
+    max_candidates = max(20 * n, 4000)
+    while accepted < n and total < max_candidates:
+        xi = rng.uniform(*dom.xi_range, size=batch)
+        eta = rng.uniform(*dom.eta_range, size=batch)
+        p_xi = rng.uniform(*MOMENTUM_RANGE, size=batch)
+        p_eta = rng.uniform(*MOMENTUM_RANGE, size=batch)
+        ok = dom.admits(xi, eta)
+        with np.errstate(all="ignore"):
+            g = np.where(ok, fns.metric(xi, eta), np.inf)
+            ok &= np.abs(g) >= MIN_ABS_G
+            ok &= np.isfinite(g)
+            if require_tilde:
+                gt = np.where(ok, fns.tilde_metric(np.where(ok, xi, 1.0), np.where(ok, eta, 1.0)), np.inf)
+                ok &= np.abs(gt) >= MIN_ABS_G
+                ok &= np.isfinite(gt)
+        total += batch
+        accepted += int(ok.sum())
+        out.append(np.stack([xi[ok], eta[ok], p_xi[ok], p_eta[ok]]))
+    if accepted < n:
+        raise SamplingError(
+            f"domain for {spec.tag} rejected {100.0 * (1 - accepted / max(total, 1)):.1f}% "
+            f"of {total} candidates (need {n} points); degenerate parameters?")
+    return np.concatenate(out, axis=1)[:, :n]
+
+
+class _CountingRng:
+    """A generator that counts its draws (four per batch of candidates)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def uniform(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+def _sample_outcome(sample, spec, n, seed, require_tilde):
+    """The points as an array, or the SamplingError text, and the batches drawn."""
+    rng = _CountingRng(seed)
+    try:
+        pts = sample(spec, n, rng, require_tilde=require_tilde)
+    except SamplingError as exc:
+        return str(exc), rng.draws // 4
+    return (pts if isinstance(pts, np.ndarray) else pts.as_array()), rng.draws // 4
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_lazy_screening_keeps_the_points_of_eager_screening(tag):
+    # parameters of order 1e-3 reject most candidates on |g|: for I3 and the
+    # Class II tags some of these draws take several batches, some raise
+    rng = np.random.default_rng(3)
+    specs = [SystemSpec(tag, **GENERIC), SystemSpec(tag)] + [
+        SystemSpec(tag, *rng.uniform(-2.0, 2.0, size=8) * 1e-3) for _ in range(4)]
+    kinds, batches = set(), set()
+    for spec in specs:
+        for n in (1, 7, 100, 2049):
+            for require_tilde in (True, False):
+                for seed in (0, 1):
+                    want, drawn = _sample_outcome(_eager_sample_points, spec, n, seed,
+                                                  require_tilde)
+                    got, lazy_drawn = _sample_outcome(sample_points, spec, n, seed,
+                                                      require_tilde)
+                    case = (spec, n, require_tilde, seed)
+                    assert lazy_drawn == drawn, case
+                    if isinstance(want, str):
+                        assert isinstance(got, str) and got == want, case
+                    else:
+                        assert not isinstance(got, str) and got.shape == want.shape, case
+                        assert np.array_equal(got, want), case
+                    kinds.add(type(want))
+                    batches.add(drawn)
+    assert kinds == {str, np.ndarray}
+    assert tag in ("I1", "I2") or max(batches) > 1
 
 
 def test_degenerate_spec_sampling_error():

@@ -33,7 +33,13 @@ The corpus is:
   digits;
 * ``verify_entry(...).to_dict()`` for every non-alias catalog row at two
   draws, so curvature means and deviations and linear residuals are
-  compared, not only statuses.
+  compared, not only statuses;
+* ``sample_points`` with and without ``require_tilde`` for the reference
+  specs and the random draws at 1, 7, 2049 and 20000 points, as the sha256
+  of the array bytes and the first and last points with 17 significant
+  digits, and for the all-zero spec of each class and six draws per class
+  with parameters of order 1e-3 (some need several batches, some raise) at
+  100 and 2049 points, with the ``SamplingError`` text where one is raised.
 
 It takes under a minute on one core.
 """
@@ -41,6 +47,7 @@ It takes under a minute on one core.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -192,6 +199,40 @@ def _closed_forms():
               _digits(build_fns(spec).tilde_metric(pts.xi, pts.eta)))
 
 
+SAMPLE_SIZES = (1, 7, 2049, 20000)
+LOW_SIZES = (100, 2049)
+
+
+def _low_acceptance():
+    """The all-zero spec and six draws with parameters of order 1e-3, per class."""
+    rng = np.random.default_rng(5)
+    for tag in CLASS_TAGS:
+        yield SystemSpec(tag)
+        yield from (SystemSpec(tag, *rng.uniform(-2.0, 2.0, size=8) * 1e-3)
+                    for _ in range(6))
+
+
+def _print_sample(spec, n, require_tilde):
+    try:
+        pts = sample_points(spec, n, np.random.default_rng(n), require_tilde=require_tilde)
+    except SamplingError as exc:
+        print(spec.tag, n, require_tilde, f"SamplingError: {exc}")
+        return
+    arr = pts.as_array()
+    print(spec.tag, n, require_tilde, hashlib.sha256(arr.tobytes()).hexdigest(),
+          _digits(arr[:, 0]), "|", _digits(arr[:, -1]))
+
+
+def _sampling():
+    for require_tilde in (True, False):
+        for spec in _specs():
+            for n in SAMPLE_SIZES:
+                _print_sample(spec, n, require_tilde)
+        for spec in _low_acceptance():
+            for n in LOW_SIZES:
+                _print_sample(spec, n, require_tilde)
+
+
 def _catalog():
     for table in catalog.TABLES:
         for entry in catalog.lookup(table=table, include_aliases=False):
@@ -218,3 +259,4 @@ if __name__ == "__main__":
     _geometry()
     _closed_forms()
     _catalog()
+    _sampling()
