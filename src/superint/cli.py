@@ -216,7 +216,7 @@ def _cmd_trajectory(args):
         raise ConfigError("--initial must be 'xi,eta,p_xi,p_eta'")
     if args.rel_tol == 0 and args.abs_tol == 0:
         raise ConfigError("--rel-tol and --abs-tol cannot both be 0")
-    point = clamp_energy(spec, PhasePoint(*vals))
+    point, scale = clamp_energy(spec, PhasePoint(*vals))
     traj = integrate(spec, point, t_end=args.t_end, rel_tol=args.rel_tol,
                      abs_tol=args.abs_tol)
     vals = conserved_values(spec, traj.points)
@@ -224,6 +224,8 @@ def _cmd_trajectory(args):
     rep = _drifts(vals)
     summary = {"status": traj.status, "steps": traj.stats,
                "drifts": {k: v["normalized"] for k, v in rep.items()}}
+    if scale != 1.0:
+        summary["momentum_scale"] = scale
     if traj.exit_time is not None:
         summary["exit_time"] = traj.exit_time
     sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
@@ -299,7 +301,9 @@ def build_parser():
     _add_spec_args(p)
     p.add_argument("--output", help="write the CSV to this path")
     p.set_defaults(fn=_cmd_trajectory)
-    p.add_argument("--initial", required=True, help="xi,eta,p_xi,p_eta")
+    p.add_argument("--initial", required=True,
+                   help="xi,eta,p_xi,p_eta; the momenta are scaled down when that "
+                        "brings |H| from above 10 to at most 10")
     p.add_argument("--t-end", type=_positive, default=10.0)
     p.add_argument("--rel-tol", type=_tolerance, default=REL_TOL)
     p.add_argument("--abs-tol", type=_tolerance, default=ABS_TOL)

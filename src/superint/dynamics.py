@@ -11,6 +11,10 @@ non-separable (p_xi p_eta / g coupling), so explicit symplectic
 splitting does not apply; tight tolerances substitute for structure
 preservation and conservation drift is the acceptance metric.
 
+The right-hand side is H's gradient, traced once per :func:`integrate`
+call (:func:`superint.jets.trace`) into straight-line float code that
+gives the Dual4 evaluation's floats and errors bit for bit.
+
 Integration stops early with a ``domain_exit`` status when the state
 leaves the class domain (pole-margin exclusions, positivity, metric
 magnitude), recording the exit time.
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StepFailure
-from .jets import Dual4, PhasePoint
+from .jets import PhasePoint, trace
 from .poisson import bracket_value, casimir_combination
 from .systems import (MIN_ABS_G, SystemSpec, algebra_constants, build_fns,
                       hamiltonian, integrals, sample_domain)
@@ -73,13 +77,12 @@ class Trajectory:
 
 
 def _rhs_fn(spec: SystemSpec):
-    H = hamiltonian(spec, enforce_min_g=False)
+    """Hamilton's equations at a state ``y``, from H's gradient traced once."""
+    dH = trace(hamiltonian(spec, enforce_min_g=False).fn)
 
     def rhs(y):
-        args = [Dual4.seed(y[i], i) for i in range(4)]
-        out = H.fn(*args)
-        d = out.d
-        return np.array([d[2], d[3], -d[0], -d[1]])
+        _, d0, d1, d2, d3 = dH(*y.tolist())
+        return np.array([d2, d3, -d0, -d1])
 
     return rhs
 
@@ -121,11 +124,11 @@ def integrate(spec: SystemSpec, initial: PhasePoint, t_end: float,
         raise ValueError("rel_tol and abs_tol cannot both be zero")
     fns = build_fns(spec)
     dom = sample_domain(spec)
-    rhs = _rhs_fn(spec)
 
     y = initial.as_array().astype(float).reshape(4)
     if not _in_domain(fns, dom, y):
         raise DomainError("initial", tuple(y), "initial state outside class domain")
+    rhs = _rhs_fn(spec)
 
     t = 0.0
     times = [0.0]
@@ -243,12 +246,21 @@ def _csv(traj, vals):
     return "\n".join(lines) + "\n"
 
 
-def clamp_energy(spec: SystemSpec, point: PhasePoint, max_abs_h: float = 10.0) -> PhasePoint:
-    """Scale momenta down until |H| <= max_abs_h (keeps step sizes sane)."""
+def clamp_energy(spec: SystemSpec, point: PhasePoint, max_abs_h: float = 10.0):
+    """``point`` with its momenta scaled until |H| <= max_abs_h, and the factor.
+
+    The momenta are multiplied by 0.7 up to 60 times, and the first state
+    with |H| <= max_abs_h is returned with the factor applied (1.0 when
+    ``point`` itself has it).  When no scaling gets there, e.g. when the
+    potential dominates H, ``point`` is returned as given, with factor 1.0.
+    Scaling keeps step sizes sane at the cost of a different trajectory.
+    """
     H = hamiltonian(spec, enforce_min_g=False)
     arr = point.as_array().astype(float).reshape(4)
-    for _ in range(60):
+    scale = 1.0
+    for _ in range(61):
         if abs(float(H.value(PhasePoint.from_array(arr)))) <= max_abs_h:
-            return PhasePoint.from_array(arr)
+            return PhasePoint.from_array(arr), scale
         arr[2:] *= 0.7
-    return PhasePoint.from_array(arr)
+        scale *= 0.7
+    return point, 1.0

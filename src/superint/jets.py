@@ -23,12 +23,18 @@ zero.  Its ``lift()`` pads it with zeros to the four-variable layout, and
 seeds the coordinates in two variables and the momenta in four.
 
 A :class:`Dual4` is the order-1 little sibling (value + gradient, plain
-Python floats) used where only first derivatives are needed at scalar
-points and per-call overhead matters, e.g. inside the ODE right-hand side.
+Python floats) for first derivatives at one scalar point.
 
 Both share one derivative rule per primitive (f, f' and f'' at the value);
 each applies the chain rule to its own storage, and both raise the same
 :class:`DomainError` outside a primitive's domain, NaN included.
+
+:func:`trace` runs a function once through Dual4's rules on symbolic
+floats, records every float operation and domain check in order, and
+compiles them into a straight-line function of four floats that returns
+the value and gradient, bit for bit as the Dual4 evaluation would.  The
+ODE right-hand side, which evaluates H's gradient thousands of times per
+trajectory, calls that function instead of building Dual4 numbers.
 
 :func:`fd_derivatives` is the independent finite-difference oracle used to
 cross-check jet propagation.
@@ -51,6 +57,7 @@ __all__ = [
     "CoordJet",
     "Dual4",
     "Observable",
+    "trace",
     "jet_seed",
     "seed_phase",
     "fd_derivatives",
@@ -372,7 +379,11 @@ _FLOAT_MATH = SimpleNamespace(sqrt=math.sqrt, exp=math.exp, log=math.log,
 
 
 class Dual4(_Jet):
-    """Order-1 forward-mode number over the 4 phase variables (scalar only)."""
+    """Order-1 forward-mode number over the 4 phase variables (scalar only).
+
+    The storage arithmetic builds ``type(self)``, so that :func:`trace`'s
+    subclass stays itself through every rule.
+    """
 
     __slots__ = ("val", "d")
     _m = _FLOAT_MATH
@@ -393,33 +404,33 @@ class Dual4(_Jet):
     def __add__(self, other):
         if isinstance(other, Dual4):
             a, b = self.d, other.d
-            return Dual4(self.val + other.val,
-                         (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
-        return Dual4(self.val + other, self.d)
+            return type(self)(self.val + other.val,
+                              (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
+        return type(self)(self.val + other, self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Dual4):
             a, b = self.d, other.d
-            return Dual4(self.val - other.val,
-                         (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
-        return Dual4(self.val - other, self.d)
+            return type(self)(self.val - other.val,
+                              (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
+        return type(self)(self.val - other, self.d)
 
     def __rsub__(self, other):
         a = self.d
-        return Dual4(other - self.val, (-a[0], -a[1], -a[2], -a[3]))
+        return type(self)(other - self.val, (-a[0], -a[1], -a[2], -a[3]))
 
     def __neg__(self):
         a = self.d
-        return Dual4(-self.val, (-a[0], -a[1], -a[2], -a[3]))
+        return type(self)(-self.val, (-a[0], -a[1], -a[2], -a[3]))
 
     def __mul__(self, other):
         if isinstance(other, Dual4):
             u, v = self.val, other.val
             a, b = self.d, other.d
-            return Dual4(u * v, (a[0] * v + b[0] * u, a[1] * v + b[1] * u,
-                                 a[2] * v + b[2] * u, a[3] * v + b[3] * u))
+            return type(self)(u * v, (a[0] * v + b[0] * u, a[1] * v + b[1] * u,
+                                      a[2] * v + b[2] * u, a[3] * v + b[3] * u))
         return self._chain(self.val * other, other)
 
     __rmul__ = __mul__
@@ -428,7 +439,7 @@ class Dual4(_Jet):
         return self._chain(self.val / c, 1.0 / c)
 
     def _one(self):
-        return Dual4(1.0)
+        return type(self)(1.0)
 
     def _require(self, ok, primitive):
         if not ok:
@@ -437,7 +448,118 @@ class Dual4(_Jet):
     def _chain(self, f, f1, f2=None):
         """First-order chain rule; the second derivative is not carried."""
         a, b, c, e = self.d
-        return Dual4(f, (f1 * a, f1 * b, f1 * c, f1 * e))
+        return type(self)(f, (f1 * a, f1 * b, f1 * c, f1 * e))
+
+
+def _emit(fmt, reflected=False):
+    """A ``_Sym`` operator that appends ``fmt`` of its operands to the tape."""
+    if reflected:
+        return lambda a, b: a.tape.emit(fmt, b, a)
+    return lambda a, *b: a.tape.emit(fmt, a, *b)
+
+
+class _Sym:
+    """A float of one traced evaluation: a name in the code :func:`trace` emits.
+
+    Each arithmetic operation, comparison or math call with a ``_Sym``
+    operand appends one line to the tape and returns the ``_Sym`` of its
+    result.  An operation on constants alone never reaches it: Python runs
+    it at trace time, on the same objects, so it is folded exactly.  A
+    ``_Sym`` has no truth value, so a branch on a traced value fails the
+    trace instead of fixing one side of the branch.
+    """
+
+    __slots__ = ("tape", "name")
+    __array_ufunc__ = None  # so that np.float64 * sym reaches __rmul__
+
+    def __init__(self, tape, name):
+        self.tape, self.name = tape, name
+
+    def __bool__(self):
+        raise TypeError("a traced value has no truth value")
+
+    __add__, __radd__ = _emit("{} + {}"), _emit("{} + {}", reflected=True)
+    __sub__, __rsub__ = _emit("{} - {}"), _emit("{} - {}", reflected=True)
+    __mul__, __rmul__ = _emit("{} * {}"), _emit("{} * {}", reflected=True)
+    __truediv__, __rtruediv__ = _emit("{} / {}"), _emit("{} / {}", reflected=True)
+    __pow__ = _emit("{} ** {}")
+    __neg__ = _emit("-{}")
+    __gt__ = _emit("{} > {}")
+    __ne__ = _emit("{} != {}")
+
+
+class _Tape:
+    """The lines of one traced evaluation, in execution order, and the
+    namespace they run in.  A constant operand is bound by object under a
+    name of its own, so it keeps its type (float, np.float64, int) and its
+    sign."""
+
+    def __init__(self):
+        self.lines = []
+        self.env = {"DomainError": DomainError}
+        self._bound = {}  # id of a bound constant -> its name; env keeps it alive
+
+    def ref(self, x):
+        if isinstance(x, _Sym):
+            return x.name
+        name = self._bound.get(id(x))
+        if name is None:
+            name = self._bound[id(x)] = f"c{len(self._bound)}"
+            self.env[name] = x
+        return name
+
+    def emit(self, fmt, *args):
+        """Append ``t<k> = fmt(args)`` and return the ``_Sym`` of ``t<k>``."""
+        out = _Sym(self, f"t{len(self.lines)}")
+        self.lines.append(f"{out.name} = " + fmt.format(*map(self.ref, args)))
+        return out
+
+    def guard(self, ok, primitive, value):
+        """Append the check that raises Dual4's ``DomainError`` unless ``ok``."""
+        self.lines.append(f"if not {ok.name}: raise DomainError("
+                          f"{self.ref(primitive)}, float({self.ref(value)}))")
+
+
+def _traced_call(fn):
+    return lambda x: x.tape.emit("{}({})", fn, x) if isinstance(x, _Sym) else fn(x)
+
+
+class _TraceDual(Dual4):
+    """A :class:`Dual4` over traced floats: Dual4's own rules, recorded.
+
+    Its math namespace records each call, and a domain check on a traced
+    value becomes a guard that raises Dual4's ``DomainError``.
+    """
+
+    __slots__ = ()
+    _m = SimpleNamespace(**{k: _traced_call(f) for k, f in vars(_FLOAT_MATH).items()})
+
+    def _require(self, ok, primitive):
+        if isinstance(ok, _Sym):
+            ok.tape.guard(ok, primitive, self.val)
+        else:
+            Dual4._require(self, ok, primitive)
+
+
+def trace(fn):
+    """``fn`` at one scalar point, compiled to straight-line code.
+
+    ``fn`` takes four numbers, as an :class:`Observable`'s does, and returns
+    a :class:`Dual4` of them.  It runs once, on traced floats, through
+    Dual4's rules; the result is a function of four floats that returns
+    ``(value, d/dxi, d/deta, d/dp_xi, d/dp_eta)``, each the float that
+    ``fn`` on :meth:`Dual4.seed` arguments gives, bit for bit, signed zeros
+    included.  It replays every float operation of that evaluation in its
+    order, so it raises where the Dual4 evaluation raises, with the same
+    exception.  An operation on constants alone runs once, at trace time.
+    """
+    tape = _Tape()
+    out = fn(*[_TraceDual(_Sym(tape, f"a{var}"), Dual4.seed(0.0, var).d)
+               for var in range(4)])
+    ret = ", ".join(map(tape.ref, (out.val, *out.d)))
+    body = "\n    ".join([*tape.lines, f"return {ret}"])
+    exec(f"def traced(a0, a1, a2, a3):\n    {body}\n", tape.env)
+    return tape.env["traced"]
 
 
 # Generic math entry points so the same formula code runs on Jet2, Dual4

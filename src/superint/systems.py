@@ -292,11 +292,6 @@ def _terms(*pairs):
     (c0, f0), rest = active[0], active[1:]
 
     def fn(x, memo=None):
-        if memo is None:    # direct calls: the flow's right-hand side runs this per stage
-            out = c0 * f0(x)
-            for c, f in rest:
-                out = out + c * f(x)
-            return out
         out = c0 * _at(memo, f0, x)
         for c, f in rest:
             out = out + c * _at(memo, f, x)

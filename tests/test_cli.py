@@ -97,6 +97,9 @@ def test_tables_t3_summary():
     assert all(row["status"] == "verified" for row in doc["rows"])
 
 
+TRAJECTORY = ["trajectory", "--class", "II2", "--nu", "2", "--initial", "1,1,0.7,0.6"]
+
+
 def test_trajectory_csv(tmp_path):
     out = tmp_path / "traj.csv"
     r = run("trajectory", "--class", "II2", "--kappa", "0.3", "--nu", "2",
@@ -108,6 +111,25 @@ def test_trajectory_csv(tmp_path):
     assert len(lines) > 2
     summary = json.loads(r.stderr)
     assert summary["status"] == "completed"
+
+
+@pytest.mark.parametrize("argv, momenta, scale", [
+    # H = 22.9 from the momenta: scaled twice by 0.7, and the summary says so
+    (["trajectory", "--class", "II2", "--kappa", "0.3", "--nu", "2", "--k", "0.3",
+      "--n", "0.2", "--initial", "1,1,9,8"], (9.0 * 0.7 * 0.7, 8.0 * 0.7 * 0.7), 0.7 * 0.7),
+    # H = 272.9 from the potential: no scaling reaches 10, the state is kept
+    (["trajectory", "--class", "II1", "--k", "500", "--nu", "1", "--mu", "1",
+      "--initial", "1,1.2,0.6,0.7"], (0.6, 0.7), None),
+    (TRAJECTORY, (0.7, 0.6), None),
+])
+def test_trajectory_integrates_the_initial_state_it_reports(argv, momenta, scale,
+                                                             tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main([*argv, "--t-end", "1", "--output", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().err)
+    assert summary.get("momentum_scale") == scale
+    first = out.read_text().split("\n")[1].split(",")
+    assert (float(first[3]), float(first[4])) == momenta
 
 
 def test_trajectory_bad_initial_exits_2():
@@ -163,9 +185,6 @@ def test_non_positive_counts_exit_2(argv, capsys):
     # a count of zero checks nothing: it is a configuration error, not a pass
     assert main(argv) == 2
     assert "must be at least 1" in capsys.readouterr().err
-
-
-TRAJECTORY = ["trajectory", "--class", "II2", "--nu", "2", "--initial", "1,1,0.7,0.6"]
 
 
 @pytest.mark.parametrize("flags", [

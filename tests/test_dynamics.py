@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from superint import dynamics
 from superint.errors import DomainError
-from superint.jets import PhasePoint, norm_residual
+from superint.jets import Dual4, PhasePoint, norm_residual, trace
 from superint.poisson import TOL_NESTED
-from superint.systems import SystemSpec, algebra_constants
+from superint.systems import CLASS_TAGS, SystemSpec, algebra_constants, hamiltonian
 from superint.dynamics import (clamp_energy, conserved_values, drift_report,
                                integrate, trajectory_csv)
 
@@ -149,10 +151,27 @@ def test_trajectory_csv_format():
 
 def test_clamp_energy():
     spec = SystemSpec("II1", kappa=1.0, k=1.0)
-    pt = clamp_energy(spec, PhasePoint(1.0, 1.0, 30.0, 30.0))
-    from superint.systems import hamiltonian
-
+    pt, scale = clamp_energy(spec, PhasePoint(1.0, 1.0, 30.0, 30.0))
     assert abs(float(hamiltonian(spec).value(pt))) <= 10.0
+    assert 0.0 < scale < 1.0
+
+
+def test_clamp_energy_reports_the_scale_it_applies():
+    # H = 22.9: two reductions by 0.7 reach |H| <= 10
+    spec = SystemSpec("II2", kappa=0.3, nu=2.0, k=0.3, n=0.2)
+    pt, scale = clamp_energy(spec, PhasePoint(1.0, 1.0, 9.0, 8.0))
+    assert scale == 0.7 * 0.7
+    assert (float(pt.p_xi), float(pt.p_eta)) == (9.0 * 0.7 * 0.7, 8.0 * 0.7 * 0.7)
+    assert (float(pt.xi), float(pt.eta)) == (1.0, 1.0)
+
+
+def test_clamp_energy_keeps_a_state_that_scaling_cannot_bring_down():
+    # H = 272.9 comes from the potential: no momentum scaling reaches 10
+    spec = SystemSpec("II1", mu=1.0, nu=1.0, k=500.0)
+    y0 = PhasePoint(1.0, 1.2, 0.6, 0.7)
+    pt, scale = clamp_energy(spec, y0)
+    assert scale == 1.0
+    assert np.array_equal(pt.as_array(), y0.as_array())
 
 
 def test_step_failure_on_budget_exhaustion():
@@ -161,3 +180,74 @@ def test_step_failure_on_budget_exhaustion():
     spec, y0 = FIXED_PAIRS[0]
     with pytest.raises(StepFailure):
         integrate(spec, PhasePoint(*y0), t_end=10.0, rel_tol=1e-12, max_steps=3)
+
+
+# -- the traced right-hand side ---------------------------------------------
+
+
+def _dual_rhs_fn(spec):
+    """The reference: H's gradient from Dual4 numbers, evaluated per call."""
+    H = hamiltonian(spec, enforce_min_g=False)
+
+    def rhs(y):
+        args = [Dual4.seed(y[i], i) for i in range(4)]
+        out = H.fn(*args)
+        d = out.d
+        return np.array([d[2], d[3], -d[0], -d[1]])
+
+    return rhs
+
+
+def _outcome(fn, *args):
+    """``fn``'s result as (type, hex) per float, or the exception it raises."""
+    try:
+        return [(type(v), float.hex(v)) for v in fn(*args)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _dual_eval(fn, y):
+    out = fn(*[Dual4.seed(v, i) for i, v in enumerate(y)])
+    return (out.val, *out.d)
+
+
+_PARAM = st.one_of(st.sampled_from([0.0, 1.0, -0.5]), st.floats(-2.0, 2.0))
+_COMPONENT = st.one_of(st.floats(0.2, 2.0), st.floats(-3.0, 3.0), st.floats(-1e3, 1e3),
+                       st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf]))
+
+
+@given(tag=st.sampled_from(CLASS_TAGS), params=st.lists(_PARAM, min_size=8, max_size=8),
+       states=st.lists(st.tuples(*[_COMPONENT] * 4), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_traced_gradient_equals_the_dual4_evaluation(tag, params, states):
+    # same floats of the same types, signed zeros included, and where the
+    # Dual4 evaluation raises, the same exception with the same text
+    H = hamiltonian(SystemSpec(tag, *params), enforce_min_g=False)
+    traced = trace(H.fn)
+    for y in states:
+        assert _outcome(traced, *y) == _outcome(_dual_eval, H.fn, y), (tag, params, y)
+
+
+def test_traced_gradient_raises_the_dual4_errors():
+    # each kind of failure the integrator turns into a rejected step
+    cases = [(SystemSpec("I1", nu=2.0, mu=0.5), (1.0, 1.0, 0.5, 0.5)),   # pole
+             (SystemSpec("II2", nu=2.0, k=0.3), (1.0, -1.0, 0.5, 0.5)),  # sqrt < 0
+             (SystemSpec("II3", nu=2.0, m=0.2), (1.0, 0.0, 0.5, 0.5)),   # 0 ** -2
+             (SystemSpec("I3", nu=1.0, k=0.5), (1e3, 0.5, 0.5, 0.5))]    # exp overflow
+    kinds = set()
+    for spec, y in cases:
+        H = hamiltonian(spec, enforce_min_g=False)
+        want = _outcome(_dual_eval, H.fn, y)
+        assert _outcome(trace(H.fn), *y) == want
+        kinds.add(want[0])
+    assert kinds == {DomainError, ZeroDivisionError, OverflowError}
+
+
+@pytest.mark.parametrize("spec,y0", FIXED_PAIRS, ids=[s.tag for s, _ in FIXED_PAIRS])
+def test_fixed_pairs_integrate_as_with_the_dual4_rhs(spec, y0, monkeypatch):
+    traj = integrate(spec, PhasePoint(*y0), t_end=10.0)
+    monkeypatch.setattr(dynamics, "_rhs_fn", _dual_rhs_fn)
+    ref = integrate(spec, PhasePoint(*y0), t_end=10.0)
+    assert traj.times.tobytes() == ref.times.tobytes()
+    assert traj.states.tobytes() == ref.states.tobytes()
+    assert traj.stats == ref.stats and traj.status == ref.status

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from superint.errors import DomainError
 from superint.jets import (CoordJet, Dual4, Jet2, Observable, PhasePoint, arctan,
                            cos, exp, fd_derivatives, jet_seed, log, norm_residual,
-                           seed_phase, sin, sqrt, tan)
+                           seed_phase, sin, sqrt, tan, trace)
 
 
 def test_seed_xi():
@@ -239,6 +239,13 @@ def test_every_primitive_vs_oracle(name):
     assert norm_residual(j.hess, hess_fd).max() <= 1e-4
 
 
+_PLAIN_OPERANDS = [("sub", lambda x, e, p, q: x * p - 0.7),
+                   ("rsub", lambda x, e, p, q: 0.7 - x * q),
+                   ("neg", lambda x, e, p, q: -(e * p)),
+                   ("div", lambda x, e, p, q: (x * q) / 3.0),
+                   ("pow0", lambda x, e, p, q: (x * e) ** 0 + p)]
+
+
 def test_dual4_matches_jet_gradient():
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -250,16 +257,62 @@ def test_dual4_matches_jet_gradient():
         assert norm_residual(grad, j.grad).max() <= 1e-12
     # the storage arithmetic with a plain number, which no composition reaches
     pt = PhasePoint(0.9, 1.3, 0.6, -0.4)
-    for name, fn in [("sub", lambda x, e, p, q: x * p - 0.7),
-                     ("rsub", lambda x, e, p, q: 0.7 - x * q),
-                     ("neg", lambda x, e, p, q: -(e * p)),
-                     ("div", lambda x, e, p, q: (x * q) / 3.0),
-                     ("pow0", lambda x, e, p, q: (x * e) ** 0 + p)]:
+    for name, fn in _PLAIN_OPERANDS:
         obs = Observable(fn, name)
         val, grad = obs.dual(pt)
         j = obs.eval(pt)
         assert abs(val - float(j.val)) <= 1e-12 * (1 + abs(val)), name
         assert norm_residual(grad, j.grad).max() <= 1e-12, name
+
+
+def _outcome(fn, *args):
+    """``fn``'s result as (type, hex) per float, or the exception it raises."""
+    try:
+        return [(type(v), float.hex(v)) for v in fn(*args)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _dual_eval(fn, y):
+    out = fn(*[Dual4.seed(v, i) for i, v in enumerate(y)])
+    return (out.val, *out.d)
+
+
+_C, _Z = np.float64(0.3), np.float64(-0.0)
+
+
+def _numpy_constants(x, e, p, q):
+    # np.float64 operands on either side, a signed zero and an overflow
+    return (_C * x + e * _Z) * p / (x * 2 + _C) - q ** 2 + sqrt(e) * np.float64(1e300) * 1e10
+
+
+def _zero_operands(x, e, p, q):
+    # 0 * inf is NaN and 0 * -y is -0: a 0.0 operand is never folded away
+    return 0.0 * x + x * 0.0 + (x - x) * q + 1.0 * p
+
+
+def test_trace_replays_the_dual4_evaluation():
+    rng = np.random.default_rng(6)
+    fns = ([_random_observable(rng).fn for _ in range(60)]
+           + [fn for _, fn in _PLAIN_OPERANDS] + [_numpy_constants, _zero_operands])
+    points = [tuple(rng.uniform(-2.0, 2.0, size=4).tolist()) for _ in range(6)] + [
+        (0.9, 1.3, 0.6, -0.4), (-0.0, 0.0, np.inf, 1e308), (np.nan, 1.0, 0.0, -0.0),
+        (np.inf, 0.5, -0.0, 2.0)]
+    raised = set()
+    with np.errstate(all="ignore"):
+        for fn in fns:
+            traced = trace(fn)
+            for y in points:
+                want = _outcome(_dual_eval, fn, y)
+                assert _outcome(traced, *y) == want, (fn, y)
+                if isinstance(want, tuple):
+                    raised.add(want[0])
+    assert DomainError in raised
+
+
+def test_trace_refuses_a_branch_on_a_traced_value():
+    with pytest.raises(TypeError, match="no truth value"):
+        trace(lambda x, e, p, q: x if x.val > 0.0 else e)
 
 
 _COORD_OPS = {

@@ -23,6 +23,11 @@ The corpus is:
   writes to standard error;
 * the ``drift_report`` JSON of the five pinned trajectories, and
   ``conserved_values`` at each of their initial states alone;
+* the flow's right-hand side (``dynamics._rhs_fn``) with 17 significant
+  digits at the five pinned initial states, and at 20 sampled states and at
+  states outside the domain (poles, negative coordinates, |y| up to 1e3, NaN
+  and inf) of the reference specs and the random draws, with the exception
+  type and text where one is raised;
 * ``revolution_check`` in both coordinate systems, with the largest
   directional residuals behind it, and ``linear_integral_check`` for every
   sign and coordinate choice, on the six reference specs, the random draws
@@ -152,15 +157,50 @@ def _json(value):
     return json.dumps(value, sort_keys=True, default=lambda a: np.asarray(a).tolist())
 
 
-def _flow():
+def _pinned():
+    """The five pinned (spec, initial state) pairs, as the CLI reads them."""
     parser = cli.build_parser()
     for argv in TRAJECTORIES:
         ns = parser.parse_args(["trajectory", *argv])
-        spec = cli._spec_from_args(ns)
-        y0 = PhasePoint(*map(float, ns.initial.split(",")))
+        yield cli._spec_from_args(ns), tuple(map(float, ns.initial.split(",")))
+
+
+def _flow():
+    # every pinned state has |H| <= 10, so the CLI's energy clamping, which
+    # the CLI runs above go through, leaves it as it is
+    for spec, y0 in _pinned():
+        y0 = PhasePoint(*y0)
         print(_json(dynamics.conserved_values(spec, y0)))
-        traj = dynamics.integrate(spec, dynamics.clamp_energy(spec, y0), t_end=10.0)
+        traj = dynamics.integrate(spec, y0, t_end=10.0)
         print(_json(dynamics.drift_report(spec, traj)))
+
+
+def _outside(rng):
+    """States outside the flow's domain: poles, zeros, negative and large
+    coordinates, NaN and inf."""
+    inf, nan = float("inf"), float("nan")
+    fixed = [(1.0, 1.0, 0.5, 0.5), (1.0, -1.0, 0.5, 0.5), (0.0, 0.0, 0.5, 0.5),
+             (1.0, 0.0, 0.5, 0.5), (0.0, 1.0, -0.5, 0.5), (-1.0, -0.5, 0.5, 0.5),
+             (1e3, 1e3, 1e3, 1e3), (-1e3, 1e3, -1e3, 1e3), (1e3, 0.5, 0.5, 0.5),
+             (0.5, -1e3, 0.5, 0.5), (nan, 1.0, 0.5, 0.5), (1.0, 1.0, inf, 0.5),
+             (inf, 1.0, 0.5, 0.5)]
+    return fixed + [tuple(rng.uniform(-3.0, 3.0, size=4)) for _ in range(8)]
+
+
+def _rhs():
+    cases = [(spec, [y0]) for spec, y0 in _pinned()]
+    rng = np.random.default_rng(11)
+    for spec in _specs():
+        pts = sample_points(spec, 20, np.random.default_rng(7))
+        cases.append((spec, [tuple(y) for y in pts.as_array().T] + _outside(rng)))
+    for spec, states in cases:
+        rhs = dynamics._rhs_fn(spec)
+        for y in states:
+            try:
+                out = _digits(rhs(np.array(y, dtype=float)))
+            except Exception as exc:  # the integrator rejects a step on several types
+                out = f"{type(exc).__name__}: {exc}"
+            print(spec.tag, "rhs", _digits(y), "->", out)
 
 
 # specs with a revolution or linear-integral structure, as in CLI_RUNS
@@ -256,6 +296,7 @@ if __name__ == "__main__":
     _library()
     _cli()
     _flow()
+    _rhs()
     _geometry()
     _closed_forms()
     _catalog()
