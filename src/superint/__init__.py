@@ -12,7 +12,7 @@ linear-plus-quadratic families).
 from .errors import (ConstraintError, DomainError, IllConditioned,
                      SamplingError, StepFailure)
 from .jets import (Dual4, Jet2, Observable, PhasePoint, fd_derivatives,
-                   jet_seed, norm_residual)
+                   norm_residual)
 from .systems import (CLASS_TAGS, AlgebraConstants, SampleDomain, SystemFns,
                       SystemSpec, algebra_constants, build_fns,
                       characteristic_residual, constants_poly, hamiltonian,

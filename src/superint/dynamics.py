@@ -11,9 +11,22 @@ non-separable (p_xi p_eta / g coupling), so explicit symplectic
 splitting does not apply; tight tolerances substitute for structure
 preservation and conservation drift is the acceptance metric.
 
-The right-hand side is H's gradient, traced once per :func:`integrate`
-call (:func:`superint.jets.trace`) into straight-line float code that
-gives the Dual4 evaluation's floats and errors bit for bit.
+The step is compiled code.  Each spec's parts are built on first use and
+shared by every :func:`integrate` call on the same parameter bits (a small
+LRU cache, so a forward and a time-reversed run trace H once):
+
+* the right-hand side is H's gradient, traced (:func:`superint.jets.trace`)
+  into straight-line float code that gives the Dual4 evaluation's floats
+  and errors bit for bit;
+* the domain check runs on floats: the exclusion and positivity tests of
+  :class:`SampleDomain`, then g and the recoordinatized metric, whose
+  closed forms are traced with their numpy calls kept.
+
+The DP5(4) step itself, six stages, the 5th-order update and the error
+estimate on Python floats, is written once in :func:`_attempt` and
+compiled once with :func:`superint.jets.straight_line`; it calls the
+spec's gradient at each stage.  Its sums keep the order of operations of
+numpy's sums over 4-arrays, so every step is bit-identical to them.
 
 Integration stops early with a ``domain_exit`` status when the state
 leaves the class domain (pole-margin exclusions, positivity, metric
@@ -22,13 +35,15 @@ magnitude), recording the exit time.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, StepFailure
-from .jets import PhasePoint, trace
+from .jets import PhasePoint, one_call, straight_line, trace
 from .poisson import bracket_value, casimir_combination
 from .systems import (MIN_ABS_G, SystemSpec, algebra_constants, build_fns,
                       hamiltonian, integrals, sample_domain)
@@ -50,12 +65,12 @@ _A = [
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-_E = _B5 - _B4
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
 _MIN_DT = 1e-14
+_CACHED_SPECS = 16  # specs whose gradient and domain check are kept
 
 
 @dataclass(frozen=True)
@@ -76,32 +91,101 @@ class Trajectory:
         return self.times.size
 
 
-def _rhs_fn(spec: SystemSpec):
-    """Hamilton's equations at a state ``y``, from H's gradient traced once."""
-    dH = trace(hamiltonian(spec, enforce_min_g=False).fn)
-
-    def rhs(y):
-        _, d0, d1, d2, d3 = dH(*y.tolist())
-        return np.array([d2, d3, -d0, -d1])
-
-    return rhs
+def _slope(dH, y):
+    """Hamilton's equations at the state ``y``, from H's traced gradient."""
+    _, d0, d1, d2, d3 = dH(*y)
+    return d2, d3, -d0, -d1
 
 
-def _in_domain(fns, dom, y):
-    xi, eta = y[0], y[1]
-    if not np.all(np.isfinite(y)):
-        return False
-    if not bool(dom.admits(xi, eta)):
-        return False
+def _attempt(dH, y, h, k0):
+    """One DP5(4) step of size ``h`` from ``y``, whose slope is ``k0``.
+
+    Returns the 5th-order state, the error estimate and the slope there,
+    twelve floats.  Each stage sum starts from 0 and adds left to right,
+    and the two weight sums add all seven stages, zero weights included:
+    the operations of numpy's sums over 4-arrays.
+    """
+    k = [k0]
+    for a in _A[1:]:
+        k.append(_slope(dH, [yc + h * sum(aj * kj[c] for aj, kj in zip(a, k))
+                             for c, yc in enumerate(y)]))
+    y_new = [yc + h * sum(b * kj[c] for b, kj in zip(_B5, k)) for c, yc in enumerate(y)]
+    err = [h * sum(e * kj[c] for e, kj in zip(_E, k)) for c in range(4)]
+    return (*y_new, *err, *k[6])
+
+
+def _error_norm(y, y_new, err, rel_tol, abs_tol):
+    """RMS of ``err`` over ``abs_tol + rel_tol * max(|y|, |y_new|)``.
+
+    ``y`` is finite, so ``max`` keeps a NaN of ``y_new`` as ``np.maximum``
+    does.  A zero scale gives inf, where numpy gives inf or NaN: a rejected
+    step either way.
+    """
     try:
-        g = fns.metric(float(xi), float(eta))
-        gt = fns.tilde_metric(float(xi), float(eta))
-    except (DomainError, FloatingPointError, ZeroDivisionError):
-        return False
-    # both conformal factors must stay non-degenerate: g divides H and A,
-    # the recoordinatized one divides B
-    return (np.isfinite(g) and abs(g) >= MIN_ABS_G
-            and np.isfinite(gt) and abs(gt) >= MIN_ABS_G)
+        r = [e / (abs_tol + rel_tol * max(abs(b), abs(a))) for e, a, b in zip(err, y, y_new)]
+    except ZeroDivisionError:
+        return math.inf
+    return math.sqrt(sum(x * x for x in r) / 4)
+
+
+def _domain_check(spec: SystemSpec):
+    """Whether a state of four floats lies in ``spec``'s class domain.
+
+    The state must be finite, pass :meth:`SampleDomain.admits_point`, and
+    have both conformal factors, g and the recoordinatized one, finite and
+    at least ``MIN_ABS_G`` in magnitude (an exception evaluating them means
+    outside).  The two factors are the closed forms of
+    :meth:`SystemFns.metric` and :meth:`SystemFns.tilde_metric`, traced to
+    straight-line code once.
+    """
+    fns, dom = build_fns(spec), sample_domain(spec)
+    metrics = straight_line(lambda xi, eta: (fns.metric(xi, eta), fns.tilde_metric(xi, eta)), 2)
+
+    def in_domain(y):
+        xi, eta = y[0], y[1]
+        # math.isfinite classifies a float exactly as np.isfinite does
+        if not all(map(math.isfinite, y)) or not dom.admits_point(xi, eta):
+            return False
+        try:
+            g, gt = metrics(xi, eta)
+        except (DomainError, FloatingPointError, ZeroDivisionError):
+            return False
+        # both conformal factors must stay non-degenerate: g divides H and A,
+        # the recoordinatized one divides B
+        return (math.isfinite(g) and abs(g) >= MIN_ABS_G
+                and math.isfinite(gt) and abs(gt) >= MIN_ABS_G)
+
+    return in_domain
+
+
+@functools.cache
+def _step():
+    """:func:`_attempt` as straight-line code: ``step(dH, *y, h, *k0)``,
+    with one call of the gradient ``dH`` per stage."""
+    return straight_line(lambda dH, *a: _attempt(one_call(dH, 5), a[:4], a[4], a[5:]), 10)
+
+
+_Flow = namedtuple("_Flow", "dH in_domain")
+
+
+@functools.lru_cache(maxsize=_CACHED_SPECS)
+def _compiled(tag, *params):
+    """H's traced gradient and the domain check of the spec of class ``tag``
+    whose parameters have the ``float.hex`` strings ``params``."""
+    spec = SystemSpec(tag, *map(float.fromhex, params))
+    return _Flow(trace(hamiltonian(spec, enforce_min_g=False).fn), _domain_check(spec))
+
+
+def _flow(spec: SystemSpec) -> _Flow:
+    """``spec``'s compiled flow, shared by every call on the same parameter
+    bits (so ``-0.0`` and ``0.0`` do not share)."""
+    return _compiled(spec.tag, *map(float.hex, spec.metric_params + spec.potential_params))
+
+
+def _rhs_fn(spec: SystemSpec):
+    """Hamilton's equations as a function of a state array."""
+    dH = _flow(spec).dH
+    return lambda y: np.array(_slope(dH, y.tolist()))
 
 
 def integrate(spec: SystemSpec, initial: PhasePoint, t_end: float,
@@ -122,30 +206,28 @@ def integrate(spec: SystemSpec, initial: PhasePoint, t_end: float,
             raise ValueError(f"{name} must be finite and non-negative, got {tol}")
     if rel_tol == 0 and abs_tol == 0:
         raise ValueError("rel_tol and abs_tol cannot both be zero")
-    fns = build_fns(spec)
-    dom = sample_domain(spec)
+    flow, step = _flow(spec), _step()
 
-    y = initial.as_array().astype(float).reshape(4)
-    if not _in_domain(fns, dom, y):
-        raise DomainError("initial", tuple(y), "initial state outside class domain")
-    rhs = _rhs_fn(spec)
+    y0 = initial.as_array().astype(float).reshape(4)
+    y = y0.tolist()
+    if not flow.in_domain(y):
+        raise DomainError("initial", tuple(y0), "initial state outside class domain")
 
     t = 0.0
     times = [0.0]
-    states = [y.copy()]
+    states = [y]
     n_acc = n_rej = 0
-    min_dt, max_dt = np.inf, 0.0
+    min_dt, max_dt = math.inf, 0.0
     status, exit_time = "completed", None
 
-    k = np.empty((7, 4))
-    k[0] = rhs(y)
+    k0 = _slope(flow.dH, y)
     nevals = 1
 
     # initial step: conservative scale from the first derivative
-    scale0 = abs_tol + rel_tol * np.abs(y)
-    d0 = np.sqrt(np.mean((y / scale0) ** 2))
-    d1 = np.sqrt(np.mean((k[0] / scale0) ** 2))
-    h = min(t_end, 0.01 * d0 / d1 if d1 > 1e-10 else 1e-4)
+    scale0 = abs_tol + rel_tol * np.abs(y0)
+    d0 = np.sqrt(np.mean((y0 / scale0) ** 2))
+    d1 = np.sqrt(np.mean((np.array(k0) / scale0) ** 2))
+    h = float(min(t_end, 0.01 * d0 / d1 if d1 > 1e-10 else 1e-4))
 
     err_prev = 1.0
     safety, beta1, beta2 = 0.9, 0.17, 0.08
@@ -157,23 +239,19 @@ def integrate(spec: SystemSpec, initial: PhasePoint, t_end: float,
         if h < _MIN_DT:
             raise StepFailure(f"step size underflow (dt={h:.3e}) at t={t:.6g}")
         try:
-            for i in range(1, 7):
-                yi = y + h * sum(a * k[j] for j, a in enumerate(_A[i]))
-                k[i] = rhs(yi)
+            out = step(flow.dH, *y, h, *k0)
             nevals += 6
         except (DomainError, OverflowError, ZeroDivisionError, ValueError):
             n_rej += 1
             h *= 0.5
             continue
 
-        y_new = y + h * (_B5[:, None] * k).sum(axis=0)
-        err_vec = h * (_E[:, None] * k).sum(axis=0)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        y_new = out[:4]
+        err = _error_norm(y, y_new, out[4:8], rel_tol, abs_tol)
 
-        if not np.isfinite(err) or err > 1.0:
+        if not math.isfinite(err) or err > 1.0:
             n_rej += 1
-            h *= max(0.2, safety * (max(err, 1e-10)) ** -0.2) if np.isfinite(err) else 0.5
+            h *= max(0.2, safety * (max(err, 1e-10)) ** -0.2) if math.isfinite(err) else 0.5
             err_prev = 1.0
             continue
 
@@ -181,13 +259,12 @@ def integrate(spec: SystemSpec, initial: PhasePoint, t_end: float,
         t += h
         n_acc += 1
         min_dt, max_dt = min(min_dt, h), max(max_dt, h)
-        y = y_new
-        k[0] = k[6]  # FSAL
-        if not _in_domain(fns, dom, y):
+        y, k0 = y_new, out[8:]  # FSAL
+        if not flow.in_domain(y):
             status, exit_time = "domain_exit", t
             break
         times.append(t)
-        states.append(y.copy())
+        states.append(y)
         e = max(err, 1e-10)
         h *= min(5.0, max(0.2, safety * e**-beta1 * err_prev**beta2))
         err_prev = e

@@ -29,12 +29,13 @@ Both share one derivative rule per primitive (f, f' and f'' at the value);
 each applies the chain rule to its own storage, and both raise the same
 :class:`DomainError` outside a primitive's domain, NaN included.
 
-:func:`trace` runs a function once through Dual4's rules on symbolic
-floats, records every float operation and domain check in order, and
-compiles them into a straight-line function of four floats that returns
-the value and gradient, bit for bit as the Dual4 evaluation would.  The
-ODE right-hand side, which evaluates H's gradient thousands of times per
-trajectory, calls that function instead of building Dual4 numbers.
+:func:`straight_line` runs a function of floats once on symbolic floats,
+records every float operation, math or numpy call and domain check in
+order, and compiles them into a straight-line function that gives the
+same floats and errors bit for bit.  :func:`trace` applies it to Dual4's
+rules: the result returns a value and its gradient, as the Dual4
+evaluation would.  The flow (:mod:`superint.dynamics`) runs its
+right-hand side, its DP5(4) step and its domain check this way.
 
 :func:`fd_derivatives` is the independent finite-difference oracle used to
 cross-check jet propagation.
@@ -58,15 +59,14 @@ __all__ = [
     "Dual4",
     "Observable",
     "trace",
-    "jet_seed",
+    "straight_line",
+    "one_call",
     "seed_phase",
     "fd_derivatives",
     "norm_residual",
     "sqrt",
     "exp",
     "log",
-    "sin",
-    "cos",
     "tan",
     "arctan",
 ]
@@ -183,14 +183,6 @@ class _Jet:
         self._require(v > 0.0, "ln")
         return self._chain(self._m.log(v), 1.0 / v,
                            self._hess is not None and -1.0 / v**2)
-
-    def sin(self):
-        s, c = self._m.sin(self.val), self._m.cos(self.val)
-        return self._chain(s, c, self._hess is not None and -s)
-
-    def cos(self):
-        s, c = self._m.sin(self.val), self._m.cos(self.val)
-        return self._chain(c, -s, self._hess is not None and -c)
 
     def tan(self):
         t = self._m.tan(self.val)
@@ -374,8 +366,7 @@ class CoordJet(Jet2):
 
 # math's scalar functions under numpy's names, so Dual4 stays on plain floats
 _FLOAT_MATH = SimpleNamespace(sqrt=math.sqrt, exp=math.exp, log=math.log,
-                              sin=math.sin, cos=math.cos, tan=math.tan,
-                              arctan=math.atan)
+                              tan=math.tan, arctan=math.atan)
 
 
 class Dual4(_Jet):
@@ -459,24 +450,31 @@ def _emit(fmt, reflected=False):
 
 
 class _Sym:
-    """A float of one traced evaluation: a name in the code :func:`trace` emits.
+    """A float of one traced evaluation: a name in the code
+    :func:`straight_line` emits.
 
-    Each arithmetic operation, comparison or math call with a ``_Sym``
-    operand appends one line to the tape and returns the ``_Sym`` of its
-    result.  An operation on constants alone never reaches it: Python runs
-    it at trace time, on the same objects, so it is folded exactly.  A
-    ``_Sym`` has no truth value, so a branch on a traced value fails the
-    trace instead of fixing one side of the branch.
+    Each arithmetic operation, comparison, math or numpy call with a
+    ``_Sym`` operand appends one line to the tape and returns the ``_Sym``
+    of its result.  An operation on constants alone never reaches it:
+    Python runs it at trace time, on the same objects, so it is folded
+    exactly.  A ``_Sym`` has no truth value, so a branch on a traced value
+    fails the trace instead of fixing one side of the branch.
     """
 
     __slots__ = ("tape", "name")
-    __array_ufunc__ = None  # so that np.float64 * sym reaches __rmul__
 
     def __init__(self, tape, name):
         self.tape, self.name = tape, name
 
     def __bool__(self):
         raise TypeError("a traced value has no truth value")
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        """A numpy ufunc on traced floats (``np.sqrt(x)``, or ``np.float64 *
+        x``), recorded as the same ufunc call."""
+        if method != "__call__" or kwargs or ufunc.nout != 1:
+            return NotImplemented
+        return self.tape.emit("{}(" + ", ".join(["{}"] * len(inputs)) + ")", ufunc, *inputs)
 
     __add__, __radd__ = _emit("{} + {}"), _emit("{} + {}", reflected=True)
     __sub__, __rsub__ = _emit("{} - {}"), _emit("{} - {}", reflected=True)
@@ -514,6 +512,14 @@ class _Tape:
         self.lines.append(f"{out.name} = " + fmt.format(*map(self.ref, args)))
         return out
 
+    def call(self, fn, args, n_out):
+        """Append ``t<k>_0, ..., = fn(args)`` and return the ``_Sym`` of each of
+        its ``n_out`` results."""
+        outs = [_Sym(self, f"t{len(self.lines)}_{i}") for i in range(n_out)]
+        self.lines.append(", ".join(o.name for o in outs)
+                          + f", = {self.ref(fn)}({', '.join(map(self.ref, args))})")
+        return outs
+
     def guard(self, ok, primitive, value):
         """Append the check that raises Dual4's ``DomainError`` unless ``ok``."""
         self.lines.append(f"if not {ok.name}: raise DomainError("
@@ -541,25 +547,58 @@ class _TraceDual(Dual4):
             Dual4._require(self, ok, primitive)
 
 
-def trace(fn):
-    """``fn`` at one scalar point, compiled to straight-line code.
+def straight_line(fn, nargs):
+    """``fn`` of ``nargs`` floats, compiled to straight-line code.
 
-    ``fn`` takes four numbers, as an :class:`Observable`'s does, and returns
-    a :class:`Dual4` of them.  It runs once, on traced floats, through
-    Dual4's rules; the result is a function of four floats that returns
-    ``(value, d/dxi, d/deta, d/dp_xi, d/dp_eta)``, each the float that
-    ``fn`` on :meth:`Dual4.seed` arguments gives, bit for bit, signed zeros
-    included.  It replays every float operation of that evaluation in its
-    order, so it raises where the Dual4 evaluation raises, with the same
-    exception.  An operation on constants alone runs once, at trace time.
+    ``fn`` runs once, on traced floats, and returns a sequence of floats.
+    The result is a function of ``nargs`` floats that replays, in order and
+    on the same constant objects, every float operation, math or numpy call
+    and :func:`one_call` of that run, and returns the sequence as a tuple.
+    So it returns ``fn``'s floats bit for bit, of the same types, and raises
+    where ``fn`` raises, with the same exception.  An operation on constants
+    alone runs once, at trace time; a branch on a traced value fails the
+    trace with ``TypeError``.
     """
     tape = _Tape()
-    out = fn(*[_TraceDual(_Sym(tape, f"a{var}"), Dual4.seed(0.0, var).d)
-               for var in range(4)])
-    ret = ", ".join(map(tape.ref, (out.val, *out.d)))
-    body = "\n    ".join([*tape.lines, f"return {ret}"])
-    exec(f"def traced(a0, a1, a2, a3):\n    {body}\n", tape.env)
+    args = [_Sym(tape, f"a{i}") for i in range(nargs)]
+    ret = ", ".join(map(tape.ref, fn(*args)))
+    body = "\n    ".join([*tape.lines, f"return {ret},"])
+    exec(f"def traced({', '.join(a.name for a in args)}):\n    {body}\n", tape.env)
     return tape.env["traced"]
+
+
+def one_call(fn, n_out):
+    """``fn``, which returns ``n_out`` floats, kept as one call in a trace.
+
+    On a traced argument it records the call and returns a traced value per
+    result; on plain numbers it calls ``fn``.  ``fn`` may itself be an
+    argument of the traced function.
+    """
+    def call(*args):
+        for a in args:
+            if isinstance(a, _Sym):
+                return a.tape.call(fn, args, n_out)
+        return fn(*args)
+
+    return call
+
+
+def trace(fn):
+    """``fn``'s value and gradient at one scalar point, as straight-line code.
+
+    ``fn`` takes four numbers, as an :class:`Observable`'s does, and returns
+    a :class:`Dual4` of them.  It runs once, through Dual4's rules, under
+    :func:`straight_line`; the result is a function of four floats that
+    returns ``(value, d/dxi, d/deta, d/dp_xi, d/dp_eta)``, each the float
+    that ``fn`` on :meth:`Dual4.seed` arguments gives, bit for bit, signed
+    zeros included, and raises where the Dual4 evaluation raises, with the
+    same exception.
+    """
+    def dual(*args):
+        out = fn(*[_TraceDual(a, Dual4.seed(0.0, var).d) for var, a in enumerate(args)])
+        return (out.val, *out.d)
+
+    return straight_line(dual, 4)
 
 
 # Generic math entry points so the same formula code runs on Jet2, Dual4
@@ -575,14 +614,6 @@ def exp(x):
 
 def log(x):
     return x.log() if isinstance(x, _Jet) else np.log(x)
-
-
-def sin(x):
-    return x.sin() if isinstance(x, _Jet) else np.sin(x)
-
-
-def cos(x):
-    return x.cos() if isinstance(x, _Jet) else np.cos(x)
 
 
 def tan(x):
@@ -604,11 +635,6 @@ def seed_phase(point: PhasePoint, order=2):
     xi, eta, p_xi, p_eta = (np.broadcast_to(c, point.shape) for c in point.components())
     return (CoordJet.seed(xi, 0, order), CoordJet.seed(eta, 1, order),
             Jet2.seed(p_xi, 2, order), Jet2.seed(p_eta, 3, order))
-
-
-def jet_seed(point: PhasePoint):
-    """The four coordinate jets at ``point``: val = component, grad = e_i, hess = 0."""
-    return tuple(j.lift() for j in seed_phase(point))
 
 
 @dataclass(frozen=True)

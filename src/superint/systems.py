@@ -145,15 +145,25 @@ class SampleDomain:
     exclusions: tuple = ()        # (name, fn(xi, eta) -> bool array) pairs
     positivity: tuple = ()        # subset of ("xi", "eta") that must stay > 0
 
+    def _tests(self):
+        """The positivity tests, then the exclusions, as ``fn(xi, eta)``."""
+        return ([_POSITIVE[name] for name in ("xi", "eta") if name in self.positivity]
+                + [fn for _, fn in self.exclusions])
+
     def admits(self, xi, eta):
         """Exclusion + positivity mask (metric magnitude is checked separately)."""
         ok = np.ones(np.broadcast_shapes(np.shape(xi), np.shape(eta)), dtype=bool)
-        for name, c in (("xi", xi), ("eta", eta)):
-            if name in self.positivity:
-                ok &= np.asarray(c) > 1e-9
-        for _, fn in self.exclusions:
-            ok &= fn(np.asarray(xi), np.asarray(eta))
+        for test in self._tests():
+            ok &= test(np.asarray(xi), np.asarray(eta))
         return ok
+
+    def admits_point(self, xi: float, eta: float) -> bool:
+        """:meth:`admits` at one point given as floats, up to the first failed
+        test."""
+        return all(test(xi, eta) for test in self._tests())
+
+
+_POSITIVE = {"xi": lambda x, e: x > 1e-9, "eta": lambda x, e: e > 1e-9}
 
 
 _DOMAINS = {

@@ -23,6 +23,9 @@ The corpus is:
   writes to standard error;
 * the ``drift_report`` JSON of the five pinned trajectories, and
   ``conserved_values`` at each of their initial states alone;
+* two runs that leave their domain, one of them rejecting steps both in a
+  stage and on the error test, with status, ``exit_time``, stats, times and
+  states in hexadecimal;
 * the flow's right-hand side (``dynamics._rhs_fn``) with 17 significant
   digits at the five pinned initial states, and at 20 sampled states and at
   states outside the domain (poles, negative coordinates, |y| up to 1e3, NaN
@@ -175,6 +178,23 @@ def _flow():
         print(_json(dynamics.drift_report(spec, traj)))
 
 
+# (spec, initial state, controls) of runs that end in ``domain_exit``; the
+# II2 run rejects steps whose stages fail and steps that fail the error test
+EXITS = [
+    (SystemSpec("I1", nu=2.0, mu=0.5), (1.0, 0.5, -1.0, 1.0), dict(t_end=10.0, rel_tol=1e-8)),
+    (SystemSpec("II2", kappa=0.64, lam=1.73, mu=-1.17, nu=0.52, k=-0.81, ell=0.97, m=0.89,
+                n=-1.13), (1.898, 1.067, -1.963, 0.056), dict(t_end=5.0, rel_tol=1e-3)),
+]
+
+
+def _exits():
+    for spec, y0, controls in EXITS:
+        traj = dynamics.integrate(spec, PhasePoint(*y0), **controls)
+        print(spec.tag, traj.status, float.hex(traj.exit_time), _json(traj.stats))
+        for row in (traj.times, *traj.states):
+            print(" ".join(map(float.hex, row)))
+
+
 def _outside(rng):
     """States outside the flow's domain: poles, zeros, negative and large
     coordinates, NaN and inf."""
@@ -296,6 +316,7 @@ if __name__ == "__main__":
     _library()
     _cli()
     _flow()
+    _exits()
     _rhs()
     _geometry()
     _closed_forms()
