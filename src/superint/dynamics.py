@@ -148,7 +148,7 @@ def _domain_check(spec: SystemSpec):
             return False
         try:
             g, gt = metrics(xi, eta)
-        except (DomainError, FloatingPointError, ZeroDivisionError):
+        except (DomainError, FloatingPointError, ZeroDivisionError, OverflowError):
             return False
         # both conformal factors must stay non-degenerate: g divides H and A,
         # the recoordinatized one divides B

@@ -12,7 +12,15 @@ rows, and a result has a Hessian only if every operand had one.  The value
 and gradient rules never read the Hessian, so an order-1 jet's ``val`` and
 ``grad`` equal the order-2 jet's bit for bit.  Reading ``hess``,
 ``hess_at`` or ``hess_full`` of an order-1 jet raises ``AttributeError``.
-Callers that read no second derivative evaluate at order 1.
+Callers that read no second derivative evaluate at order 1, and
+``first_order()`` views an order-2 jet as one, so that what is built from
+it carries no Hessian (as H in :func:`superint.systems.integrals`).
+
+The Hessian rules gather gradient rows into packed order (and
+``hess_full`` the packed rows into a square) with ``ndarray.take``, the
+copy fancy indexing makes at about half its per-call cost; and a rule's
+result is built without ``__init__``'s conversions, since its parts are
+float arrays already.
 
 A :class:`CoordJet` is the same jet over ``(xi, eta)`` alone, with leading
 axes of size 2 / 3: the closed forms of a system depend on the coordinates
@@ -218,6 +226,16 @@ class Jet2(_Jet):
         self.grad = np.asarray(grad, dtype=float)
         self._hess = None if hess is None else np.asarray(hess, dtype=float)
 
+    @classmethod
+    def _of(cls, val, grad, hess):
+        """A rule's result, whose ``grad`` and ``hess`` (or None) are float
+        arrays already: only ``val`` is converted, where a 0-d batch made it
+        a numpy scalar."""
+        out = object.__new__(cls)
+        out.val = val if isinstance(val, np.ndarray) else np.asarray(val, dtype=float)
+        out.grad, out._hess = grad, hess
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -244,6 +262,11 @@ class Jet2(_Jet):
         """This jet in the four-variable layout, which it already has."""
         return self
 
+    def first_order(self):
+        """This jet without its Hessian: an order-1 jet on the same value and
+        gradient arrays."""
+        return self if self._hess is None else self._of(self.val, self.grad, None)
+
     # -- accessors ----------------------------------------------------
 
     @property
@@ -264,7 +287,7 @@ class Jet2(_Jet):
 
     def hess_full(self):
         """The full (nv, nv)+S Hessian, gathered from the packed storage."""
-        return self.hess[self._UNPACK]
+        return self.hess.take(self._UNPACK, axis=0)
 
     # -- storage arithmetic -------------------------------------------
     # An operand in the other layout is lifted first; both then have 4.
@@ -275,9 +298,9 @@ class Jet2(_Jet):
             if other._NV != self._NV:
                 return self.lift() + other.lift()
             a, b = self._hess, other._hess
-            return type(self)(self.val + other.val, self.grad + other.grad,
-                              None if a is None or b is None else a + b)
-        return type(self)(self.val + other, self.grad, self._hess)
+            return self._of(self.val + other.val, self.grad + other.grad,
+                            None if a is None or b is None else a + b)
+        return self._of(self.val + other, self.grad, self._hess)
 
     __radd__ = __add__
 
@@ -286,17 +309,17 @@ class Jet2(_Jet):
             if other._NV != self._NV:
                 return self.lift() - other.lift()
             a, b = self._hess, other._hess
-            return type(self)(self.val - other.val, self.grad - other.grad,
-                              None if a is None or b is None else a - b)
-        return type(self)(self.val - other, self.grad, self._hess)
+            return self._of(self.val - other.val, self.grad - other.grad,
+                            None if a is None or b is None else a - b)
+        return self._of(self.val - other, self.grad, self._hess)
 
     def __rsub__(self, other):
         h = self._hess
-        return type(self)(other - self.val, -self.grad, None if h is None else -h)
+        return self._of(other - self.val, -self.grad, None if h is None else -h)
 
     def __neg__(self):
         h = self._hess
-        return type(self)(-self.val, -self.grad, None if h is None else -h)
+        return self._of(-self.val, -self.grad, None if h is None else -h)
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
@@ -306,19 +329,19 @@ class Jet2(_Jet):
             val = a.val * b.val
             grad = a.grad * b.val + b.grad * a.val
             if a._hess is None or b._hess is None:
-                return type(self)(val, grad, None)
-            iu, ju = a._IU, a._JU
-            cross = a.grad[iu] * b.grad[ju] + b.grad[iu] * a.grad[ju]
-            return type(self)(val, grad, a._hess * b.val + b._hess * a.val + cross)
+                return self._of(val, grad, None)
+            iu, ju, ag, bg = a._IU, a._JU, a.grad, b.grad
+            cross = ag.take(iu, 0) * bg.take(ju, 0) + bg.take(iu, 0) * ag.take(ju, 0)
+            return self._of(val, grad, a._hess * b.val + b._hess * a.val + cross)
         h = self._hess
-        return type(self)(self.val * other, self.grad * other,
-                          None if h is None else h * other)
+        return self._of(self.val * other, self.grad * other,
+                        None if h is None else h * other)
 
     __rmul__ = __mul__
 
     def _div(self, c):
         h = self._hess
-        return type(self)(self.val / c, self.grad / c, None if h is None else h / c)
+        return self._of(self.val / c, self.grad / c, None if h is None else h / c)
 
     def _one(self):
         return self.constant(1.0, self.val.shape, self.order)
@@ -329,11 +352,12 @@ class Jet2(_Jet):
 
     def _chain(self, f, f1, f2):
         """Chain rule for a scalar function applied to this jet, to its order."""
-        grad = f1 * self.grad
+        g = self.grad
+        grad = f1 * g
         if self._hess is None:
-            return type(self)(f, grad, None)
-        hess = f1 * self._hess + f2 * (self.grad[self._IU] * self.grad[self._JU])
-        return type(self)(f, grad, hess)
+            return self._of(f, grad, None)
+        hess = f1 * self._hess + f2 * (g.take(self._IU, 0) * g.take(self._JU, 0))
+        return self._of(f, grad, hess)
 
 
 class CoordJet(Jet2):
@@ -358,10 +382,10 @@ class CoordJet(Jet2):
         grad = np.zeros((Jet2._NV,) + shape)
         grad[:self._NV] = self.grad
         if self._hess is None:
-            return Jet2(self.val, grad, None)
+            return Jet2._of(self.val, grad, None)
         hess = np.zeros((Jet2._IU.size,) + shape)
         hess[self._LIFT] = self._hess
-        return Jet2(self.val, grad, hess)
+        return Jet2._of(self.val, grad, hess)
 
 
 # math's scalar functions under numpy's names, so Dual4 stays on plain floats

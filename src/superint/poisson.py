@@ -252,9 +252,9 @@ def _row_residuals(cp, hab, pts, names, a_off=0.0, b_off=0.0):
 
     The identities are HA, HB, HC, AC_row, BC_row and casimir.  ``cp`` is
     the spec's ``constants_poly``; ``hab`` maps points to the jets of H, A
-    and B (``systems.integrals``), of order 2 where ``names`` holds one of
-    ``_NESTED`` and of order 1 otherwise; ``a_off``/``b_off`` are the
-    affine-match offsets (normally zero).
+    and B (``systems.integrals``; A and B of order 2 where ``names`` holds
+    one of ``_NESTED`` and of order 1 otherwise, H always of order 1);
+    ``a_off``/``b_off`` are the affine-match offsets (normally zero).
     """
     H, A, B = hab(pts)
     E = H.val
@@ -299,9 +299,14 @@ def _row_residuals(cp, hab, pts, names, a_off=0.0, b_off=0.0):
 
 
 def _chunks(pts):
-    """``pts`` in consecutive slices of ``_CHUNK`` points."""
+    """``pts`` in consecutive slices of ``_CHUNK`` points (as given if they fit
+    in one)."""
+    n = pts.shape[0]
+    if n <= _CHUNK:
+        yield pts
+        return
     arr = pts.as_array()
-    for lo in range(0, arr.shape[1], _CHUNK):
+    for lo in range(0, n, _CHUNK):
         yield PhasePoint.from_array(arr[:, lo:lo + _CHUNK])
 
 

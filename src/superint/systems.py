@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import DomainError, SamplingError
 from .jets import (CoordJet, Jet2, Observable, PhasePoint, arctan, exp, log,
@@ -597,6 +596,11 @@ def integrals(spec: SystemSpec, order: int = 2) -> Callable[[PhasePoint], tuple]
     :func:`integral_B` bit for bit, and the first ``DomainError`` is the
     one the three would raise in that order.  A caller that reads no
     Hessian asks for ``order`` 1.
+
+    H is an order-1 jet at either order: no identity reads its Hessian.
+    It is built from order-1 views of p_xi, p_eta, g and w, and the value
+    and gradient rules never read a Hessian, so its value and gradient
+    equal those of ``hamiltonian(spec).eval`` bit for bit.
     """
     fns = build_fns(spec)
 
@@ -607,7 +611,7 @@ def integrals(spec: SystemSpec, order: int = 2) -> Callable[[PhasePoint], tuple]
         metric = fns.pair(fns.F, fns.G, xi, args, memo)
         _guard_metric(metric[2])
         potential = fns.pair(fns.f_pot, fns.g_pot, xi, args, memo)
-        return (_h_form(p_xi, p_eta, metric[2], potential[2]),
+        return (_h_form(*(j.first_order() for j in (p_xi, p_eta, metric[2], potential[2]))),
                 _a_form(fns, eta, p_xi, p_eta, metric, potential, memo),
                 _b_form(fns, xi, eta, p_xi, p_eta, memo))
 
@@ -713,7 +717,13 @@ class AlgebraConstants:
 
 @dataclass(frozen=True)
 class ConstantsPoly:
-    """Structure constants as polynomials in the energy (coeffs low-first)."""
+    """Structure constants as polynomials in the energy (coeffs low-first).
+
+    The polynomial fields are 1-D float arrays, built by :func:`_pmul` and
+    :func:`_padd` as ``numpy.polynomial``'s ``polymul`` and ``polyadd``
+    build them; :meth:`at_energy` evaluates them as its ``polyval`` does,
+    bit for bit, without importing it.
+    """
 
     alpha: float
     gamma: float
@@ -729,13 +739,34 @@ class ConstantsPoly:
         E = np.asarray(E, dtype=float)
         return AlgebraConstants(
             alpha=self.alpha, gamma=self.gamma, a=self.a,
-            delta=P.polyval(E, self.delta),
-            epsilon=P.polyval(E, self.epsilon),
-            zeta=P.polyval(E, self.zeta),
-            d=P.polyval(E, self.d),
-            z=P.polyval(E, self.z),
-            K_casimir=P.polyval(E, self.K),
+            delta=_polyval(E, self.delta),
+            epsilon=_polyval(E, self.epsilon),
+            zeta=_polyval(E, self.zeta),
+            d=_polyval(E, self.d),
+            z=_polyval(E, self.z),
+            K_casimir=_polyval(E, self.K),
         )
+
+
+# Polynomial arithmetic on 1-D coefficient arrays, low order first, as
+# numpy.polynomial's polymul, polyadd and polyval compute it (same numpy
+# calls on the same values, so the same bits), without their per-call
+# conversion of every operand.
+
+def _trim(c):
+    """``c`` without trailing zeros, keeping at least one entry (``trimseq``)."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _polyval(E, c):
+    """The polynomial ``c`` at ``E`` (an ndarray) by Horner's rule."""
+    out = c[-1] + E * 0
+    for i in range(2, len(c) + 1):
+        out = c[-i] + out * E
+    return out
 
 
 def _lin(c, c0):
@@ -746,14 +777,20 @@ def _lin(c, c0):
 def _pmul(*polys):
     out = np.array([1.0])
     for p in polys:
-        out = P.polymul(out, np.atleast_1d(p))
+        out = _trim(np.convolve(out, _trim(p)))
     return out
 
 
 def _padd(*polys):
     out = np.array([0.0])
     for p in polys:
-        out = P.polyadd(out, np.atleast_1d(p))
+        # the longer operand (the second on a tie) takes the shorter in place
+        a, b = out, _trim(p)
+        if len(a) <= len(b):
+            a, b = b, a
+        a = np.array(a, dtype=float)
+        a[:len(b)] += b
+        out = _trim(a)
     return out
 
 

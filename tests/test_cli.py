@@ -137,6 +137,14 @@ def test_trajectory_bad_initial_exits_2():
     assert r.returncode == 2
 
 
+def test_trajectory_overflowing_initial_state_exits_3():
+    # the tilde metric squares X + Y = 2e200, which overflows a float
+    r = run("trajectory", "--class", "II1", "--kappa", "1", "--mu", "1", "--nu", "1",
+            "--initial", "1e200,1,0.1,0.1", "--t-end", "1")
+    assert r.returncode == 3
+    assert r.stderr.strip() == "DomainError: initial state outside class domain"
+
+
 def test_dump_catalog():
     r = run("dump-catalog")
     assert r.returncode == 0
@@ -167,10 +175,12 @@ def test_output_file_replaces_stdout(tmp_path):
 
 def test_import_leaves_scipy_optimize_unloaded():
     # only the affine correction uses scipy.optimize, and it rarely runs
-    code = "import sys, superint.cli; print('scipy.optimize' in sys.modules)"
+    # and the structure constants need no numpy.polynomial
+    code = ("import sys, superint.cli; "
+            "print('scipy.optimize' in sys.modules, 'numpy.polynomial' in sys.modules)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    assert r.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize("argv", [

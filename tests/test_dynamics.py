@@ -404,8 +404,10 @@ def _numpy_predicate(fns, dom, y):
         return False
 
 
+# 1e103 ... 1e200 overflow a float under Python's ** (cubes, squares)
 _COORD = st.one_of(st.floats(0.2, 2.0), st.floats(-3.0, 3.0), st.floats(-1e3, 1e3),
-                   st.sampled_from([0.0, -0.0, 1e-9, 1.0, np.nan, np.inf, -np.inf]))
+                   st.sampled_from([0.0, -0.0, 1e-9, 1.0, np.nan, np.inf, -np.inf,
+                                    1e103, 1e155, 1e200, -1e200]))
 # generic states, and states on the poles xi = eta and xi = -eta
 _STATE = st.one_of(st.tuples(*[_COORD] * 4),
                    st.tuples(_COORD, _COORD).map(lambda c: (c[0], c[0], c[1], 0.5)),
@@ -422,6 +424,18 @@ def test_float_domain_check_equals_the_numpy_predicate(tag, params, states):
     with np.errstate(all="ignore"):
         for y in states:
             assert in_domain(list(y)) == _numpy_predicate(fns, dom, y), (tag, params, y)
+
+
+def test_domain_check_counts_an_overflow_as_outside():
+    # Python's float ** raises OverflowError where numpy gives inf: the
+    # tilde metric squares X + Y = 2e200 here
+    spec = SystemSpec("II1", kappa=1.0, mu=1.0, nu=1.0)
+    y = [1e200, 1.0, 0.1, 0.1]
+    assert dynamics._flow(spec).in_domain(y) is False
+    with np.errstate(all="ignore"):
+        assert _numpy_predicate(build_fns(spec), sample_domain(spec), y) is False
+    with pytest.raises(DomainError, match="initial state outside class domain"):
+        integrate(spec, PhasePoint(*y), t_end=1.0)
 
 
 @given(tag=st.sampled_from(CLASS_TAGS), params=st.lists(_PARAM, min_size=8, max_size=8),

@@ -1,13 +1,16 @@
 """Closed forms of the six subclasses against hand-computed values."""
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superint import jets
 from superint.errors import DomainError, SamplingError
 from superint.jets import Jet2, PhasePoint, seed_phase
 from superint.systems import (CLASS_TAGS, MIN_ABS_G, MOMENTUM_RANGE, SystemSpec,
-                              algebra_constants, build_fns, characteristic_residual,
+                              _padd, _pmul, _polyval, algebra_constants, build_fns,
+                              characteristic_residual, constants_poly,
                               hamiltonian, integral_A, integral_B, integrals,
                               metric_observable, sample_domain, sample_points,
                               spec_from_dict, spec_to_dict, structural_pde_residual)
@@ -111,15 +114,38 @@ def test_b_i2_no_momentum_free_term():
     assert np.abs(vals).max() <= 1e-12
 
 
+def _parts(jet):
+    """The storage of ``jet`` that an order-2 reference must match bit for bit."""
+    return ("val", "grad", "hess")[:jet.order + 1]
+
+
 @pytest.mark.parametrize("tag", CLASS_TAGS)
 def test_shared_pass_equals_separate_integrals(tag):
     spec = SystemSpec(tag, **GENERIC)
     pts = sample_points(spec, 300, np.random.default_rng(21))
     shared = integrals(spec)(pts)
+    assert [j.order for j in shared] == [1, 2, 2]   # H's Hessian is not built
     for obs, jet in zip((hamiltonian(spec), integral_A(spec), integral_B(spec)), shared):
         ref = obs.eval(pts)
-        for part in ("val", "grad", "hess"):
+        for part in _parts(jet):
             assert np.array_equal(getattr(jet, part), getattr(ref, part)), (obs.label, part)
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_shared_pass_gives_h_at_order_one(tag):
+    # at a batch and at a single point, whose values are numpy scalars
+    spec = SystemSpec(tag, **GENERIC)
+    pts = sample_points(spec, 50, np.random.default_rng(25))
+    one = PhasePoint(*(float(c[0]) for c in pts.components()))
+    for p in (pts, one):
+        H = integrals(spec, 2)(p)[0]
+        ref = hamiltonian(spec).eval(p, 2)
+        assert type(H) is Jet2 and H.order == 1 and ref.order == 2
+        assert H.val.shape == ref.val.shape == p.shape
+        assert H.val.tobytes() == ref.val.tobytes()
+        assert H.grad.shape == ref.grad.shape and H.grad.tobytes() == ref.grad.tobytes()
+        with pytest.raises(AttributeError):
+            H.hess
 
 
 @pytest.mark.parametrize("tag", CLASS_TAGS)
@@ -129,10 +155,11 @@ def test_shared_pass_equals_four_variable_jets(tag):
     spec = SystemSpec(tag, **GENERIC)
     pts = sample_points(spec, 300, np.random.default_rng(22))
     shared = integrals(spec)(pts)
+    assert [j.order for j in shared] == [1, 2, 2]
     for obs, jet in zip((hamiltonian(spec), integral_A(spec), integral_B(spec)), shared):
         ref = obs.fn(*(j.lift() for j in seed_phase(pts)))
         assert type(jet) is type(ref) is Jet2
-        for part in ("val", "grad", "hess"):
+        for part in _parts(jet):
             assert np.array_equal(getattr(jet, part), getattr(ref, part)), (obs.label, part)
 
 
@@ -197,8 +224,9 @@ def test_order_one_pass_raises_the_metric_error_of_order_two():
 def test_order_one_pass_equals_order_two_values_and_gradients(tag):
     spec = SystemSpec(tag, **GENERIC)
     pts = sample_points(spec, 300, np.random.default_rng(23))
-    for one, two in zip(integrals(spec, 1)(pts), integrals(spec)(pts)):
-        assert one.order == 1 and two.order == 2
+    ones, twos = integrals(spec, 1)(pts), integrals(spec)(pts)
+    assert [j.order for j in ones] == [1, 1, 1] and [j.order for j in twos] == [1, 2, 2]
+    for one, two in zip(ones, twos):
         assert np.array_equal(one.val, two.val) and np.array_equal(one.grad, two.grad)
 
 
@@ -305,6 +333,63 @@ def test_constants_i3_bare():
     for name in ("a", "delta", "epsilon", "zeta", "d", "z", "K_casimir"):
         assert getattr(con, name) == 0.0
     assert con.beta == 0.0
+
+
+# The reference the structure-constant helpers reproduce: numpy.polynomial.
+
+def _ref_pmul(*polys):
+    out = np.array([1.0])
+    for p in polys:
+        out = P.polymul(out, np.atleast_1d(p))
+    return out
+
+
+def _ref_padd(*polys):
+    out = np.array([0.0])
+    for p in polys:
+        out = P.polyadd(out, np.atleast_1d(p))
+    return out
+
+
+def _same(got, want):
+    """Equal shape, type and bytes: signed zeros and NaN payloads included."""
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+# zeros of both signs often, so trailing coefficients vanish and are trimmed
+_COEF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                  st.floats(-1e6, 1e6), st.floats(allow_nan=False))
+_POLY = st.lists(_COEF, min_size=1, max_size=4).map(np.array)
+_ENERGY = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+@given(polys=st.lists(_POLY, min_size=1, max_size=4),
+       energies=st.lists(_ENERGY, min_size=0, max_size=5))
+@settings(max_examples=400, deadline=None)
+def test_polynomial_helpers_equal_numpy_polynomial(polys, energies):
+    with np.errstate(all="ignore"):
+        assert _same(_pmul(*polys), _ref_pmul(*polys))
+        assert _same(_padd(*polys), _ref_padd(*polys))
+        for c in (polys[0], _pmul(*polys), _padd(*polys)):
+            for E in (np.array(energies), np.asarray(energies[0] if energies else -0.0)):
+                assert _same(_polyval(E, c), P.polyval(E, c))
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_constants_at_energy_equal_numpy_polyval(tag):
+    # vanishing top coefficients: kappa = 0 leaves K_ = (-k, 0), and so on
+    energies = np.array([0.0, -0.0, 1.5, -2.0, 1e3])
+    for spec in (SystemSpec(tag, **GENERIC), SystemSpec(tag),
+                 SystemSpec(tag, **dict(GENERIC, kappa=0.0, lam=0.0, mu=0.0))):
+        cp = constants_poly(spec)
+        for E in (energies, 0.7, -0.0):
+            con = cp.at_energy(E)
+            for field in ("delta", "epsilon", "zeta", "d", "z", "K"):
+                c = getattr(cp, field)
+                got = getattr(con, "K_casimir" if field == "K" else field)
+                assert c.ndim == 1 and c.size >= 1
+                assert _same(got, P.polyval(np.asarray(E, dtype=float), c))
 
 
 # -- shift redundancy ------------------------------------------------------

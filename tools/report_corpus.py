@@ -42,6 +42,12 @@ The corpus is:
 * ``verify_entry(...).to_dict()`` for every non-alias catalog row at two
   draws, so curvature means and deviations and linear residuals are
   compared, not only statuses;
+* ``constants_poly``'s nine fields in hexadecimal, with the shape (so the
+  length) of each coefficient array, for the reference specs, the random
+  draws, the all-zero spec of each class and specs whose top coefficients
+  vanish (``kappa = 0``, ``lam = mu = 0``, ...), and ``at_energy`` at an
+  array of energies (0 and -0.0 among them) and at Python floats, with each
+  value's type and shape;
 * ``sample_points`` with and without ``require_tilde`` for the reference
   specs and the random draws at 1, 7, 2049 and 20000 points, as the sha256
   of the array bytes and the first and last points with 17 significant
@@ -55,6 +61,7 @@ It takes under a minute on one core.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -72,7 +79,7 @@ from superint.errors import SamplingError, SuperintError  # noqa: E402
 from superint.jets import PhasePoint  # noqa: E402
 from superint.poisson import verify_algebra, verify_casimir  # noqa: E402
 from superint.systems import (CLASS_TAGS, SystemSpec, build_fns,  # noqa: E402
-                              characteristic_residual, sample_points,
+                              characteristic_residual, constants_poly, sample_points,
                               structural_pde_residual)
 
 REF = dict(kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1, m=0.2, n=1.0)
@@ -293,6 +300,37 @@ def _sampling():
                 _print_sample(spec, n, require_tilde)
 
 
+# parameters set to zero so that top energy coefficients vanish and get trimmed
+VANISHING = [("kappa",), ("lam", "mu"), ("nu",), ("kappa", "mu"), ("lam", "nu"),
+             ("kappa", "lam", "mu", "nu"), ("k", "ell", "m", "n")]
+ENERGIES = np.array([0.0, -0.0, 1.0, -2.5, 0.3, 7.25, -1e3])
+
+
+def _hex(values):
+    """Shape and hexadecimal floats of a number or an array."""
+    arr = np.asarray(values, dtype=float)
+    return f"{arr.shape} " + " ".join(map(float.hex, arr.ravel().tolist()))
+
+
+def _constants():
+    specs = list(_specs())
+    for tag in CLASS_TAGS:
+        specs.append(SystemSpec(tag))
+        specs += [SystemSpec(tag, **dict(REF, **dict.fromkeys(zeroed, 0.0)))
+                  for zeroed in VANISHING]
+    for spec in specs:
+        cp = constants_poly(spec)
+        print(spec.tag, _json(dataclasses.asdict(spec)))
+        for f in dataclasses.fields(cp):
+            print(" ", f.name, _hex(getattr(cp, f.name)))
+        for E in (ENERGIES, 0.7, -0.0):
+            con = cp.at_energy(E)
+            print("  at", _hex(E))
+            for f in dataclasses.fields(con):
+                value = getattr(con, f.name)
+                print("   ", f.name, type(value).__name__, _hex(value))
+
+
 def _catalog():
     for table in catalog.TABLES:
         for entry in catalog.lookup(table=table, include_aliases=False):
@@ -320,5 +358,6 @@ if __name__ == "__main__":
     _rhs()
     _geometry()
     _closed_forms()
+    _constants()
     _catalog()
     _sampling()
