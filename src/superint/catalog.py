@@ -27,6 +27,7 @@ instantiated system; a row passes only if both sides pass.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -75,39 +76,22 @@ class CatalogEntry:
     def free_params(self):
         return [p for p in PARAM_NAMES if self.constraints[p]["kind"] == "free"]
 
-    def to_dict(self):
-        return {"table": self.table, "row_id": self.row_id, "class": self.cls,
-                "alias_of": self.alias_of, "printed_row": self.printed_row,
-                "constraints": self.constraints, "claim": self.claim,
-                "literature": list(self.literature), "annotation": self.annotation}
 
-
-def _load_rows():
-    with resources.files("superint.data").joinpath("catalog.json").open() as fh:
-        doc = json.load(fh)
-    entries = []
-    for row in doc["rows"]:
-        entries.append(CatalogEntry(
-            table=row["table"], row_id=row["row_id"], cls=row["class"],
-            constraints=row["constraints"], claim=row["claim"],
-            literature=tuple(row["literature"]), alias_of=row["alias_of"],
-            printed_row=row.get("printed_row"), annotation=row.get("annotation", {}),
-        ))
-    return tuple(entries)
-
-
-_CATALOG = None
-
-
+@functools.cache
 def load_catalog():
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _load_rows()
-    return _CATALOG
+    """Every catalog row, in file order, read from :func:`catalog_json` once
+    per process."""
+    return tuple(CatalogEntry(
+        table=row["table"], row_id=row["row_id"], cls=row["class"],
+        constraints=row["constraints"], claim=row["claim"],
+        literature=tuple(row["literature"]), alias_of=row["alias_of"],
+        printed_row=row.get("printed_row"), annotation=row.get("annotation", {}),
+    ) for row in catalog_json()["rows"])
 
 
 def catalog_json():
-    """The raw embedded document (for audit dumps)."""
+    """The embedded document, parsed afresh on each call (for audit dumps);
+    :func:`load_catalog` builds its rows from it."""
     with resources.files("superint.data").joinpath("catalog.json").open() as fh:
         return json.load(fh)
 

@@ -17,13 +17,13 @@ import sys
 import time
 
 from . import catalog, geometry
-from .dynamics import (ABS_TOL, REL_TOL, _csv, _drifts, clamp_energy, conserved_values,
-                       integrate)
+from .dynamics import (ABS_TOL, MAX_ABS_H, REL_TOL, _csv, _drifts, clamp_energy,
+                       conserved_values, integrate)
 from .errors import DomainError, SamplingError, StepFailure
 from .jets import PhasePoint
 from .poisson import (DEFAULT_SEED, REPORT_SCHEMA, TOL_BRACKET, TOL_NESTED,
-                      verify_algebra, verify_casimir)
-from .systems import CLASS_TAGS, spec_from_dict, spec_to_dict
+                      report_header, verify_algebra, verify_casimir)
+from .systems import CLASS_TAGS, spec_from_dict
 
 
 def _add_spec_args(p):
@@ -131,8 +131,7 @@ def _cmd_casimir(args):
 def _cmd_curvature(args):
     spec = _spec_from_args(args)
     c = geometry.classify_curvature(spec, n_points=args.points, seed=args.seed)
-    doc = {"schema": REPORT_SCHEMA, "kind": "curvature",
-           "spec": spec_to_dict(spec), "seed": args.seed, "n_points": args.points,
+    doc = {**report_header("curvature", spec, args.seed, args.points),
            "classification": c.tag, "mean": c.mean, "stddev": c.stddev,
            "max_abs": c.max_abs}
     if args.expect:
@@ -150,9 +149,7 @@ def _cmd_revolution(args):
     for coords in ("liouville", "transformed"):
         out[coords] = geometry.revolution_check(spec, n_points=args.points,
                                                 seed=args.seed, coords=coords)
-    doc = {"schema": REPORT_SCHEMA, "kind": "revolution",
-           "spec": spec_to_dict(spec), "seed": args.seed, "n_points": args.points,
-           "result": out}
+    doc = {**report_header("revolution", spec, args.seed, args.points), "result": out}
     verified = any(v != "Neither" for v in out.values())
     doc["pass"] = verified
     _emit(doc, args, [f"{c}: {v}" for c, v in out.items()])
@@ -174,8 +171,7 @@ def _cmd_linear(args):
             results[f"{sign}/{coords}"] = r
             if best is None or r < best:
                 best = r
-    doc = {"schema": REPORT_SCHEMA, "kind": "linear-integral",
-           "spec": spec_to_dict(spec), "seed": args.seed, "n_points": args.points,
+    doc = {**report_header("linear-integral", spec, args.seed, args.points),
            "residuals": results, "tolerance": args.tol_bracket,
            "pass": best is not None and best <= args.tol_bracket}
     _emit(doc, args, [f"{k}: {v:.3e}" for k, v in results.items()])
@@ -303,7 +299,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_trajectory)
     p.add_argument("--initial", required=True,
                    help="xi,eta,p_xi,p_eta; the momenta are scaled down when that "
-                        "brings |H| from above 10 to at most 10")
+                        f"brings |H| from above {MAX_ABS_H:g} to at most {MAX_ABS_H:g}")
     p.add_argument("--t-end", type=_positive, default=10.0)
     p.add_argument("--rel-tol", type=_tolerance, default=REL_TOL)
     p.add_argument("--abs-tol", type=_tolerance, default=ABS_TOL)

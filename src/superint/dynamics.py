@@ -49,10 +49,11 @@ from .systems import (MIN_ABS_G, SystemSpec, algebra_constants, build_fns,
                       hamiltonian, integrals, sample_domain)
 
 __all__ = ["Trajectory", "integrate", "drift_report", "trajectory_csv",
-           "clamp_energy", "REL_TOL", "ABS_TOL"]
+           "clamp_energy", "REL_TOL", "ABS_TOL", "MAX_ABS_H"]
 
 REL_TOL = 1e-10   # the integrator's default relative tolerance
 ABS_TOL = 1e-12   # and absolute tolerance
+MAX_ABS_H = 10.0  # the largest |H| clamp_energy leaves an initial state at
 
 # Dormand-Prince 5(4) tableau; the 5th-order solution is propagated (FSAL).
 # The flow is autonomous, so the c-nodes never enter the stage evaluations.
@@ -323,11 +324,11 @@ def _csv(traj, vals):
     return "\n".join(lines) + "\n"
 
 
-def clamp_energy(spec: SystemSpec, point: PhasePoint, max_abs_h: float = 10.0):
-    """``point`` with its momenta scaled until |H| <= max_abs_h, and the factor.
+def clamp_energy(spec: SystemSpec, point: PhasePoint):
+    """``point`` with its momenta scaled until |H| <= MAX_ABS_H, and the factor.
 
     The momenta are multiplied by 0.7 up to 60 times, and the first state
-    with |H| <= max_abs_h is returned with the factor applied (1.0 when
+    with |H| <= MAX_ABS_H is returned with the factor applied (1.0 when
     ``point`` itself has it).  When no scaling gets there, e.g. when the
     potential dominates H, ``point`` is returned as given, with factor 1.0.
     Scaling keeps step sizes sane at the cost of a different trajectory.
@@ -336,7 +337,7 @@ def clamp_energy(spec: SystemSpec, point: PhasePoint, max_abs_h: float = 10.0):
     arr = point.as_array().astype(float).reshape(4)
     scale = 1.0
     for _ in range(61):
-        if abs(float(H.value(PhasePoint.from_array(arr)))) <= max_abs_h:
+        if abs(float(H.value(PhasePoint.from_array(arr)))) <= MAX_ABS_H:
             return PhasePoint.from_array(arr), scale
         arr[2:] *= 0.7
         scale *= 0.7

@@ -134,19 +134,19 @@ def _directional_residuals(spec: SystemSpec, xi, eta, coords: str):
 
 
 def revolution_check(spec: SystemSpec, n_points: int = 50, seed: int = DEFAULT_SEED,
-                     coords: str = "liouville",
-                     tol: float = TOL_DIRECTIONAL) -> str:
+                     coords: str = "liouville") -> str:
     """Classify the metric's direction dependence: SumOnly, DiffOnly, Both or Neither.
 
     SumOnly means g depends only on xi+eta (the xi-eta directional
     derivative vanishes); DiffOnly the converse; Both means a constant
     metric.  With ``coords='transformed'`` the test runs on the
-    recoordinatized conformal factor.
+    recoordinatized conformal factor.  A directional derivative vanishes
+    when its largest normalized sample is at most ``TOL_DIRECTIONAL``.
     """
     pts = sample_points(spec, n_points, np.random.default_rng(seed), require_tilde=False)
     r_sum, r_diff = _directional_residuals(spec, pts.xi, pts.eta, coords)
-    sum_only = float(r_sum.max()) <= tol
-    diff_only = float(r_diff.max()) <= tol
+    sum_only = float(r_sum.max()) <= TOL_DIRECTIONAL
+    diff_only = float(r_diff.max()) <= TOL_DIRECTIONAL
     if sum_only and diff_only:
         return "Both"
     if sum_only:

@@ -45,6 +45,7 @@ __all__ = [
     "casimir_coefficients",
     "VerificationReport",
     "Identity",
+    "report_header",
     "DEFAULT_SEED",
     "REPORT_SCHEMA",
     "TOL_BRACKET",
@@ -175,6 +176,12 @@ class Identity:
                 "tolerance": self.tolerance, "pass": self.passed}
 
 
+def report_header(kind: str, spec: SystemSpec, seed: int, n_points: int) -> dict:
+    """The fields that open every report on a sample of one spec."""
+    return {"schema": REPORT_SCHEMA, "kind": kind, "spec": spec_to_dict(spec),
+            "seed": seed, "n_points": n_points}
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one verification run, serializable to a stable document."""
@@ -184,30 +191,27 @@ class VerificationReport:
     seed: int
     n_points: int
     identities: tuple
-    correction_applied: bool = False
-    correction: dict = None
+    correction: dict = None   # the affine-match offsets, where they were fitted
 
     @property
     def passed(self):
         return all(i.passed for i in self.identities)
 
+    @property
+    def correction_applied(self):
+        return self.correction is not None
+
     def to_dict(self):
-        doc = {
-            "schema": REPORT_SCHEMA,
-            "kind": self.kind,
-            "spec": spec_to_dict(self.spec),
-            "seed": self.seed,
-            "n_points": self.n_points,
-            "identities": [i.to_dict() for i in self.identities],
-            "correction_applied": self.correction_applied,
-            "pass": self.passed,
-        }
+        doc = {**report_header(self.kind, self.spec, self.seed, self.n_points),
+               "identities": [i.to_dict() for i in self.identities],
+               "correction_applied": self.correction_applied,
+               "pass": self.passed}
         if self.correction:
             doc["correction"] = self.correction
         return doc
 
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
+    def to_json(self):
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def summary_lines(self):
         lines = []
@@ -359,8 +363,7 @@ def _verify(kind, spec, n_points, seed, tols, trigger):
         correction = {"a_offset": a_off, "b_offset": b_off}
         worst = _chunked_max(cp, hab, pts, tols, a_off, b_off)
     idents = tuple(Identity(k, worst[k], tol) for k, tol in tols.items())
-    return VerificationReport(kind, spec, seed, n_points, idents,
-                              correction is not None, correction)
+    return VerificationReport(kind, spec, seed, n_points, idents, correction)
 
 
 def verify_algebra(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SEED,

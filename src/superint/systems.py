@@ -192,8 +192,11 @@ class SystemFns:
 
     For Class I the metric/potential builders take ``u = xi + eta`` and
     ``v = xi - eta``; for Class II they take ``eta`` alone.  All callables
-    accept jets, duals or plain arrays, and an optional memo (see
-    :func:`_at`).  ``A_of_xi``, ``sqrtA``, ``X_of_xi`` and
+    accept jets, duals or plain arrays.  On a jet, each basis function of
+    the closed forms runs once per argument jet and the jet keeps its
+    value (:meth:`Jet2.once`), so that F and f share theirs at
+    the same u, G and g at the same v, and so on; on anything else each
+    call evaluates afresh.  ``A_of_xi``, ``sqrtA``, ``X_of_xi`` and
     ``char_constants`` are the class's entry of ``_CHARACTERISTIC``; the
     B-side functions are the same callables taken at ``eta``.
     """
@@ -221,7 +224,7 @@ class SystemFns:
             return xi + eta, xi - eta
         return eta, eta
 
-    def pair(self, first, second, xi, args, memo=None):
+    def pair(self, first, second, xi, args):
         """``first`` and ``second`` at ``args``, and their combination.
 
         ``args`` is :meth:`arguments` at (xi, eta); the combination is
@@ -229,7 +232,7 @@ class SystemFns:
         g for ``(F, G)``, w for ``(f_pot, g_pot)``.  ``first`` is evaluated
         before ``second``.
         """
-        a, b = first(args[0], memo), second(args[1], memo)
+        a, b = first(args[0]), second(args[1])
         if _class_one(self.tag):
             return a, b, a + b
         return a, b, a * xi + b
@@ -247,40 +250,32 @@ class SystemFns:
         return self.pair(self.f_pot, self.g_pot, xi, self.arguments(xi, eta))[2]
 
 
-def _at(memo, fn, x):
-    """``fn(x, memo)``, evaluated once per ``fn`` and ``x`` in the dict ``memo``.
-
-    ``memo`` is one evaluation pass's cache, or None to evaluate every time.
-    The key is ``fn`` and ``id(x)``; the entry holds ``x``, so that the id
-    cannot pass to another object while the memo lives.  An entry is first
-    evaluated where it would be without the memo, so a pass raises the same
-    first ``DomainError``.
-    """
-    if memo is None:
-        return fn(x, None)
-    key = fn, id(x)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = fn(x, memo), x
-    return hit[0]
+def _once(fn, x):
+    """``fn(x)``, kept on ``x`` when it is a jet (:meth:`Jet2.once`), and
+    evaluated afresh on anything else: floats, arrays, duals, traced floats."""
+    return x.once(fn) if isinstance(x, Jet2) else fn(x)
 
 
-# Basis functions ``fn(x, memo=None)``: each closed form is a sum of these
-# (``_terms``), and a basis reads the ones it is built from through ``_at``,
-# so within one memo each runs once per argument.  F and f, G and g, the
-# four tilde functions and intF and intf share them.
-_ident = lambda x, memo=None: x
-_one = lambda x, memo=None: x * 0.0 + 1.0
-_sqrt = lambda x, memo=None: sqrt(x)
-_rsqrt = lambda x, memo=None: _at(memo, _sqrt, x)**-1
-_log = lambda x, memo=None: log(x)
-_exp = lambda x, memo=None: exp(x)
-_exp2 = lambda x, memo=None: exp(2.0 * x)
-_tan = lambda x, memo=None: tan(x)
+# Basis functions of one argument: each closed form is a sum of these
+# (``_terms``), and a basis reads the ones it is built from through
+# ``_once``, so on a jet each runs once per argument.  F and f, G and g, the
+# four tilde functions and intF and intf share them.  A basis is first
+# evaluated where it would be without ``_once``, so an evaluation raises the
+# same first ``DomainError``.  The primitives have private names, so that
+# the keys stay these objects when the imported names are rebound (as the
+# benchmark's span recording, bench/tracing.py, does).
+_ident = lambda x: x
+_one = lambda x: x * 0.0 + 1.0
+_sqrt = lambda x: sqrt(x)
+_rsqrt = lambda x: _once(_sqrt, x)**-1
+_log = lambda x: log(x)
+_exp = lambda x: exp(x)
+_exp2 = lambda x: exp(2.0 * x)
+_tan = lambda x: tan(x)
 
 
 def _power(p):
-    return lambda x, memo=None: x**p
+    return lambda x: x**p
 
 
 _POW = {p: _power(p) for p in (-3, -2, 2, 3, 4, 6)}
@@ -293,17 +288,17 @@ def _terms(*pairs):
     Dropping at construction keeps pole terms (1/v^2, cot^2, ...) out of
     the evaluation entirely when their coefficient vanishes, so degenerate
     rows evaluate cleanly on the pole locus instead of producing 0 * inf.
-    The sum takes the pass's memo and reads each basis through it.
+    The sum reads each basis through ``_once``.
     """
     active = [(c, f) for c, f in pairs if c != 0.0]
     if not active:
-        return lambda x, memo=None: x * 0.0
+        return lambda x: x * 0.0
     (c0, f0), rest = active[0], active[1:]
 
-    def fn(x, memo=None):
-        out = c0 * _at(memo, f0, x)
+    def fn(x):
+        out = c0 * _once(f0, x)
         for c, f in rest:
-            out = out + c * _at(memo, f, x)
+            out = out + c * _once(f, x)
         return out
 
     return fn
@@ -312,19 +307,18 @@ def _terms(*pairs):
 _Solution = namedtuple("_Solution", "A_of_xi sqrtA X_of_xi char_constants")
 
 
-def _ch(x, memo=None):
+def _ch(x):
     """e^x + e^-x, the square root of the I3 solution."""
-    return _at(memo, _exp, x) + exp(-x)
+    return _once(_exp, x) + exp(-x)
 
 
 # A(xi) solving 6 A'^2 = 3 gamma A^2 + 3 alpha A - a, d xi / dX = sqrt(A), X(xi)
 # and (alpha, gamma, a), keyed by the classes that use them; B(eta) = A(eta).
 _CHARACTERISTIC = {
-    ("I1", "II2"): _Solution(_ident, _sqrt, lambda x, memo=None: 2.0 * _at(memo, _sqrt, x),
-                             (0.0, 0.0, -6.0)),
+    ("I1", "II2"): _Solution(_ident, _sqrt, lambda x: 2.0 * _once(_sqrt, x), (0.0, 0.0, -6.0)),
     ("I2", "II3"): _Solution(_POW[2], _ident, _log, (8.0, 0.0, 0.0)),
-    ("I3",): _Solution(lambda x, memo=None: _at(memo, _ch, x)**2, _ch,
-                       lambda x, memo=None: arctan(_at(memo, _exp, x)), (-32.0, 8.0, 0.0)),
+    ("I3",): _Solution(lambda x: _once(_ch, x)**2, _ch, lambda x: arctan(_once(_exp, x)),
+                       (-32.0, 8.0, 0.0)),
     ("II1",): _Solution(_one, _one, _ident, (0.0, 0.0, 0.0)),
 }
 
@@ -382,11 +376,11 @@ def _closed_forms(spec: SystemSpec) -> dict:
         def Ft(c2, c0):
             return _terms((4.0 * c2, _exp2), (c0, _exp))
 
-        def plus(v, memo=None):
-            return _at(memo, _exp, v) / (1.0 + _at(memo, _exp, v))**2
+        def plus(v):
+            return _once(_exp, v) / (1.0 + _once(_exp, v))**2
 
-        def minus(v, memo=None):
-            return _at(memo, _exp, v) / (_at(memo, _exp, v) - 1.0)**2
+        def minus(v):
+            return _once(_exp, v) / (_once(_exp, v) - 1.0)**2
 
         def Gt(c1, cmu):
             return _terms((c1, plus), (cmu, minus))
@@ -399,23 +393,23 @@ def _closed_forms(spec: SystemSpec) -> dict:
         )
 
     if tag == "I3":
-        def den(u, memo=None):
-            return (_at(memo, _exp2, u) - 1.0)**2
+        def den(u):
+            return (_once(_exp2, u) - 1.0)**2
 
-        def even(u, memo=None):
-            return _at(memo, _exp2, u) / _at(memo, den, u)
+        def even(u):
+            return _once(_exp2, u) / _once(den, u)
 
-        def odd(u, memo=None):
-            return _at(memo, _exp, u) * (1.0 + _at(memo, _exp2, u)) / _at(memo, den, u)
+        def odd(u):
+            return _once(_exp, u) * (1.0 + _once(_exp2, u)) / _once(den, u)
 
         def FG(ca, cb):
             return _terms((ca, even), (cb, odd))
 
-        def tan2(u, memo=None):
-            return _at(memo, _tan, u)**2
+        def tan2(u):
+            return _once(_tan, u)**2
 
-        def cot2(u, memo=None):
-            return _at(memo, _tan, u)**-2
+        def cot2(u):
+            return _once(_tan, u)**-2
 
         def Ft(ca, cc, cd):
             return _terms((ca, tan2), (cc, cot2), (cd, _one))
@@ -513,7 +507,7 @@ def _liouville_form(p1, p2, F, G, f, g):
             + 4.0 * (f * G - g * F) / m)
 
 
-def _a_form(fns, eta, p_xi, p_eta, metric, potential, memo=None):
+def _a_form(fns, eta, p_xi, p_eta, metric, potential):
     """A from the metric and potential pairs ``(F, G, g)`` and ``(f, g_pot, w)``.
 
     Liouville form for Class I; Lie form with the antiderivatives ``intF``
@@ -523,21 +517,21 @@ def _a_form(fns, eta, p_xi, p_eta, metric, potential, memo=None):
     f, g_pot, w = potential
     if _class_one(fns.tag):
         return _liouville_form(p_xi, p_eta, F, G, f, g_pot)
-    beta = fns.intF(eta, memo)
+    beta = fns.intF(eta)
     return (p_xi**2
             - 2.0 * p_xi * p_eta * beta / g
             - 2.0 * w * beta / g
-            + 2.0 * fns.intf(eta, memo))
+            + 2.0 * fns.intf(eta))
 
 
-def _b_form(fns, xi, eta, p_xi, p_eta, memo=None):
+def _b_form(fns, xi, eta, p_xi, p_eta):
     """B: the Liouville form of the tilde functions in the (X, Y) coordinates."""
-    X, Y = fns.X_of_xi(xi, memo), fns.X_of_xi(eta, memo)
-    pX = _at(memo, fns.sqrtA, xi) * p_xi    # sqrt(A) may be X's own basis
-    pY = _at(memo, fns.sqrtA, eta) * p_eta
+    X, Y = fns.X_of_xi(xi), fns.X_of_xi(eta)
+    pX = _once(fns.sqrtA, xi) * p_xi    # sqrt(A) may be X's own basis
+    pY = _once(fns.sqrtA, eta) * p_eta
     U, V = X + Y, X - Y
-    return _liouville_form(pX, pY, fns.F_tilde(U, memo), fns.G_tilde(V, memo),
-                           fns.f_tilde(U, memo), fns.g_tilde(V, memo))
+    return _liouville_form(pX, pY, fns.F_tilde(U), fns.G_tilde(V),
+                           fns.f_tilde(U), fns.g_tilde(V))
 
 
 def hamiltonian(spec: SystemSpec, enforce_min_g: bool = True) -> Observable:
@@ -585,12 +579,12 @@ def integrals(spec: SystemSpec, order: int = 2) -> Callable[[PhasePoint], tuple]
 
     The closed forms are built once, and H and A share the metric and
     potential pairs (g and w; for Class I also F(u), G(v), f(u), g(v)).
-    Each call keeps one memo (see :func:`_at`), dropped when it returns,
-    so each basis function runs once per argument jet: F and f share
+    Each basis function runs once per argument jet, whose basis values
+    live as long as it does (:meth:`Jet2.once`): F and f share
     theirs at u, G and g at v, the tilde functions at U and V, and in
     Class II F, G, f, g, intF, intf, X and sqrt(A) share theirs at eta.
-    The memo fills as the forms ask: F(u), G(v), the metric guard, f(u),
-    g(v), then A's and B's own terms.  The forms run on (xi, eta) jets,
+    They are computed as the forms ask: F(u), G(v), the metric guard,
+    f(u), g(v), then A's and B's own terms.  The forms run on (xi, eta) jets,
     lifted to four variables where a momentum enters.  The jets equal the
     ``eval`` of :func:`hamiltonian`, :func:`integral_A` and
     :func:`integral_B` bit for bit, and the first ``DomainError`` is the
@@ -606,14 +600,13 @@ def integrals(spec: SystemSpec, order: int = 2) -> Callable[[PhasePoint], tuple]
 
     def evaluate(point: PhasePoint):
         xi, eta, p_xi, p_eta = seed_phase(point, order)
-        memo = {}
         args = fns.arguments(xi, eta)
-        metric = fns.pair(fns.F, fns.G, xi, args, memo)
+        metric = fns.pair(fns.F, fns.G, xi, args)
         _guard_metric(metric[2])
-        potential = fns.pair(fns.f_pot, fns.g_pot, xi, args, memo)
+        potential = fns.pair(fns.f_pot, fns.g_pot, xi, args)
         return (_h_form(*(j.first_order() for j in (p_xi, p_eta, metric[2], potential[2]))),
-                _a_form(fns, eta, p_xi, p_eta, metric, potential, memo),
-                _b_form(fns, xi, eta, p_xi, p_eta, memo))
+                _a_form(fns, eta, p_xi, p_eta, metric, potential),
+                _b_form(fns, xi, eta, p_xi, p_eta))
 
     return evaluate
 

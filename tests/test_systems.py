@@ -1,5 +1,8 @@
 """Closed forms of the six subclasses against hand-computed values."""
 
+import functools
+import gc
+
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
@@ -182,10 +185,18 @@ def test_shared_pass_raises_the_metric_error():
 _PRIMITIVES = ("exp", "tan", "sqrt", "log", "arctan", "__pow__")
 
 
+def _evaluations(spec, order):
+    """The shared pass and the ``eval`` of H, A and B, at ``order``."""
+    return [integrals(spec, order)] + [
+        functools.partial(obs.eval, order=order)
+        for obs in (hamiltonian(spec), integral_A(spec), integral_B(spec))]
+
+
 @pytest.mark.parametrize("order", [2, 1])
 @pytest.mark.parametrize("tag", CLASS_TAGS)
 def test_shared_pass_applies_each_primitive_once_per_jet(tag, order, monkeypatch):
-    # the calls list holds every operand, so no id is reused during the pass
+    # the same holds for H, A and B evaluated apart; the calls list holds
+    # every operand, so no id is reused during the passes
     calls = []
 
     def spy(name):
@@ -199,13 +210,31 @@ def test_shared_pass_applies_each_primitive_once_per_jet(tag, order, monkeypatch
 
     spec = SystemSpec(tag, **GENERIC)
     pts = sample_points(spec, 64, np.random.default_rng(24))
-    evaluate = integrals(spec, order)
+    evaluations = _evaluations(spec, order)
     for name in _PRIMITIVES:
         monkeypatch.setattr(jets._Jet, name, spy(name))
-    evaluate(pts)
+    for evaluate in evaluations:
+        evaluate(pts)
     monkeypatch.undo()
     keys = [(name, id(jet), args) for name, jet, args in calls]
     assert calls and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_passes_leave_no_reference_cycle(tag):
+    # a jet keeping a basis value that refers back to it would be freed
+    # only by the cyclic collector, long after its pass
+    spec = SystemSpec(tag, **GENERIC)
+    pts = sample_points(spec, 64, np.random.default_rng(24))
+    evaluations = _evaluations(spec, 2) + _evaluations(spec, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        for evaluate in evaluations:
+            evaluate(pts)
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
 
 
 def test_order_one_pass_raises_the_metric_error_of_order_two():

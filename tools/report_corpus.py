@@ -53,7 +53,13 @@ The corpus is:
   of the array bytes and the first and last points with 17 significant
   digits, and for the all-zero spec of each class and six draws per class
   with parameters of order 1e-3 (some need several batches, some raise) at
-  100 and 2049 points, with the ``SamplingError`` text where one is raised.
+  100 and 2049 points, with the ``SamplingError`` text where one is raised;
+* ``Observable.eval`` of ``hamiltonian``, ``integral_A``, ``integral_B`` and
+  ``metric_observable`` at orders 1 and 2 (value, gradient and, at order 2,
+  the packed Hessian), ``geometry.curvature`` point by point,
+  ``poisson.bracket`` of (H, A), (H, B) and (A, B) with its scales, and
+  ``c_observable``'s order-1 bracket and value, all in hexadecimal, on 20
+  sampled points of the reference specs and the random draws.
 
 It takes under a minute on one core.
 """
@@ -74,12 +80,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.abspath(sys.argv[1]) if len(sys.argv) > 1
                 else os.path.join(ROOT, "src"))
 
-from superint import catalog, cli, dynamics, geometry  # noqa: E402
+from superint import catalog, cli, dynamics, geometry, poisson  # noqa: E402
 from superint.errors import SamplingError, SuperintError  # noqa: E402
 from superint.jets import PhasePoint  # noqa: E402
 from superint.poisson import verify_algebra, verify_casimir  # noqa: E402
 from superint.systems import (CLASS_TAGS, SystemSpec, build_fns,  # noqa: E402
-                              characteristic_residual, constants_poly, sample_points,
+                              characteristic_residual, constants_poly, hamiltonian,
+                              integral_A, integral_B, metric_observable, sample_points,
                               structural_pde_residual)
 
 REF = dict(kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1, m=0.2, n=1.0)
@@ -331,6 +338,32 @@ def _constants():
                 print("   ", f.name, type(value).__name__, _hex(value))
 
 
+def _jet_hex(jet):
+    """A jet's value, gradient and, at order 2, packed Hessian in hexadecimal."""
+    parts = (jet.val, jet.grad) + ((jet.hess,) if jet.order == 2 else ())
+    return " | ".join(map(_hex, parts))
+
+
+def _bracket_hex(b):
+    return " | ".join(_hex(getattr(b, f.name)) for f in dataclasses.fields(b))
+
+
+def _observables():
+    for spec in _specs():
+        pts = sample_points(spec, 20, np.random.default_rng(0xC0FFEE))
+        H, A, B = hamiltonian(spec), integral_A(spec), integral_B(spec)
+        for obs in (H, A, B, metric_observable(spec)):
+            for order in (1, 2):
+                print(spec.tag, obs.label, order, _jet_hex(obs.eval(pts, order)))
+        print(spec.tag, "curvature", _hex(geometry.curvature(spec, pts.xi, pts.eta)))
+        for F, G in ((H, A), (H, B), (A, B)):
+            print(spec.tag, "bracket", F.label, G.label,
+                  _bracket_hex(poisson.bracket(F, G, pts)))
+        C = poisson.c_observable(spec)
+        print(spec.tag, "C order1", _bracket_hex(C.order1(pts)))
+        print(spec.tag, "C value", _hex(C.value(pts)))
+
+
 def _catalog():
     for table in catalog.TABLES:
         for entry in catalog.lookup(table=table, include_aliases=False):
@@ -361,3 +394,4 @@ if __name__ == "__main__":
     _constants()
     _catalog()
     _sampling()
+    _observables()
