@@ -241,8 +241,8 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_S
                     if entry.claim_kind == "curvature_constant":
                         c = geometry.classify_curvature(spec, n_points=n_points,
                                                         seed=draw_seed)
-                        ok = (c.tag == "Constant" and abs(c.mean - scale) <= 1e-7
-                              and c.stddev <= geometry.TOL_CURV_CONST)
+                        ok = (c.tag == "Constant" and c.stddev <= geometry.TOL_CURV_CONST
+                              and abs(c.mean - scale) <= geometry.TOL_CURV_MEAN)
                         info = {"K": scale, "mean": c.mean, "stddev": c.stddev}
                     else:
                         ok, info = _check_claim(entry, spec, draw_seed, n_points,

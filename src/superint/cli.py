@@ -35,12 +35,16 @@ def _add_spec_args(p):
     p.add_argument("--spec-file", help="JSON file with the flat spec document")
 
 
-def _count(text):
-    """argparse type of a count: an integer of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _at_least(low):
+    """argparse type of an integer of at least ``low``: 1 for a count, 0 for
+    a seed."""
+    def integer(text):
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return integer
 
 
 def _positive(text):
@@ -61,9 +65,9 @@ def _tolerance(text):
 
 # flags only some report commands read
 _OPTIONAL_ARGS = {
-    "tol-bracket": dict(type=float, default=TOL_BRACKET,
+    "tol-bracket": dict(type=_tolerance, default=TOL_BRACKET,
                         help="tolerance for first brackets"),
-    "tol-nested": dict(type=float, default=TOL_NESTED,
+    "tol-nested": dict(type=_tolerance, default=TOL_NESTED,
                        help="tolerance for nested brackets / Casimir"),
     "threads": dict(type=int, default=1,
                     help="accepted for compatibility; has no effect"),
@@ -260,8 +264,8 @@ def build_parser():
         p = sub.add_parser(name, help=help)
         if spec:
             _add_spec_args(p)
-        p.add_argument("--points", type=_count, default=points)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--points", type=_at_least(1), default=points)
+        p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
         p.add_argument("--output", help="write the report to this path")
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--no-timestamp", action="store_true",
@@ -290,7 +294,7 @@ def build_parser():
     p = cmd("tables", _cmd_tables, "sweep the classification tables",
             points=50, spec=False, formats=("json", "human", "csv"))
     p.add_argument("--table", choices=catalog.TABLES + ("all",), default="all")
-    p.add_argument("--draws", type=_count, default=5)
+    p.add_argument("--draws", type=_at_least(1), default=5)
 
     p = sub.add_parser("trajectory",
                        help="integrate Hamilton's equations and export CSV")

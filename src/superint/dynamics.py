@@ -174,7 +174,7 @@ def _compiled(tag, *params):
     """H's traced gradient and the domain check of the spec of class ``tag``
     whose parameters have the ``float.hex`` strings ``params``."""
     spec = SystemSpec(tag, *map(float.fromhex, params))
-    return _Flow(trace(hamiltonian(spec, enforce_min_g=False).fn), _domain_check(spec))
+    return _Flow(trace(hamiltonian(spec).fn), _domain_check(spec))
 
 
 def _flow(spec: SystemSpec) -> _Flow:
@@ -332,13 +332,16 @@ def clamp_energy(spec: SystemSpec, point: PhasePoint):
     ``point`` itself has it).  When no scaling gets there, e.g. when the
     potential dominates H, ``point`` is returned as given, with factor 1.0.
     Scaling keeps step sizes sane at the cost of a different trajectory.
+    H is evaluated with numpy's floating-point warnings off: ``point`` may
+    lie outside the domain, which :func:`integrate` reports.
     """
-    H = hamiltonian(spec, enforce_min_g=False)
+    H = hamiltonian(spec)
     arr = point.as_array().astype(float).reshape(4)
     scale = 1.0
-    for _ in range(61):
-        if abs(float(H.value(PhasePoint.from_array(arr)))) <= MAX_ABS_H:
-            return PhasePoint.from_array(arr), scale
-        arr[2:] *= 0.7
-        scale *= 0.7
+    with np.errstate(all="ignore"):
+        for _ in range(61):
+            if abs(float(H.value(PhasePoint.from_array(arr)))) <= MAX_ABS_H:
+                return PhasePoint.from_array(arr), scale
+            arr[2:] *= 0.7
+            scale *= 0.7
     return point, 1.0

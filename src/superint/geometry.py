@@ -36,12 +36,14 @@ __all__ = [
     "linear_observable",
     "TOL_CURV_ZERO",
     "TOL_CURV_CONST",
+    "TOL_CURV_MEAN",
     "TOL_DIRECTIONAL",
     "TOL_LINEAR",
 ]
 
 TOL_CURV_ZERO = 1e-8
 TOL_CURV_CONST = 1e-8
+TOL_CURV_MEAN = 1e-7   # |mean K - K| of a row that claims constant curvature K
 TOL_DIRECTIONAL = 1e-9
 TOL_LINEAR = 1e-9
 

@@ -30,11 +30,11 @@ zero.  Its ``lift()`` pads it with zeros to the four-variable layout, and
 :class:`Jet2`, so a momentum enters in four variables.  :func:`seed_phase`
 seeds the coordinates in two variables and the momenta in four.
 
-A jet keeps the values computed from it through :meth:`Jet2.once`:
-``x.once(fn)`` runs ``fn(x)`` on the first call and returns the same result
-after, as long as ``x`` lives, so that the closed forms of
-:mod:`superint.systems` evaluate each basis function once per argument
-jet.
+A jet or a dual keeps the values computed from it through
+:meth:`_Jet.once`: ``x.once(fn)`` runs ``fn(x)`` on the first call and
+returns the same result after, as long as ``x`` lives, so that the closed
+forms of :mod:`superint.systems` evaluate each basis function once per
+argument, in a traced evaluation too.
 
 A :class:`Dual4` is the order-1 little sibling (value + gradient, plain
 Python floats) for first derivatives at one scalar point.
@@ -150,10 +150,28 @@ class _Jet:
     ``_require`` the condition that must hold (``val > 0``), so NaN, for
     which every comparison is false, fails them.  Subclasses keep the
     storage arithmetic: +, -, *, negation, ``_div`` by a plain number and
-    ``_one``, the constant ``x ** 0``.
+    ``_one``, the constant ``x ** 0``.  Both keep the values computed from
+    them in the same way (:meth:`once`).
     """
 
-    __slots__ = ()
+    __slots__ = ("_kept",)
+
+    def once(self, fn):
+        """``fn(self)``, computed on the first call with ``fn`` and kept on
+        this jet or dual for the next.
+
+        A result that is the number itself is not kept, so that no number
+        refers to itself and each is freed as soon as it is no longer used.
+        """
+        kept = getattr(self, "_kept", None)
+        if kept is None:
+            kept = self._kept = {}
+        out = kept.get(fn)
+        if out is None:
+            out = fn(self)
+            if out is not self:
+                kept[fn] = out
+        return out
 
     def __truediv__(self, other):
         if isinstance(other, _Jet):
@@ -222,7 +240,7 @@ class Jet2(_Jet):
     narrows to (xi, eta).
     """
 
-    __slots__ = ("val", "grad", "_hess", "_kept")
+    __slots__ = ("val", "grad", "_hess")
     _m = np
     _NV = 4
     _IU, _JU, _UNPACK = _packed(4)
@@ -272,23 +290,6 @@ class Jet2(_Jet):
         """This jet without its Hessian: an order-1 jet on the same value and
         gradient arrays."""
         return self if self._hess is None else self._of(self.val, self.grad, None)
-
-    def once(self, fn):
-        """``fn(self)``, computed on the first call with ``fn`` and kept on
-        this jet for the next.
-
-        A result that is this jet itself is not kept, so that a jet never
-        refers to itself and is freed as soon as it is no longer used.
-        """
-        kept = getattr(self, "_kept", None)
-        if kept is None:
-            kept = self._kept = {}
-        out = kept.get(fn)
-        if out is None:
-            out = fn(self)
-            if out is not self:
-                kept[fn] = out
-        return out
 
     # -- accessors ----------------------------------------------------
 

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SamplingError
-from .jets import (CoordJet, Jet2, Observable, PhasePoint, arctan, exp, log,
+from .jets import (CoordJet, Jet2, Observable, PhasePoint, _Jet, arctan, exp, log,
                    seed_phase, sqrt, tan)
 
 __all__ = [
@@ -191,10 +191,11 @@ class SystemFns:
     """Closed forms of one subclass, bundled.
 
     For Class I the metric/potential builders take ``u = xi + eta`` and
-    ``v = xi - eta``; for Class II they take ``eta`` alone.  All callables
-    accept jets, duals or plain arrays.  On a jet, each basis function of
-    the closed forms runs once per argument jet and the jet keeps its
-    value (:meth:`Jet2.once`), so that F and f share theirs at
+    ``v = xi - eta``; for Class II they take ``eta`` alone.  :meth:`pairs`
+    builds these arguments once and combines each pair.  All callables
+    accept jets, duals or plain arrays.  On a jet or a dual, each basis
+    function of the closed forms runs once per argument and the argument
+    keeps its value (:meth:`_Jet.once`), so that F and f share theirs at
     the same u, G and g at the same v, and so on; on anything else each
     call evaluates afresh.  ``A_of_xi``, ``sqrtA``, ``X_of_xi`` and
     ``char_constants`` are the class's entry of ``_CHARACTERISTIC``; the
@@ -217,53 +218,57 @@ class SystemFns:
     intF: Callable = None    # Class II only: antiderivative of F
     intf: Callable = None    # Class II only: antiderivative of f_pot
 
-    def arguments(self, xi, eta):
-        """The arguments of the pair functions: ``(xi + eta, xi - eta)`` for
-        Class I, ``(eta, eta)`` for Class II."""
+    def _rule(self, xi, eta):
+        """The arguments of the pair functions and the combination of a pair:
+        ``(xi + eta, xi - eta)`` and ``a + b`` for Class I, ``(eta, eta)``
+        and ``a * xi + b`` for Class II."""
         if _class_one(self.tag):
-            return xi + eta, xi - eta
-        return eta, eta
+            return xi + eta, xi - eta, lambda a, b: a + b
+        return eta, eta, lambda a, b: a * xi + b
 
-    def pair(self, first, second, xi, args):
-        """``first`` and ``second`` at ``args``, and their combination.
+    def pairs(self, xi, eta, guard=False):
+        """The metric pair and g, and the potential pair and w, at (xi, eta):
+        ``((F, G, g), (f_pot, g_pot, w))``.
 
-        ``args`` is :meth:`arguments` at (xi, eta); the combination is
-        ``first + second`` (Class I) or ``first * xi + second`` (Class II):
-        g for ``(F, G)``, w for ``(f_pot, g_pot)``.  ``first`` is evaluated
-        before ``second``.
+        The arguments are built once, and the parts are computed in the
+        order F, G, g, the metric guard (on jets only, with ``guard``),
+        f_pot, g_pot, w, so that the first error is the same in every
+        caller.
         """
-        a, b = first(args[0]), second(args[1])
-        if _class_one(self.tag):
-            return a, b, a + b
-        return a, b, a * xi + b
+        u, v, combine = self._rule(xi, eta)
+        F, G = self.F(u), self.G(v)
+        g = combine(F, G)
+        if guard and isinstance(g, Jet2):
+            _guard_metric(g)
+        f, g_pot = self.f_pot(u), self.g_pot(v)
+        return (F, G, g), (f, g_pot, combine(f, g_pot))
 
     def metric(self, xi, eta):
         """Conformal factor g at (xi, eta); arguments may be jets."""
-        return self.pair(self.F, self.G, xi, self.arguments(xi, eta))[2]
+        u, v, combine = self._rule(xi, eta)
+        return combine(self.F(u), self.G(v))
 
     def tilde_metric(self, xi, eta):
         """Recoordinatized conformal factor F~(X+Y) + G~(X-Y) at (xi, eta)."""
         X, Y = self.X_of_xi(xi), self.X_of_xi(eta)
         return self.F_tilde(X + Y) + self.G_tilde(X - Y)
 
-    def potential_numerator(self, xi, eta):
-        return self.pair(self.f_pot, self.g_pot, xi, self.arguments(xi, eta))[2]
-
 
 def _once(fn, x):
-    """``fn(x)``, kept on ``x`` when it is a jet (:meth:`Jet2.once`), and
-    evaluated afresh on anything else: floats, arrays, duals, traced floats."""
-    return x.once(fn) if isinstance(x, Jet2) else fn(x)
+    """``fn(x)``, kept on ``x`` when it is a jet or a dual, traced duals
+    included (:meth:`_Jet.once`), and evaluated afresh on anything else:
+    floats, arrays, traced floats."""
+    return x.once(fn) if isinstance(x, _Jet) else fn(x)
 
 
 # Basis functions of one argument: each closed form is a sum of these
 # (``_terms``), and a basis reads the ones it is built from through
-# ``_once``, so on a jet each runs once per argument.  F and f, G and g, the
-# four tilde functions and intF and intf share them.  A basis is first
-# evaluated where it would be without ``_once``, so an evaluation raises the
-# same first ``DomainError``.  The primitives have private names, so that
-# the keys stay these objects when the imported names are rebound (as the
-# benchmark's span recording, bench/tracing.py, does).
+# ``_once``, so on a jet or a dual each runs once per argument.  F and f,
+# G and g, the four tilde functions and intF and intf share them.  A basis
+# is first evaluated where it would be without ``_once``, so an evaluation
+# raises the same first ``DomainError``.  The primitives have private
+# names, so that the keys stay these objects when the imported names are
+# rebound (as the benchmark's span recording, bench/tracing.py, does).
 _ident = lambda x: x
 _one = lambda x: x * 0.0 + 1.0
 _sqrt = lambda x: sqrt(x)
@@ -487,7 +492,7 @@ def _closed_forms(spec: SystemSpec) -> dict:
 
 
 def _guard_metric(g):
-    gv = np.atleast_1d(g.val if isinstance(g, Jet2) else np.asarray(g))
+    gv = np.atleast_1d(g.val)
     small = np.abs(gv) < MIN_ABS_G
     if np.any(small):
         raise DomainError("metric", float(gv[small].flat[0]),
@@ -535,14 +540,15 @@ def _b_form(fns, xi, eta, p_xi, p_eta):
 
 
 def hamiltonian(spec: SystemSpec, enforce_min_g: bool = True) -> Observable:
-    """H = (p_xi p_eta + w(xi, eta)) / g(xi, eta)."""
+    """H = (p_xi p_eta + w(xi, eta)) / g(xi, eta).
+
+    With ``enforce_min_g``, a jet evaluation raises ``DomainError`` where
+    ``|g| < MIN_ABS_G``; duals, floats and arrays are never guarded.
+    """
     fns = build_fns(spec)
 
     def fn(xi, eta, p_xi, p_eta):
-        g = fns.metric(xi, eta)
-        if enforce_min_g and isinstance(g, Jet2):
-            _guard_metric(g)
-        w = fns.potential_numerator(xi, eta)
+        (_, _, g), (_, _, w) = fns.pairs(xi, eta, enforce_min_g)
         return _h_form(p_xi, p_eta, g, w)
 
     return Observable(fn, label="H")
@@ -553,9 +559,7 @@ def integral_A(spec: SystemSpec) -> Observable:
     fns = build_fns(spec)
 
     def fn(xi, eta, p_xi, p_eta):
-        args = fns.arguments(xi, eta)
-        return _a_form(fns, eta, p_xi, p_eta, fns.pair(fns.F, fns.G, xi, args),
-                       fns.pair(fns.f_pot, fns.g_pot, xi, args))
+        return _a_form(fns, eta, p_xi, p_eta, *fns.pairs(xi, eta))
 
     return Observable(fn, label="A")
 
@@ -577,14 +581,14 @@ def integral_B(spec: SystemSpec) -> Observable:
 def integrals(spec: SystemSpec, order: int = 2) -> Callable[[PhasePoint], tuple]:
     """One pass for H, A and B: a map from points to their jets of ``order``.
 
-    The closed forms are built once, and H and A share the metric and
-    potential pairs (g and w; for Class I also F(u), G(v), f(u), g(v)).
-    Each basis function runs once per argument jet, whose basis values
-    live as long as it does (:meth:`Jet2.once`): F and f share
+    The closed forms are built once, and H and A share one
+    :meth:`SystemFns.pairs` call (g and w; for Class I also F(u), G(v),
+    f(u), g(v)).  Each basis function runs once per argument jet, whose
+    basis values live as long as it does (:meth:`_Jet.once`): F and f share
     theirs at u, G and g at v, the tilde functions at U and V, and in
     Class II F, G, f, g, intF, intf, X and sqrt(A) share theirs at eta.
-    They are computed as the forms ask: F(u), G(v), the metric guard,
-    f(u), g(v), then A's and B's own terms.  The forms run on (xi, eta) jets,
+    They are computed as the forms ask: the pairs with the metric guard,
+    then A's and B's own terms.  The forms run on (xi, eta) jets,
     lifted to four variables where a momentum enters.  The jets equal the
     ``eval`` of :func:`hamiltonian`, :func:`integral_A` and
     :func:`integral_B` bit for bit, and the first ``DomainError`` is the
@@ -600,10 +604,7 @@ def integrals(spec: SystemSpec, order: int = 2) -> Callable[[PhasePoint], tuple]
 
     def evaluate(point: PhasePoint):
         xi, eta, p_xi, p_eta = seed_phase(point, order)
-        args = fns.arguments(xi, eta)
-        metric = fns.pair(fns.F, fns.G, xi, args)
-        _guard_metric(metric[2])
-        potential = fns.pair(fns.f_pot, fns.g_pot, xi, args)
+        metric, potential = fns.pairs(xi, eta, guard=True)
         return (_h_form(*(j.first_order() for j in (p_xi, p_eta, metric[2], potential[2]))),
                 _a_form(fns, eta, p_xi, p_eta, metric, potential),
                 _b_form(fns, xi, eta, p_xi, p_eta))

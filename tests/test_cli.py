@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -205,6 +206,48 @@ def test_non_positive_counts_exit_2(argv, capsys):
 def test_bad_trajectory_controls_exit_2(flags, tmp_path):
     assert main(TRAJECTORY + flags + ["--output", str(tmp_path / "t.csv")]) == 2
     assert not (tmp_path / "t.csv").exists()
+
+
+_SPEC = ["--class", "I1", "--nu", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    [cmd, *_SPEC, "--seed", "-1"] for cmd in ("verify", "casimir", "curvature",
+                                               "revolution", "linear")
+] + [["tables", "--table", "T3", "--seed", "-5"]])
+def test_negative_seeds_exit_2(argv, capsys):
+    # a seed numpy would refuse is a configuration error, not a traceback
+    assert main(argv) == 2
+    assert "must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", *_SPEC, "--tol-bracket", "-1"],
+    ["verify", *_SPEC, "--tol-bracket", "nan"],
+    ["verify", *_SPEC, "--tol-nested", "-1e-3"],
+    ["casimir", *_SPEC, "--tol-nested", "nan"],
+    ["casimir", *_SPEC, "--tol-nested", "inf"],
+    ["linear", *_SPEC, "--tol-bracket", "-0.5"],
+])
+def test_bad_tolerances_exit_2(argv, capsys):
+    # a negative or NaN tolerance would fail every identity
+    assert main(argv) == 2
+    assert "must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--class", "I1", "--mu", "1", "--nu", "2", "--initial", "1,1,0.1,0.1"],
+     "DomainError"),     # xi = eta, the pole of G
+    (["--class", "II1", "--mu", "1", "--nu", "1", "--initial", "1,1.2,1e200,1e200"],
+     "StepFailure"),     # H overflows
+])
+def test_trajectory_errors_come_without_numpy_warnings(argv, error, capsys, tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["trajectory", *argv, "--output", str(tmp_path / "t.csv")])
+    assert code == 3 and [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags", [["--t-end", "nan"], ["--rel-tol", "nan"]])

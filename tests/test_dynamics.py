@@ -9,7 +9,8 @@ from superint.errors import DomainError, StepFailure
 from superint.jets import Dual4, PhasePoint, norm_residual, straight_line, trace
 from superint.poisson import TOL_NESTED
 from superint.systems import (CLASS_TAGS, MIN_ABS_G, SystemSpec, algebra_constants,
-                              build_fns, hamiltonian, sample_domain)
+                              build_fns, hamiltonian, integral_A, integral_B,
+                              metric_observable, sample_domain, sample_points)
 from superint.dynamics import (clamp_energy, conserved_values, drift_report,
                                integrate, trajectory_csv)
 
@@ -186,12 +187,22 @@ def test_step_failure_on_budget_exhaustion():
 # -- the traced right-hand side ---------------------------------------------
 
 
+class _FreshDual(Dual4):
+    """A Dual4 that keeps no basis value: each one is computed afresh, so the
+    reference shares nothing with the traced evaluation."""
+
+    __slots__ = ()
+
+    def once(self, fn):
+        return fn(self)
+
+
 def _dual_rhs_fn(spec):
     """The reference: H's gradient from Dual4 numbers, evaluated per call."""
-    H = hamiltonian(spec, enforce_min_g=False)
+    H = hamiltonian(spec)
 
     def rhs(y):
-        args = [Dual4.seed(y[i], i) for i in range(4)]
+        args = [_FreshDual.seed(y[i], i) for i in range(4)]
         out = H.fn(*args)
         d = out.d
         return np.array([d[2], d[3], -d[0], -d[1]])
@@ -208,7 +219,7 @@ def _outcome(fn, *args):
 
 
 def _dual_eval(fn, y):
-    out = fn(*[Dual4.seed(v, i) for i, v in enumerate(y)])
+    out = fn(*[_FreshDual.seed(v, i) for i, v in enumerate(y)])
     return (out.val, *out.d)
 
 
@@ -223,7 +234,7 @@ _COMPONENT = st.one_of(st.floats(0.2, 2.0), st.floats(-3.0, 3.0), st.floats(-1e3
 def test_traced_gradient_equals_the_dual4_evaluation(tag, params, states):
     # same floats of the same types, signed zeros included, and where the
     # Dual4 evaluation raises, the same exception with the same text
-    H = hamiltonian(SystemSpec(tag, *params), enforce_min_g=False)
+    H = hamiltonian(SystemSpec(tag, *params))
     traced = trace(H.fn)
     for y in states:
         assert _outcome(traced, *y) == _outcome(_dual_eval, H.fn, y), (tag, params, y)
@@ -237,11 +248,26 @@ def test_traced_gradient_raises_the_dual4_errors():
              (SystemSpec("I3", nu=1.0, k=0.5), (1e3, 0.5, 0.5, 0.5))]    # exp overflow
     kinds = set()
     for spec, y in cases:
-        H = hamiltonian(spec, enforce_min_g=False)
+        H = hamiltonian(spec)
         want = _outcome(_dual_eval, H.fn, y)
         assert _outcome(trace(H.fn), *y) == want
         kinds.add(want[0])
     assert kinds == {DomainError, ZeroDivisionError, OverflowError}
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_duals_that_keep_basis_values_equal_fresh_ones(tag):
+    # H, A, B and g on Dual4 numbers, which keep their basis values, give
+    # the floats of duals that compute each one afresh
+    spec = SystemSpec(tag, kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1,
+                      m=0.2, n=1.0)
+    observables = (hamiltonian(spec), integral_A(spec), integral_B(spec),
+                   metric_observable(spec))
+    for y in sample_points(spec, 20, np.random.default_rng(26)).as_array().T.tolist():
+        for obs in observables:
+            val, grad = obs.dual(PhasePoint(*y))
+            want = _dual_eval(obs.fn, y)
+            assert [float.hex(v) for v in (val, *grad)] == list(map(float.hex, want))
 
 
 # -- the compiled step against the numpy integrator ---------------------------

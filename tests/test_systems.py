@@ -185,18 +185,10 @@ def test_shared_pass_raises_the_metric_error():
 _PRIMITIVES = ("exp", "tan", "sqrt", "log", "arctan", "__pow__")
 
 
-def _evaluations(spec, order):
-    """The shared pass and the ``eval`` of H, A and B, at ``order``."""
-    return [integrals(spec, order)] + [
-        functools.partial(obs.eval, order=order)
-        for obs in (hamiltonian(spec), integral_A(spec), integral_B(spec))]
-
-
-@pytest.mark.parametrize("order", [2, 1])
-@pytest.mark.parametrize("tag", CLASS_TAGS)
-def test_shared_pass_applies_each_primitive_once_per_jet(tag, order, monkeypatch):
-    # the same holds for H, A and B evaluated apart; the calls list holds
-    # every operand, so no id is reused during the passes
+def _spied(monkeypatch, names=_PRIMITIVES):
+    """The calls of the named rules of every jet and dual, as (name, number,
+    args), recorded until ``monkeypatch`` is undone.  The list holds every
+    operand, so no id is reused while it lives."""
     calls = []
 
     def spy(name):
@@ -208,11 +200,26 @@ def test_shared_pass_applies_each_primitive_once_per_jet(tag, order, monkeypatch
 
         return wrapped
 
+    for name in names:
+        monkeypatch.setattr(jets._Jet, name, spy(name))
+    return calls
+
+
+def _evaluations(spec, order):
+    """The shared pass and the ``eval`` of H, A and B, at ``order``."""
+    return [integrals(spec, order)] + [
+        functools.partial(obs.eval, order=order)
+        for obs in (hamiltonian(spec), integral_A(spec), integral_B(spec))]
+
+
+@pytest.mark.parametrize("order", [2, 1])
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_shared_pass_applies_each_primitive_once_per_jet(tag, order, monkeypatch):
+    # the same holds for H, A and B evaluated apart
     spec = SystemSpec(tag, **GENERIC)
     pts = sample_points(spec, 64, np.random.default_rng(24))
     evaluations = _evaluations(spec, order)
-    for name in _PRIMITIVES:
-        monkeypatch.setattr(jets._Jet, name, spy(name))
+    calls = _spied(monkeypatch)
     for evaluate in evaluations:
         evaluate(pts)
     monkeypatch.undo()
@@ -220,13 +227,57 @@ def test_shared_pass_applies_each_primitive_once_per_jet(tag, order, monkeypatch
     assert calls and len(set(keys)) == len(keys)
 
 
+@pytest.mark.parametrize("order", [2, 1])
 @pytest.mark.parametrize("tag", CLASS_TAGS)
-def test_passes_leave_no_reference_cycle(tag):
-    # a jet keeping a basis value that refers back to it would be freed
-    # only by the cyclic collector, long after its pass
+def test_hamiltonian_applies_each_primitive_once_per_argument_value(tag, order,
+                                                                    monkeypatch):
+    # g and w are built from one pair of arguments: F and f share the basis
+    # values of one u, G and g those of one v, not of two equal copies
     spec = SystemSpec(tag, **GENERIC)
     pts = sample_points(spec, 64, np.random.default_rng(24))
-    evaluations = _evaluations(spec, 2) + _evaluations(spec, 1)
+    H = hamiltonian(spec)
+    calls = _spied(monkeypatch)
+    H.eval(pts, order)
+    monkeypatch.undo()
+    keys = [(name, args, jet.val.tobytes(), jet.grad.tobytes()) for name, jet, args in calls]
+    assert len(set(keys)) == len(keys)
+    assert calls or tag == "II1"   # II1's g and w are linear in eta
+
+
+def test_traced_hamiltonian_shares_basis_values_as_jets_do(monkeypatch):
+    # the flow's trace runs H on duals, which keep their basis values as
+    # jets do: per spec it applies the primitives of a jet evaluation of H,
+    # each once per traced argument, 27 over the six specs
+    calls = _spied(monkeypatch, _PRIMITIVES + ("inv",))
+    total = 0
+    for tag in CLASS_TAGS:
+        spec = SystemSpec(tag, **GENERIC)
+        H = hamiltonian(spec)
+        H.eval(sample_points(spec, 64, np.random.default_rng(24)), 1)
+        evaluated = len(calls)
+        calls.clear()
+        jets.trace(H.fn)
+        assert len(calls) == evaluated, tag
+        keys = [(name, id(dual), args) for name, dual, args in calls if name != "inv"]
+        assert len(set(keys)) == len(keys), tag
+        total += len(calls)
+        calls.clear()
+    assert total == 27
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_passes_leave_no_reference_cycle(tag):
+    # a jet or dual keeping a basis value that refers back to it would be
+    # freed only by the cyclic collector, long after its pass; I2 and II3
+    # take sqrt(A) to be the identity
+    spec = SystemSpec(tag, **GENERIC)
+    pts = sample_points(spec, 64, np.random.default_rng(24))
+    one = PhasePoint(*(float(c[0]) for c in pts.components()))
+    observables = (hamiltonian(spec), integral_A(spec), integral_B(spec))
+    traced = []   # a compiled function and its namespace refer to each other
+    evaluations = _evaluations(spec, 2) + _evaluations(spec, 1) + [
+        lambda p: [obs.dual(one) for obs in observables],
+        lambda p: traced.extend(jets.trace(obs.fn) for obs in observables)]
     gc.collect()
     gc.disable()
     try:

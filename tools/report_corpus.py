@@ -59,7 +59,9 @@ The corpus is:
   the packed Hessian), ``geometry.curvature`` point by point,
   ``poisson.bracket`` of (H, A), (H, B) and (A, B) with its scales, and
   ``c_observable``'s order-1 bracket and value, all in hexadecimal, on 20
-  sampled points of the reference specs and the random draws.
+  sampled points of the reference specs and the random draws;
+* ``Observable.dual`` of the same four observables (value and gradient from
+  ``Dual4`` numbers) in hexadecimal, at each of those 20 points alone.
 
 It takes under a minute on one core.
 """
@@ -362,6 +364,12 @@ def _observables():
         C = poisson.c_observable(spec)
         print(spec.tag, "C order1", _bracket_hex(C.order1(pts)))
         print(spec.tag, "C value", _hex(C.value(pts)))
+        for y in pts.as_array().T:
+            point = PhasePoint(*map(float, y))
+            for obs in (H, A, B, metric_observable(spec)):
+                out = _attempt(obs.dual, point)
+                print(spec.tag, obs.label, "dual",
+                      out if isinstance(out, str) else " | ".join(map(_hex, out)))
 
 
 def _catalog():
