@@ -174,12 +174,13 @@ class _Jet:
         return out
 
     def __truediv__(self, other):
+        # the divisor keeps its inverse, so inv runs once per divisor
         if isinstance(other, _Jet):
-            return self * other.inv()
+            return self * other.once(_Jet.inv)
         return self._div(other)
 
     def __rtruediv__(self, other):
-        return self.inv() * other
+        return self.once(_Jet.inv) * other
 
     def __pow__(self, p):
         v = self.val

@@ -3,9 +3,12 @@
 Each system lives on a surface with conformal metric ``ds^2 = g dxi deta``.
 Class I (Liouville surfaces) has ``g = F(xi+eta) + G(xi-eta)``; Class II
 (Lie surfaces) has ``g = F(eta)*xi + G(eta)``.  The potential numerator
-``w`` has the same shape built from a second pair ``(f_pot, g_pot)`` with
-potential parameters ``(k, ell, m, n)`` replacing the metric parameters
-``(kappa, lam, mu, nu)``.
+``w`` has the same shape built from a second pair ``(f_pot, g_pot)``, which
+solves the same structural PDE: each class's closed forms are written once,
+for one parameter quadruple, and taken at the metric parameters
+``(kappa, lam, mu, nu)`` for (F, G) and at the potential parameters
+``(k, ell, m, n)`` for (f_pot, g_pot), and so for the tilde functions and
+the Class II antiderivatives.
 
 The module builds, per subclass:
 
@@ -91,7 +94,11 @@ class SystemSpec:
         if self.tag not in CLASS_TAGS:
             raise ValueError(f"unknown class tag {self.tag!r}; expected one of {CLASS_TAGS}")
         for name in ("kappa", "lam", "mu", "nu", "k", "ell", "m", "n"):
-            v = float(getattr(self, name))
+            try:
+                v = float(getattr(self, name))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"parameter {name} is not a number: "
+                                 f"{getattr(self, name)!r}") from None
             if not math.isfinite(v):
                 raise ValueError(f"parameter {name} is not finite")
             object.__setattr__(self, name, v)
@@ -118,6 +125,8 @@ def spec_to_dict(spec: SystemSpec) -> dict:
 
 
 def spec_from_dict(doc: dict) -> SystemSpec:
+    if not isinstance(doc, dict):
+        raise ValueError(f"spec document is not an object: {doc!r}")
     missing = [key for key, _ in _FIELD_MAP if key not in doc]
     if missing:
         raise ValueError(f"spec document missing fields: {missing}")
@@ -132,53 +141,44 @@ def spec_from_dict(doc: dict) -> SystemSpec:
 class SampleDomain:
     """Where a subclass may be evaluated and sampled.
 
-    ``exclusions`` are named predicates a point must satisfy (they keep
-    poles and branch cuts away by a fixed margin); ``positivity`` lists the
-    coordinates the class's maps require to stay positive.  A drawn point
-    always satisfies every exclusion and ``|g| >= MIN_ABS_G``; its momenta
-    lie in ``MOMENTUM_RANGE``, the same for every class.
+    ``tests`` are the predicates ``fn(xi, eta)`` a point must satisfy: the
+    coordinates the class's maps require to stay positive, then margins
+    that keep poles and branch cuts away.  A drawn point always satisfies
+    every test and ``|g| >= MIN_ABS_G``; its momenta lie in
+    ``MOMENTUM_RANGE``, the same for every class.
     """
 
     xi_range: tuple
     eta_range: tuple
-    exclusions: tuple = ()        # (name, fn(xi, eta) -> bool array) pairs
-    positivity: tuple = ()        # subset of ("xi", "eta") that must stay > 0
-
-    def _tests(self):
-        """The positivity tests, then the exclusions, as ``fn(xi, eta)``."""
-        return ([_POSITIVE[name] for name in ("xi", "eta") if name in self.positivity]
-                + [fn for _, fn in self.exclusions])
+    tests: tuple = ()
 
     def admits(self, xi, eta):
-        """Exclusion + positivity mask (metric magnitude is checked separately)."""
+        """The mask of points that pass every test (the metric magnitude is
+        checked separately)."""
         ok = np.ones(np.broadcast_shapes(np.shape(xi), np.shape(eta)), dtype=bool)
-        for test in self._tests():
+        for test in self.tests:
             ok &= test(np.asarray(xi), np.asarray(eta))
         return ok
 
     def admits_point(self, xi: float, eta: float) -> bool:
         """:meth:`admits` at one point given as floats, up to the first failed
         test."""
-        return all(test(xi, eta) for test in self._tests())
+        return all(test(xi, eta) for test in self.tests)
 
 
-_POSITIVE = {"xi": lambda x, e: x > 1e-9, "eta": lambda x, e: e > 1e-9}
-
+_POSITIVE_XI_ETA = (lambda x, e: x > 1e-9, lambda x, e: e > 1e-9)
 
 _DOMAINS = {
     "I1": SampleDomain((0.2, 2.0), (0.2, 2.0),
-                       exclusions=(("|xi-eta| >= 0.15", lambda x, e: np.abs(x - e) >= 0.15),),
-                       positivity=("xi", "eta")),
+                       (*_POSITIVE_XI_ETA, lambda x, e: np.abs(x - e) >= 0.15)),
     "I2": SampleDomain((0.3, 2.0), (0.3, 2.0),
-                       exclusions=(("|xi-eta| >= 0.15", lambda x, e: np.abs(x - e) >= 0.15),
-                                   ("xi+eta >= 0.4", lambda x, e: x + e >= 0.4)),
-                       positivity=("xi", "eta")),
+                       (*_POSITIVE_XI_ETA, lambda x, e: np.abs(x - e) >= 0.15,
+                        lambda x, e: x + e >= 0.4)),
     "I3": SampleDomain((-1.0, 1.0), (-1.0, 1.0),
-                       exclusions=(("|xi-eta| >= 0.2", lambda x, e: np.abs(x - e) >= 0.2),
-                                   ("|xi+eta| >= 0.2", lambda x, e: np.abs(x + e) >= 0.2))),
-    "II1": SampleDomain((0.5, 2.0), (0.5, 2.0), positivity=("xi", "eta")),
-    "II2": SampleDomain((0.2, 2.0), (0.3, 2.0), positivity=("xi", "eta")),
-    "II3": SampleDomain((0.3, 2.0), (0.3, 2.0), positivity=("xi", "eta")),
+                       (lambda x, e: np.abs(x - e) >= 0.2, lambda x, e: np.abs(x + e) >= 0.2)),
+    "II1": SampleDomain((0.5, 2.0), (0.5, 2.0), _POSITIVE_XI_ETA),
+    "II2": SampleDomain((0.2, 2.0), (0.3, 2.0), _POSITIVE_XI_ETA),
+    "II3": SampleDomain((0.3, 2.0), (0.3, 2.0), _POSITIVE_XI_ETA),
 }
 
 
@@ -190,14 +190,17 @@ def sample_domain(spec: SystemSpec) -> SampleDomain:
 class SystemFns:
     """Closed forms of one subclass, bundled.
 
-    For Class I the metric/potential builders take ``u = xi + eta`` and
-    ``v = xi - eta``; for Class II they take ``eta`` alone.  :meth:`pairs`
-    builds these arguments once and combines each pair.  All callables
-    accept jets, duals or plain arrays.  On a jet or a dual, each basis
-    function of the closed forms runs once per argument and the argument
-    keeps its value (:meth:`_Jet.once`), so that F and f share theirs at
-    the same u, G and g at the same v, and so on; on anything else each
-    call evaluates afresh.  ``A_of_xi``, ``sqrtA``, ``X_of_xi`` and
+    The metric forms (F, G, F_tilde, G_tilde, intF) and the potential
+    forms (f_pot, g_pot, f_tilde, g_tilde, intf) are the class's forms,
+    written once for one parameter quadruple and taken at the metric and at
+    the potential parameters.  For Class I the pair functions take
+    ``u = xi + eta`` and ``v = xi - eta``; for Class II they take ``eta``
+    alone.  :meth:`pairs` builds these arguments once and combines each
+    pair.  All callables accept jets, duals or plain arrays.  On a jet or a
+    dual, each basis function of the closed forms runs once per argument
+    and the argument keeps its value (:meth:`_Jet.once`), so that F and f
+    share theirs at the same u, G and g at the same v, and so on; on
+    anything else each call evaluates afresh.  ``A_of_xi``, ``sqrtA``, ``X_of_xi`` and
     ``char_constants`` are the class's entry of ``_CHARACTERISTIC``; the
     B-side functions are the same callables taken at ``eta``.
     """
@@ -334,157 +337,81 @@ def _solution(tag):
 
 
 def build_fns(spec: SystemSpec) -> SystemFns:
-    """Instantiate the closed forms of ``spec``'s subclass.
+    """Instantiate the closed forms of ``spec``'s subclass: the metric forms
+    at ``(kappa, lam, mu, nu)`` and the potential forms, the same ones, at
+    ``(k, ell, m, n)``.
 
     Construction is total: parameter degeneracies surface later, at
     sampling or evaluation time.
     """
-    return SystemFns(spec.tag, **_solution(spec.tag)._asdict(), **_closed_forms(spec))
+    F, G, F_tilde, G_tilde, intF = _forms(spec.tag, *spec.metric_params)
+    f, g, f_tilde, g_tilde, intf = _forms(spec.tag, *spec.potential_params)
+    return SystemFns(spec.tag, F, G, f, g, F_tilde, G_tilde, f_tilde, g_tilde,
+                     **_solution(spec.tag)._asdict(), intF=intF, intf=intf)
 
 
-def _closed_forms(spec: SystemSpec) -> dict:
-    """The ``SystemFns`` fields of ``spec``'s subclass besides its tag and solution."""
-    ka, la, mu, nu = spec.metric_params
-    k, el, m, n = spec.potential_params
-    tag = spec.tag
+# Bases of one class alone, kept here so that both calls of ``_forms``
+# key the same objects and F and f share their values.
+_plus = lambda v: _once(_exp, v) / (1.0 + _once(_exp, v))**2           # I2's G~
+_minus = lambda v: _once(_exp, v) / (_once(_exp, v) - 1.0)**2
+_den = lambda u: (_once(_exp2, u) - 1.0)**2                             # I3's F, G
+_even = lambda u: _once(_exp2, u) / _once(_den, u)
+_odd = lambda u: _once(_exp, u) * (1.0 + _once(_exp2, u)) / _once(_den, u)
+_tan2 = lambda u: _once(_tan, u)**2                                     # I3's F~, G~
+_cot2 = lambda u: _once(_tan, u)**-2
+
+
+def _forms(tag, ka, la, mu, nu):
+    """F, G, F~, G~ and intF of class ``tag`` at one parameter quadruple;
+    intF is None for Class I.
+
+    At the metric parameters these are the metric forms; at the potential
+    parameters (k, ell, m, n) in the same slots, the potential forms f,
+    g, f~, g~ and intf, which solve the same structural PDE.
+    """
     sq, inv2, ident = _POW[2], _POW[-2], _ident
-
     if tag == "I1":
-        def F_of(c2, c1, c0):
-            return _terms((4.0 * c2, sq), (c1, ident), (0.5 * c0, _one))
-
-        def G_of(c2, cmu, c0):
-            return _terms((-c2, sq), (cmu, inv2), (0.5 * c0, _one))
-
-        def Ft(c2, c1, cmu, c0):
-            return _terms((c2 / 256.0, _POW[6]), (c1 / 128.0, _POW[4]),
-                          (c0 / 16.0, sq), (-cmu, inv2))
-
-        def Gt(c2, c1, cmu, c0):
-            return _terms((-c2 / 256.0, _POW[6]), (-c1 / 128.0, _POW[4]),
-                          (-c0 / 16.0, sq), (cmu, inv2))
-
-        return dict(
-            F=F_of(la, ka, nu), G=G_of(la, mu, nu),
-            f_pot=F_of(el, k, n), g_pot=G_of(el, m, n),
-            F_tilde=Ft(la, ka, mu, nu), G_tilde=Gt(la, ka, mu, nu),
-            f_tilde=Ft(el, k, m, n), g_tilde=Gt(el, k, m, n),
-        )
-
+        return (_terms((4.0 * la, sq), (ka, ident), (0.5 * nu, _one)),
+                _terms((-la, sq), (mu, inv2), (0.5 * nu, _one)),
+                _terms((la / 256.0, _POW[6]), (ka / 128.0, _POW[4]),
+                       (nu / 16.0, sq), (-mu, inv2)),
+                _terms((-la / 256.0, _POW[6]), (-ka / 128.0, _POW[4]),
+                       (-nu / 16.0, sq), (mu, inv2)),
+                None)
     if tag == "I2":
-        def F_of(c2, cinv, c0):
-            return _terms((c2, sq), (cinv, inv2), (0.5 * c0, _one))
-
-        def G_of(c2, cinv, c0):
-            return _terms((-c2, sq), (cinv, inv2), (0.5 * c0, _one))
-
-        def Ft(c2, c0):
-            return _terms((4.0 * c2, _exp2), (c0, _exp))
-
-        def plus(v):
-            return _once(_exp, v) / (1.0 + _once(_exp, v))**2
-
-        def minus(v):
-            return _once(_exp, v) / (_once(_exp, v) - 1.0)**2
-
-        def Gt(c1, cmu):
-            return _terms((c1, plus), (cmu, minus))
-
-        return dict(
-            F=F_of(la, ka, nu), G=G_of(la, mu, nu),
-            f_pot=F_of(el, k, n), g_pot=G_of(el, m, n),
-            F_tilde=Ft(la, nu), G_tilde=Gt(ka, mu),
-            f_tilde=Ft(el, n), g_tilde=Gt(k, m),
-        )
-
+        return (_terms((la, sq), (ka, inv2), (0.5 * nu, _one)),
+                _terms((-la, sq), (mu, inv2), (0.5 * nu, _one)),
+                _terms((4.0 * la, _exp2), (nu, _exp)),
+                _terms((ka, _plus), (mu, _minus)),
+                None)
     if tag == "I3":
-        def den(u):
-            return (_once(_exp2, u) - 1.0)**2
-
-        def even(u):
-            return _once(_exp2, u) / _once(den, u)
-
-        def odd(u):
-            return _once(_exp, u) * (1.0 + _once(_exp2, u)) / _once(den, u)
-
-        def FG(ca, cb):
-            return _terms((ca, even), (cb, odd))
-
-        def tan2(u):
-            return _once(_tan, u)**2
-
-        def cot2(u):
-            return _once(_tan, u)**-2
-
-        def Ft(ca, cc, cd):
-            return _terms((ca, tan2), (cc, cot2), (cd, _one))
-
-        return dict(
-            F=FG(ka, la), G=FG(mu, nu),
-            f_pot=FG(k, el), g_pot=FG(m, n),
-            F_tilde=Ft((ka + 2.0 * la) / 4.0, (2.0 * nu - mu) / 4.0, (la + nu) / 2.0),
-            G_tilde=Ft((2.0 * la - ka) / 4.0, (mu + 2.0 * nu) / 4.0, (la + nu) / 2.0),
-            f_tilde=Ft((k + 2.0 * el) / 4.0, (2.0 * n - m) / 4.0, (el + n) / 2.0),
-            g_tilde=Ft((2.0 * el - k) / 4.0, (m + 2.0 * n) / 4.0, (el + n) / 2.0),
-        )
-
+        return (_terms((ka, _even), (la, _odd)),
+                _terms((mu, _even), (nu, _odd)),
+                _terms(((ka + 2.0 * la) / 4.0, _tan2), ((2.0 * nu - mu) / 4.0, _cot2),
+                       ((la + nu) / 2.0, _one)),
+                _terms(((2.0 * la - ka) / 4.0, _tan2), ((mu + 2.0 * nu) / 4.0, _cot2),
+                       ((la + nu) / 2.0, _one)),
+                None)
     if tag == "II1":
-        lin = lambda c1, c0: _terms((c1, ident), (c0, _one))
-
-        def Ft(cq, cl, c0):
-            return _terms((cq / 4.0, sq), (cl / 2.0, ident), (0.5 * c0, _one))
-
-        return dict(
-            F=lin(ka, la), G=lin(mu, nu),
-            f_pot=lin(k, el), g_pot=lin(m, n),
-            F_tilde=Ft(ka, la + mu, nu), G_tilde=Ft(-ka, la - mu, nu),
-            f_tilde=Ft(k, el + m, n), g_tilde=Ft(-k, el - m, n),
-            intF=_terms((ka / 2.0, sq), (la, ident)),
-            intf=_terms((k / 2.0, sq), (el, ident)),
-        )
-
+        return (_terms((ka, ident), (la, _one)),
+                _terms((mu, ident), (nu, _one)),
+                _terms((ka / 4.0, sq), ((la + mu) / 2.0, ident), (0.5 * nu, _one)),
+                _terms((-ka / 4.0, sq), ((la - mu) / 2.0, ident), (0.5 * nu, _one)),
+                _terms((ka / 2.0, sq), (la, ident)))
     if tag == "II2":
-        def F_of(ci, c0):
-            return _terms((ci, _rsqrt), (c0, _one))
-
-        def G_of(ci, c0, cmu, cn):
-            return _terms((3.0 * ci, _sqrt), (c0, ident), (cmu, _rsqrt), (cn, _one))
-
-        def Ft(c4, c3, c2, c1):
-            return _terms((c4 / 128.0, _POW[4]), (c3 / 16.0, _POW[3]),
-                          (c2 / 16.0, sq), (c1 / 4.0, ident))
-
-        def Gt(c4, c3, c2, c1):
-            return _terms((-c4 / 128.0, _POW[4]), (c3 / 16.0, _POW[3]),
-                          (-c2 / 16.0, sq), (c1 / 4.0, ident))
-
-        return dict(
-            F=F_of(ka, la), G=G_of(ka, la, mu, nu),
-            f_pot=F_of(k, el), g_pot=G_of(k, el, m, n),
-            F_tilde=Ft(la, ka, nu, mu), G_tilde=Gt(la, ka, nu, mu),
-            f_tilde=Ft(el, k, n, m), g_tilde=Gt(el, k, n, m),
-            intF=_terms((2.0 * ka, _sqrt), (la, ident)),
-            intf=_terms((2.0 * k, _sqrt), (el, ident)),
-        )
-
+        return (_terms((ka, _rsqrt), (la, _one)),
+                _terms((3.0 * ka, _sqrt), (la, ident), (mu, _rsqrt), (nu, _one)),
+                _terms((la / 128.0, _POW[4]), (ka / 16.0, _POW[3]),
+                       (nu / 16.0, sq), (mu / 4.0, ident)),
+                _terms((-la / 128.0, _POW[4]), (ka / 16.0, _POW[3]),
+                       (-nu / 16.0, sq), (mu / 4.0, ident)),
+                _terms((2.0 * ka, _sqrt), (la, ident)))
     # II3
-    def F_of(c1, c3):
-        return _terms((c1, ident), (c3, _POW[-3]))
-
-    def G_of(c0, c2):
-        return _terms((c0, _one), (c2, inv2))
-
-    def Ft(ca, cb):
-        return _terms((ca, _exp2), (cb, _exp))
-
-    return dict(
-        F=F_of(la, ka), G=G_of(nu, mu),
-        f_pot=F_of(el, k), g_pot=G_of(n, m),
-        F_tilde=Ft(la, nu), G_tilde=Ft(ka, mu),
-        f_tilde=Ft(el, n), g_tilde=Ft(k, m),
-        intF=_terms((la / 2.0, sq), (-ka / 2.0, inv2)),
-        intf=_terms((el / 2.0, sq), (-k / 2.0, inv2)),
-    )
+    return (_terms((la, ident), (ka, _POW[-3])),
+            _terms((nu, _one), (mu, inv2)),
+            _terms((la, _exp2), (nu, _exp)),
+            _terms((ka, _exp2), (mu, _exp)),
+            _terms((la / 2.0, sq), (-ka / 2.0, inv2)))
 
 
 # ---------------------------------------------------------------------------
@@ -656,15 +583,15 @@ def structural_pde_residual(spec: SystemSpec, which: str, xi, eta):
     """
     if which not in ("metric_pair", "potential_pair"):
         raise ValueError("which must be 'metric_pair' or 'potential_pair'")
-    fns = build_fns(spec)
+    params = spec.metric_params if which == "metric_pair" else spec.potential_params
+    Ffn, Gfn = _forms(spec.tag, *params)[:2]
+    A_of_xi = _solution(spec.tag).A_of_xi
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
 
-    A, A1, A2 = _univariate_jet(fns.A_of_xi, xi)
-    B, B1, B2 = _univariate_jet(fns.A_of_xi, eta)  # B is the same solution at eta
+    A, A1, A2 = _univariate_jet(A_of_xi, xi)
+    B, B1, B2 = _univariate_jet(A_of_xi, eta)  # B is the same solution at eta
 
-    Ffn = fns.F if which == "metric_pair" else fns.f_pot
-    Gfn = fns.G if which == "metric_pair" else fns.g_pot
     if spec.is_class_one():
         F, F1, F2 = _univariate_jet(Ffn, xi + eta)
         G, G1, G2 = _univariate_jet(Gfn, xi - eta)
@@ -894,10 +821,10 @@ def _screen(fns, xi, eta, require_tilde):
 def sample_points(spec: SystemSpec, n: int, rng, require_tilde: bool = True) -> PhasePoint:
     """Draw ``n`` phase points from the class domain by rejection.
 
-    Points satisfy all exclusions, ``|g| >= MIN_ABS_G`` and (when the
-    class defines a recoordinatized metric) ``|F~ + G~| >= MIN_ABS_G``.
+    Points pass the class domain's tests, ``|g| >= MIN_ABS_G`` and (when
+    the class defines a recoordinatized metric) ``|F~ + G~| >= MIN_ABS_G``.
     Candidates are drawn in batches of ``max(4 n, 256)``; the metrics are
-    evaluated only on those that pass the exclusions, in draw order and in
+    evaluated only on those that pass the tests, in draw order and in
     blocks sized from the points still needed and the share kept so far,
     and screening stops at the ``n``-th kept point.  The points are those
     of screening every candidate, in the same order.  Raises

@@ -60,11 +60,18 @@ def test_spec_file(tmp_path):
     assert out["spec"] == doc and out["kind"] == "casimir"
 
 
-def test_bad_spec_file_exits_2(tmp_path):
+def test_bad_spec_file_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"class": "II3"}')
     r = run("verify", "--spec-file", str(path))
     assert r.returncode == 2
+    # documents that are no object, and parameters that are no number
+    rest = '"class": "I1", "lambda": 0, "mu": 0, "nu": 1, "k": 0, "ell": 0, "m": 0, "n": 0'
+    for text in ["3", "[]", '"I1"', "null"] + [
+            f'{{{rest}, "kappa": {value}}}' for value in ("null", "[1]", "{}")]:
+        path.write_text(text)
+        assert main(["verify", "--spec-file", str(path)]) == 2, text
+        assert capsys.readouterr().err.startswith("config error: bad spec file"), text
 
 
 def test_curvature_expectation():

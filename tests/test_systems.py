@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from superint import jets
 from superint.errors import DomainError, SamplingError
-from superint.jets import Jet2, PhasePoint, seed_phase
+from superint.jets import CoordJet, Jet2, PhasePoint, seed_phase
 from superint.systems import (CLASS_TAGS, MIN_ABS_G, MOMENTUM_RANGE, SystemSpec,
                               _padd, _pmul, _polyval, algebra_constants, build_fns,
                               characteristic_residual, constants_poly,
@@ -247,7 +247,7 @@ def test_hamiltonian_applies_each_primitive_once_per_argument_value(tag, order,
 def test_traced_hamiltonian_shares_basis_values_as_jets_do(monkeypatch):
     # the flow's trace runs H on duals, which keep their basis values as
     # jets do: per spec it applies the primitives of a jet evaluation of H,
-    # each once per traced argument, 27 over the six specs
+    # each once per traced argument, inv too, 25 over the six specs
     calls = _spied(monkeypatch, _PRIMITIVES + ("inv",))
     total = 0
     for tag in CLASS_TAGS:
@@ -258,11 +258,11 @@ def test_traced_hamiltonian_shares_basis_values_as_jets_do(monkeypatch):
         calls.clear()
         jets.trace(H.fn)
         assert len(calls) == evaluated, tag
-        keys = [(name, id(dual), args) for name, dual, args in calls if name != "inv"]
+        keys = [(name, id(dual), args) for name, dual, args in calls]
         assert len(set(keys)) == len(keys), tag
         total += len(calls)
         calls.clear()
-    assert total == 27
+    assert total == 25
 
 
 @pytest.mark.parametrize("tag", CLASS_TAGS)
@@ -539,6 +539,53 @@ def test_spec_from_dict_rejects_bad_docs():
         spec_from_dict({**doc, "extra": 1.0})
     with pytest.raises(ValueError):
         SystemSpec("I9")
+    for value in (None, [1.0], {"v": 1.0}, "one", 10**400):
+        with pytest.raises(ValueError):
+            spec_from_dict({**doc, "mu": value})
+    for not_a_doc in (3, [doc], "I1", None):
+        with pytest.raises(ValueError):
+            spec_from_dict(not_a_doc)
+    # what float() takes is still taken
+    assert spec_from_dict({**doc, "mu": "-0.3", "nu": 2, "k": True}) == SystemSpec(
+        "I1", **dict(GENERIC, k=1.0))
+
+
+_PAIRS = (("F", "f_pot"), ("G", "g_pot"), ("F_tilde", "f_tilde"),
+          ("G_tilde", "g_tilde"), ("intF", "intf"))
+
+
+def _bits(fn, x):
+    """``fn(x)`` as bytes (value, gradient and Hessian of a jet), or the
+    error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(x)
+    except (DomainError, ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(out, Jet2):
+        return out.val.tobytes() + out.grad.tobytes() + out.hess.tobytes()
+    return np.asarray(out, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+@given(params=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+       xs=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=5))
+@settings(max_examples=30, deadline=None)
+def test_swapping_parameters_swaps_the_pairs(tag, params, xs):
+    # the metric and the potential forms are the same forms at the other
+    # parameter quadruple, so swapping the quadruples swaps them bit for bit
+    fns = build_fns(SystemSpec(tag, *params))
+    swapped = build_fns(SystemSpec(tag, *params[4:], *params[:4]))
+    xs = np.array(xs)
+    arguments = (lambda: xs, lambda: float(xs[0]), lambda: CoordJet.seed(xs, 0))
+    for metric, potential in _PAIRS:
+        for a, b in ((fns, swapped), (swapped, fns)):
+            if getattr(a, metric) is None:   # no antiderivatives in Class I
+                assert tag in ("I1", "I2", "I3") and getattr(b, potential) is None
+                continue
+            for argument in arguments:   # fresh jets, so that no value is shared
+                assert (_bits(getattr(a, metric), argument())
+                        == _bits(getattr(b, potential), argument())), (metric, argument)
 
 
 # -- sampling ---------------------------------------------------------------

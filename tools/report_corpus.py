@@ -61,7 +61,14 @@ The corpus is:
   ``c_observable``'s order-1 bracket and value, all in hexadecimal, on 20
   sampled points of the reference specs and the random draws;
 * ``Observable.dual`` of the same four observables (value and gradient from
-  ``Dual4`` numbers) in hexadecimal, at each of those 20 points alone.
+  ``Dual4`` numbers) in hexadecimal, at each of those 20 points alone;
+* every ``SystemFns`` closed form (F, G, f_pot, g_pot, the four tilde
+  functions, intF, intf, A_of_xi, sqrtA and X_of_xi) in hexadecimal, on
+  float arrays and on order-2 ``CoordJet``s, at the arguments the
+  observables give it, on the 20 sampled points of the reference specs and
+  the random draws, and on the reference spec's points for the all-zero
+  spec of each class and the vanishing-coefficient specs of
+  ``constants_poly``.
 
 It takes under a minute on one core.
 """
@@ -84,7 +91,7 @@ sys.path.insert(0, os.path.abspath(sys.argv[1]) if len(sys.argv) > 1
 
 from superint import catalog, cli, dynamics, geometry, poisson  # noqa: E402
 from superint.errors import SamplingError, SuperintError  # noqa: E402
-from superint.jets import PhasePoint  # noqa: E402
+from superint.jets import CoordJet, Jet2, PhasePoint  # noqa: E402
 from superint.poisson import verify_algebra, verify_casimir  # noqa: E402
 from superint.systems import (CLASS_TAGS, SystemSpec, build_fns,  # noqa: E402
                               characteristic_residual, constants_poly, hamiltonian,
@@ -312,6 +319,14 @@ def _sampling():
 # parameters set to zero so that top energy coefficients vanish and get trimmed
 VANISHING = [("kappa",), ("lam", "mu"), ("nu",), ("kappa", "mu"), ("lam", "nu"),
              ("kappa", "lam", "mu", "nu"), ("k", "ell", "m", "n")]
+
+
+def _degenerate(tag):
+    """The all-zero spec of class ``tag``, then its specs of ``VANISHING``."""
+    return [SystemSpec(tag)] + [SystemSpec(tag, **dict(REF, **dict.fromkeys(zeroed, 0.0)))
+                                for zeroed in VANISHING]
+
+
 ENERGIES = np.array([0.0, -0.0, 1.0, -2.5, 0.3, 7.25, -1e3])
 
 
@@ -324,9 +339,7 @@ def _hex(values):
 def _constants():
     specs = list(_specs())
     for tag in CLASS_TAGS:
-        specs.append(SystemSpec(tag))
-        specs += [SystemSpec(tag, **dict(REF, **dict.fromkeys(zeroed, 0.0)))
-                  for zeroed in VANISHING]
+        specs += _degenerate(tag)
     for spec in specs:
         cp = constants_poly(spec)
         print(spec.tag, _json(dataclasses.asdict(spec)))
@@ -372,6 +385,47 @@ def _observables():
                       out if isinstance(out, str) else " | ".join(map(_hex, out)))
 
 
+FIELDS = ("F", "G", "f_pot", "g_pot", "F_tilde", "G_tilde", "f_tilde", "g_tilde",
+          "intF", "intf", "A_of_xi", "sqrtA", "X_of_xi")
+
+
+def _field_args(spec, fns, xi, eta):
+    """The arguments each closed form takes at the points (xi, eta)."""
+    u, v = (xi + eta, xi - eta) if spec.is_class_one() else (eta, eta)
+    X, Y = fns.X_of_xi(xi), fns.X_of_xi(eta)
+    U, V = X + Y, X - Y
+    return dict(F=(u,), G=(v,), f_pot=(u,), g_pot=(v,), F_tilde=(U,), G_tilde=(V,),
+                f_tilde=(U,), g_tilde=(V,), intF=(eta,), intf=(eta,),
+                A_of_xi=(xi, eta), sqrtA=(xi, eta), X_of_xi=(xi, eta))
+
+
+def _value_hex(value):
+    return _jet_hex(value) if isinstance(value, Jet2) else _hex(value)
+
+
+def _fields():
+    specs = list(_specs())   # the reference spec and two draws per class
+    for i, tag in enumerate(CLASS_TAGS):
+        cases = [(spec, sample_points(spec, 20, np.random.default_rng(0xC0FFEE)))
+                 for spec in specs[3 * i:3 * i + 3]]
+        cases += [(spec, cases[0][1]) for spec in _degenerate(tag)]
+        for spec, pts in cases:
+            fns = build_fns(spec)
+            print(spec.tag, "fields", _json(dataclasses.asdict(spec)))
+            for kind in ("array", "jet"):
+                xi, eta = pts.xi, pts.eta
+                if kind == "jet":
+                    xi, eta = CoordJet.seed(xi, 0), CoordJet.seed(eta, 1)
+                with np.errstate(all="ignore"):
+                    args = _field_args(spec, fns, xi, eta)
+                    for name in FIELDS:
+                        fn = getattr(fns, name)
+                        for x in args[name]:
+                            out = "None" if fn is None else _attempt(fn, x)
+                            print(" ", kind, name, out if isinstance(out, str)
+                                  else _value_hex(out))
+
+
 def _catalog():
     for table in catalog.TABLES:
         for entry in catalog.lookup(table=table, include_aliases=False):
@@ -403,3 +457,4 @@ if __name__ == "__main__":
     _catalog()
     _sampling()
     _observables()
+    _fields()
