@@ -7,22 +7,26 @@ a "+/-" in the printed table are stored expanded into their two sign
 branches; "~" rows are stored as aliases of their principal row and are
 skipped by sweeps.
 
-Claim kinds and how they verify:
+Claim kinds and how they verify, each against what its row records:
 
 * ``curvature_zero``      -- geometry.classify_curvature must say Zero
-* ``curvature_constant``  -- Constant(K) for K in {1, 2, -1}
-* ``revolution``          -- directional null test in native or class
-                             (X, Y) coordinates; rows whose rotational
-                             structure needs complex maps carry the
-                             annotation "revolution in transformed
-                             coordinates - unchecked"
-* ``linear_integral``     -- {H, L} = 0 for one of the candidate linear
-                             observables (p_xi +/- p_eta, p_X +/- p_Y,
-                             p_xi, p_eta)
+* ``curvature_constant``  -- Constant, with mean K, for each K in {1, 2, -1}
+* ``revolution``          -- geometry.revolution_check in the recorded
+                             ``revolution_coords`` (native or the class's
+                             (X, Y)) must give the recorded ``orientation``
+                             or Both (a constant metric), never Neither;
+                             rows whose rotational structure needs complex
+                             maps carry the annotation "revolution in
+                             transformed coordinates - unchecked"
+* ``linear_integral``     -- {H, L} = 0 for the linear observable L of the
+                             recorded ``certificate`` (sign and coords:
+                             p_xi +/- p_eta, p_X +/- p_Y or p_eta)
 * ``koenigs_form``        -- metadata only, unverifiable in scope
 
-Every verification also runs the quadratic-algebra check on the
-instantiated system; a row passes only if both sides pass.
+Each draw runs exactly one geometry check.  A linear or checked revolution
+row without its recorded fields raises ``ConstraintError``.  Every
+verification also runs the quadratic-algebra check on the instantiated
+system; a row passes only if both sides pass.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConstraintError, DomainError, SamplingError
+from .errors import ConstraintError, SamplingError
 from . import geometry
 from .poisson import DEFAULT_SEED, verify_algebra
 from .systems import _FIELD_MAP, SystemSpec, spec_from_dict
@@ -46,7 +50,7 @@ __all__ = ["CatalogEntry", "load_catalog", "lookup", "instantiate",
 PARAM_NAMES = tuple(key for key, _ in _FIELD_MAP[1:])   # every wire name but "class"
 TABLES = ("T1", "T2", "T3", "T4", "T5", "T6")
 
-_UNVERIFIABLE_CLAIMS = {"koenigs_form", "named_potential"}
+_UNVERIFIABLE_CLAIMS = {"koenigs_form"}
 
 
 @dataclass(frozen=True)
@@ -98,18 +102,10 @@ def catalog_json():
 
 def lookup(table=None, cls=None, claim=None, include_aliases=True):
     """Stable-ordered rows matching the given filters."""
-    out = []
-    for e in load_catalog():
-        if table is not None and e.table != table:
-            continue
-        if cls is not None and e.cls != cls:
-            continue
-        if claim is not None and e.claim_kind != claim:
-            continue
-        if not include_aliases and e.is_alias:
-            continue
-        out.append(e)
-    return out
+    return [e for e in load_catalog()
+            if (table is None or e.table == table) and (cls is None or e.cls == cls)
+            and (claim is None or e.claim_kind == claim)
+            and (include_aliases or not e.is_alias)]
 
 
 def instantiate(entry: CatalogEntry, free_values: dict,
@@ -157,13 +153,6 @@ def _draw_frees(entry, rng):
     return out
 
 
-_LINEAR_CANDIDATES = (
-    ("plus", "liouville"), ("minus", "liouville"),
-    ("plus", "transformed"), ("minus", "transformed"),
-    ("plus", "eta-only"), ("plus", "xi-only"),
-)
-
-
 @dataclass(frozen=True)
 class EntryVerification:
     row_id: str
@@ -181,34 +170,38 @@ class EntryVerification:
                 "status": self.status, "draws": self.draws, "details": self.details}
 
 
-def _check_claim(entry, spec, seed, n_points, tol_linear):
-    kind = entry.claim_kind
-    if kind == "curvature_zero":
+def _recorded(entry, record, *keys):
+    """``record``'s values at ``keys``; a ConstraintError naming the row
+    when one is missing."""
+    try:
+        return [record[k] for k in keys]
+    except KeyError as exc:
+        raise ConstraintError(
+            f"{entry.row_id}: {entry.claim_kind} row records no {exc}") from None
+
+
+def _check_claim(entry, spec, scale, seed, n_points, tol_linear):
+    """The row's own claim on ``spec``, by one geometry check: (passed, details)."""
+    kind, ann = entry.claim_kind, entry.annotation
+    if kind in ("curvature_zero", "curvature_constant"):
         c = geometry.classify_curvature(spec, n_points=n_points, seed=seed)
-        return c.tag == "Zero", {"max_abs_K": c.max_abs}
+        if kind == "curvature_zero":
+            return c.tag == "Zero", {"max_abs_K": c.max_abs}
+        ok = c.tag == "Constant" and abs(c.mean - scale) <= geometry.TOL_CURV_MEAN
+        return ok, {"K": scale, "mean": c.mean, "stddev": c.stddev}
+    if kind == "revolution" and ann.get("status"):
+        return True, {"revolution": "unchecked", "annotation": ann["status"]}
     if kind == "revolution":
-        note = entry.annotation.get("status")
-        if note:
-            return True, {"revolution": "unchecked", "annotation": note}
-        for coords in ("liouville", "transformed"):
-            tag = geometry.revolution_check(spec, n_points=n_points, seed=seed,
-                                            coords=coords)
-            if tag != "Neither":
-                return True, {"revolution": tag, "coords": coords}
-        return False, {"revolution": "Neither"}
+        orientation, coords = _recorded(entry, ann, "orientation", "revolution_coords")
+        tag = geometry.revolution_check(spec, n_points=n_points, seed=seed, coords=coords)
+        # a recorded "Neither" claims no structure; a constant metric (Both) has either
+        ok = tag != "Neither" and tag in (orientation, "Both")
+        return ok, {"revolution": tag, "coords": coords}
     if kind == "linear_integral":
-        best = None
-        for sign, coords in _LINEAR_CANDIDATES:
-            try:
-                r = geometry.linear_integral_check(spec, sign, n_points=n_points,
-                                                   seed=seed, coords=coords)
-            except (SamplingError, DomainError):
-                continue
-            if best is None or r < best[2]:
-                best = (sign, coords, r)
-            if r <= tol_linear:
-                return True, {"sign": sign, "coords": coords, "residual": r}
-        return False, {"best": best}
+        sign, coords = _recorded(entry, ann.get("certificate", {}), "sign", "coords")
+        r = geometry.linear_integral_check(spec, sign, n_points=n_points, seed=seed,
+                                           coords=coords)
+        return r <= tol_linear, {"sign": sign, "coords": coords, "residual": r}
     raise ValueError(f"claim {kind} is not dispatchable")
 
 
@@ -218,8 +211,9 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_S
     """Instantiate the row ``free_draws`` times and verify its claim.
 
     Every draw also runs the quadratic-algebra verification on the
-    instantiated system; passing requires both.  Metadata-only claims
-    report ``unverifiable`` (not failed).  ``free_draws`` below 1 raises
+    instantiated system; passing requires both.  A draw whose sampling
+    fails is redrawn, up to six times.  Metadata-only claims report
+    ``unverifiable`` (not failed).  ``free_draws`` below 1 raises
     ``ValueError``: a row checked zero times is not verified.
     """
     if free_draws < 1:
@@ -232,30 +226,20 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_S
     rng = np.random.default_rng(seed)
     details = {"draws": []}
     for i in range(free_draws):
+        draw_seed = seed + 7919 * i + 13
         for scale in scales:
-            spec = None
             for _attempt in range(6):
                 try:
                     spec = instantiate(entry, _draw_frees(entry, rng), scale)
-                    draw_seed = seed + 7919 * i + 13
-                    if entry.claim_kind == "curvature_constant":
-                        c = geometry.classify_curvature(spec, n_points=n_points,
-                                                        seed=draw_seed)
-                        ok = (c.tag == "Constant" and c.stddev <= geometry.TOL_CURV_CONST
-                              and abs(c.mean - scale) <= geometry.TOL_CURV_MEAN)
-                        info = {"K": scale, "mean": c.mean, "stddev": c.stddev}
-                    else:
-                        ok, info = _check_claim(entry, spec, draw_seed, n_points,
-                                                tol_linear)
+                    ok, info = _check_claim(entry, spec, scale, draw_seed, n_points,
+                                            tol_linear)
                     rep = verify_algebra(spec, n_points=n_points, seed=draw_seed)
                     break
                 except SamplingError:
-                    spec = None
                     continue
-            if spec is None:
+            else:
                 return EntryVerification(entry.row_id, entry.claim_kind, "failed",
                                          i, {"error": "sampling kept failing"})
-            info = dict(info)
             info["algebra_pass"] = rep.passed
             details["draws"].append(info)
             if not (ok and rep.passed):

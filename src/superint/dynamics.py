@@ -183,12 +183,6 @@ def _flow(spec: SystemSpec) -> _Flow:
     return _compiled(spec.tag, *map(float.hex, spec.metric_params + spec.potential_params))
 
 
-def _rhs_fn(spec: SystemSpec):
-    """Hamilton's equations as a function of a state array."""
-    dH = _flow(spec).dH
-    return lambda y: np.array(_slope(dH, y.tolist()))
-
-
 def integrate(spec: SystemSpec, initial: PhasePoint, t_end: float,
               rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL,
               max_steps: int = 1_000_000) -> Trajectory:

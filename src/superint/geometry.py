@@ -53,7 +53,6 @@ class CurvatureClass:
     """Classification of the sampled curvature field."""
 
     tag: str                 # "Zero" | "Constant" | "NonConstant"
-    value: float             # the constant (mean) where tag == "Constant"
     max_abs: float
     mean: float
     stddev: float
@@ -97,7 +96,7 @@ def classify_curvature(spec: SystemSpec, n_points: int = 50,
         tag = "Constant"
     else:
         tag = "NonConstant"
-    return CurvatureClass(tag, mean if tag == "Constant" else 0.0, max_abs, mean, std)
+    return CurvatureClass(tag, max_abs, mean, std)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +162,8 @@ def revolution_check(spec: SystemSpec, n_points: int = 50, seed: int = DEFAULT_S
 
 
 def linear_observable(spec: SystemSpec, sign: str, coords: str = "liouville") -> Observable:
-    """p_xi +/- p_eta, or its transformed analogue p_X +/- p_Y."""
+    """p_xi +/- p_eta, its transformed analogue p_X +/- p_Y, or p_eta
+    (``coords='eta-only'``, which ignores the sign)."""
     s = {"plus": 1.0, "minus": -1.0}[sign]
     if coords == "liouville":
         return Observable(lambda xi, eta, p_xi, p_eta: p_xi + s * p_eta,
@@ -176,9 +176,6 @@ def linear_observable(spec: SystemSpec, sign: str, coords: str = "liouville") ->
     if coords == "eta-only":
         return Observable(lambda xi, eta, p_xi, p_eta: p_eta + 0.0 * p_xi,
                           label="p_eta")
-    if coords == "xi-only":
-        return Observable(lambda xi, eta, p_xi, p_eta: p_xi + 0.0 * p_eta,
-                          label="p_xi")
     raise ValueError(f"unknown coords {coords!r}")
 
 

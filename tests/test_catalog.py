@@ -1,5 +1,8 @@
 """Catalog transcription, instantiation and claim verification."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -175,3 +178,59 @@ def test_alias_rows_verify_including_both_i3_sign_branches():
     assert upper.status == "verified" and lower.status == "verified"
     assert upper.details["draws"][0]["sign"] == "plus"
     assert lower.details["draws"][0]["sign"] == "minus"
+
+
+def _same_observable(entry, sign, coords):
+    """Whether the certificate (sign, coords) names the row's own observable."""
+    rec = entry.annotation["certificate"]
+    if coords == rec["coords"] == "eta-only":
+        return True                      # p_eta, whatever the sign
+    # sqrt(A) = 1 in class II1, so p_X +/- p_Y is p_xi +/- p_eta there
+    return (entry.cls == "II1" and sign == rec["sign"]
+            and {coords, rec["coords"]} == {"liouville", "transformed"})
+
+
+def _mutants():
+    """(row with one other recorded structure, whether it names the same claim)."""
+    for e in load_catalog():
+        if e.claim_kind == "linear_integral":
+            rec = e.annotation["certificate"]
+            for sign, coords in itertools.product(("plus", "minus"),
+                                                  ("liouville", "transformed", "eta-only")):
+                if (sign, coords) != (rec["sign"], rec["coords"]):
+                    ann = {**e.annotation, "certificate": {"sign": sign, "coords": coords}}
+                    yield dataclasses.replace(e, annotation=ann), _same_observable(e, sign, coords)
+        elif e.claim_kind == "revolution" and "status" not in e.annotation:
+            recorded = (e.annotation["orientation"], e.annotation["revolution_coords"])
+            for orientation, coords in itertools.product(
+                    ("SumOnly", "DiffOnly", "Both", "Neither"), ("liouville", "transformed")):
+                if (orientation, coords) != recorded:
+                    ann = {**e.annotation, "orientation": orientation,
+                           "revolution_coords": coords}
+                    yield dataclasses.replace(e, annotation=ann), False
+
+
+def test_rows_with_another_recorded_structure_fail():
+    # each linear row against every other certificate, each checked
+    # revolution row against every other orientation and coordinate system
+    # (a recorded Both claims a constant metric, a recorded Neither none):
+    # only the certificates that name the same observable still verify
+    mutants = list(_mutants())
+    assert len(mutants) == 16 * 5 + 10 * 7
+    verified = [(e.row_id, e.annotation.get("certificate")) for e, same in mutants
+                if verify_entry(e, free_draws=1).status == "verified"]
+    assert verified == [(e.row_id, e.annotation.get("certificate"))
+                        for e, same in mutants if same]
+    assert len(verified) == 3
+
+
+@pytest.mark.parametrize("rid, annotation", [
+    ("GL_1", {}),
+    ("GL_1", {"certificate": {"sign": "plus"}}),
+    ("R_1", {"revolution_coords": "liouville"}),
+    ("R_1", {"orientation": "DiffOnly"}),
+])
+def test_rows_without_their_recorded_structure_raise(rid, annotation):
+    row = dataclasses.replace(_row(rid), row_id="hand_built", annotation=annotation)
+    with pytest.raises(ConstraintError, match="hand_built"):
+        verify_entry(row, free_draws=1)

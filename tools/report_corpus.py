@@ -26,22 +26,25 @@ The corpus is:
 * two runs that leave their domain, one of them rejecting steps both in a
   stage and on the error test, with status, ``exit_time``, stats, times and
   states in hexadecimal;
-* the flow's right-hand side (``dynamics._rhs_fn``) with 17 significant
-  digits at the five pinned initial states, and at 20 sampled states and at
-  states outside the domain (poles, negative coordinates, |y| up to 1e3, NaN
-  and inf) of the reference specs and the random draws, with the exception
-  type and text where one is raised;
+* the flow's right-hand side (``dynamics._slope`` of the compiled flow's
+  traced gradient) with 17 significant digits at the five pinned initial
+  states, and at 20 sampled states and at states outside the domain
+  (poles, negative coordinates, |y| up to 1e3, NaN and inf) of the
+  reference specs and the random draws, with the exception type and text
+  where one is raised;
 * ``revolution_check`` in both coordinate systems, with the largest
   directional residuals behind it, and ``linear_integral_check`` for every
-  sign and coordinate choice, on the six reference specs, the random draws
-  and three specs with such a structure;
+  sign and coordinate choice (p_xi +/- p_eta, p_X +/- p_Y, p_eta), on the
+  six reference specs, the random draws and three specs with such a
+  structure;
 * ``characteristic_residual``, both ``structural_pde_residual`` pairs and
   the recoordinatized metric ``tilde_metric`` on 50 sampled points of each
   of the six reference specs and the random draws, with 17 significant
   digits;
 * ``verify_entry(...).to_dict()`` for every non-alias catalog row at two
-  draws, so curvature means and deviations and linear residuals are
-  compared, not only statuses;
+  draws and at the ``tables`` bench size (five draws of 50 points, seed
+  101), and for the four alias rows at two draws, so curvature means and
+  deviations and linear residuals are compared, not only statuses;
 * ``constants_poly``'s nine fields in hexadecimal, with the shape (so the
   length) of each coefficient array, for the reference specs, the random
   draws, the all-zero spec of each class and specs whose top coefficients
@@ -237,10 +240,10 @@ def _rhs():
         pts = sample_points(spec, 20, np.random.default_rng(7))
         cases.append((spec, [tuple(y) for y in pts.as_array().T] + _outside(rng)))
     for spec, states in cases:
-        rhs = dynamics._rhs_fn(spec)
+        dH = dynamics._flow(spec).dH
         for y in states:
             try:
-                out = _digits(rhs(np.array(y, dtype=float)))
+                out = _digits(dynamics._slope(dH, list(map(float, y))))
             except Exception as exc:  # the integrator rejects a step on several types
                 out = f"{type(exc).__name__}: {exc}"
             print(spec.tag, "rhs", _digits(y), "->", out)
@@ -262,7 +265,7 @@ def _geometry():
             print(_json([spec.tag, coords, _attempt(geometry.revolution_check, spec,
                                                     coords=coords), residuals]))
         for sign in ("plus", "minus"):
-            for coords in ("liouville", "transformed", "eta-only", "xi-only"):
+            for coords in ("liouville", "transformed", "eta-only"):
                 print(_json([spec.tag, sign, coords, _attempt(
                     geometry.linear_integral_check, spec, sign, coords=coords)]))
 
@@ -426,10 +429,20 @@ def _fields():
                                   else _value_hex(out))
 
 
+def _print_entry(entry, **kwargs):
+    out = _attempt(catalog.verify_entry, entry, **kwargs)
+    print(_json(out if isinstance(out, str) else out.to_dict()))
+
+
 def _catalog():
     for table in catalog.TABLES:
         for entry in catalog.lookup(table=table, include_aliases=False):
-            print(_json(catalog.verify_entry(entry, free_draws=2).to_dict()))
+            _print_entry(entry, free_draws=2)
+            # the ``tables`` bench size
+            _print_entry(entry, free_draws=5, seed=101, n_points=50)
+    for entry in catalog.load_catalog():
+        if entry.is_alias:
+            _print_entry(entry, free_draws=2)
 
 
 def _cli():
