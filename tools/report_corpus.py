@@ -44,7 +44,10 @@ The corpus is:
 * ``verify_entry(...).to_dict()`` for every non-alias catalog row at two
   draws and at the ``tables`` bench size (five draws of 50 points, seed
   101), and for the four alias rows at two draws, so curvature means and
-  deviations and linear residuals are compared, not only statuses;
+  deviations and linear residuals are compared, not only statuses; and at
+  both sizes for two hand-built rows: every parameter fixed at an II2 spec
+  whose algebra fails after the affine correction runs inside a draw, and a
+  ``curvature_zero`` claim on a curved I3 metric, whose claim fails;
 * ``constants_poly``'s nine fields in hexadecimal, with the shape (so the
   length) of each coefficient array, for the reference specs, the random
   draws, the all-zero spec of each class and specs whose top coefficients
@@ -429,6 +432,26 @@ def _fields():
                                   else _value_hex(out))
 
 
+def _fixed_row(row_id, cls, claim, values, annotation=None):
+    """A hand-built catalog row with every parameter fixed at ``values``."""
+    constraints = {p: {"kind": "fixed", "value": values.get(p, 0.0)}
+                   for p in catalog.PARAM_NAMES}
+    return catalog.CatalogEntry("corpus", row_id, cls, constraints, {"kind": claim}, (),
+                                annotation=annotation or {})
+
+
+HAND_ROWS = [
+    # the algebra fails at this spec; the correction runs and does not rescue it
+    _fixed_row("II2_fails", "II2", "revolution",
+               {"kappa": 1e6, "lambda": -1.0, "mu": 1e-9, "nu": 1e6, "k": 1e6,
+                "ell": -1.0, "m": -1.0, "n": 1e6},
+               {"status": "revolution in transformed coordinates - unchecked"}),
+    # a curved metric claimed flat: the first draw's claim fails
+    _fixed_row("I3_curved", "I3", "curvature_zero",
+               {"kappa": 1.0, "lambda": 0.5, "k": 0.4, "ell": -0.1, "m": 0.2, "n": 1.0}),
+]
+
+
 def _print_entry(entry, **kwargs):
     out = _attempt(catalog.verify_entry, entry, **kwargs)
     print(_json(out if isinstance(out, str) else out.to_dict()))
@@ -443,6 +466,9 @@ def _catalog():
     for entry in catalog.load_catalog():
         if entry.is_alias:
             _print_entry(entry, free_draws=2)
+    for entry in HAND_ROWS:
+        _print_entry(entry, free_draws=2)
+        _print_entry(entry, free_draws=5, seed=101, n_points=50)
 
 
 def _cli():
