@@ -26,7 +26,11 @@ Claim kinds and how they verify, each against what its row records:
 Each draw runs exactly one geometry check.  A linear or checked revolution
 row without its recorded fields raises ``ConstraintError``.  Every
 verification also runs the quadratic-algebra check on the instantiated
-system; a row passes only if both sides pass.
+system; a row passes only if both sides pass.  The draws are taken first,
+in order, up to the first whose claim fails, and their algebra checks run
+in one group pass (``poisson.algebra_reports``); the row reports the first
+draw where the claim or the algebra fails, as checking one draw at a time
+would.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ import numpy as np
 
 from .errors import ConstraintError, SamplingError
 from . import geometry
-from .poisson import DEFAULT_SEED, verify_algebra
-from .systems import _FIELD_MAP, SystemSpec, spec_from_dict
+from .poisson import DEFAULT_SEED, algebra_reports
+from .systems import _FIELD_MAP, SystemSpec, sample_points, spec_from_dict
 
 __all__ = ["CatalogEntry", "load_catalog", "lookup", "instantiate",
            "verify_entry", "EntryVerification", "catalog_json",
@@ -205,26 +209,15 @@ def _check_claim(entry, spec, scale, seed, n_points, tol_linear):
     raise ValueError(f"claim {kind} is not dispatchable")
 
 
-def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_SEED,
-                 n_points: int = 50, tol_linear: float = geometry.TOL_LINEAR,
-                 curvature_scales=(1.0, 2.0, -1.0)) -> EntryVerification:
-    """Instantiate the row ``free_draws`` times and verify its claim.
+def _take_draws(entry, scales, free_draws, seed, n_points, tol_linear, draws):
+    """Append the row's draws to ``draws`` in order, up to the first whose
+    claim fails: ``(i, scale, spec, draw_seed, points, ok, info)`` each,
+    with the claim's verdict and details and the algebra check's sample.
 
-    Every draw also runs the quadratic-algebra verification on the
-    instantiated system; passing requires both.  A draw whose sampling
-    fails is redrawn, up to six times.  Metadata-only claims report
-    ``unverifiable`` (not failed).  ``free_draws`` below 1 raises
-    ``ValueError``: a row checked zero times is not verified.
+    A draw whose sampling fails is redrawn, up to six times; returns the
+    index of a draw that kept failing, or None.
     """
-    if free_draws < 1:
-        raise ValueError(f"free_draws must be at least 1, got {free_draws}")
-    if not entry.machine_checkable:
-        return EntryVerification(entry.row_id, entry.claim_kind, "unverifiable")
-
-    uses_scale = any(c["kind"] == "curvature" for c in entry.constraints.values())
-    scales = curvature_scales if uses_scale else (None,)
     rng = np.random.default_rng(seed)
-    details = {"draws": []}
     for i in range(free_draws):
         draw_seed = seed + 7919 * i + 13
         for scale in scales:
@@ -233,18 +226,60 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_S
                     spec = instantiate(entry, _draw_frees(entry, rng), scale)
                     ok, info = _check_claim(entry, spec, scale, draw_seed, n_points,
                                             tol_linear)
-                    rep = verify_algebra(spec, n_points=n_points, seed=draw_seed)
+                    pts = sample_points(spec, n_points, np.random.default_rng(draw_seed))
                     break
                 except SamplingError:
                     continue
             else:
-                return EntryVerification(entry.row_id, entry.claim_kind, "failed",
-                                         i, {"error": "sampling kept failing"})
-            info["algebra_pass"] = rep.passed
-            details["draws"].append(info)
-            if not (ok and rep.passed):
-                details["failed_at"] = {"draw": i, "scale": scale, **info}
-                return EntryVerification(entry.row_id, entry.claim_kind, "failed",
-                                         i + 1, details)
+                return i
+            draws.append((i, scale, spec, draw_seed, pts, ok, info))
+            if not ok:
+                return None
+    return None
+
+
+def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_SEED,
+                 n_points: int = 50, tol_linear: float = geometry.TOL_LINEAR,
+                 curvature_scales=(1.0, 2.0, -1.0)) -> EntryVerification:
+    """Instantiate the row ``free_draws`` times and verify its claim.
+
+    Every draw also runs the quadratic-algebra verification on the
+    instantiated system; passing requires both.  The draws are taken
+    first, up to the first whose claim fails; their algebra checks then run
+    together (:func:`superint.poisson.algebra_reports`), and the first draw
+    where the claim or the algebra fails is reported, as checking each draw
+    in turn would report it.  A draw whose sampling fails is redrawn, up to
+    six times.  Metadata-only claims report ``unverifiable`` (not failed).
+    ``free_draws`` below 1 raises ``ValueError``: a row checked zero times
+    is not verified.
+    """
+    if free_draws < 1:
+        raise ValueError(f"free_draws must be at least 1, got {free_draws}")
+    if not entry.machine_checkable:
+        return EntryVerification(entry.row_id, entry.claim_kind, "unverifiable")
+
+    uses_scale = any(c["kind"] == "curvature" for c in entry.constraints.values())
+    scales = curvature_scales if uses_scale else (None,)
+    draws, error, kept_failing = [], None, None
+    try:
+        kept_failing = _take_draws(entry, scales, free_draws, seed, n_points, tol_linear,
+                                   draws)
+    except Exception as exc:
+        # raised once the draws before it have their verdicts, as in turn
+        error = exc
+    reports = algebra_reports([(spec, s, pts) for _, _, spec, s, pts, _, _ in draws])
+    details = {"draws": []}
+    for (i, scale, _, _, _, ok, info), rep in zip(draws, reports):
+        info["algebra_pass"] = rep.passed
+        details["draws"].append(info)
+        if not (ok and rep.passed):
+            details["failed_at"] = {"draw": i, "scale": scale, **info}
+            return EntryVerification(entry.row_id, entry.claim_kind, "failed",
+                                     i + 1, details)
+    if error is not None:
+        raise error
+    if kept_failing is not None:
+        return EntryVerification(entry.row_id, entry.claim_kind, "failed",
+                                 kept_failing, {"error": "sampling kept failing"})
     return EntryVerification(entry.row_id, entry.claim_kind, "verified",
                              free_draws, details)

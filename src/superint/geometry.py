@@ -164,7 +164,9 @@ def revolution_check(spec: SystemSpec, n_points: int = 50, seed: int = DEFAULT_S
 def linear_observable(spec: SystemSpec, sign: str, coords: str = "liouville") -> Observable:
     """p_xi +/- p_eta, its transformed analogue p_X +/- p_Y, or p_eta
     (``coords='eta-only'``, which ignores the sign)."""
-    s = {"plus": 1.0, "minus": -1.0}[sign]
+    s = {"plus": 1.0, "minus": -1.0}.get(sign)
+    if s is None:
+        raise ValueError(f"unknown sign {sign!r}")
     if coords == "liouville":
         return Observable(lambda xi, eta, p_xi, p_eta: p_xi + s * p_eta,
                           label=f"p_xi{'+' if s > 0 else '-'}p_eta")

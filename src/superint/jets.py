@@ -155,6 +155,10 @@ class _Jet:
     """
 
     __slots__ = ("_kept",)
+    # an ndarray operand hands the operation to the jet's own rule (an array
+    # of one factor per point broadcasts against ``grad`` and ``hess``)
+    # instead of building an object array
+    __array_ufunc__ = None
 
     def once(self, fn):
         """``fn(self)``, computed on the first call with ``fn`` and kept on

@@ -16,20 +16,34 @@ denominator also carries the largest term entering the bracket
 contractions, so the check measures genuine identity violation relative
 to the magnitudes the computation actually handled (near-degenerate
 sample points otherwise drown the tolerance in float64 roundoff).
+
+Every residual is a function of its own point alone, so the verifiers run
+one core (``_verify``) over a group of ``(spec, seed, points)`` samples:
+the samples of specs that keep the same terms of their closed forms and
+the same structure-constant lengths (``systems.pass_key``) are laid end to
+end, up to ``_CHUNK`` points, with each spec's parameters repeated over its
+own points, and evaluated in one jet pass; each spec's maxima are taken
+over its own points.  A spec whose algebra rows fail leaves the batch for
+the affine correction, and a batch whose pass raises is re-run spec by
+spec, so every report, and the first error, is the one the sample gives
+alone.  ``verify_algebra`` and ``verify_casimir`` are groups of one;
+``algebra_reports`` verifies many samples, as the catalog does for the
+draws of a row.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned
+from .errors import DomainError, IllConditioned
 from .jets import Jet2, Observable, PhasePoint
-from .systems import (SystemSpec, constants_poly, integral_A, integral_B,
-                      integrals, sample_points, spec_to_dict)
+from .systems import (SystemSpec, constants_poly, group_constants, group_fns, integral_A,
+                      integral_B, integrals, pass_key, sample_points, spec_to_dict)
 
 __all__ = [
     "BracketValue",
@@ -40,6 +54,7 @@ __all__ = [
     "bracket_fd",
     "c_observable",
     "verify_algebra",
+    "algebra_reports",
     "verify_casimir",
     "polynomial_membership",
     "casimir_coefficients",
@@ -314,14 +329,72 @@ def _chunks(pts):
         yield PhasePoint.from_array(arr[:, lo:lo + _CHUNK])
 
 
-def _chunked_max(cp, hab, pts, names, a_off=0.0, b_off=0.0):
-    """Max residual per identity over chunks of ``_CHUNK`` points."""
+def _chunked_max(cp, hab, pts, names, a_off=0.0, b_off=0.0, starts=(0,)):
+    """Max residual per identity over chunks of ``_CHUNK`` points: one dict
+    per spec of the pass, whose points begin at ``starts``.
+
+    A pass of several specs has at most ``_CHUNK`` points, one chunk.
+    """
     maxima = []
     for sub in _chunks(pts):
         res = _row_residuals(cp, hab, sub, names, a_off, b_off)
-        maxima.append([res[k].max() for k in names])
+        # reduceat, like ndarray.max, keeps a NaN
+        maxima.append([np.maximum.reduceat(res[k], starts) for k in names])
     # np.max, unlike the builtin max, keeps a NaN from any chunk
-    return dict(zip(names, map(float, np.max(maxima, axis=0))))
+    worst = np.max(maxima, axis=0)
+    return [dict(zip(names, map(float, col))) for col in worst.T]
+
+
+def _passes(group, counts, cps):
+    """The samples of ``group``, of ``counts`` points each, that share each
+    pass, as index lists.
+
+    Samples share a pass when their specs have the same
+    :func:`~superint.systems.pass_key`.  Whole samples are packed in order
+    into passes of at most ``_CHUNK`` points; a sample of more points has a
+    pass of its own, which ``_chunked_max`` chunks.
+    """
+    if len(group) == 1:
+        return [[0]]
+    by_key = {}
+    for i, ((spec, _, _), cp) in enumerate(zip(group, cps)):
+        by_key.setdefault(pass_key(spec, cp), []).append(i)
+    passes = []
+    for members in by_key.values():
+        size = _CHUNK  # the first sample opens a pass
+        for i in members:
+            if size + counts[i] > _CHUNK:
+                passes.append([])
+                size = 0
+            passes[-1].append(i)
+            size += counts[i]
+    return passes
+
+
+def _group_max(group, counts, cps, names, order):
+    """Each sample's max residual per identity, one dict per sample, from one
+    residual pass per set of samples that share one (:func:`_passes`).
+
+    The points of a pass are the samples' laid end to end, and each spec's
+    parameters and structure constants are repeated over its own points
+    (:func:`~superint.systems.group_fns`,
+    :func:`~superint.systems.group_constants`), so every point's residuals
+    are those of its spec's own pass.  A group of one runs on the spec's
+    own closed forms and constants.
+    """
+    worst = [None] * len(group)
+    for members in _passes(group, counts, cps):
+        specs = [group[i][0] for i in members]
+        samples = [group[i][2] for i in members]
+        sizes = [counts[i] for i in members]
+        pts = samples[0] if len(samples) == 1 else PhasePoint.from_array(
+            np.concatenate([p.as_array() for p in samples], axis=1))
+        hab = integrals(group_fns(specs, sizes), order)
+        cp = group_constants([cps[i] for i in members], sizes)
+        starts = list(itertools.accumulate(sizes[:-1], initial=0))
+        for i, w in zip(members, _chunked_max(cp, hab, pts, names, starts=starts)):
+            worst[i] = w
+    return worst
 
 
 def _fit_offsets(cp, hab, pts):
@@ -344,26 +417,49 @@ def _fit_offsets(cp, hab, pts):
     return float(sol.x[0]), float(sol.x[1])
 
 
-def _verify(kind, spec, n_points, seed, tols, trigger):
-    """Certify the identities named in ``tols`` on one sample of the domain.
+def _verify(kind, group, tols, trigger):
+    """Certify the identities named in ``tols`` on each sample of ``group``,
+    ``(spec, seed, points)`` triples: an iterator of one report per sample,
+    in order.
 
-    The pass evaluates order-2 jets only if a nested bracket is asked for.
-    If an identity in ``trigger`` exceeds its tolerance, the affine-match
-    pre-step fits constant offsets for A and B and re-verifies;
-    ``correction_applied`` records whether that was needed (it must not be,
-    for the printed forms).
+    The samples are evaluated together, in one residual pass per set of
+    specs that can share one (:func:`_group_max`), run by this call, and
+    each spec's maxima are taken over its own points, so each report is the
+    one the sample gives alone.  A pass evaluates order-2 jets only if a
+    nested bracket is asked for.  A sample leaves the batch:
+
+    * when an identity in ``trigger`` exceeds its tolerance: the
+      affine-match pre-step fits constant offsets for A and B on that
+      sample alone and re-verifies it, as its report is read;
+      ``correction_applied`` records that it was needed (it must not be,
+      for the printed forms);
+    * when the batched passes leave a domain (``DomainError``): each sample
+      is then verified alone, in order, as its report is read, so the first
+      error is the one that order raises, and a caller that stops at a
+      failing report raises none from the samples after it.
     """
-    pts = sample_points(spec, n_points, np.random.default_rng(seed))
-    cp = constants_poly(spec)
-    hab = integrals(spec, 2 if any(k in tols for k in _NESTED) else 1)
-    worst = _chunked_max(cp, hab, pts, tols)
-    correction = None
-    if any(worst[k] > tols[k] for k in trigger):
-        a_off, b_off = _fit_offsets(cp, integrals(spec, 2), pts)
-        correction = {"a_offset": a_off, "b_offset": b_off}
-        worst = _chunked_max(cp, hab, pts, tols, a_off, b_off)
-    idents = tuple(Identity(k, worst[k], tol) for k, tol in tols.items())
-    return VerificationReport(kind, spec, seed, n_points, idents, correction)
+    order = 2 if any(k in tols for k in _NESTED) else 1
+    cps = [constants_poly(spec) for spec, _, _ in group]
+    counts = [pts.shape[0] for _, _, pts in group]
+    try:
+        maxima = _group_max(group, counts, cps, tols, order)
+    except DomainError:
+        if len(group) == 1:
+            raise
+        return itertools.chain.from_iterable(
+            _verify(kind, [sample], tols, trigger) for sample in group)
+
+    def report(sample, n_points, cp, worst):
+        spec, seed, pts = sample
+        correction = None
+        if any(worst[k] > tols[k] for k in trigger):
+            a_off, b_off = _fit_offsets(cp, integrals(spec, 2), pts)
+            correction = {"a_offset": a_off, "b_offset": b_off}
+            worst, = _chunked_max(cp, integrals(spec, order), pts, tols, a_off, b_off)
+        idents = tuple(Identity(k, worst[k], tol) for k, tol in tols.items())
+        return VerificationReport(kind, spec, seed, n_points, idents, correction)
+
+    return map(report, group, counts, cps, maxima)
 
 
 def verify_algebra(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SEED,
@@ -375,9 +471,23 @@ def verify_algebra(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SE
     triggers the affine correction.  ``threads`` is accepted for
     compatibility and has no effect.
     """
+    pts = sample_points(spec, n_points, np.random.default_rng(seed))
+    report, = algebra_reports([(spec, seed, pts)], tol_bracket, tol_nested)
+    return report
+
+
+def algebra_reports(samples, tol_bracket: float = TOL_BRACKET,
+                    tol_nested: float = TOL_NESTED):
+    """:func:`verify_algebra`'s report on each ``(spec, seed, points)`` of
+    ``samples``, where ``points`` is the spec's sample at ``seed``: an
+    iterator, in order.
+
+    The samples are verified together, in as few passes as their specs
+    allow, and each report is the one that sample gives alone.
+    """
     tols = {"HA": tol_bracket, "HB": tol_bracket, "HC": tol_bracket,
             "AC_row": tol_nested, "BC_row": tol_nested}
-    return _verify("algebra", spec, n_points, seed, tols, ("AC_row", "BC_row"))
+    return _verify("algebra", list(samples), tols, ("AC_row", "BC_row"))
 
 
 def verify_casimir(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SEED,
@@ -387,7 +497,9 @@ def verify_casimir(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SE
     A failing Casimir triggers the affine correction.  ``threads`` is
     accepted for compatibility and has no effect.
     """
-    return _verify("casimir", spec, n_points, seed, {"casimir": tol}, ("casimir",))
+    pts = sample_points(spec, n_points, np.random.default_rng(seed))
+    report, = _verify("casimir", [(spec, seed, pts)], {"casimir": tol}, ("casimir",))
+    return report
 
 
 # ---------------------------------------------------------------------------

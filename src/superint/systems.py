@@ -24,6 +24,7 @@ The module builds, per subclass:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -43,6 +44,9 @@ __all__ = [
     "AlgebraConstants",
     "ConstantsPoly",
     "build_fns",
+    "group_fns",
+    "group_constants",
+    "pass_key",
     "hamiltonian",
     "integral_A",
     "integral_B",
@@ -289,27 +293,29 @@ def _power(p):
 _POW = {p: _power(p) for p in (-3, -2, 2, 3, 4, 6)}
 
 
+def _sum_terms(active, x):
+    """Sum of coef * basis(x) over the ``active`` pairs, in their order; x * 0
+    when there are none."""
+    out = None
+    for c, f in active:
+        term = c * _once(f, x)
+        out = term if out is None else out + term
+    return x * 0.0 if out is None else out
+
+
 def _terms(*pairs):
-    """Sum of coef * basis(x) over the pairs, in their order, dropping zero
-    coefficients.
+    """Sum of coef * basis(x) over the pairs, in their order, dropping the
+    terms whose coefficient is zero (at every point, for an array of
+    coefficients).
 
     Dropping at construction keeps pole terms (1/v^2, cot^2, ...) out of
     the evaluation entirely when their coefficient vanishes, so degenerate
     rows evaluate cleanly on the pole locus instead of producing 0 * inf.
-    The sum reads each basis through ``_once``.
+    The sum reads each basis through ``_once``; the kept pairs are the
+    form's ``args[0]``.
     """
-    active = [(c, f) for c, f in pairs if c != 0.0]
-    if not active:
-        return lambda x: x * 0.0
-    (c0, f0), rest = active[0], active[1:]
-
-    def fn(x):
-        out = c0 * _once(f0, x)
-        for c, f in rest:
-            out = out + c * _once(f, x)
-        return out
-
-    return fn
+    return functools.partial(_sum_terms, [
+        (c, f) for c, f in pairs if (c.any() if isinstance(c, np.ndarray) else c != 0.0)])
 
 
 _Solution = namedtuple("_Solution", "A_of_xi sqrtA X_of_xi char_constants")
@@ -344,10 +350,31 @@ def build_fns(spec: SystemSpec) -> SystemFns:
     Construction is total: parameter degeneracies surface later, at
     sampling or evaluation time.
     """
-    F, G, F_tilde, G_tilde, intF = _forms(spec.tag, *spec.metric_params)
-    f, g, f_tilde, g_tilde, intf = _forms(spec.tag, *spec.potential_params)
-    return SystemFns(spec.tag, F, G, f, g, F_tilde, G_tilde, f_tilde, g_tilde,
-                     **_solution(spec.tag)._asdict(), intF=intF, intf=intf)
+    return _fns(spec.tag, spec.metric_params, spec.potential_params)
+
+
+def group_fns(specs, counts) -> SystemFns:
+    """The closed forms of ``specs``, one subclass, for one pass over their
+    points laid end to end: :func:`build_fns` with each parameter an array
+    that repeats each spec's value over its own ``counts`` points.
+
+    Every coefficient is then computed per point from that spec's value, in
+    the same operations, so each point's jets equal those of the spec's own
+    forms as long as the specs keep the same terms (:func:`pass_key`).  One
+    spec keeps its floats: its forms are :func:`build_fns`'s.
+    """
+    if len(specs) == 1:
+        return build_fns(specs[0])
+    params = np.repeat(np.array([s.metric_params + s.potential_params for s in specs]).T,
+                       counts, axis=1)
+    return _fns(specs[0].tag, params[:4], params[4:])
+
+
+def _fns(tag, metric, potential):
+    F, G, F_tilde, G_tilde, intF = _forms(tag, *metric)
+    f, g, f_tilde, g_tilde, intf = _forms(tag, *potential)
+    return SystemFns(tag, F, G, f, g, F_tilde, G_tilde, f_tilde, g_tilde,
+                     **_solution(tag)._asdict(), intF=intF, intf=intf)
 
 
 # Bases of one class alone, kept here so that both calls of ``_forms``
@@ -431,9 +458,9 @@ def _h_form(p_xi, p_eta, g, w):
     return (p_xi * p_eta + w) / g
 
 
-def _liouville_form(p1, p2, F, G, f, g):
-    """p1^2 + p2^2 - 2 p1 p2 (F - G)/(F + G) + 4 (f G - g F)/(F + G)."""
-    m = F + G
+def _liouville_form(p1, p2, F, G, f, g, m):
+    """p1^2 + p2^2 - 2 p1 p2 (F - G)/m + 4 (f G - g F)/m, where m = F + G is
+    given, so that a metric g built already keeps its one inverse."""
     return (p1**2 + p2**2
             - 2.0 * p1 * p2 * (F - G) / m
             + 4.0 * (f * G - g * F) / m)
@@ -448,7 +475,7 @@ def _a_form(fns, eta, p_xi, p_eta, metric, potential):
     F, G, g = metric
     f, g_pot, w = potential
     if _class_one(fns.tag):
-        return _liouville_form(p_xi, p_eta, F, G, f, g_pot)
+        return _liouville_form(p_xi, p_eta, F, G, f, g_pot, g)
     beta = fns.intF(eta)
     return (p_xi**2
             - 2.0 * p_xi * p_eta * beta / g
@@ -462,8 +489,8 @@ def _b_form(fns, xi, eta, p_xi, p_eta):
     pX = _once(fns.sqrtA, xi) * p_xi    # sqrt(A) may be X's own basis
     pY = _once(fns.sqrtA, eta) * p_eta
     U, V = X + Y, X - Y
-    return _liouville_form(pX, pY, fns.F_tilde(U), fns.G_tilde(V),
-                           fns.f_tilde(U), fns.g_tilde(V))
+    F, G, f, g = fns.F_tilde(U), fns.G_tilde(V), fns.f_tilde(U), fns.g_tilde(V)
+    return _liouville_form(pX, pY, F, G, f, g, F + G)
 
 
 def hamiltonian(spec: SystemSpec, enforce_min_g: bool = True) -> Observable:
@@ -505,8 +532,11 @@ def integral_B(spec: SystemSpec) -> Observable:
     return Observable(fn, label="B")
 
 
-def integrals(spec: SystemSpec, order: int = 2) -> Callable[[PhasePoint], tuple]:
+def integrals(spec, order: int = 2) -> Callable[[PhasePoint], tuple]:
     """One pass for H, A and B: a map from points to their jets of ``order``.
+
+    ``spec`` is a :class:`SystemSpec`, or the :class:`SystemFns` of one
+    (:func:`build_fns`) or of several laid end to end (:func:`group_fns`).
 
     The closed forms are built once, and H and A share one
     :meth:`SystemFns.pairs` call (g and w; for Class I also F(u), G(v),
@@ -523,16 +553,19 @@ def integrals(spec: SystemSpec, order: int = 2) -> Callable[[PhasePoint], tuple]
     Hessian asks for ``order`` 1.
 
     H is an order-1 jet at either order: no identity reads its Hessian.
-    It is built from order-1 views of p_xi, p_eta, g and w, and the value
-    and gradient rules never read a Hessian, so its value and gradient
-    equal those of ``hamiltonian(spec).eval`` bit for bit.
+    It is built from order-1 views of p_xi, p_eta and w, divided by g, and
+    the value and gradient rules never read a Hessian, so its value and
+    gradient equal those of ``hamiltonian(spec).eval`` bit for bit.  g keeps
+    its inverse, which A's form divides by too (g = F + G is the Liouville
+    form's denominator in Class I), so each pass inverts g once.
     """
-    fns = build_fns(spec)
+    fns = spec if isinstance(spec, SystemFns) else build_fns(spec)
 
     def evaluate(point: PhasePoint):
         xi, eta, p_xi, p_eta = seed_phase(point, order)
         metric, potential = fns.pairs(xi, eta, guard=True)
-        return (_h_form(*(j.first_order() for j in (p_xi, p_eta, metric[2], potential[2]))),
+        return (_h_form(p_xi.first_order(), p_eta.first_order(), metric[2],
+                        potential[2].first_order()),
                 _a_form(fns, eta, p_xi, p_eta, metric, potential),
                 _b_form(fns, xi, eta, p_xi, p_eta))
 
@@ -793,6 +826,39 @@ def constants_poly(spec: SystemSpec) -> ConstantsPoly:
         z=32.0 * _pmul(M_, N_),
         K=_padd(64.0 * _pmul(L_, M_, M_), -64.0 * _pmul(K_, N_, N_)),
     )
+
+
+_POLY_FIELDS = ("delta", "epsilon", "zeta", "d", "z", "K")
+
+
+def group_constants(cps, counts) -> ConstantsPoly:
+    """The :func:`constants_poly` values ``cps`` of specs of one subclass, for
+    one pass over their points laid end to end.
+
+    Each coefficient array becomes an (L, N) array whose column at a point
+    is that point's spec's coefficients, so :meth:`ConstantsPoly.at_energy`
+    runs unchanged (Horner's rule is elementwise) and gives each point its
+    spec's values bit for bit.  The specs must agree on the length of each
+    array (:func:`pass_key`).  One spec's values are returned as they are.
+    """
+    if len(cps) == 1:
+        return cps[0]
+    first = cps[0]
+    return ConstantsPoly(first.alpha, first.gamma, first.a, **{
+        name: np.repeat(np.stack([getattr(cp, name) for cp in cps], axis=1), counts, axis=1)
+        for name in _POLY_FIELDS})
+
+
+def pass_key(spec: SystemSpec, cp: ConstantsPoly) -> tuple:
+    """What specs must share to be evaluated in one pass, each point as it is
+    alone: the subclass, the basis functions each closed form keeps (those
+    whose coefficient is non-zero, :func:`_terms`), and the characteristic
+    constants and the length of each coefficient array of ``cp``, the spec's
+    :func:`constants_poly`."""
+    forms = _forms(spec.tag, *spec.metric_params) + _forms(spec.tag, *spec.potential_params)
+    return (spec.tag,
+            tuple(None if f is None else tuple(b for _, b in f.args[0]) for f in forms),
+            (cp.alpha, cp.gamma, cp.a), tuple(len(getattr(cp, name)) for name in _POLY_FIELDS))
 
 
 def algebra_constants(spec: SystemSpec, E: float) -> AlgebraConstants:

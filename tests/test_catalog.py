@@ -6,9 +6,12 @@ import itertools
 import numpy as np
 import pytest
 
-from superint.catalog import (CatalogEntry, instantiate, load_catalog, lookup,
-                              verify_entry)
-from superint.errors import ConstraintError
+from superint import catalog
+from superint.catalog import (CatalogEntry, EntryVerification, instantiate, load_catalog,
+                              lookup, verify_entry)
+from superint.errors import ConstraintError, SamplingError
+from superint.geometry import TOL_LINEAR
+from superint.poisson import Identity, verify_algebra
 
 
 def _row(row_id):
@@ -126,6 +129,18 @@ def test_verify_tampered_row_fails():
     assert v.status == "failed"
 
 
+def test_no_draw_is_taken_after_a_failing_claim(monkeypatch):
+    base = _row("F_4")
+    tampered = dataclasses.replace(base, row_id="F_4_tampered", constraints={
+        **base.constraints, "nu": {"kind": "fixed", "value": 1.0}})
+    real = catalog._check_claim
+    claims = []
+    monkeypatch.setattr(catalog, "_check_claim",
+                        lambda *args: claims.append(args) or real(*args))
+    v = verify_entry(tampered, free_draws=5)
+    assert (v.status, v.draws, len(claims)) == ("failed", 1, 1)
+
+
 @pytest.mark.parametrize("draws", [0, -1])
 def test_verify_entry_rejects_non_positive_draws(draws):
     # zero draws would check nothing and still report the row verified
@@ -234,3 +249,86 @@ def test_rows_without_their_recorded_structure_raise(rid, annotation):
     row = dataclasses.replace(_row(rid), row_id="hand_built", annotation=annotation)
     with pytest.raises(ConstraintError, match="hand_built"):
         verify_entry(row, free_draws=1)
+
+
+def _one_draw_at_a_time(entry, free_draws, seed, n_points=50,
+                        curvature_scales=(1.0, 2.0, -1.0)):
+    """``verify_entry(...).to_dict()`` as checking each draw in turn gives it:
+    the claim, then ``verify_algebra`` on its own, up to the first failure."""
+    scales = curvature_scales if any(
+        c["kind"] == "curvature" for c in entry.constraints.values()) else (None,)
+    rng = np.random.default_rng(seed)
+    details = {"draws": []}
+    for i in range(free_draws):
+        draw_seed = seed + 7919 * i + 13
+        for scale in scales:
+            for _attempt in range(6):
+                try:
+                    spec = instantiate(entry, catalog._draw_frees(entry, rng), scale)
+                    ok, info = catalog._check_claim(entry, spec, scale, draw_seed, n_points,
+                                                    TOL_LINEAR)
+                    rep = verify_algebra(spec, n_points=n_points, seed=draw_seed)
+                    break
+                except SamplingError:
+                    continue
+            else:
+                return EntryVerification(entry.row_id, entry.claim_kind, "failed", i,
+                                         {"error": "sampling kept failing"}).to_dict()
+            info["algebra_pass"] = rep.passed
+            details["draws"].append(info)
+            if not (ok and rep.passed):
+                details["failed_at"] = {"draw": i, "scale": scale, **info}
+                return EntryVerification(entry.row_id, entry.claim_kind, "failed", i + 1,
+                                         details).to_dict()
+    return EntryVerification(entry.row_id, entry.claim_kind, "verified", free_draws,
+                             details).to_dict()
+
+
+@pytest.mark.parametrize("seed", [101, 0xC0FFEE])
+def test_rows_verify_as_one_draw_at_a_time(seed):
+    # the draws of a row share one algebra pass; each report, and so the
+    # row's verdict and details, is the one its draw gives alone
+    rows = [e for e in lookup(include_aliases=False) if e.machine_checkable]
+    failed = 0
+    for e in rows:
+        got = verify_entry(e, free_draws=5, seed=seed).to_dict()
+        assert got == _one_draw_at_a_time(e, 5, seed), e.row_id
+        failed += got["status"] == "failed"
+    assert failed <= 1   # T4 C_7 fails on about one seed in five
+
+
+def test_a_failing_draw_is_reported_before_a_later_draw_raises(monkeypatch):
+    # in turn, the second draw's failing algebra ends the row before the
+    # third draw's claim raises
+    row = _row("F_2")
+    real = catalog._check_claim
+    calls = []
+
+    def claim(entry, spec, *args):
+        calls.append(spec)
+        if len(calls) == 3:
+            raise ConstraintError("third claim")
+        return real(entry, spec, *args)
+
+    real_reports = catalog.algebra_reports
+
+    def reports(samples):
+        for i, rep in enumerate(real_reports(samples)):
+            failing = (Identity("HA", 1.0, 0.0),)
+            yield dataclasses.replace(rep, identities=failing) if i == 1 else rep
+
+    monkeypatch.setattr(catalog, "_check_claim", claim)
+    monkeypatch.setattr(catalog, "algebra_reports", reports)
+    v = verify_entry(row, free_draws=5)
+    assert (v.status, v.draws, v.details["failed_at"]["algebra_pass"]) == ("failed", 2, False)
+    monkeypatch.setattr(catalog, "algebra_reports", real_reports)
+    with pytest.raises(ConstraintError, match="third claim"):
+        calls.clear()
+        verify_entry(row, free_draws=5)
+
+
+def test_a_misspelt_certificate_sign_is_a_value_error():
+    row = _row("GL_1")
+    ann = {**row.annotation, "certificate": {"sign": "Plus", "coords": "liouville"}}
+    with pytest.raises(ValueError, match="unknown sign 'Plus'"):
+        verify_entry(dataclasses.replace(row, annotation=ann), free_draws=1)

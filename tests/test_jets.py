@@ -491,3 +491,16 @@ def test_order_one_raises_the_domain_error_of_order_two(primitive, value, apply)
                 apply(cls.seed(np.array([1.0, value]), 0, order=order))
             raised.append((err.value.primitive, repr(err.value.value)))
     assert set(raised) == {(primitive, repr(float(value)))}
+
+
+def test_an_array_times_a_jet_is_the_jets_rule():
+    # an ndarray operand hands the operation to the jet (one factor per
+    # point) instead of building an object array
+    x = CoordJet.seed(np.array([1.0, 2.0, 3.0]), 0)
+    c = np.array([2.0, 0.5, -1.0])
+    for out, ref in ((np.ones(3) * x, x * 1.0), (c * x, x * c), (c + x, x + c),
+                     (c - x, -(x - c)), (c / x, x.inv() * c)):
+        assert type(out) is CoordJet
+        for part in ("val", "grad", "hess"):
+            assert np.array_equal(getattr(out, part), getattr(ref, part))
+    assert type(np.ones(3) * Jet2.seed(np.ones(3), 2)) is Jet2

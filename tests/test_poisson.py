@@ -8,7 +8,7 @@ import pytest
 
 from superint.errors import IllConditioned
 from superint.jets import Observable, PhasePoint, norm_residual
-from superint.poisson import (bracket, bracket_fd, c_observable,
+from superint.poisson import (algebra_reports, bracket, bracket_fd, c_observable,
                               casimir_coefficients, polynomial_membership,
                               verify_algebra, verify_casimir)
 from superint.systems import (CLASS_TAGS, SystemSpec, characteristic_residual,
@@ -426,3 +426,99 @@ def test_membership_ill_conditioned_signal():
     const = Observable(lambda xi, eta, pxi, peta: 1.0 + 0.0 * xi, "1")
     with pytest.raises(IllConditioned):
         polynomial_membership(PXI, [const, const, const], spec, n_points=400)
+
+
+# -- one pass over many samples ---------------------------------------------
+
+
+def _samples(specs, n=50, seed=11):
+    return [(s, seed + i, sample_points(s, n, np.random.default_rng(seed + i)))
+            for i, s in enumerate(specs)]
+
+
+def _alone(samples, **tols):
+    return [verify_algebra(s, n_points=p.shape[0], seed=seed, **tols).to_json()
+            for s, seed, p in samples]
+
+
+# the II2 spec of the precision study: its algebra rows fail after the fit
+_FAILING_II2 = SystemSpec("II2", 1e6, -1.0, 1e-9, 1e6, 1e6, -1.0, -1.0, 1e6)
+
+
+def _draws(tag, count, seed):
+    rng = np.random.default_rng(seed)
+    return [SystemSpec(tag, *rng.choice([-1.0, 1.0], 8) * rng.uniform(0.25, 2.0, 8))
+            for _ in range(count)]
+
+
+def test_a_group_gives_each_sample_its_own_report():
+    # mixed classes, a spec whose correction runs inside the group, and
+    # samples of different sizes
+    specs = (_draws("II2", 2, 1) + [_FAILING_II2] + _draws("I3", 2, 2)
+             + _draws("II2", 1, 3))
+    samples = _samples(specs)
+    samples[1] = (specs[1], 99, sample_points(specs[1], 7, np.random.default_rng(99)))
+    reports = [r.to_json() for r in algebra_reports(samples)]
+    assert reports == _alone(samples)
+    assert [json.loads(r)["correction_applied"] for r in reports] == [
+        False, False, True, False, False, False]
+
+
+def test_a_forced_correction_in_a_group_is_the_one_alone():
+    samples = _samples(_draws("I2", 3, 4))
+    reports = [r.to_json() for r in algebra_reports(samples, tol_nested=1e-30)]
+    assert reports == _alone(samples, tol_nested=1e-30)
+    assert all(json.loads(r)["correction_applied"] for r in reports)
+
+
+def test_a_group_raises_the_error_of_the_first_sample_that_raises(monkeypatch):
+    # the passes run per class, so the third sample's pass (I2, with the
+    # first) comes before the second's (II1); the error must still be the
+    # second's, and the first report must come out before it
+    import superint.systems as systems_mod
+    from superint.errors import DomainError
+
+    specs = [_draws("I2", 1, 5)[0], SystemSpec("II1", **GENERIC),
+             _draws("I2", 1, 6)[0], SystemSpec("II1", **GENERIC)]
+    samples = _samples(specs)
+    marked = {1: samples[1][2].xi[3], 2: samples[2][2].xi[5]}
+    real_seed = systems_mod.seed_phase
+
+    def seed_phase(point, order=2):
+        for i, xi in marked.items():
+            if np.any(point.xi == xi):
+                raise DomainError("metric", float(xi), f"sample {i}")
+        return real_seed(point, order)
+
+    monkeypatch.setattr(systems_mod, "seed_phase", seed_phase)
+    with pytest.raises(DomainError, match="sample 1"):
+        verify_algebra(specs[1], n_points=50, seed=samples[1][1])
+    reports = algebra_reports(samples)
+    assert next(reports).to_json() == _alone(samples[:1])[0]
+    with pytest.raises(DomainError, match="sample 1"):
+        next(reports)
+
+
+def test_passes_pack_whole_samples_of_one_key():
+    import superint.poisson as poisson_mod
+    from superint.systems import constants_poly
+
+    def group(specs, sizes):
+        return [(s, 0, PhasePoint(*np.ones((4, n)))) for s, n in zip(specs, sizes)]
+
+    spec, other = SystemSpec("I1", **GENERIC), SystemSpec("I1", **{**GENERIC, "mu": 0.0})
+    chunk = poisson_mod._CHUNK
+    g = group([spec, other, spec, spec, spec, other],
+              [chunk // 2, 10, chunk // 2, 1, chunk + 5, 10])
+    cps = [constants_poly(s) for s, _, _ in g]
+    counts = [p.shape[0] for _, _, p in g]
+    # mu = 0 drops a term of G and changes the length of no constant
+    assert poisson_mod._passes(g, counts, cps) == [[0, 2], [3], [4], [1, 5]]
+    assert poisson_mod._passes(g[:1], counts[:1], cps[:1]) == [[0]]
+
+
+def test_specs_that_drop_different_terms_share_no_pass():
+    specs = [SystemSpec("I1", **GENERIC), SystemSpec("I1", **{**GENERIC, "mu": 0.0}),
+             SystemSpec("I1", **{**GENERIC, "kappa": 0.0}), SystemSpec("I1", **GENERIC)]
+    samples = _samples(specs)
+    assert [r.to_json() for r in algebra_reports(samples)] == _alone(samples)

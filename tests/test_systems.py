@@ -694,3 +694,47 @@ def test_samples_respect_domain():
     fns = build_fns(spec)
     assert np.abs(fns.metric(pts.xi, pts.eta)).min() >= MIN_ABS_G
     assert pts.p_xi.min() >= -2.0 and pts.p_xi.max() <= 2.0
+
+
+def test_terms_drop_a_coefficient_only_where_it_is_zero_at_every_point():
+    from superint.systems import _ident, _one, _sqrt, _terms
+
+    form = _terms((np.array([0.0, 2.0]), _sqrt), (0.0, _one),
+                  (np.zeros(2), _one), (np.array([3.0, 3.0]), _ident))
+    assert [f for _, f in form.args[0]] == [_sqrt, _ident]
+    x = CoordJet.seed(np.array([4.0, 9.0]), 0)
+    out = form(x)
+    assert np.array_equal(out.val, [0.0 * 2.0 + 12.0, 2.0 * 3.0 + 27.0])
+    assert np.array_equal(out.grad[0], [0.0 * 0.25 + 3.0, 2.0 / 6.0 + 3.0])
+
+
+@pytest.mark.parametrize("order", [2, 1])
+def test_each_pass_inverts_each_divisor_once(order, monkeypatch):
+    # g is inverted once: H divides by it, and so does A (Class I's
+    # Liouville form by F + G, which is g)
+    calls = _spied(monkeypatch, ("inv",))
+    for tag in CLASS_TAGS:
+        spec = SystemSpec(tag, **GENERIC)
+        integrals(spec, order)(sample_points(spec, 64, np.random.default_rng(24)))
+    assert len(calls) == 16
+
+
+def test_a_group_pass_gives_each_spec_its_own_jets():
+    from superint.systems import group_fns
+
+    rng = np.random.default_rng(8)
+    for tag in CLASS_TAGS:
+        specs = [SystemSpec(tag, **{k: v * s for (k, v), s in
+                                     zip(GENERIC.items(), rng.uniform(0.5, 1.5, 8))})
+                 for _ in range(3)]
+        pts = [sample_points(s, n, np.random.default_rng(n)) for s, n in zip(specs, (5, 1, 9))]
+        joined = PhasePoint.from_array(np.concatenate([p.as_array() for p in pts], axis=1))
+        group = integrals(group_fns(specs, [5, 1, 9]), 2)(joined)
+        lo = 0
+        for spec, p in zip(specs, pts):
+            alone = integrals(spec, 2)(p)
+            for g, a in zip(group, alone):
+                for part in _parts(a):
+                    got = getattr(g, part)[..., lo:lo + p.shape[0]]
+                    assert got.tobytes() == getattr(a, part).tobytes(), (tag, part)
+            lo += p.shape[0]
