@@ -54,12 +54,12 @@ The corpus is:
   vanish (``kappa = 0``, ``lam = mu = 0``, ...), and ``at_energy`` at an
   array of energies (0 and -0.0 among them) and at Python floats, with each
   value's type and shape;
-* ``sample_points`` with and without ``require_tilde`` for the reference
-  specs and the random draws at 1, 7, 2049 and 20000 points, as the sha256
-  of the array bytes and the first and last points with 17 significant
-  digits, and for the all-zero spec of each class and six draws per class
-  with parameters of order 1e-3 (some need several batches, some raise) at
-  100 and 2049 points, with the ``SamplingError`` text where one is raised;
+* ``sample_points`` for the reference specs and the random draws at 1, 7,
+  2049 and 20000 points, as the sha256 of the array bytes and the first and
+  last points with 17 significant digits, and for the all-zero spec of each
+  class and six draws per class with parameters of order 1e-3 (some need
+  several batches, some raise) at 100 and 2049 points, with the
+  ``SamplingError`` text where one is raised;
 * ``Observable.eval`` of ``hamiltonian``, ``integral_A``, ``integral_B`` and
   ``metric_observable`` at orders 1 and 2 (value, gradient and, at order 2,
   the packed Hessian), ``geometry.curvature`` point by point,
@@ -259,7 +259,7 @@ SYMMETRIC = [SystemSpec("I1", mu=0.5, nu=1.5), SystemSpec("II1", kappa=1.0),
 
 def _geometry():
     for spec in [*_specs(), *SYMMETRIC]:
-        pts = sample_points(spec, 50, np.random.default_rng(0xC0FFEE), require_tilde=False)
+        pts = sample_points(spec, 50, np.random.default_rng(0xC0FFEE))
         for coords in ("liouville", "transformed"):
             residuals = _attempt(geometry._directional_residuals, spec, pts.xi,
                                  pts.eta, coords)
@@ -301,25 +301,24 @@ def _low_acceptance():
                     for _ in range(6))
 
 
-def _print_sample(spec, n, require_tilde):
+def _print_sample(spec, n):
     try:
-        pts = sample_points(spec, n, np.random.default_rng(n), require_tilde=require_tilde)
+        pts = sample_points(spec, n, np.random.default_rng(n))
     except SamplingError as exc:
-        print(spec.tag, n, require_tilde, f"SamplingError: {exc}")
+        print(spec.tag, n, f"SamplingError: {exc}")
         return
     arr = pts.as_array()
-    print(spec.tag, n, require_tilde, hashlib.sha256(arr.tobytes()).hexdigest(),
+    print(spec.tag, n, hashlib.sha256(arr.tobytes()).hexdigest(),
           _digits(arr[:, 0]), "|", _digits(arr[:, -1]))
 
 
 def _sampling():
-    for require_tilde in (True, False):
-        for spec in _specs():
-            for n in SAMPLE_SIZES:
-                _print_sample(spec, n, require_tilde)
-        for spec in _low_acceptance():
-            for n in LOW_SIZES:
-                _print_sample(spec, n, require_tilde)
+    for spec in _specs():
+        for n in SAMPLE_SIZES:
+            _print_sample(spec, n)
+    for spec in _low_acceptance():
+        for n in LOW_SIZES:
+            _print_sample(spec, n)
 
 
 # parameters set to zero so that top energy coefficients vanish and get trimmed
