@@ -9,28 +9,29 @@ skipped by sweeps.
 
 Claim kinds and how they verify, each against what its row records:
 
-* ``curvature_zero``      -- geometry.classify_curvature must say Zero
+* ``curvature_zero``      -- geometry.curvature_class must say Zero
 * ``curvature_constant``  -- Constant, with mean K, for each K in {1, 2, -1}
-* ``revolution``          -- geometry.revolution_check in the recorded
+* ``revolution``          -- geometry.revolution_tag in the recorded
                              ``revolution_coords`` (native or the class's
                              (X, Y)) must give the recorded ``orientation``
                              or Both (a constant metric), never Neither;
                              rows whose rotational structure needs complex
                              maps carry the annotation "revolution in
                              transformed coordinates - unchecked"
-* ``linear_integral``     -- {H, L} = 0 for the linear observable L of the
-                             recorded ``certificate`` (sign and coords:
-                             p_xi +/- p_eta, p_X +/- p_Y or p_eta)
+* ``linear_integral``     -- {H, L} = 0 (geometry.linear_residual) for the
+                             linear observable L of the recorded
+                             ``certificate`` (sign and coords: p_xi +/- p_eta,
+                             p_X +/- p_Y or p_eta)
 * ``koenigs_form``        -- metadata only, unverifiable in scope
 
-Each draw runs exactly one geometry check.  A linear or checked revolution
-row without its recorded fields raises ``ConstraintError``.  Every
-verification also runs the quadratic-algebra check on the instantiated
-system; a row passes only if both sides pass.  The draws are taken first,
-in order, up to the first whose claim fails, and their algebra checks run
-in one group pass (``poisson.algebra_reports``); the row reports the first
-draw where the claim or the algebra fails, as checking one draw at a time
-would.
+Each draw samples once and runs exactly one geometry check on that sample.
+A linear or checked revolution row without its recorded fields raises
+``ConstraintError``.  Every verification also runs the quadratic-algebra
+check on the instantiated system, on the same sample; a row passes only if
+both sides pass.  The draws are taken first, in order, up to the first
+whose claim fails, and their algebra checks run in one group pass
+(``poisson.algebra_reports``); the row reports the first draw where the
+claim or the algebra fails, as checking one draw at a time would.
 """
 
 from __future__ import annotations
@@ -184,11 +185,12 @@ def _recorded(entry, record, *keys):
             f"{entry.row_id}: {entry.claim_kind} row records no {exc}") from None
 
 
-def _check_claim(entry, spec, scale, seed, n_points, tol_linear):
-    """The row's own claim on ``spec``, by one geometry check: (passed, details)."""
+def _check_claim(entry, spec, scale, pts, tol_linear):
+    """The row's own claim on ``spec``, by one geometry check at the points
+    ``pts``: (passed, details)."""
     kind, ann = entry.claim_kind, entry.annotation
     if kind in ("curvature_zero", "curvature_constant"):
-        c = geometry.classify_curvature(spec, n_points=n_points, seed=seed)
+        c = geometry.curvature_class(spec, pts)
         if kind == "curvature_zero":
             return c.tag == "Zero", {"max_abs_K": c.max_abs}
         ok = c.tag == "Constant" and abs(c.mean - scale) <= geometry.TOL_CURV_MEAN
@@ -197,14 +199,13 @@ def _check_claim(entry, spec, scale, seed, n_points, tol_linear):
         return True, {"revolution": "unchecked", "annotation": ann["status"]}
     if kind == "revolution":
         orientation, coords = _recorded(entry, ann, "orientation", "revolution_coords")
-        tag = geometry.revolution_check(spec, n_points=n_points, seed=seed, coords=coords)
+        tag = geometry.revolution_tag(spec, pts, coords)
         # a recorded "Neither" claims no structure; a constant metric (Both) has either
         ok = tag != "Neither" and tag in (orientation, "Both")
         return ok, {"revolution": tag, "coords": coords}
     if kind == "linear_integral":
         sign, coords = _recorded(entry, ann.get("certificate", {}), "sign", "coords")
-        r = geometry.linear_integral_check(spec, sign, n_points=n_points, seed=seed,
-                                           coords=coords)
+        r = geometry.linear_residual(spec, pts, sign, coords)
         return r <= tol_linear, {"sign": sign, "coords": coords, "residual": r}
     raise ValueError(f"claim {kind} is not dispatchable")
 
@@ -212,7 +213,8 @@ def _check_claim(entry, spec, scale, seed, n_points, tol_linear):
 def _take_draws(entry, scales, free_draws, seed, n_points, tol_linear, draws):
     """Append the row's draws to ``draws`` in order, up to the first whose
     claim fails: ``(i, scale, spec, draw_seed, points, ok, info)`` each,
-    with the claim's verdict and details and the algebra check's sample.
+    with the one sample the claim and the algebra checks read, and the
+    claim's verdict and details.
 
     A draw whose sampling fails is redrawn, up to six times; returns the
     index of a draw that kept failing, or None.
@@ -224,14 +226,13 @@ def _take_draws(entry, scales, free_draws, seed, n_points, tol_linear, draws):
             for _attempt in range(6):
                 try:
                     spec = instantiate(entry, _draw_frees(entry, rng), scale)
-                    ok, info = _check_claim(entry, spec, scale, draw_seed, n_points,
-                                            tol_linear)
                     pts = sample_points(spec, n_points, np.random.default_rng(draw_seed))
                     break
                 except SamplingError:
                     continue
             else:
                 return i
+            ok, info = _check_claim(entry, spec, scale, pts, tol_linear)
             draws.append((i, scale, spec, draw_seed, pts, ok, info))
             if not ok:
                 return None
@@ -243,12 +244,13 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_S
                  curvature_scales=(1.0, 2.0, -1.0)) -> EntryVerification:
     """Instantiate the row ``free_draws`` times and verify its claim.
 
-    Every draw also runs the quadratic-algebra verification on the
-    instantiated system; passing requires both.  The draws are taken
-    first, up to the first whose claim fails; their algebra checks then run
-    together (:func:`superint.poisson.algebra_reports`), and the first draw
-    where the claim or the algebra fails is reported, as checking each draw
-    in turn would report it.  A draw whose sampling fails is redrawn, up to
+    Every draw samples once, and its claim and the quadratic-algebra
+    verification of the instantiated system read that sample; passing
+    requires both.  The draws are taken first, up to the first whose claim
+    fails; their algebra checks then run together
+    (:func:`superint.poisson.algebra_reports`), and the first draw where
+    the claim or the algebra fails is reported, as checking each draw in
+    turn would report it.  A draw whose sampling fails is redrawn, up to
     six times.  Metadata-only claims report ``unverifiable`` (not failed).
     ``free_draws`` below 1 raises ``ValueError``: a row checked zero times
     is not verified.

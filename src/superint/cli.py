@@ -164,17 +164,14 @@ def _cmd_linear(args):
     spec = _spec_from_args(args)
     signs = ("plus", "minus") if args.sign == "both" else (args.sign,)
     results = {}
-    best = None
     for sign in signs:
         for coords in ("liouville", "transformed"):
             try:
-                r = geometry.linear_integral_check(spec, sign, n_points=args.points,
-                                                   seed=args.seed, coords=coords)
-            except (DomainError, SamplingError):
+                results[f"{sign}/{coords}"] = geometry.linear_integral_check(
+                    spec, sign, n_points=args.points, seed=args.seed, coords=coords)
+            except DomainError:
                 continue
-            results[f"{sign}/{coords}"] = r
-            if best is None or r < best:
-                best = r
+    best = min(results.values(), default=None)
     doc = {**report_header("linear-integral", spec, args.seed, args.points),
            "residuals": results, "tolerance": args.tol_bracket,
            "pass": best is not None and best <= args.tol_bracket}

@@ -15,6 +15,11 @@ A metric is "of revolution" when it depends on only one of xi+eta or
 xi-eta; that is detected as a directional-derivative null test, either in
 the native coordinates or after the class's real recoordinatization
 (X, Y) where the structure often only appears there.
+
+Each check is written once, on given points (:func:`curvature_class`,
+:func:`revolution_tag`, :func:`linear_residual`); :func:`classify_curvature`,
+:func:`revolution_check` and :func:`linear_integral_check` draw
+``sample_points(spec, n_points, default_rng(seed))`` and run it there.
 """
 
 from __future__ import annotations
@@ -23,15 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import CoordJet, Observable
+from .jets import CoordJet, Observable, PhasePoint, _norm
 from .poisson import DEFAULT_SEED, bracket_value
 from .systems import SystemSpec, build_fns, hamiltonian, sample_points
 
 __all__ = [
     "CurvatureClass",
     "curvature",
+    "curvature_class",
     "classify_curvature",
+    "revolution_tag",
     "revolution_check",
+    "linear_residual",
     "linear_integral_check",
     "linear_observable",
     "TOL_CURV_ZERO",
@@ -84,8 +92,13 @@ def curvature_log_form(spec: SystemSpec, xi, eta):
 
 def classify_curvature(spec: SystemSpec, n_points: int = 50,
                        seed: int = DEFAULT_SEED) -> CurvatureClass:
-    """Sample the domain, compute K pointwise and classify the field."""
-    pts = sample_points(spec, n_points, np.random.default_rng(seed), require_tilde=False)
+    """Sample the domain and classify the curvature field there
+    (:func:`curvature_class`)."""
+    return curvature_class(spec, sample_points(spec, n_points, np.random.default_rng(seed)))
+
+
+def curvature_class(spec: SystemSpec, pts: PhasePoint) -> CurvatureClass:
+    """Compute K at the points and classify the field."""
     K = curvature(spec, pts.xi, pts.eta)
     max_abs = float(np.abs(K).max())
     mean = float(K.mean())
@@ -130,13 +143,21 @@ def _directional_residuals(spec: SystemSpec, xi, eta, coords: str):
         gy = gt.grad[1] * deta(eta)  # d g~ / dY
     else:
         raise ValueError("coords must be 'liouville' or 'transformed'")
-    scale = 1.0 + np.maximum(np.abs(gx), np.abs(gy))
-    return np.abs(gx - gy) / scale, np.abs(gx + gy) / scale
+    ax, ay = np.abs(gx), np.abs(gy)
+    return _norm(gx - gy, ax, ay), _norm(gx + gy, ax, ay)
 
 
 def revolution_check(spec: SystemSpec, n_points: int = 50, seed: int = DEFAULT_SEED,
                      coords: str = "liouville") -> str:
-    """Classify the metric's direction dependence: SumOnly, DiffOnly, Both or Neither.
+    """Sample the domain and classify the metric's direction dependence
+    there (:func:`revolution_tag`)."""
+    return revolution_tag(spec, sample_points(spec, n_points, np.random.default_rng(seed)),
+                          coords)
+
+
+def revolution_tag(spec: SystemSpec, pts: PhasePoint, coords: str = "liouville") -> str:
+    """Classify the metric's direction dependence at the points: SumOnly,
+    DiffOnly, Both or Neither.
 
     SumOnly means g depends only on xi+eta (the xi-eta directional
     derivative vanishes); DiffOnly the converse; Both means a constant
@@ -144,7 +165,6 @@ def revolution_check(spec: SystemSpec, n_points: int = 50, seed: int = DEFAULT_S
     recoordinatized conformal factor.  A directional derivative vanishes
     when its largest normalized sample is at most ``TOL_DIRECTIONAL``.
     """
-    pts = sample_points(spec, n_points, np.random.default_rng(seed), require_tilde=False)
     r_sum, r_diff = _directional_residuals(spec, pts.xi, pts.eta, coords)
     sum_only = float(r_sum.max()) <= TOL_DIRECTIONAL
     diff_only = float(r_diff.max()) <= TOL_DIRECTIONAL
@@ -184,14 +204,20 @@ def linear_observable(spec: SystemSpec, sign: str, coords: str = "liouville") ->
 def linear_integral_check(spec: SystemSpec, sign: str, n_points: int = 50,
                           seed: int = DEFAULT_SEED,
                           coords: str = "liouville") -> float:
-    """Max normalized residual of {H, p_xi +/- p_eta} over sampled points.
+    """Sample the domain and take the max normalized residual of
+    {H, p_xi +/- p_eta} there (:func:`linear_residual`)."""
+    return linear_residual(spec, sample_points(spec, n_points, np.random.default_rng(seed)),
+                           sign, coords)
+
+
+def linear_residual(spec: SystemSpec, pts: PhasePoint, sign: str,
+                    coords: str = "liouville") -> float:
+    """Max normalized residual of {H, p_xi +/- p_eta} over the points.
 
     A residual below ~1e-9 certifies the linear integral (whose square is
     the catalog's quadratic form).
     """
-    rng = np.random.default_rng(seed)
-    pts = sample_points(spec, n_points, rng, require_tilde=False)
     # the bracket's value reads gradients only: order-1 jets
     val, scale = bracket_value(hamiltonian(spec).eval(pts, 1),
                                linear_observable(spec, sign, coords).eval(pts, 1))
-    return float((np.abs(val) / (1.0 + scale)).max())
+    return float(_norm(val, scale).max())

@@ -760,8 +760,17 @@ def fd_derivatives(obs: Observable, point: PhasePoint, h: float = 1e-5):
     return grad, hess
 
 
+def _norm(num, *scales):
+    """|num| / (1 + max(scales)): the normalized residual of every check,
+    ``num`` the residual and ``scales`` the magnitudes it is measured against."""
+    s = scales[0]
+    for extra in scales[1:]:
+        s = np.maximum(s, extra)
+    return np.abs(num) / (1.0 + s)
+
+
 def norm_residual(lhs, rhs):
     """Magnitude-normalized comparison |lhs-rhs| / (1 + max(|lhs|, |rhs|))."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    return np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+    return _norm(lhs - rhs, np.abs(lhs), np.abs(rhs))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IllConditioned
-from .jets import Jet2, Observable, PhasePoint
+from .jets import Jet2, Observable, PhasePoint, _norm
 from .systems import (SystemSpec, constants_poly, group_constants, group_fns, integral_A,
                       integral_B, integrals, pass_key, sample_points, spec_to_dict)
 
@@ -239,13 +239,6 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # Core residual assembly
-
-
-def _norm(num, *scales):
-    s = scales[0]
-    for extra in scales[1:]:
-        s = np.maximum(s, extra)
-    return np.abs(num) / (1.0 + s)
 
 
 def casimir_combination(con, c, a, b):

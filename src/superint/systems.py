@@ -33,8 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SamplingError
-from .jets import (CoordJet, Jet2, Observable, PhasePoint, _Jet, arctan, exp, log,
-                   seed_phase, sqrt, tan)
+from .jets import (CoordJet, Jet2, Observable, PhasePoint, _Jet, _norm, arctan, exp,
+                   log, seed_phase, sqrt, tan)
 
 __all__ = [
     "CLASS_TAGS",
@@ -148,8 +148,8 @@ class SampleDomain:
     ``tests`` are the predicates ``fn(xi, eta)`` a point must satisfy: the
     coordinates the class's maps require to stay positive, then margins
     that keep poles and branch cuts away.  A drawn point always satisfies
-    every test and ``|g| >= MIN_ABS_G``; its momenta lie in
-    ``MOMENTUM_RANGE``, the same for every class.
+    every test, ``|g| >= MIN_ABS_G`` and ``|F~ + G~| >= MIN_ABS_G``; its
+    momenta lie in ``MOMENTUM_RANGE``, the same for every class.
     """
 
     xi_range: tuple
@@ -644,9 +644,7 @@ def structural_pde_residual(spec: SystemSpec, which: str, xi, eta):
             -3.0 * B1 * (F1 * xi + G1),
             -2.0 * B * (F2 * xi + G2),
         ])
-    resid = terms.sum(axis=0)
-    scale = np.abs(terms).max(axis=0)
-    return np.abs(resid) / (1.0 + scale)
+    return _norm(terms.sum(axis=0), np.abs(terms).max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +664,6 @@ class AlgebraConstants:
     d: float
     z: float
     K_casimir: float
-    beta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -870,25 +867,27 @@ def algebra_constants(spec: SystemSpec, E: float) -> AlgebraConstants:
 # Sampling
 
 
-def _screen(fns, xi, eta, require_tilde):
-    """Which of the points (xi, eta) have ``|g| >= MIN_ABS_G`` and, with
-    ``require_tilde``, ``|F~ + G~| >= MIN_ABS_G``, both finite; the tilde
-    metric is evaluated only where g passes."""
+def _screen(fns, xi, eta):
+    """Which of the points (xi, eta) have ``|g| >= MIN_ABS_G`` and
+    ``|F~ + G~| >= MIN_ABS_G``, both finite; the tilde metric is evaluated
+    only where g passes."""
     with np.errstate(all="ignore"):
         g = fns.metric(xi, eta)
         ok = (np.abs(g) >= MIN_ABS_G) & np.isfinite(g)
-        if require_tilde:
-            idx = np.flatnonzero(ok)
-            gt = fns.tilde_metric(xi[idx], eta[idx])
-            ok[idx] = (np.abs(gt) >= MIN_ABS_G) & np.isfinite(gt)
+        idx = np.flatnonzero(ok)
+        gt = fns.tilde_metric(xi[idx], eta[idx])
+        ok[idx] = (np.abs(gt) >= MIN_ABS_G) & np.isfinite(gt)
     return ok
 
 
-def sample_points(spec: SystemSpec, n: int, rng, require_tilde: bool = True) -> PhasePoint:
+def sample_points(spec: SystemSpec, n: int, rng) -> PhasePoint:
     """Draw ``n`` phase points from the class domain by rejection.
 
-    Points pass the class domain's tests, ``|g| >= MIN_ABS_G`` and (when
-    the class defines a recoordinatized metric) ``|F~ + G~| >= MIN_ABS_G``.
+    Points pass the class domain's tests, ``|g| >= MIN_ABS_G`` and
+    ``|F~ + G~| >= MIN_ABS_G`` (the recoordinatized metric).  That is the
+    one screening rule of every sample: the geometry checks read points
+    screened as the algebra's are, and a catalog draw's claim check and
+    algebra check read the same sample.
     Candidates are drawn in batches of ``max(4 n, 256)``; the metrics are
     evaluated only on those that pass the tests, in draw order and in
     blocks sized from the points still needed and the share kept so far,
@@ -919,7 +918,7 @@ def sample_points(spec: SystemSpec, n: int, rng, require_tilde: bool = True) -> 
             # enough for ``need`` at the share kept so far, with a margin
             size = need * (screened + 1) // (accepted + 1) + need // 4 + 16
             block, todo = todo[:size], todo[size:]
-            keep = block[_screen(fns, xi[block], eta[block], require_tilde)]
+            keep = block[_screen(fns, xi[block], eta[block])]
             screened += block.size
             accepted += keep.size
             out.append(np.stack([xi[keep], eta[keep], p_xi[keep], p_eta[keep]]))

@@ -6,12 +6,13 @@ import itertools
 import numpy as np
 import pytest
 
-from superint import catalog
+from superint import catalog, geometry
 from superint.catalog import (CatalogEntry, EntryVerification, instantiate, load_catalog,
                               lookup, verify_entry)
 from superint.errors import ConstraintError, SamplingError
 from superint.geometry import TOL_LINEAR
 from superint.poisson import Identity, verify_algebra
+from superint.systems import sample_points
 
 
 def _row(row_id):
@@ -141,6 +142,36 @@ def test_no_draw_is_taken_after_a_failing_claim(monkeypatch):
     assert (v.status, v.draws, len(claims)) == ("failed", 1, 1)
 
 
+@pytest.mark.parametrize("rid", ["F_2", "C_7", "R_1", "GL_1"])
+def test_each_draw_samples_once_for_its_claim_and_its_algebra(rid, monkeypatch):
+    # one row of each checked claim kind: the claim's geometry check and the
+    # algebra check read the one sample the draw takes
+    sampled, claimed, checked = [], [], []
+    real_sample, real_claim, real_reports = (catalog.sample_points, catalog._check_claim,
+                                             catalog.algebra_reports)
+
+    def sample(*args, **kwargs):
+        sampled.append(real_sample(*args, **kwargs))
+        return sampled[-1]
+
+    def claim(*args):
+        claimed.append(args[3])
+        return real_claim(*args)
+
+    def reports(samples):
+        checked.extend(pts for _, _, pts in samples)
+        return real_reports(samples)
+
+    for module in (catalog, geometry):
+        monkeypatch.setattr(module, "sample_points", sample)
+    monkeypatch.setattr(catalog, "_check_claim", claim)
+    monkeypatch.setattr(catalog, "algebra_reports", reports)
+    v = verify_entry(_row(rid), free_draws=3)
+    assert v.status == "verified"
+    assert len(sampled) == len(v.details["draws"]) >= 3
+    assert all(s is c is a for s, c, a in zip(sampled, claimed, checked, strict=True))
+
+
 @pytest.mark.parametrize("draws", [0, -1])
 def test_verify_entry_rejects_non_positive_draws(draws):
     # zero draws would check nothing and still report the row verified
@@ -265,8 +296,8 @@ def _one_draw_at_a_time(entry, free_draws, seed, n_points=50,
             for _attempt in range(6):
                 try:
                     spec = instantiate(entry, catalog._draw_frees(entry, rng), scale)
-                    ok, info = catalog._check_claim(entry, spec, scale, draw_seed, n_points,
-                                                    TOL_LINEAR)
+                    pts = sample_points(spec, n_points, np.random.default_rng(draw_seed))
+                    ok, info = catalog._check_claim(entry, spec, scale, pts, TOL_LINEAR)
                     rep = verify_algebra(spec, n_points=n_points, seed=draw_seed)
                     break
                 except SamplingError:

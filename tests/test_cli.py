@@ -49,6 +49,13 @@ def test_sampling_failure_exits_3():
     assert "SamplingError" in r.stderr
 
 
+@pytest.mark.parametrize("cmd", ["casimir", "curvature", "revolution", "linear"])
+def test_every_sampling_command_exits_3_when_sampling_fails(cmd, capsys):
+    # as `verify` above: the all-zero I1 spec keeps no point
+    assert main([cmd, "--class", "I1", "--no-timestamp"]) == 3
+    assert capsys.readouterr().err.startswith("SamplingError: domain for I1 rejected")
+
+
 def test_spec_file(tmp_path):
     doc = {"class": "II3", "kappa": 1.0, "lambda": 0.5, "mu": -0.3, "nu": 2.0,
            "k": 0.4, "ell": -0.1, "m": 0.2, "n": 1.0}

@@ -30,7 +30,7 @@ def test_f4_row_curvature_zero():
 def test_c1_row_unit_curvature():
     spec = SystemSpec("I1", mu=1.0)
     rng = np.random.default_rng(2)
-    pts = sample_points(spec, 50, rng, require_tilde=False)
+    pts = sample_points(spec, 50, rng)
     K = curvature(spec, pts.xi, pts.eta)
     assert np.abs(K - 1.0).max() <= 1e-8
     # independent finite-difference oracle on the explicit metric
@@ -55,7 +55,7 @@ def test_log_free_form_matches_log_form():
     # wherever g > 0 the rational form equals the ln-based definition
     spec = SystemSpec("I1", kappa=0.3, lam=0.1, mu=0.5, nu=2.0)
     rng = np.random.default_rng(3)
-    pts = sample_points(spec, 100, rng, require_tilde=False)
+    pts = sample_points(spec, 100, rng)
     from superint.systems import build_fns
 
     g = build_fns(spec).metric(pts.xi, pts.eta)

@@ -412,7 +412,6 @@ def test_constants_i3_bare():
     assert (con.alpha, con.gamma) == (-32.0, 8.0)
     for name in ("a", "delta", "epsilon", "zeta", "d", "z", "K_casimir"):
         assert getattr(con, name) == 0.0
-    assert con.beta == 0.0
 
 
 # The reference the structure-constant helpers reproduce: numpy.polynomial.
@@ -591,7 +590,7 @@ def test_swapping_parameters_swaps_the_pairs(tag, params, xs):
 # -- sampling ---------------------------------------------------------------
 
 
-def _eager_sample_points(spec, n, rng, require_tilde=True):
+def _eager_sample_points(spec, n, rng):
     """The reference: every candidate of a batch is screened on g and the
     tilde metric before the kept ones are taken."""
     dom = sample_domain(spec)
@@ -611,10 +610,9 @@ def _eager_sample_points(spec, n, rng, require_tilde=True):
             g = np.where(ok, fns.metric(xi, eta), np.inf)
             ok &= np.abs(g) >= MIN_ABS_G
             ok &= np.isfinite(g)
-            if require_tilde:
-                gt = np.where(ok, fns.tilde_metric(np.where(ok, xi, 1.0), np.where(ok, eta, 1.0)), np.inf)
-                ok &= np.abs(gt) >= MIN_ABS_G
-                ok &= np.isfinite(gt)
+            gt = np.where(ok, fns.tilde_metric(np.where(ok, xi, 1.0), np.where(ok, eta, 1.0)), np.inf)
+            ok &= np.abs(gt) >= MIN_ABS_G
+            ok &= np.isfinite(gt)
         total += batch
         accepted += int(ok.sum())
         out.append(np.stack([xi[ok], eta[ok], p_xi[ok], p_eta[ok]]))
@@ -637,11 +635,11 @@ class _CountingRng:
         return self.rng.uniform(*args, **kwargs)
 
 
-def _sample_outcome(sample, spec, n, seed, require_tilde):
+def _sample_outcome(sample, spec, n, seed):
     """The points as an array, or the SamplingError text, and the batches drawn."""
     rng = _CountingRng(seed)
     try:
-        pts = sample(spec, n, rng, require_tilde=require_tilde)
+        pts = sample(spec, n, rng)
     except SamplingError as exc:
         return str(exc), rng.draws // 4
     return (pts if isinstance(pts, np.ndarray) else pts.as_array()), rng.draws // 4
@@ -657,21 +655,18 @@ def test_lazy_screening_keeps_the_points_of_eager_screening(tag):
     kinds, batches = set(), set()
     for spec in specs:
         for n in (1, 7, 100, 2049):
-            for require_tilde in (True, False):
-                for seed in (0, 1):
-                    want, drawn = _sample_outcome(_eager_sample_points, spec, n, seed,
-                                                  require_tilde)
-                    got, lazy_drawn = _sample_outcome(sample_points, spec, n, seed,
-                                                      require_tilde)
-                    case = (spec, n, require_tilde, seed)
-                    assert lazy_drawn == drawn, case
-                    if isinstance(want, str):
-                        assert isinstance(got, str) and got == want, case
-                    else:
-                        assert not isinstance(got, str) and got.shape == want.shape, case
-                        assert np.array_equal(got, want), case
-                    kinds.add(type(want))
-                    batches.add(drawn)
+            for seed in (0, 1):
+                want, drawn = _sample_outcome(_eager_sample_points, spec, n, seed)
+                got, lazy_drawn = _sample_outcome(sample_points, spec, n, seed)
+                case = (spec, n, seed)
+                assert lazy_drawn == drawn, case
+                if isinstance(want, str):
+                    assert isinstance(got, str) and got == want, case
+                else:
+                    assert not isinstance(got, str) and got.shape == want.shape, case
+                    assert np.array_equal(got, want), case
+                kinds.add(type(want))
+                batches.add(drawn)
     assert kinds == {str, np.ndarray}
     assert tag in ("I1", "I2") or max(batches) > 1
 
