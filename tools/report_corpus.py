@@ -67,7 +67,10 @@ The corpus is:
   ``c_observable``'s order-1 bracket and value, all in hexadecimal, on 20
   sampled points of the reference specs and the random draws;
 * ``Observable.dual`` of the same four observables (value and gradient from
-  ``Dual4`` numbers) in hexadecimal, at each of those 20 points alone;
+  ``Dual4`` numbers) in hexadecimal, at each of those 20 points alone, and
+  there too, both as a 0-d point and as a one-point batch, the order-2
+  ``Observable.eval`` of H, A and B and ``poisson.bracket`` of (H, A),
+  (H, B) and (A, B);
 * every ``SystemFns`` closed form (F, G, f_pot, g_pot, the four tilde
   functions, intF, intf, A_of_xi, sqrtA and X_of_xi) in hexadecimal, on
   float arrays and on order-2 ``CoordJet``s, at the arguments the
@@ -388,6 +391,17 @@ def _observables():
                 out = _attempt(obs.dual, point)
                 print(spec.tag, obs.label, "dual",
                       out if isinstance(out, str) else " | ".join(map(_hex, out)))
+            # a 0-d point and a one-point batch: where numpy's axis-0
+            # reductions may group terms differently
+            for shape, alone in (("0-d", point), ("1-pt", PhasePoint(*y[:, None]))):
+                for obs in (H, A, B):
+                    out = _attempt(obs.eval, alone, 2)
+                    print(spec.tag, obs.label, shape,
+                          out if isinstance(out, str) else _jet_hex(out))
+                for F, G in ((H, A), (H, B), (A, B)):
+                    out = _attempt(poisson.bracket, F, G, alone)
+                    print(spec.tag, "bracket", F.label, G.label, shape,
+                          out if isinstance(out, str) else _bracket_hex(out))
 
 
 FIELDS = ("F", "G", "f_pot", "g_pot", "F_tilde", "G_tilde", "f_tilde", "g_tilde",
