@@ -16,6 +16,8 @@ import re
 import sys
 import time
 
+import numpy as np
+
 from . import catalog, geometry
 from .dynamics import (ABS_TOL, MAX_ABS_H, REL_TOL, _csv, _drifts, clamp_energy,
                        conserved_values, integrate)
@@ -23,7 +25,7 @@ from .errors import DomainError, SamplingError, StepFailure
 from .jets import PhasePoint
 from .poisson import (DEFAULT_SEED, REPORT_SCHEMA, TOL_BRACKET, TOL_NESTED,
                       report_header, verify_algebra, verify_casimir)
-from .systems import CLASS_TAGS, spec_from_dict
+from .systems import CLASS_TAGS, sample_points, spec_from_dict
 
 
 def _add_spec_args(p):
@@ -149,10 +151,9 @@ def _cmd_curvature(args):
 
 def _cmd_revolution(args):
     spec = _spec_from_args(args)
-    out = {}
-    for coords in ("liouville", "transformed"):
-        out[coords] = geometry.revolution_check(spec, n_points=args.points,
-                                                seed=args.seed, coords=coords)
+    pts = sample_points(spec, args.points, np.random.default_rng(args.seed))
+    out = {coords: geometry.revolution_tag(spec, pts, coords)
+           for coords in ("liouville", "transformed")}
     doc = {**report_header("revolution", spec, args.seed, args.points), "result": out}
     verified = any(v != "Neither" for v in out.values())
     doc["pass"] = verified
@@ -163,12 +164,13 @@ def _cmd_revolution(args):
 def _cmd_linear(args):
     spec = _spec_from_args(args)
     signs = ("plus", "minus") if args.sign == "both" else (args.sign,)
+    pts = sample_points(spec, args.points, np.random.default_rng(args.seed))
     results = {}
     for sign in signs:
         for coords in ("liouville", "transformed"):
             try:
-                results[f"{sign}/{coords}"] = geometry.linear_integral_check(
-                    spec, sign, n_points=args.points, seed=args.seed, coords=coords)
+                results[f"{sign}/{coords}"] = geometry.linear_residual(spec, pts, sign,
+                                                                       coords)
             except DomainError:
                 continue
     best = min(results.values(), default=None)

@@ -20,7 +20,12 @@ The Hessian rules gather gradient rows into packed order (and
 ``hess_full`` the packed rows into a square) with ``ndarray.take``, the
 copy fancy indexing makes at about half its per-call cost; and a rule's
 result is built without ``__init__``'s conversions, since its parts are
-float arrays already.
+float arrays already.  The product and chain rules add and multiply in
+place into arrays they have just allocated, with the operands, grouping
+and order of the plain expressions (``a.grad * b.val + b.grad * a.val``),
+so every bit is that expression's; they never write into an operand's
+arrays, which jets share (a scalar sum keeps ``grad`` and the Hessian,
+``first_order()`` keeps ``val`` and ``grad``).
 
 A :class:`CoordJet` is the same jet over ``(xi, eta)`` alone, with leading
 axes of size 2 / 3: the closed forms of a system depend on the coordinates
@@ -194,6 +199,10 @@ class _Jet:
                 return self._one()
             if n == 1:
                 return self
+            if n == 2:
+                # 2 * v**1 and 2 * v**0 of the rule below, whose v**1 is v and
+                # v**0 is 1, NaN and inf included
+                return self._chain(v**2, 2 * v, 2)
             return self._chain(v**n, n * v ** (n - 1),
                                self._hess is not None and n * (n - 1) * v ** (n - 2))
         self._require(v > 0.0, "pow_real")
@@ -356,12 +365,20 @@ class Jet2(_Jet):
                 return self.lift() * other.lift()
             a, b = self, other
             val = a.val * b.val
-            grad = a.grad * b.val + b.grad * a.val
+            grad = a.grad * b.val
+            grad += b.grad * a.val
             if a._hess is None or b._hess is None:
                 return self._of(val, grad, None)
             iu, ju, ag, bg = a._IU, a._JU, a.grad, b.grad
-            cross = ag.take(iu, 0) * bg.take(ju, 0) + bg.take(iu, 0) * ag.take(ju, 0)
-            return self._of(val, grad, a._hess * b.val + b._hess * a.val + cross)
+            cross = ag.take(iu, 0)
+            cross *= bg.take(ju, 0)
+            t = bg.take(iu, 0)
+            t *= ag.take(ju, 0)
+            cross += t
+            hess = np.multiply(a._hess, b.val)
+            hess += np.multiply(b._hess, a.val, out=t)
+            hess += cross
+            return self._of(val, grad, hess)
         h = self._hess
         return self._of(self.val * other, self.grad * other,
                         None if h is None else h * other)
@@ -385,7 +402,11 @@ class Jet2(_Jet):
         grad = f1 * g
         if self._hess is None:
             return self._of(f, grad, None)
-        hess = f1 * self._hess + f2 * (g.take(self._IU, 0) * g.take(self._JU, 0))
+        outer = g.take(self._IU, 0)
+        outer *= g.take(self._JU, 0)
+        np.multiply(f2, outer, out=outer)  # f2 * outer, in the rule's operand order
+        hess = f1 * self._hess
+        hess += outer
         return self._of(f, grad, hess)
 
 

@@ -103,16 +103,23 @@ def _contract(dF, dG):
 
 
 def bracket_jets(F: Jet2, G: Jet2) -> BracketValue:
-    """{F, G} from already evaluated order-2 jets of F and G."""
+    """{F, G} from already evaluated order-2 jets of F and G.
+
+    The eight gradient terms are added one by one into the first, and their
+    largest |term| is kept as they come, so no stack of them is built.  The
+    sum starts from +0.0, as numpy's axis-0 sum of their stack does, so
+    terms that are all -0.0 sum to +0.0 as there.
+    """
     val, val_scale = _contract(F.grad, G.grad)
-    FH, GH = F.hess_full(), G.hess_full()
-    gterms = []
-    for q, p in _PAIRS:
-        gterms += [FH[q] * G.grad[p], F.grad[q] * GH[p],
-                   -FH[p] * G.grad[q], -F.grad[p] * GH[q]]
-    gstack = np.stack(gterms)
-    grad = gstack.sum(axis=0)
-    grad_scale = np.abs(gstack).max(axis=0)
+    FH, GH, Fg, Gg = F.hess_full(), G.hess_full(), F.grad, G.grad
+    terms = (t for q, p in _PAIRS
+             for t in (FH[q] * Gg[p], Fg[q] * GH[p], -FH[p] * Gg[q], -Fg[p] * GH[q]))
+    grad = next(terms)
+    np.add(0.0, grad, out=grad)
+    grad_scale = np.abs(grad)
+    for t in terms:
+        grad += t
+        np.maximum(grad_scale, np.abs(t, out=t), out=grad_scale)
     return BracketValue(val, grad, val_scale, grad_scale)
 
 
@@ -142,9 +149,9 @@ def _grad_bracket_value(Xjet: Jet2, C: BracketValue):
     """Value and scale of {X, C} from X's gradient and C's gradient."""
     val, term_scale = _contract(Xjet.grad, C.grad)
     # error carriers: X's gradient times the roundoff scale of C's gradient
-    carriers = np.stack([np.abs(Xjet.grad[q]) * C.grad_scale[p] for q, p in _PAIRS]
-                        + [np.abs(Xjet.grad[p]) * C.grad_scale[q] for q, p in _PAIRS])
-    return val, np.maximum(term_scale, carriers.max(axis=0))
+    carriers = ([np.abs(Xjet.grad[q]) * C.grad_scale[p] for q, p in _PAIRS]
+                + [np.abs(Xjet.grad[p]) * C.grad_scale[q] for q, p in _PAIRS])
+    return val, functools.reduce(np.maximum, carriers, term_scale)
 
 
 class CObservable:

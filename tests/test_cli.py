@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from superint import cli, geometry, systems
 from superint.cli import build_parser, main
 
 BASE = [sys.executable, "-m", "superint.cli"]
@@ -54,6 +55,27 @@ def test_every_sampling_command_exits_3_when_sampling_fails(cmd, capsys):
     # as `verify` above: the all-zero I1 spec keeps no point
     assert main([cmd, "--class", "I1", "--no-timestamp"]) == 3
     assert capsys.readouterr().err.startswith("SamplingError: domain for I1 rejected")
+
+
+@pytest.mark.parametrize("argv", [
+    ["linear", "--class", "I1", "--mu", "0.5", "--nu", "1.5", "--m", "0.2", "--n", "0.1",
+     "--sign", "both"],
+    ["revolution", "--class", "I1", "--mu", "0.5", "--nu", "1.5"],
+    ["curvature", *GENERIC_FLAGS],
+])
+def test_each_geometry_command_samples_its_points_once(argv, monkeypatch, capsys):
+    # every (sign, coords) check of `linear` and both coords of `revolution`
+    # read the one sample: the same seed would only draw the same points again
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return systems.sample_points(*args)
+
+    for module in (cli, geometry):
+        monkeypatch.setattr(module, "sample_points", spy, raising=False)
+    assert main([*argv, "--no-timestamp"]) in (0, 1)
+    assert len(calls) == 1
 
 
 def test_spec_file(tmp_path):

@@ -8,6 +8,7 @@ from superint.errors import DomainError
 from superint.jets import (CoordJet, Dual4, Jet2, Observable, PhasePoint, arctan,
                            exp, fd_derivatives, log, norm_residual, one_call, seed_phase,
                            sqrt, straight_line, tan, trace)
+from superint.poisson import bracket_jets
 
 
 def _lifted_seeds(point):
@@ -504,3 +505,165 @@ def test_an_array_times_a_jet_is_the_jets_rule():
         for part in ("val", "grad", "hess"):
             assert np.array_equal(getattr(out, part), getattr(ref, part))
     assert type(np.ones(3) * Jet2.seed(np.ones(3), 2)) is Jet2
+
+
+# -- the order-2 rules against the plain expressions they accumulate ---------
+# The rules build their results in arrays they have just allocated; every
+# IEEE operation keeps its operands, grouping and order, so the results equal
+# these expressions bit for bit, signed zeros and NaN signs included.
+
+_SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+_ZEROS = np.array([0.0, -0.0])
+_SHAPES = [(), (1,), (7,), (2048,)]
+
+
+def _ref_mul(a, b):
+    if a._NV != b._NV:
+        a, b = a.lift(), b.lift()
+    grad = a.grad * b.val + b.grad * a.val
+    if a._hess is None or b._hess is None:
+        return a.val * b.val, grad, None
+    iu, ju, ag, bg = a._IU, a._JU, a.grad, b.grad
+    cross = ag.take(iu, 0) * bg.take(ju, 0) + bg.take(iu, 0) * ag.take(ju, 0)
+    return a.val * b.val, grad, a._hess * b.val + b._hess * a.val + cross
+
+
+def _ref_chain(x, f, f1, f2):
+    g = x.grad
+    if x._hess is None:
+        return f, f1 * g, None
+    return f, f1 * g, f1 * x._hess + f2 * (g.take(x._IU, 0) * g.take(x._JU, 0))
+
+
+_REF_PRIMITIVES = {
+    "exp": (lambda x: x.exp(), lambda x, v: _ref_chain(x, np.exp(v), np.exp(v), np.exp(v))),
+    "inv": (lambda x: x.inv(),
+            lambda x, v: _ref_chain(x, 1.0 / v, -1.0 / v**2, 2.0 / v**3)),
+    "pow-2": (lambda x: x**-2,
+              lambda x, v: _ref_chain(x, v**-2, -2 * v**-3, -2 * -3 * v**-4)),
+    "pow2": (lambda x: x**2, lambda x, v: _ref_chain(x, v**2, 2 * v**1, 2 * 1 * v**0)),
+}
+
+
+@pytest.mark.parametrize("v", [1.5, -2.25, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+def test_a_dual_squared_keeps_the_bits_of_its_rule(v):
+    # Dual4 and the traced dual share the n == 2 rule of the jets
+    v, d = float(v), (1.0, -0.0, 3.5, -np.nan)
+    got = Dual4(v, d)**2
+    ref = [v**2] + [2 * v**1 * x for x in d]
+    assert np.array([got.val, *got.d]).tobytes() == np.array(ref).tobytes()
+    seeded = Dual4.seed(v, 0)**2
+    traced = trace(lambda xi, eta, p, q: xi**2)(v, 0.0, 0.0, 0.0)
+    assert np.array(traced).tobytes() == np.array([seeded.val, *seeded.d]).tobytes()
+
+
+def _ref_bracket(F, G):
+    terms = np.stack([F.grad[0] * G.grad[2], F.grad[1] * G.grad[3],
+                      -F.grad[2] * G.grad[0], -F.grad[3] * G.grad[1]])
+    FH, GH = F.hess_full(), G.hess_full()
+    gterms = []
+    for q, p in ((0, 2), (1, 3)):
+        gterms += [FH[q] * G.grad[p], F.grad[q] * GH[p],
+                   -FH[p] * G.grad[q], -F.grad[p] * GH[q]]
+    gstack = np.stack(gterms)
+    return (terms.sum(axis=0), gstack.sum(axis=0), np.abs(terms).max(axis=0),
+            np.abs(gstack).max(axis=0))
+
+
+def _floats(rng, shape, special):
+    """Floats over 16 decades, a share of them drawn from a pool of specials:
+    ``special`` is (share, pool)."""
+    n = int(np.prod(shape))
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    share, pool = special
+    chosen = rng.random(n) < share
+    x[chosen] = rng.choice(pool, chosen.sum())
+    return x.reshape(shape)
+
+
+def _random_jet(rng, cls, shape, order, special, nonzero=False):
+    val = _floats(rng, shape, special)
+    if nonzero:
+        val[val == 0.0] = 1.5
+    hess = _floats(rng, (cls._IU.size,) + shape, special) if order == 2 else None
+    return cls(val, _floats(rng, (cls._NV,) + shape, special), hess)
+
+
+def _bits(*parts):
+    return [None if p is None else np.asarray(p).tobytes() for p in parts]
+
+
+def _jet_bits(jet):
+    return _bits(jet.val, jet.grad, jet._hess)
+
+
+_JET_CASES = dict(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(_SHAPES),
+                  # all-zero inputs make the signs of zero sums show
+                  special=st.sampled_from([(0.0, _SPECIAL), (0.05, _SPECIAL),
+                                           (0.5, _SPECIAL), (1.0, _SPECIAL),
+                                           (0.7, _ZEROS), (1.0, _ZEROS)]))
+
+
+@given(**_JET_CASES, classes=st.sampled_from([(Jet2, Jet2), (CoordJet, CoordJet), (CoordJet, Jet2)]),
+       order=st.sampled_from([(2, 2), (1, 2), (2, 1)]))
+@settings(max_examples=150, deadline=None)
+def test_the_product_rule_keeps_the_bits_of_its_expression(seed, shape, special, classes,
+                                                           order):
+    rng = np.random.default_rng(seed)
+    a, b = (_random_jet(rng, cls, shape, o, special) for cls, o in zip(classes, order))
+    with np.errstate(all="ignore"):
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert _jet_bits(x * y) == _bits(*_ref_mul(x, y))
+
+
+@given(**_JET_CASES, cls=st.sampled_from([Jet2, CoordJet]), order=st.sampled_from([1, 2]),
+       name=st.sampled_from(sorted(_REF_PRIMITIVES)))
+@settings(max_examples=150, deadline=None)
+def test_the_chain_rule_keeps_the_bits_of_its_expression(seed, shape, special, cls, order,
+                                                         name):
+    rng = np.random.default_rng(seed)
+    x = _random_jet(rng, cls, shape, order, special, nonzero=name == "inv")
+    rule, ref = _REF_PRIMITIVES[name]
+    with np.errstate(all="ignore"):
+        assert _jet_bits(rule(x)) == _bits(*ref(x, x.val))
+
+
+@given(**_JET_CASES)
+@settings(max_examples=100, deadline=None)
+def test_the_bracket_keeps_the_bits_of_its_stacked_sums(seed, shape, special):
+    rng = np.random.default_rng(seed)
+    F, G = (_random_jet(rng, Jet2, shape, 2, special) for _ in range(2))
+    with np.errstate(all="ignore"):
+        for x, y in ((F, G), (G, F), (F, F)):
+            out = bracket_jets(x, y)
+            assert _bits(out.val, out.grad, out.val_scale, out.grad_scale) == _bits(
+                *_ref_bracket(x, y))
+
+
+def test_an_all_negative_zero_bracket_gradient_is_positive_zero():
+    # numpy's axis-0 sum starts from +0.0, and so does the streamed sum
+    F = Jet2(1.0, [-0.0, -0.0, 1.0, 1.0], np.zeros(10))
+    G = Jet2(1.0, [0.0, 0.0, -1.0, -1.0], np.zeros(10))
+    grad = bracket_jets(F, G).grad
+    assert np.all(grad == 0.0) and not np.any(np.signbit(grad))
+
+
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_the_rules_leave_their_operands_unchanged(shape):
+    # jets share arrays (a scalar sum keeps grad and hess, first_order() keeps
+    # val and grad), so a rule that accumulates in place must write only into
+    # arrays it has just made
+    rng = np.random.default_rng(7)
+    x = _random_jet(rng, Jet2, shape, 2, (0.0, _SPECIAL), nonzero=True)
+    c = _random_jet(rng, CoordJet, shape, 2, (0.0, _SPECIAL), nonzero=True)
+    operands = [x, x + 1.0, x.first_order(), c, c + 1.0, c.first_order()]
+    before = [_jet_bits(j) for j in operands]
+    with np.errstate(all="ignore"):
+        for j in operands:
+            j.exp(), j.inv(), j**-2, j**2
+            for k in operands:
+                j * k
+        for F in operands[:2]:
+            for G in operands[:2]:
+                bracket_jets(F, G)
+    assert [_jet_bits(j) for j in operands] == before
