@@ -70,9 +70,9 @@ def _metric_jet(spec: SystemSpec, xi, eta, order=2) -> CoordJet:
     fns = build_fns(spec)
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    shape = np.broadcast_shapes(xi.shape, eta.shape)
-    return fns.metric(CoordJet.seed(np.broadcast_to(xi, shape), 0, order),
-                      CoordJet.seed(np.broadcast_to(eta, shape), 1, order))
+    if xi.shape != eta.shape:
+        xi, eta = np.broadcast_arrays(xi, eta)
+    return fns.metric(CoordJet.seed(xi, 0, order), CoordJet.seed(eta, 1, order))
 
 
 def curvature(spec: SystemSpec, xi, eta):

@@ -32,8 +32,9 @@ axes of size 2 / 3: the closed forms of a system depend on the coordinates
 only, and on this layout they skip the derivative rows that would always be
 zero.  Its ``lift()`` pads it with zeros to the four-variable layout, and
 ``+``, ``-``, ``*`` and ``/`` lift it on their own where it meets a
-:class:`Jet2`, so a momentum enters in four variables.  :func:`seed_phase`
-seeds the coordinates in two variables and the momenta in four.
+:class:`Jet2`, to that operand's order, so a momentum enters in four
+variables.  :func:`seed_phase` seeds the coordinates in two variables and
+the momenta in four, on the point's read-only components.
 
 A jet or a dual keeps the values computed from it through
 :meth:`_Jet.once`: ``x.once(fn)`` runs ``fn(x)`` on the first call and
@@ -107,7 +108,14 @@ def _packed(nv):
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A phase-space point (or batch of points) in Liouville/Lie coordinates."""
+    """A phase-space point (or batch of points) in Liouville/Lie coordinates.
+
+    The four components are finite float arrays of one shape, the batch
+    shape: components of different shapes are broadcast against each other
+    at construction.  They are read-only views, so that a jet seeded on a
+    component (:func:`seed_phase`) cannot write into the point, nor into
+    the arrays it was built from.
+    """
 
     xi: np.ndarray
     eta: np.ndarray
@@ -115,24 +123,29 @@ class PhasePoint:
     p_eta: np.ndarray
 
     def __post_init__(self):
+        parts = []
         for name in VAR_NAMES:
             arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise DomainError("PhasePoint", name, f"non-finite component {name}")
+            parts.append(arr)
+        if len({a.shape for a in parts}) > 1:
+            parts = np.broadcast_arrays(*parts)
+        for name, arr in zip(VAR_NAMES, parts):
+            arr = arr.view()
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
     def shape(self):
-        return np.broadcast_shapes(
-            self.xi.shape, self.eta.shape, self.p_xi.shape, self.p_eta.shape
-        )
+        return self.xi.shape
 
     def components(self):
         return (self.xi, self.eta, self.p_xi, self.p_eta)
 
     def as_array(self):
         """Stack components into shape (4,) + batch shape."""
-        return np.stack(np.broadcast_arrays(*self.components()))
+        return np.array(self.components())
 
     @classmethod
     def from_array(cls, arr):
@@ -296,7 +309,7 @@ class Jet2(_Jet):
         grad[var] = 1.0
         return cls(val, grad, cls._zero_hess(val.shape, order))
 
-    def lift(self):
+    def lift(self, order=2):
         """This jet in the four-variable layout, which it already has."""
         return self
 
@@ -328,13 +341,14 @@ class Jet2(_Jet):
         return self.hess.take(self._UNPACK, axis=0)
 
     # -- storage arithmetic -------------------------------------------
-    # An operand in the other layout is lifted first; both then have 4.
+    # An operand in the other layout is lifted first, to the other's order
+    # (a result with an order-1 operand reads no Hessian); both then have 4.
     # The Hessian rows are skipped when an operand has none.
 
     def __add__(self, other):
         if isinstance(other, Jet2):
             if other._NV != self._NV:
-                return self.lift() + other.lift()
+                return self.lift(other.order) + other.lift(self.order)
             a, b = self._hess, other._hess
             return self._of(self.val + other.val, self.grad + other.grad,
                             None if a is None or b is None else a + b)
@@ -345,7 +359,7 @@ class Jet2(_Jet):
     def __sub__(self, other):
         if isinstance(other, Jet2):
             if other._NV != self._NV:
-                return self.lift() - other.lift()
+                return self.lift(other.order) - other.lift(self.order)
             a, b = self._hess, other._hess
             return self._of(self.val - other.val, self.grad - other.grad,
                             None if a is None or b is None else a - b)
@@ -362,7 +376,7 @@ class Jet2(_Jet):
     def __mul__(self, other):
         if isinstance(other, Jet2):
             if other._NV != self._NV:
-                return self.lift() * other.lift()
+                return self.lift(other.order) * other.lift(self.order)
             a, b = self, other
             val = a.val * b.val
             grad = a.grad * b.val
@@ -393,7 +407,7 @@ class Jet2(_Jet):
         return self.constant(1.0, self.val.shape, self.order)
 
     def _require(self, ok, primitive):
-        if not np.all(ok):
+        if not ok.all():
             raise DomainError(primitive, float(self.val[~ok].flat[0]))
 
     def _chain(self, f, f1, f2):
@@ -426,12 +440,13 @@ class CoordJet(Jet2):
     # where the packed (xi, eta) Hessian sits in the packed 4-variable one
     _LIFT = Jet2._UNPACK[_IU, _JU]
 
-    def lift(self):
-        """The same jet in the four-variable layout, zero in the momenta."""
+    def lift(self, order=2):
+        """The same jet in the four-variable layout, zero in the momenta; at
+        ``order`` 1, or if it has none, without its Hessian."""
         shape = self.val.shape
         grad = np.zeros((Jet2._NV,) + shape)
         grad[:self._NV] = self.grad
-        if self._hess is None:
+        if self._hess is None or order == 1:
             return Jet2._of(self.val, grad, None)
         hess = np.zeros((Jet2._IU.size,) + shape)
         hess[self._LIFT] = self._hess
@@ -706,7 +721,7 @@ def seed_phase(point: PhasePoint, order=2):
     four-variable :class:`Jet2` seeds.  At ``order`` 1 they carry no
     Hessian, for callers that read values and gradients only.
     """
-    xi, eta, p_xi, p_eta = (np.broadcast_to(c, point.shape) for c in point.components())
+    xi, eta, p_xi, p_eta = point.components()  # read-only, of one shape
     return (CoordJet.seed(xi, 0, order), CoordJet.seed(eta, 1, order),
             Jet2.seed(p_xi, 2, order), Jet2.seed(p_eta, 3, order))
 
@@ -735,7 +750,7 @@ class Observable:
 
     def value(self, point: PhasePoint):
         """Plain value, no derivatives."""
-        out = self.fn(*(np.broadcast_to(c, point.shape) for c in point.components()))
+        out = self.fn(*point.components())
         return np.asarray(out, dtype=float)
 
     def dual(self, point: PhasePoint):

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,11 +96,17 @@ class BracketValue:
     grad_scale: np.ndarray
 
 
+def _sum_and_scale(terms):
+    """The axis-0 sum of the list of equal-shaped ``terms`` and their largest
+    |term|, the reductions of ``np.stack(terms)``'s ``sum`` and ``max``."""
+    t = np.array(terms)
+    return np.add.reduce(t), np.maximum.reduce(np.abs(t, out=t))
+
+
 def _contract(dF, dG):
     """Value and largest |term| of the canonical contraction of gradients dF, dG."""
-    terms = np.stack([dF[q] * dG[p] for q, p in _PAIRS]
-                     + [-dF[p] * dG[q] for q, p in _PAIRS])
-    return terms.sum(axis=0), np.abs(terms).max(axis=0)
+    return _sum_and_scale([dF[q] * dG[p] for q, p in _PAIRS]
+                          + [-dF[p] * dG[q] for q, p in _PAIRS])
 
 
 def bracket_jets(F: Jet2, G: Jet2) -> BracketValue:
@@ -256,14 +263,15 @@ def casimir_combination(con, c, a, b):
     ``con``; it equals K(H) wherever A, B and C = {A, B} are the values of
     the integrals.
     """
-    terms = np.stack([c**2, -2.0 * con.alpha * a**2 * b,
-                      -2.0 * con.gamma * a * b**2, -2.0 * con.delta * a * b,
-                      -con.epsilon * b**2, -2.0 * con.zeta * b,
-                      (2.0 / 3.0) * con.a * a**3, con.d * a**2,
-                      2.0 * con.z * a])
+    terms = [c**2, -2.0 * con.alpha * a**2 * b,
+             -2.0 * con.gamma * a * b**2, -2.0 * con.delta * a * b,
+             -con.epsilon * b**2, -2.0 * con.zeta * b,
+             (2.0 / 3.0) * con.a * a**3, con.d * a**2,
+             2.0 * con.z * a]
     # summed row by row: numpy's axis-0 sum of 8 or more rows groups the
     # terms differently for a single point, so a one-point batch would differ
-    return functools.reduce(np.add, terms), np.abs(terms).max(axis=0)
+    t = np.array(terms)
+    return functools.reduce(np.add, terms), np.maximum.reduce(np.abs(t, out=t))
 
 
 def _row_residuals(cp, hab, pts, names, a_off=0.0, b_off=0.0):
@@ -285,26 +293,21 @@ def _row_residuals(cp, hab, pts, names, a_off=0.0, b_off=0.0):
     if "HB" in names:
         res["HB"] = _norm(*_contract(H.grad, B.grad))
 
-    def poly_terms(*terms):
-        t = np.stack(terms)
-        return t.sum(axis=0), np.abs(t).max(axis=0)
-
     if any(k in names for k in _NESTED):
         C = bracket_jets(A, B)
         C_val, C_scale = C.val, C.val_scale
-        one = np.ones_like(E)
         if "HC" in names:
             res["HC"] = _norm(*_grad_bracket_value(H, C))
         if "AC_row" in names:
             AC_val, AC_scale = _grad_bracket_value(A, C)
-            rhs_AC, s_AC = poly_terms(con.alpha * Av**2, 2.0 * con.gamma * Av * Bv,
-                                      con.delta * Av, con.epsilon * Bv, con.zeta * one)
+            rhs_AC, s_AC = _sum_and_scale([con.alpha * Av**2, 2.0 * con.gamma * Av * Bv,
+                                           con.delta * Av, con.epsilon * Bv, con.zeta])
             res["AC_row"] = _norm(AC_val - rhs_AC, AC_scale, s_AC)
         if "BC_row" in names:
             BC_val, BC_scale = _grad_bracket_value(B, C)
-            rhs_BC, s_BC = poly_terms(con.a * Av**2, -con.gamma * Bv**2,
-                                      -2.0 * con.alpha * Av * Bv, con.d * Av,
-                                      -con.delta * Bv, con.z * one)
+            rhs_BC, s_BC = _sum_and_scale([con.a * Av**2, -con.gamma * Bv**2,
+                                           -2.0 * con.alpha * Av * Bv, con.d * Av,
+                                           -con.delta * Bv, con.z])
             res["BC_row"] = _norm(BC_val - rhs_BC, BC_scale, s_BC)
     else:
         # the value of C = {A, B} reads only the gradients of A and B
@@ -341,8 +344,8 @@ def _chunked_max(cp, hab, pts, names, a_off=0.0, b_off=0.0, starts=(0,)):
         # reduceat, like ndarray.max, keeps a NaN
         maxima.append([np.maximum.reduceat(res[k], starts) for k in names])
     # np.max, unlike the builtin max, keeps a NaN from any chunk
-    worst = np.max(maxima, axis=0)
-    return [dict(zip(names, map(float, col))) for col in worst.T]
+    worst = maxima[0] if len(maxima) == 1 else np.max(maxima, axis=0)
+    return [dict(zip(names, map(float, col))) for col in zip(*worst)]
 
 
 def _passes(group, counts, cps):
@@ -400,7 +403,10 @@ def _group_max(group, counts, cps, names, order):
 def _fit_offsets(cp, hab, pts):
     """Affine-match pre-step: constant offsets for A and B (q=1, r=0).
 
-    ``hab`` gives order-2 jets: the cost reads the algebra rows.
+    ``hab`` gives order-2 jets: the cost reads the algebra rows.  Raises
+    :class:`DomainError` when a residual of the cost at zero offsets is not
+    finite: the cost includes the Casimir, which ``verify_algebra`` does not
+    check first.
     """
     # imported here: the fit runs only on a failing row, and scipy.optimize
     # would otherwise dominate the import time of the CLI
@@ -413,8 +419,24 @@ def _fit_offsets(cp, hab, pts):
                for sub in _chunks(pts)]
         return np.concatenate([r[k] for k in _FIT for r in res])
 
-    sol = least_squares(cost, x0=np.zeros(2), method="lm", max_nfev=60)
+    x0 = np.zeros(2)
+    r0 = cost(x0)
+    bad = ~np.isfinite(r0)
+    if bad.any():
+        value = float(r0[bad][0])
+        raise DomainError("affine fit", value,
+                          f"affine fit: a residual at zero offsets is {value}, not finite")
+    sol = least_squares(cost, x0=x0, method="lm", max_nfev=60)
     return float(sol.x[0]), float(sol.x[1])
+
+
+def _finite(worst):
+    """``worst``, the max residual per identity; :class:`DomainError` if one is
+    not finite, since the sample's values then left float64."""
+    for name, value in worst.items():
+        if not math.isfinite(value):
+            raise DomainError(name, value, f"max {name} residual is {value}, not finite")
+    return worst
 
 
 def _verify(kind, group, tols, trigger):
@@ -428,6 +450,8 @@ def _verify(kind, group, tols, trigger):
     one the sample gives alone.  A pass evaluates order-2 jets only if a
     nested bracket is asked for.  A sample leaves the batch:
 
+    * with :class:`DomainError`, as its report is read, when a residual
+      maximum is not finite: NaN or inf is no residual a tolerance can judge;
     * when an identity in ``trigger`` exceeds its tolerance: the
       affine-match pre-step fits constant offsets for A and B on that
       sample alone and re-verifies it, as its report is read;
@@ -452,10 +476,12 @@ def _verify(kind, group, tols, trigger):
     def report(sample, n_points, cp, worst):
         spec, seed, pts = sample
         correction = None
+        _finite(worst)
         if any(worst[k] > tols[k] for k in trigger):
             a_off, b_off = _fit_offsets(cp, integrals(spec, 2), pts)
             correction = {"a_offset": a_off, "b_offset": b_off}
-            worst, = _chunked_max(cp, integrals(spec, order), pts, tols, a_off, b_off)
+            worst = _finite(_chunked_max(cp, integrals(spec, order), pts, tols,
+                                         a_off, b_off)[0])
         idents = tuple(Identity(k, worst[k], tol) for k, tol in tols.items())
         return VerificationReport(kind, spec, seed, n_points, idents, correction)
 

@@ -159,9 +159,11 @@ class SampleDomain:
     def admits(self, xi, eta):
         """The mask of points that pass every test (the metric magnitude is
         checked separately)."""
-        ok = np.ones(np.broadcast_shapes(np.shape(xi), np.shape(eta)), dtype=bool)
+        xi, eta = np.asarray(xi), np.asarray(eta)
+        shape = xi.shape if xi.shape == eta.shape else np.broadcast_shapes(xi.shape, eta.shape)
+        ok = np.ones(shape, dtype=bool)
         for test in self.tests:
-            ok &= test(np.asarray(xi), np.asarray(eta))
+            ok &= test(xi, eta)
         return ok
 
     def admits_point(self, xi: float, eta: float) -> bool:
@@ -446,10 +448,9 @@ def _forms(tag, ka, la, mu, nu):
 
 
 def _guard_metric(g):
-    gv = np.atleast_1d(g.val)
-    small = np.abs(gv) < MIN_ABS_G
-    if np.any(small):
-        raise DomainError("metric", float(gv[small].flat[0]),
+    small = np.abs(g.val) < MIN_ABS_G
+    if small.any():
+        raise DomainError("metric", float(g.val[small].flat[0]),
                           f"|g| below {MIN_ABS_G} (degenerate metric at sample)")
 
 
@@ -874,7 +875,7 @@ def _screen(fns, xi, eta):
     with np.errstate(all="ignore"):
         g = fns.metric(xi, eta)
         ok = (np.abs(g) >= MIN_ABS_G) & np.isfinite(g)
-        idx = np.flatnonzero(ok)
+        idx = ok.nonzero()[0]
         gt = fns.tilde_metric(xi[idx], eta[idx])
         ok[idx] = (np.abs(gt) >= MIN_ABS_G) & np.isfinite(gt)
     return ok
@@ -912,7 +913,7 @@ def sample_points(spec: SystemSpec, n: int, rng) -> PhasePoint:
         p_xi = rng.uniform(*MOMENTUM_RANGE, size=batch)
         p_eta = rng.uniform(*MOMENTUM_RANGE, size=batch)
         total += batch
-        todo = np.flatnonzero(dom.admits(xi, eta))
+        todo = dom.admits(xi, eta).nonzero()[0]
         while todo.size and accepted < n:
             need = n - accepted
             # enough for ``need`` at the share kept so far, with a margin
@@ -921,7 +922,7 @@ def sample_points(spec: SystemSpec, n: int, rng) -> PhasePoint:
             keep = block[_screen(fns, xi[block], eta[block])]
             screened += block.size
             accepted += keep.size
-            out.append(np.stack([xi[keep], eta[keep], p_xi[keep], p_eta[keep]]))
+            out.append(np.array([xi[keep], eta[keep], p_xi[keep], p_eta[keep]]))
     if accepted < n:
         raise SamplingError(
             f"domain for {spec.tag} rejected {100.0 * (1 - accepted / max(total, 1)):.1f}% "

@@ -182,6 +182,18 @@ def test_trajectory_overflowing_initial_state_exits_3():
     assert r.stderr.strip() == "DomainError: initial state outside class domain"
 
 
+@pytest.mark.parametrize("argv", [
+    ["casimir", "--class", "II3", "--kappa", "1e155", "--nu", "1"],  # through the fit
+    ["verify", "--class", "II3", "--kappa", "1e155", "--nu", "1"],
+    ["casimir", "--class", "I1", "--kappa", "1e160"],
+])
+def test_a_residual_maximum_that_is_not_finite_exits_3(argv):
+    r = run(*argv, "--no-timestamp")
+    assert r.returncode == 3 and r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines()[-1].startswith("DomainError: ")
+
+
 def test_dump_catalog():
     r = run("dump-catalog")
     assert r.returncode == 0

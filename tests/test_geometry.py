@@ -1,7 +1,8 @@
 """Curvature, revolution and linear-integral checks against known rows."""
 
 import numpy as np
-from superint.geometry import (classify_curvature, curvature,
+import pytest
+from superint.geometry import (TOL_LINEAR, classify_curvature, curvature,
                                curvature_log_form, linear_integral_check,
                                revolution_check)
 from superint.systems import SystemSpec, sample_points
@@ -132,3 +133,14 @@ def test_linear_gl3_needs_transformed_coordinates():
     spec = SystemSpec("I2", lam=0.6, nu=1.1, ell=0.2, n=0.4)
     assert linear_integral_check(spec, "minus") > 1e-3
     assert linear_integral_check(spec, "minus", coords="transformed") <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="|num| / (1 + scale) is an absolute test when "
+                   "every term is far below 1, so a large kappa scales the residual "
+                   "below the tolerance")
+def test_a_missing_linear_integral_fails_at_any_scale():
+    # {H, p_xi + p_eta} != 0 for II1 at kappa alone: 1.71 at kappa = 1, 1.2e-8 at
+    # kappa = 1e9 (both fail), and 1.2e-11 at kappa = 1e12, which passes
+    for kappa in (1.0, 1e9):
+        assert linear_integral_check(SystemSpec("II1", kappa=kappa), "plus") > TOL_LINEAR
+    assert linear_integral_check(SystemSpec("II1", kappa=1e12), "plus") > TOL_LINEAR

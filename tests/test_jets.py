@@ -9,6 +9,7 @@ from superint.jets import (CoordJet, Dual4, Jet2, Observable, PhasePoint, arctan
                            exp, fd_derivatives, log, norm_residual, one_call, seed_phase,
                            sqrt, straight_line, tan, trace)
 from superint.poisson import bracket_jets
+from superint.systems import CLASS_TAGS, SystemSpec, integrals, sample_points
 
 
 def _lifted_seeds(point):
@@ -667,3 +668,41 @@ def test_the_rules_leave_their_operands_unchanged(shape):
             for G in operands[:2]:
                 bracket_jets(F, G)
     assert [_jet_bits(j) for j in operands] == before
+
+
+@given(**_JET_CASES, orders=st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+@settings(max_examples=100, deadline=None)
+def test_a_mixed_layout_with_an_order_one_operand_is_the_four_variable_one(seed, shape,
+                                                                           special, orders):
+    # the coordinate jet is lifted only to the other operand's order, since the
+    # result of an order-1 operand reads no lifted Hessian
+    rng = np.random.default_rng(seed)
+    c = _random_jet(rng, CoordJet, shape, orders[0], special)
+    j = _random_jet(rng, Jet2, shape, orders[1], special)
+    full = c.lift()
+    with np.errstate(all="ignore"):
+        for got, ref in ((c + j, full + j), (j + c, j + full), (c - j, full - j),
+                         (j - c, j - full), (c * j, full * j), (j * c, j * full)):
+            assert got.order == 1 and _jet_bits(got) == _jet_bits(ref)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_a_point_with_scalar_momenta_is_the_point_of_full_arrays(tag, order):
+    spec = SystemSpec(tag, kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1,
+                      m=0.2, n=1.0)
+    pts = sample_points(spec, 7, np.random.default_rng(11))
+    xi = pts.xi.copy()
+    mixed = PhasePoint(xi, pts.eta, 0.3, -0.7)
+    full = PhasePoint(xi, pts.eta, np.full(7, 0.3), np.full(7, -0.7))
+    assert mixed.shape == full.shape == (7,)
+    assert all(c.shape == (7,) for c in mixed.components())
+    assert mixed.as_array().tobytes() == full.as_array().tobytes()
+    hab = integrals(spec, order)
+    for got, ref in zip(hab(mixed), hab(full)):
+        assert _jet_bits(got) == _jet_bits(ref)
+    # the seeds are read-only views; the array the point was built from is not
+    # made read-only
+    for point in (mixed, full):
+        assert not any(s.val.flags.writeable for s in seed_phase(point, order))
+    assert xi.flags.writeable

@@ -1,18 +1,22 @@
 """Bracket engine, algebra/Casimir verifiers and the membership oracle."""
 
+import functools
 import json
 
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from superint.errors import IllConditioned
-from superint.jets import Observable, PhasePoint, norm_residual
-from superint.poisson import (algebra_reports, bracket, bracket_fd, c_observable,
-                              casimir_coefficients, polynomial_membership,
-                              verify_algebra, verify_casimir)
-from superint.systems import (CLASS_TAGS, SystemSpec, characteristic_residual,
-                              hamiltonian, integral_A, integral_B, sample_points)
+from superint.errors import DomainError, IllConditioned
+from superint.jets import Jet2, Observable, PhasePoint, _norm, norm_residual
+from superint.poisson import (_chunked_max, _contract, _row_residuals, algebra_reports,
+                              bracket, bracket_fd, bracket_jets, c_observable,
+                              casimir_coefficients, casimir_combination,
+                              polynomial_membership, verify_algebra, verify_casimir)
+from superint.systems import (CLASS_TAGS, ConstantsPoly, SystemSpec,
+                              characteristic_residual, hamiltonian, integral_A,
+                              integral_B, sample_points)
 
 GENERIC = dict(kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1, m=0.2, n=1.0)
 
@@ -164,7 +168,8 @@ def test_affine_correction_absorbs_constant_offset(monkeypatch):
 
 
 def test_nan_in_a_later_chunk_fails(monkeypatch):
-    # a non-finite residual in any chunk, not only the first, must fail
+    # a non-finite residual in any chunk, not only the first, must not vanish:
+    # the verifier raises, as for any maximum that is not finite
     import superint.poisson as poisson_mod
     real_row_residuals = poisson_mod._row_residuals
     calls = []
@@ -177,10 +182,31 @@ def test_nan_in_a_later_chunk_fails(monkeypatch):
         return res
 
     monkeypatch.setattr(poisson_mod, "_row_residuals", poisoned)
-    rep = verify_algebra(SystemSpec("I2", **GENERIC), n_points=2 * poisson_mod._CHUNK)
+    with pytest.raises(DomainError, match="max HA residual is nan"):
+        verify_algebra(SystemSpec("I2", **GENERIC), n_points=2 * poisson_mod._CHUNK)
     assert len(calls) == 2
-    assert not rep.passed
-    assert np.isnan(rep.identities[0].max_residual)
+
+
+@pytest.mark.parametrize("verifier, spec", [
+    (verify_algebra, SystemSpec("II3", kappa=1e155, nu=1.0)),
+    (verify_casimir, SystemSpec("II3", kappa=1e155, nu=1.0)),
+    (verify_casimir, SystemSpec("I1", kappa=1e160)),
+])
+def test_a_residual_maximum_that_is_not_finite_raises(verifier, spec):
+    # NaN and inf are no residuals a tolerance can judge, nor an affine fit fix
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match="not finite"):
+        verifier(spec)
+
+
+def test_the_affine_fit_refuses_a_cost_that_is_not_finite_at_zero_offsets():
+    # the fit's cost holds the Casimir, which verify_algebra does not check first
+    import superint.poisson as poisson_mod
+    from superint.systems import constants_poly, integrals
+
+    spec = SystemSpec("II3", kappa=1e155, nu=1.0)
+    pts = sample_points(spec, 100, np.random.default_rng(0))
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match="affine fit"):
+        poisson_mod._fit_offsets(constants_poly(spec), integrals(spec, 2), pts)
 
 
 @pytest.mark.parametrize("chunk", [256, 1000])
@@ -522,3 +548,143 @@ def test_specs_that_drop_different_terms_share_no_pass():
              SystemSpec("I1", **{**GENERIC, "kappa": 0.0}), SystemSpec("I1", **GENERIC)]
     samples = _samples(specs)
     assert [r.to_json() for r in algebra_reports(samples)] == _alone(samples)
+
+
+# The parent expressions of the rewritten reductions, copied here: each
+# rewritten helper must give their bits.
+_SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+_ZEROS = np.array([0.0, -0.0])
+_SHAPES = [(), (1,), (7,), (2048,)]
+_PAIRS = ((0, 2), (1, 3))
+
+
+def _stacked(*terms):
+    t = np.stack(terms)
+    return t.sum(axis=0), np.abs(t).max(axis=0)
+
+
+def _ref_contract(dF, dG):
+    return _stacked(*[dF[q] * dG[p] for q, p in _PAIRS], *[-dF[p] * dG[q] for q, p in _PAIRS])
+
+
+def _ref_casimir(con, c, a, b):
+    terms = np.stack([c**2, -2.0 * con.alpha * a**2 * b,
+                      -2.0 * con.gamma * a * b**2, -2.0 * con.delta * a * b,
+                      -con.epsilon * b**2, -2.0 * con.zeta * b,
+                      (2.0 / 3.0) * con.a * a**3, con.d * a**2,
+                      2.0 * con.z * a])
+    return functools.reduce(np.add, terms), np.abs(terms).max(axis=0)
+
+
+def _ref_grad_bracket(X, C):
+    val, term_scale = _ref_contract(X.grad, C.grad)
+    carriers = ([np.abs(X.grad[q]) * C.grad_scale[p] for q, p in _PAIRS]
+                + [np.abs(X.grad[p]) * C.grad_scale[q] for q, p in _PAIRS])
+    return val, functools.reduce(np.maximum, carriers, term_scale)
+
+
+def _ref_rows(cp, H, A, B, a_off, b_off):
+    E = H.val
+    con = cp.at_energy(E)
+    Av, Bv = A.val + a_off, B.val + b_off
+    C = bracket_jets(A, B)
+    one = np.ones_like(E)
+    AC_val, AC_scale = _ref_grad_bracket(A, C)
+    rhs_AC, s_AC = _stacked(con.alpha * Av**2, 2.0 * con.gamma * Av * Bv,
+                            con.delta * Av, con.epsilon * Bv, con.zeta * one)
+    BC_val, BC_scale = _ref_grad_bracket(B, C)
+    rhs_BC, s_BC = _stacked(con.a * Av**2, -con.gamma * Bv**2,
+                            -2.0 * con.alpha * Av * Bv, con.d * Av,
+                            -con.delta * Bv, con.z * one)
+    kcomb, s_K = _ref_casimir(con, C.val, Av, Bv)
+    s_K = np.maximum(s_K, np.abs(C.val) * C.val_scale)
+    return {"HA": _norm(*_ref_contract(H.grad, A.grad)),
+            "HB": _norm(*_ref_contract(H.grad, B.grad)),
+            "HC": _norm(*_ref_grad_bracket(H, C)),
+            "AC_row": _norm(AC_val - rhs_AC, AC_scale, s_AC),
+            "BC_row": _norm(BC_val - rhs_BC, BC_scale, s_BC),
+            "casimir": _norm(kcomb - con.K_casimir, s_K, np.abs(con.K_casimir))}
+
+
+def _floats(rng, shape, special):
+    """Floats over 16 decades, a share of them drawn from a pool of specials:
+    ``special`` is (share, pool)."""
+    n = int(np.prod(shape))
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    share, pool = special
+    chosen = rng.random(n) < share
+    x[chosen] = rng.choice(pool, chosen.sum())
+    return x.reshape(shape)
+
+
+def _jet(rng, shape, order, special):
+    return Jet2(_floats(rng, shape, special), _floats(rng, (4,) + shape, special),
+                _floats(rng, (10,) + shape, special) if order == 2 else None)
+
+
+def _constants(rng, special):
+    """A ConstantsPoly with random coefficients of one to three terms."""
+    floats = lambda: float(_floats(rng, (), special))
+    poly = lambda: _floats(rng, (int(rng.integers(1, 4)),), special)
+    return ConstantsPoly(floats(), floats(), floats(), delta=poly(), epsilon=poly(),
+                         zeta=poly(), d=poly(), z=poly(), K=poly())
+
+
+_CASES = dict(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(_SHAPES),
+              special=st.sampled_from([(0.0, _SPECIAL), (0.05, _SPECIAL), (0.5, _SPECIAL),
+                                       (1.0, _SPECIAL), (1.0, _ZEROS)]))
+
+
+def _bits(parts):
+    return [np.asarray(p).tobytes() for p in parts]
+
+
+@given(**_CASES)
+@settings(max_examples=100, deadline=None)
+def test_the_contraction_keeps_the_bits_of_its_stacked_sums(seed, shape, special):
+    rng = np.random.default_rng(seed)
+    dF, dG = (_floats(rng, (4,) + shape, special) for _ in range(2))
+    with np.errstate(all="ignore"):
+        assert _bits(_contract(dF, dG)) == _bits(_ref_contract(dF, dG))
+
+
+@given(**_CASES)
+@settings(max_examples=100, deadline=None)
+def test_the_casimir_combination_keeps_the_bits_of_its_stacked_sums(seed, shape, special):
+    rng = np.random.default_rng(seed)
+    c, a, b, E = (_floats(rng, shape, special) for _ in range(4))
+    with np.errstate(all="ignore"):
+        con = _constants(rng, special).at_energy(E)
+        assert _bits(casimir_combination(con, c, a, b)) == _bits(_ref_casimir(con, c, a, b))
+
+
+@given(**_CASES, offsets=st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (1e-9, -3e-9)]))
+@settings(max_examples=100, deadline=None)
+def test_the_residual_rows_keep_the_bits_of_their_stacked_sums(seed, shape, special,
+                                                                offsets):
+    rng = np.random.default_rng(seed)
+    H, A, B = _jet(rng, shape, 1, special), _jet(rng, shape, 2, special), _jet(
+        rng, shape, 2, special)
+    cp = _constants(rng, special)
+    names = ("HA", "HB", "HC", "AC_row", "BC_row", "casimir")
+    with np.errstate(all="ignore"):
+        got = _row_residuals(cp, lambda pts: (H, A, B), None, names, *offsets)
+        ref = _ref_rows(cp, H, A, B, *offsets)
+    assert list(got) == list(names)
+    assert {k: v.tobytes() for k, v in got.items()} == {k: v.tobytes() for k, v in ref.items()}
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_the_max_over_one_chunk_is_the_max_over_several(monkeypatch, tag):
+    import superint.poisson as poisson_mod
+    from superint.systems import constants_poly, integrals
+
+    spec = SystemSpec(tag, **GENERIC)
+    pts = sample_points(spec, 300, np.random.default_rng(5))
+    cp, hab = constants_poly(spec), integrals(spec)
+    names = ("HA", "HB", "HC", "AC_row", "BC_row", "casimir")
+    one, = _chunked_max(cp, hab, pts, names)
+    monkeypatch.setattr(poisson_mod, "_CHUNK", 64)
+    several, = _chunked_max(cp, hab, pts, names)
+    assert {k: v.hex() for k, v in one.items()} == {k: v.hex() for k, v in several.items()}
+    assert all(type(v) is float for v in one.values())

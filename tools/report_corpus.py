@@ -10,6 +10,10 @@ compare the two outputs byte for byte:
     python3 tools/report_corpus.py > change.txt
     cmp parent.txt change.txt
 
+or in one command, with the ``src/`` of a git revision (default ``HEAD``) as
+the parent's, ``python3 tools/corpus_cmp.py [REV]``, which prints the first
+differing lines and exits 1 when the outputs differ.
+
 The corpus is:
 
 * ``verify_algebra`` and ``verify_casimir`` JSON for the six classes at the
