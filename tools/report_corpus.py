@@ -22,8 +22,8 @@ The corpus is:
   with a forced affine correction at 513 and 4097 points;
 * every CLI command with ``--no-timestamp`` where it has it, with its
   standard output, standard error (without numpy's floating-point warnings) and
-  exit code, including the exit-2 and exit-3 paths, and three runs whose
-  residual maximum is not finite;
+  exit code, including the exit-2 and exit-3 paths, three runs whose
+  residual maximum is not finite and two whose curvature is not finite;
 * the five pinned trajectories as CSV through the CLI, with the summary it
   writes to standard error;
 * the ``drift_report`` JSON of the five pinned trajectories, and
@@ -37,11 +37,12 @@ The corpus is:
   (poles, negative coordinates, |y| up to 1e3, NaN and inf) of the
   reference specs and the random draws, with the exception type and text
   where one is raised;
-* ``revolution_check`` in both coordinate systems, with the largest
-  directional residuals behind it, and ``linear_integral_check`` for every
-  sign and coordinate choice (p_xi +/- p_eta, p_X +/- p_Y, p_eta), on the
-  six reference specs, the random draws and three specs with such a
-  structure;
+* ``revolution_tag`` in both coordinate systems, with the largest
+  directional residuals behind it, and ``linear_residual`` for every sign
+  and coordinate choice (p_xi +/- p_eta, p_X +/- p_Y, p_eta), on the 50
+  points the sampling wrappers ``revolution_check`` and
+  ``linear_integral_check`` draw, on the six reference specs, the random
+  draws and three specs with such a structure;
 * ``characteristic_residual``, both ``structural_pde_residual`` pairs and
   the recoordinatized metric ``tilde_metric`` on 50 sampled points of each
   of the six reference specs and the random draws, with 17 significant
@@ -66,7 +67,7 @@ The corpus is:
   several batches, some raise) at 100 and 2049 points, with the
   ``SamplingError`` text where one is raised;
 * ``Observable.eval`` of ``hamiltonian``, ``integral_A``, ``integral_B`` and
-  ``metric_observable`` at orders 1 and 2 (value, gradient and, at order 2,
+  the conformal factor g at orders 1 and 2 (value, gradient and, at order 2,
   the packed Hessian), ``geometry.curvature`` point by point,
   ``poisson.bracket`` of (H, A), (H, B) and (A, B) with its scales, and
   ``c_observable``'s order-1 bracket and value, all in hexadecimal, on 20
@@ -106,11 +107,11 @@ sys.path.insert(0, os.path.abspath(sys.argv[1]) if len(sys.argv) > 1
 
 from superint import catalog, cli, dynamics, geometry, poisson  # noqa: E402
 from superint.errors import SamplingError, SuperintError  # noqa: E402
-from superint.jets import CoordJet, Jet2, PhasePoint  # noqa: E402
+from superint.jets import CoordJet, Jet2, Observable, PhasePoint  # noqa: E402
 from superint.poisson import verify_algebra, verify_casimir  # noqa: E402
 from superint.systems import (CLASS_TAGS, SystemSpec, build_fns,  # noqa: E402
                               characteristic_residual, constants_poly, hamiltonian,
-                              integral_A, integral_B, metric_observable, sample_points,
+                              integral_A, integral_B, sample_points,
                               structural_pde_residual)
 
 REF = dict(kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1, m=0.2, n=1.0)
@@ -158,6 +159,11 @@ CLI_RUNS = [
     ["casimir", "--class", "II3", "--kappa", "1e155", "--nu", "1", "--no-timestamp"],
     ["verify", "--class", "II3", "--kappa", "1e155", "--nu", "1", "--no-timestamp"],
     ["casimir", "--class", "I1", "--kappa", "1e160", "--no-timestamp"],
+    # a curvature that is not finite at some or all of the points
+    ["curvature", "--class", "II3", "--kappa", "1e155", "--nu", "1", "--expect", "nonconstant",
+     "--no-timestamp"],
+    ["curvature", "--class", "I1", "--kappa", "1e160", "--expect", "nonconstant",
+     "--no-timestamp"],
 ] + [["trajectory", *args, "--t-end", "10"] for args in TRAJECTORIES]
 
 
@@ -270,6 +276,19 @@ SYMMETRIC = [SystemSpec("I1", mu=0.5, nu=1.5), SystemSpec("II1", kappa=1.0),
              SystemSpec("I2", lam=0.6, nu=1.1, ell=0.2, n=0.4)]
 
 
+def _sampled(spec):
+    """The 50 points the geometry checks sample by default."""
+    return sample_points(spec, 50, np.random.default_rng(poisson.DEFAULT_SEED))
+
+
+def _revolution(spec, coords):
+    return geometry.revolution_tag(spec, _sampled(spec), coords)
+
+
+def _linear(spec, sign, coords):
+    return geometry.linear_residual(spec, _sampled(spec), sign, coords)
+
+
 def _geometry():
     for spec in [*_specs(), *SYMMETRIC]:
         pts = sample_points(spec, 50, np.random.default_rng(0xC0FFEE))
@@ -278,12 +297,10 @@ def _geometry():
                                  pts.eta, coords)
             if not isinstance(residuals, str):
                 residuals = [float(r.max()) for r in residuals]
-            print(_json([spec.tag, coords, _attempt(geometry.revolution_check, spec,
-                                                    coords=coords), residuals]))
+            print(_json([spec.tag, coords, _attempt(_revolution, spec, coords), residuals]))
         for sign in ("plus", "minus"):
             for coords in ("liouville", "transformed", "eta-only"):
-                print(_json([spec.tag, sign, coords, _attempt(
-                    geometry.linear_integral_check, spec, sign, coords=coords)]))
+                print(_json([spec.tag, sign, coords, _attempt(_linear, spec, sign, coords)]))
 
 
 def _digits(values):
@@ -381,11 +398,17 @@ def _bracket_hex(b):
     return " | ".join(_hex(getattr(b, f.name)) for f in dataclasses.fields(b))
 
 
+def _metric(spec):
+    """The conformal factor g as an observable (momenta ignored)."""
+    fns = build_fns(spec)
+    return Observable(lambda xi, eta, p_xi, p_eta: fns.metric(xi, eta), label="g")
+
+
 def _observables():
     for spec in _specs():
         pts = sample_points(spec, 20, np.random.default_rng(0xC0FFEE))
         H, A, B = hamiltonian(spec), integral_A(spec), integral_B(spec)
-        for obs in (H, A, B, metric_observable(spec)):
+        for obs in (H, A, B, _metric(spec)):
             for order in (1, 2):
                 print(spec.tag, obs.label, order, _jet_hex(obs.eval(pts, order)))
         print(spec.tag, "curvature", _hex(geometry.curvature(spec, pts.xi, pts.eta)))
@@ -397,7 +420,7 @@ def _observables():
         print(spec.tag, "C value", _hex(C.value(pts)))
         for y in pts.as_array().T:
             point = PhasePoint(*map(float, y))
-            for obs in (H, A, B, metric_observable(spec)):
+            for obs in (H, A, B, _metric(spec)):
                 out = _attempt(obs.dual, point)
                 print(spec.tag, obs.label, "dual",
                       out if isinstance(out, str) else " | ".join(map(_hex, out)))
