@@ -16,9 +16,8 @@ from .jets import (Dual4, Jet2, Observable, PhasePoint, fd_derivatives,
 from .systems import (CLASS_TAGS, AlgebraConstants, SampleDomain, SystemFns,
                       SystemSpec, algebra_constants, build_fns,
                       characteristic_residual, constants_poly, hamiltonian,
-                      integral_A, integral_B, metric_observable,
-                      sample_domain, sample_points, spec_from_dict,
-                      spec_to_dict, structural_pde_residual)
+                      integral_A, integral_B, sample_domain, sample_points,
+                      spec_from_dict, spec_to_dict, structural_pde_residual)
 from .poisson import (VerificationReport, bracket, bracket_fd, c_observable,
                       casimir_coefficients, polynomial_membership,
                       verify_algebra, verify_casimir)

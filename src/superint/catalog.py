@@ -56,6 +56,7 @@ PARAM_NAMES = tuple(key for key, _ in _FIELD_MAP[1:])   # every wire name but "c
 TABLES = ("T1", "T2", "T3", "T4", "T5", "T6")
 
 _UNVERIFIABLE_CLAIMS = {"koenigs_form"}
+_CURVATURE_SCALES = (1.0, 2.0, -1.0)  # the K of each draw of a row with 1/K entries
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,10 @@ def catalog_json():
         return json.load(fh)
 
 
-def lookup(table=None, cls=None, claim=None, include_aliases=True):
-    """Stable-ordered rows matching the given filters."""
+def lookup(table=None, include_aliases=True):
+    """The rows of ``table`` (every table when None), in file order."""
     return [e for e in load_catalog()
-            if (table is None or e.table == table) and (cls is None or e.cls == cls)
-            and (claim is None or e.claim_kind == claim)
-            and (include_aliases or not e.is_alias)]
+            if (table is None or e.table == table) and (include_aliases or not e.is_alias)]
 
 
 def instantiate(entry: CatalogEntry, free_values: dict,
@@ -185,7 +184,7 @@ def _recorded(entry, record, *keys):
             f"{entry.row_id}: {entry.claim_kind} row records no {exc}") from None
 
 
-def _check_claim(entry, spec, scale, pts, tol_linear):
+def _check_claim(entry, spec, scale, pts):
     """The row's own claim on ``spec``, by one geometry check at the points
     ``pts``: (passed, details)."""
     kind, ann = entry.claim_kind, entry.annotation
@@ -206,11 +205,11 @@ def _check_claim(entry, spec, scale, pts, tol_linear):
     if kind == "linear_integral":
         sign, coords = _recorded(entry, ann.get("certificate", {}), "sign", "coords")
         r = geometry.linear_residual(spec, pts, sign, coords)
-        return r <= tol_linear, {"sign": sign, "coords": coords, "residual": r}
+        return r <= geometry.TOL_LINEAR, {"sign": sign, "coords": coords, "residual": r}
     raise ValueError(f"claim {kind} is not dispatchable")
 
 
-def _take_draws(entry, scales, free_draws, seed, n_points, tol_linear, draws):
+def _take_draws(entry, scales, free_draws, seed, n_points, draws):
     """Append the row's draws to ``draws`` in order, up to the first whose
     claim fails: ``(i, scale, spec, draw_seed, points, ok, info)`` each,
     with the one sample the claim and the algebra checks read, and the
@@ -232,7 +231,7 @@ def _take_draws(entry, scales, free_draws, seed, n_points, tol_linear, draws):
                     continue
             else:
                 return i
-            ok, info = _check_claim(entry, spec, scale, pts, tol_linear)
+            ok, info = _check_claim(entry, spec, scale, pts)
             draws.append((i, scale, spec, draw_seed, pts, ok, info))
             if not ok:
                 return None
@@ -240,8 +239,7 @@ def _take_draws(entry, scales, free_draws, seed, n_points, tol_linear, draws):
 
 
 def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_SEED,
-                 n_points: int = 50, tol_linear: float = geometry.TOL_LINEAR,
-                 curvature_scales=(1.0, 2.0, -1.0)) -> EntryVerification:
+                 n_points: int = 50) -> EntryVerification:
     """Instantiate the row ``free_draws`` times and verify its claim.
 
     Every draw samples once, and its claim and the quadratic-algebra
@@ -261,11 +259,10 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_S
         return EntryVerification(entry.row_id, entry.claim_kind, "unverifiable")
 
     uses_scale = any(c["kind"] == "curvature" for c in entry.constraints.values())
-    scales = curvature_scales if uses_scale else (None,)
+    scales = _CURVATURE_SCALES if uses_scale else (None,)
     draws, error, kept_failing = [], None, None
     try:
-        kept_failing = _take_draws(entry, scales, free_draws, seed, n_points, tol_linear,
-                                   draws)
+        kept_failing = _take_draws(entry, scales, free_draws, seed, n_points, draws)
     except Exception as exc:
         # raised once the draws before it have their verdicts, as in turn
         error = exc

@@ -321,7 +321,10 @@ def main(argv=None):
         # argparse exits 2 on bad flags, matching the config-error contract
         return int(exc.code) if exc.code else 0
     try:
-        return args.fn(args)
+        # a value that leaves float64 ends in a typed error or a failing
+        # check, so numpy's floating-point warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -19,15 +19,18 @@ the native coordinates or after the class's real recoordinatization
 Each check is written once, on given points (:func:`curvature_class`,
 :func:`revolution_tag`, :func:`linear_residual`); :func:`classify_curvature`,
 :func:`revolution_check` and :func:`linear_integral_check` draw
-``sample_points(spec, n_points, default_rng(seed))`` and run it there.
+``sample_points(spec, n_points, default_rng(seed))`` and run it there, the
+last two in the native coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .jets import CoordJet, Observable, PhasePoint, _norm
 from .poisson import DEFAULT_SEED, bracket_value
 from .systems import SystemSpec, build_fns, hamiltonian, sample_points
@@ -83,13 +86,6 @@ def curvature(spec: SystemSpec, xi, eta):
     return -(g.val * g_cross - g_xi * g_eta) / (2.0 * g.val**3)
 
 
-def curvature_log_form(spec: SystemSpec, xi, eta):
-    """-(1/2g) d^2 ln(g) / dxi deta; needs g > 0 (consistency oracle)."""
-    g = _metric_jet(spec, xi, eta)
-    lng = g.log()
-    return -lng.hess_at(0, 1) / (2.0 * g.val)
-
-
 def classify_curvature(spec: SystemSpec, n_points: int = 50,
                        seed: int = DEFAULT_SEED) -> CurvatureClass:
     """Sample the domain and classify the curvature field there
@@ -98,9 +94,16 @@ def classify_curvature(spec: SystemSpec, n_points: int = 50,
 
 
 def curvature_class(spec: SystemSpec, pts: PhasePoint) -> CurvatureClass:
-    """Compute K at the points and classify the field."""
+    """Compute K at the points and classify the field.
+
+    Raises :class:`DomainError` when K is not finite at some point: the
+    metric's values then left float64, and NaN or inf is no curvature a
+    tolerance can judge.
+    """
     K = curvature(spec, pts.xi, pts.eta)
-    max_abs = float(np.abs(K).max())
+    max_abs = float(np.abs(K).max())  # ndarray.max keeps a NaN
+    if not math.isfinite(max_abs):
+        raise DomainError("curvature", max_abs, f"max |K| is {max_abs}, not finite")
     mean = float(K.mean())
     std = float(K.std())
     if max_abs <= TOL_CURV_ZERO:
@@ -147,12 +150,13 @@ def _directional_residuals(spec: SystemSpec, xi, eta, coords: str):
     return _norm(gx - gy, ax, ay), _norm(gx + gy, ax, ay)
 
 
-def revolution_check(spec: SystemSpec, n_points: int = 50, seed: int = DEFAULT_SEED,
-                     coords: str = "liouville") -> str:
+# kept for bench/layers.py (geometry.revolution_check_ms); the CLI and the
+# catalog call revolution_tag
+def revolution_check(spec: SystemSpec, n_points: int = 50,
+                     seed: int = DEFAULT_SEED) -> str:
     """Sample the domain and classify the metric's direction dependence
-    there (:func:`revolution_tag`)."""
-    return revolution_tag(spec, sample_points(spec, n_points, np.random.default_rng(seed)),
-                          coords)
+    there, in the native coordinates (:func:`revolution_tag`)."""
+    return revolution_tag(spec, sample_points(spec, n_points, np.random.default_rng(seed)))
 
 
 def revolution_tag(spec: SystemSpec, pts: PhasePoint, coords: str = "liouville") -> str:
@@ -201,13 +205,14 @@ def linear_observable(spec: SystemSpec, sign: str, coords: str = "liouville") ->
     raise ValueError(f"unknown coords {coords!r}")
 
 
+# kept for bench/layers.py (geometry.linear_integral_check_ms); the CLI and the
+# catalog call linear_residual
 def linear_integral_check(spec: SystemSpec, sign: str, n_points: int = 50,
-                          seed: int = DEFAULT_SEED,
-                          coords: str = "liouville") -> float:
+                          seed: int = DEFAULT_SEED) -> float:
     """Sample the domain and take the max normalized residual of
     {H, p_xi +/- p_eta} there (:func:`linear_residual`)."""
     return linear_residual(spec, sample_points(spec, n_points, np.random.default_rng(seed)),
-                           sign, coords)
+                           sign)
 
 
 def linear_residual(spec: SystemSpec, pts: PhasePoint, sign: str,

@@ -152,6 +152,7 @@ class PhasePoint:
         arr = np.asarray(arr, dtype=float)
         return cls(arr[0], arr[1], arr[2], arr[3])
 
+    # kept for fd_derivatives, which bench/workloads.py reaches through bracket_fd
     def shifted(self, var: int, delta: float) -> "PhasePoint":
         parts = list(self.components())
         parts[var] = parts[var] + delta
@@ -167,9 +168,14 @@ class _Jet:
     ``_chain`` does not read it).  Domain checks give
     ``_require`` the condition that must hold (``val > 0``), so NaN, for
     which every comparison is false, fails them.  Subclasses keep the
-    storage arithmetic: +, -, *, negation, ``_div`` by a plain number and
-    ``_one``, the constant ``x ** 0``.  Both keep the values computed from
-    them in the same way (:meth:`once`).
+    storage arithmetic: +, -, * and negation.  Both keep the values computed
+    from them in the same way (:meth:`once`).
+
+    The rules are those the closed forms, the verifiers, the geometry checks
+    and the flow use: +, - and * with a jet or a plain number on either
+    side but the left of -, division by a jet, negation, the integer powers
+    but 0 and 1, sqrt, exp, log, tan and arctan.  Any other operand returns
+    ``NotImplemented``, so Python raises ``TypeError``.
     """
 
     __slots__ = ("_kept",)
@@ -199,28 +205,18 @@ class _Jet:
         # the divisor keeps its inverse, so inv runs once per divisor
         if isinstance(other, _Jet):
             return self * other.once(_Jet.inv)
-        return self._div(other)
+        return NotImplemented
 
-    def __rtruediv__(self, other):
-        return self.once(_Jet.inv) * other
-
-    def __pow__(self, p):
+    def __pow__(self, n):
+        if not isinstance(n, int) or n in (0, 1):
+            return NotImplemented
         v = self.val
-        if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
-            n = int(p)
-            if n == 0:
-                return self._one()
-            if n == 1:
-                return self
-            if n == 2:
-                # 2 * v**1 and 2 * v**0 of the rule below, whose v**1 is v and
-                # v**0 is 1, NaN and inf included
-                return self._chain(v**2, 2 * v, 2)
-            return self._chain(v**n, n * v ** (n - 1),
-                               self._hess is not None and n * (n - 1) * v ** (n - 2))
-        self._require(v > 0.0, "pow_real")
-        return self._chain(v**p, p * v ** (p - 1.0),
-                           self._hess is not None and p * (p - 1.0) * v ** (p - 2.0))
+        if n == 2:
+            # 2 * v**1 and 2 * v**0 of the rule below, whose v**1 is v and v**0
+            # is 1, NaN and inf included
+            return self._chain(v**2, 2 * v, 2)
+        return self._chain(v**n, n * v ** (n - 1),
+                           self._hess is not None and n * (n - 1) * v ** (n - 2))
 
     def inv(self):
         v = self.val
@@ -365,10 +361,6 @@ class Jet2(_Jet):
                             None if a is None or b is None else a - b)
         return self._of(self.val - other, self.grad, self._hess)
 
-    def __rsub__(self, other):
-        h = self._hess
-        return self._of(other - self.val, -self.grad, None if h is None else -h)
-
     def __neg__(self):
         h = self._hess
         return self._of(-self.val, -self.grad, None if h is None else -h)
@@ -398,13 +390,6 @@ class Jet2(_Jet):
                         None if h is None else h * other)
 
     __rmul__ = __mul__
-
-    def _div(self, c):
-        h = self._hess
-        return self._of(self.val / c, self.grad / c, None if h is None else h / c)
-
-    def _one(self):
-        return self.constant(1.0, self.val.shape, self.order)
 
     def _require(self, ok, primitive):
         if not ok.all():
@@ -497,10 +482,6 @@ class Dual4(_Jet):
                               (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
         return type(self)(self.val - other, self.d)
 
-    def __rsub__(self, other):
-        a = self.d
-        return type(self)(other - self.val, (-a[0], -a[1], -a[2], -a[3]))
-
     def __neg__(self):
         a = self.d
         return type(self)(-self.val, (-a[0], -a[1], -a[2], -a[3]))
@@ -514,12 +495,6 @@ class Dual4(_Jet):
         return self._chain(self.val * other, other)
 
     __rmul__ = __mul__
-
-    def _div(self, c):
-        return self._chain(self.val / c, 1.0 / c)
-
-    def _one(self):
-        return type(self)(1.0)
 
     def _require(self, ok, primitive):
         if not ok:
@@ -746,13 +721,14 @@ class Observable:
             return Jet2.constant(out, point.shape, order)
         return out.lift()
 
-    __call__ = eval
+    __call__ = eval  # kept for bench/tracing.py, which wraps it
 
     def value(self, point: PhasePoint):
         """Plain value, no derivatives."""
         out = self.fn(*point.components())
         return np.asarray(out, dtype=float)
 
+    # kept for bench/layers.py (jets.dual_us); the flow traces Dual4's rules instead
     def dual(self, point: PhasePoint):
         """Value and gradient at a single (scalar) point via Dual4 numbers."""
         args = [Dual4.seed(float(c), i) for i, c in enumerate(point.components())]
@@ -765,6 +741,7 @@ class Observable:
 _H_HESS = 1e-4  # step of the finite-difference Hessian stencils
 
 
+# kept for bracket_fd, which bench/workloads.py calls, and for the tests
 def fd_derivatives(obs: Observable, point: PhasePoint, h: float = 1e-5):
     """Finite-difference gradient and packed Hessian of ``obs`` at ``point``.
 

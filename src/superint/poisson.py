@@ -138,11 +138,13 @@ def bracket_value(F: Jet2, G: Jet2):
     return _contract(F.grad, G.grad)
 
 
+# kept for bench/workloads.py and CObservable; the verifiers call bracket_jets
 def bracket(F: Observable, G: Observable, point: PhasePoint) -> BracketValue:
     """{F, G} at ``point`` (batched), with first derivatives."""
     return bracket_jets(F.eval(point), G.eval(point))
 
 
+# kept for bench/workloads.py (the dense workload's check)
 def bracket_fd(F: Observable, G: Observable, point: PhasePoint, h: float = 1e-5):
     """Bracket value from finite-difference gradients (oracle path)."""
     from .jets import fd_derivatives
@@ -161,6 +163,7 @@ def _grad_bracket_value(Xjet: Jet2, C: BracketValue):
     return val, functools.reduce(np.maximum, carriers, term_scale)
 
 
+# kept for bench/tracing.py, which wraps order1, __call__ and value
 class CObservable:
     """C = {A, B}: evaluable to order 1 (value + gradient), batched."""
 
@@ -532,9 +535,9 @@ def verify_casimir(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SE
 # Polynomial membership (Appendix-style least-squares oracle)
 
 
-def _monomials(degree):
-    return [(i, j, k) for i in range(degree + 1) for j in range(degree + 1)
-            for k in range(degree + 1) if i + j + k <= degree]
+# the membership fit's monomials H^i A^j B^k, of degree at most 3
+_MONOMIALS = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)
+              if i + j + k <= 3]
 
 
 @dataclass(frozen=True)
@@ -547,26 +550,25 @@ class MembershipResult:
         return self.coefficients.get((i, j, k), 0.0)
 
 
-def polynomial_membership(target, generators, spec: SystemSpec, degree: int = 3,
-                          n_points: int = 400, seed: int = DEFAULT_SEED) -> MembershipResult:
+def polynomial_membership(target, generators, spec: SystemSpec, n_points: int = 400,
+                          seed: int = DEFAULT_SEED) -> MembershipResult:
     """Least-squares membership of ``target`` in polynomials of the generators.
 
-    Fits target(point) over all monomials H^i A^j B^k with i+j+k <= degree,
+    Fits target(point) over all monomials H^i A^j B^k with i+j+k <= 3,
     with column scaling and a small ridge; reports coefficients and the rms
     residual on a held-out split.  Raises :class:`IllConditioned` when the
     scaled design matrix's condition exceeds 1e12 (functionally dependent
     sampling; enlarge the domain).
     """
-    monos = _monomials(degree)
-    if n_points < 2 * len(monos):
-        raise ValueError(f"need at least {2 * len(monos)} points for "
-                         f"{len(monos)} monomials, got {n_points}")
+    if n_points < 2 * len(_MONOMIALS):
+        raise ValueError(f"need at least {2 * len(_MONOMIALS)} points for "
+                         f"{len(_MONOMIALS)} monomials, got {n_points}")
     rng = np.random.default_rng(seed)
     pts = sample_points(spec, n_points, rng)
     gvals = [np.asarray(g.value(pts), dtype=float) for g in generators]
     y = np.asarray(target.value(pts), dtype=float)
 
-    X = np.stack([gvals[0]**i * gvals[1]**j * gvals[2]**k for i, j, k in monos],
+    X = np.stack([gvals[0]**i * gvals[1]**j * gvals[2]**k for i, j, k in _MONOMIALS],
                  axis=1)
     n_hold = max(1, int(round(_HOLDOUT * n_points)))
     train = slice(0, n_points - n_hold)
@@ -600,7 +602,7 @@ def polynomial_membership(target, generators, spec: SystemSpec, degree: int = 3,
     num = np.sqrt(np.mean(((pred - y[hold]) * wh) ** 2))
     den = np.sqrt(np.mean((y[hold] * wh) ** 2))
     rms = float(num / (1e-12 + den))
-    return MembershipResult(dict(zip(monos, coefs)), rms, condition)
+    return MembershipResult(dict(zip(_MONOMIALS, coefs)), rms, condition)
 
 
 def casimir_coefficients(spec: SystemSpec) -> dict:

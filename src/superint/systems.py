@@ -51,7 +51,6 @@ __all__ = [
     "integral_A",
     "integral_B",
     "integrals",
-    "metric_observable",
     "characteristic_residual",
     "structural_pde_residual",
     "algebra_constants",
@@ -494,6 +493,7 @@ def _b_form(fns, xi, eta, p_xi, p_eta):
     return _liouville_form(pX, pY, F, G, f, g, F + G)
 
 
+# enforce_min_g=False: kept for bench/workloads.py; no program path sets it
 def hamiltonian(spec: SystemSpec, enforce_min_g: bool = True) -> Observable:
     """H = (p_xi p_eta + w(xi, eta)) / g(xi, eta).
 
@@ -509,6 +509,8 @@ def hamiltonian(spec: SystemSpec, enforce_min_g: bool = True) -> Observable:
     return Observable(fn, label="H")
 
 
+# integral_A and integral_B: kept for bench/layers.py, bench/workloads.py and
+# CObservable; the verifiers and the flow evaluate A and B through integrals
 def integral_A(spec: SystemSpec) -> Observable:
     """The first quadratic integral, in Liouville (Class I) or Lie (Class II) form."""
     fns = build_fns(spec)
@@ -571,16 +573,6 @@ def integrals(spec, order: int = 2) -> Callable[[PhasePoint], tuple]:
                 _b_form(fns, xi, eta, p_xi, p_eta))
 
     return evaluate
-
-
-def metric_observable(spec: SystemSpec) -> Observable:
-    """The conformal factor g as an observable (momenta ignored)."""
-    fns = build_fns(spec)
-
-    def fn(xi, eta, p_xi, p_eta):
-        return fns.metric(xi, eta)
-
-    return Observable(fn, label="g")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from superint import catalog, geometry
 from superint.catalog import (CatalogEntry, EntryVerification, instantiate, load_catalog,
                               lookup, verify_entry)
 from superint.errors import ConstraintError, SamplingError
-from superint.geometry import TOL_LINEAR
 from superint.poisson import Identity, verify_algebra
 from superint.systems import sample_points
 
@@ -43,8 +42,8 @@ def test_t1_metadata_only():
 
 
 def test_lookup_filters():
-    assert len(lookup(table="T2", cls="I2")) == 4   # R_3..R_6
-    lin = lookup(table="T5", claim="linear_integral")
+    assert len([e for e in lookup(table="T2") if e.cls == "I2"]) == 4   # R_3..R_6
+    lin = [e for e in lookup(table="T5") if e.claim_kind == "linear_integral"]
     assert {e.printed_row for e in lin} >= {"GL_1", "GL_7", "GL_1_alias_I2"}
     no_alias = lookup(table="T5", include_aliases=False)
     assert all(e.alias_of is None for e in no_alias)
@@ -105,9 +104,10 @@ def test_verify_f2():
 
 
 def test_verify_c7():
-    v = verify_entry(_row("C_7"), free_draws=2, curvature_scales=(1.0,))
+    v = verify_entry(_row("C_7"), free_draws=2)
     assert v.status == "verified"
-    assert all(abs(d["mean"] - 1.0) <= 1e-7 for d in v.details["draws"])
+    assert [d["K"] for d in v.details["draws"]] == [1.0, 2.0, -1.0] * 2
+    assert all(abs(d["mean"] - d["K"]) <= 1e-7 for d in v.details["draws"])
 
 
 def test_verify_tampered_row_fails():
@@ -282,11 +282,10 @@ def test_rows_without_their_recorded_structure_raise(rid, annotation):
         verify_entry(row, free_draws=1)
 
 
-def _one_draw_at_a_time(entry, free_draws, seed, n_points=50,
-                        curvature_scales=(1.0, 2.0, -1.0)):
+def _one_draw_at_a_time(entry, free_draws, seed, n_points=50):
     """``verify_entry(...).to_dict()`` as checking each draw in turn gives it:
     the claim, then ``verify_algebra`` on its own, up to the first failure."""
-    scales = curvature_scales if any(
+    scales = (1.0, 2.0, -1.0) if any(
         c["kind"] == "curvature" for c in entry.constraints.values()) else (None,)
     rng = np.random.default_rng(seed)
     details = {"draws": []}
@@ -297,7 +296,7 @@ def _one_draw_at_a_time(entry, free_draws, seed, n_points=50,
                 try:
                     spec = instantiate(entry, catalog._draw_frees(entry, rng), scale)
                     pts = sample_points(spec, n_points, np.random.default_rng(draw_seed))
-                    ok, info = catalog._check_claim(entry, spec, scale, pts, TOL_LINEAR)
+                    ok, info = catalog._check_claim(entry, spec, scale, pts)
                     rep = verify_algebra(spec, n_points=n_points, seed=draw_seed)
                     break
                 except SamplingError:

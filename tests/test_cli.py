@@ -182,16 +182,24 @@ def test_trajectory_overflowing_initial_state_exits_3():
     assert r.stderr.strip() == "DomainError: initial state outside class domain"
 
 
-@pytest.mark.parametrize("argv", [
+_NOT_FINITE = [
     ["casimir", "--class", "II3", "--kappa", "1e155", "--nu", "1"],  # through the fit
     ["verify", "--class", "II3", "--kappa", "1e155", "--nu", "1"],
     ["casimir", "--class", "I1", "--kappa", "1e160"],
-])
+]
+# K is NaN at 49 and at 50 of the 50 points: no classification, and no pass
+_CURVATURE_NOT_FINITE = [
+    ["curvature", "--class", "II3", "--kappa", "1e155", "--nu", "1", "--expect", "nonconstant"],
+    ["curvature", "--class", "I1", "--kappa", "1e160", "--expect", "nonconstant"],
+]
+
+
+@pytest.mark.parametrize("argv", _NOT_FINITE + _CURVATURE_NOT_FINITE)
 def test_a_residual_maximum_that_is_not_finite_exits_3(argv):
     r = run(*argv, "--no-timestamp")
     assert r.returncode == 3 and r.stdout == ""
-    assert "Traceback" not in r.stderr
-    assert r.stderr.splitlines()[-1].startswith("DomainError: ")
+    # the error alone: no traceback and no numpy warning before it
+    assert r.stderr.startswith("DomainError: ") and r.stderr.count("\n") == 1
 
 
 def test_dump_catalog():
@@ -284,15 +292,17 @@ def test_bad_tolerances_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["--class", "I1", "--mu", "1", "--nu", "2", "--initial", "1,1,0.1,0.1"],
+    (["trajectory", "--class", "I1", "--mu", "1", "--nu", "2", "--initial", "1,1,0.1,0.1"],
      "DomainError"),     # xi = eta, the pole of G
-    (["--class", "II1", "--mu", "1", "--nu", "1", "--initial", "1,1.2,1e200,1e200"],
+    (["trajectory", "--class", "II1", "--mu", "1", "--nu", "1",
+      "--initial", "1,1.2,1e200,1e200"],
      "StepFailure"),     # H overflows
-])
+] + [(argv, "DomainError") for argv in _NOT_FINITE + _CURVATURE_NOT_FINITE])
 def test_trajectory_errors_come_without_numpy_warnings(argv, error, capsys, tmp_path):
+    # and so do the errors of a residual or a curvature that is not finite
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["trajectory", *argv, "--output", str(tmp_path / "t.csv")])
+        code = main([*argv, "--output", str(tmp_path / "t.csv")])
     assert code == 3 and [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith(f"{error}: ") and err.count("\n") == 1

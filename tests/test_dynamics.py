@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from superint import dynamics
 from superint.errors import DomainError, StepFailure
-from superint.jets import Dual4, PhasePoint, norm_residual, straight_line, trace
+from superint.jets import Dual4, Observable, PhasePoint, norm_residual, straight_line, trace
 from superint.poisson import TOL_NESTED
 from superint.systems import (CLASS_TAGS, MIN_ABS_G, SystemSpec, algebra_constants,
                               build_fns, hamiltonian, integral_A, integral_B,
-                              metric_observable, sample_domain, sample_points)
+                              sample_domain, sample_points)
 from superint.dynamics import (clamp_energy, conserved_values, drift_report,
                                integrate, trajectory_csv)
 
@@ -261,8 +261,9 @@ def test_duals_that_keep_basis_values_equal_fresh_ones(tag):
     # the floats of duals that compute each one afresh
     spec = SystemSpec(tag, kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1,
                       m=0.2, n=1.0)
+    fns = build_fns(spec)
     observables = (hamiltonian(spec), integral_A(spec), integral_B(spec),
-                   metric_observable(spec))
+                   Observable(lambda xi, eta, p_xi, p_eta: fns.metric(xi, eta)))
     for y in sample_points(spec, 20, np.random.default_rng(26)).as_array().T.tolist():
         for obs in observables:
             val, grad = obs.dual(PhasePoint(*y))

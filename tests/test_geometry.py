@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
-from superint.geometry import (TOL_LINEAR, classify_curvature, curvature,
-                               curvature_log_form, linear_integral_check,
-                               revolution_check)
-from superint.systems import SystemSpec, sample_points
+from superint.errors import DomainError
+from superint.geometry import (TOL_LINEAR, classify_curvature, curvature, curvature_class,
+                               linear_integral_check, linear_residual, revolution_check,
+                               revolution_tag)
+from superint.jets import CoordJet
+from superint.poisson import DEFAULT_SEED
+from superint.systems import SystemSpec, build_fns, sample_points
+
+
+def _sampled(spec):
+    """The 50 points the sampling wrappers draw by default."""
+    return sample_points(spec, 50, np.random.default_rng(DEFAULT_SEED))
 
 
 def _fd_curvature_oracle(g_fn, xi, eta, h=1e-5):
@@ -52,18 +60,40 @@ def test_classify_constant_and_nonconstant():
     assert abs(K[0] - K[1]) > 1e-3
 
 
+def _curvature_log_form(spec, xi, eta):
+    """-(1/2g) d^2 ln(g) / dxi deta, by jets; needs g > 0."""
+    g = build_fns(spec).metric(CoordJet.seed(xi, 0), CoordJet.seed(eta, 1))
+    return -g.log().hess_at(0, 1) / (2.0 * g.val)
+
+
 def test_log_free_form_matches_log_form():
     # wherever g > 0 the rational form equals the ln-based definition
     spec = SystemSpec("I1", kappa=0.3, lam=0.1, mu=0.5, nu=2.0)
     rng = np.random.default_rng(3)
     pts = sample_points(spec, 100, rng)
-    from superint.systems import build_fns
 
     g = build_fns(spec).metric(pts.xi, pts.eta)
     mask = g > 1e-3
     a = curvature(spec, pts.xi[mask], pts.eta[mask])
-    b = curvature_log_form(spec, pts.xi[mask], pts.eta[mask])
+    b = _curvature_log_form(spec, pts.xi[mask], pts.eta[mask])
     assert np.abs(a - b).max() <= 1e-10 * (1.0 + np.abs(a).max())
+
+
+@pytest.mark.parametrize("spec, n_bad", [
+    (SystemSpec("II3", kappa=1e155, nu=1.0), 49),
+    (SystemSpec("I1", kappa=1e160), 50),
+])
+def test_a_curvature_that_is_not_finite_is_a_domain_error(spec, n_bad):
+    # g**3 overflows: K is NaN at n_bad of the 50 points, and a classification
+    # of it would report NaN statistics and NonConstant
+    pts = _sampled(spec)
+    with np.errstate(all="ignore"):
+        K = curvature(spec, pts.xi, pts.eta)
+        assert (~np.isfinite(K)).sum() == n_bad
+        with pytest.raises(DomainError, match="max [|]K[|] is nan, not finite"):
+            curvature_class(spec, pts)
+        with pytest.raises(DomainError, match="not finite"):
+            classify_curvature(spec)
 
 
 def test_negative_conformal_factor_supported():
@@ -94,8 +124,8 @@ def test_revolution_generic_neither():
 
 def test_revolution_r10_transformed_only():
     spec = SystemSpec("II1", kappa=0.8, nu=1.2)
-    assert revolution_check(spec, coords="liouville") == "Neither"
-    assert revolution_check(spec, coords="transformed") == "SumOnly"
+    assert revolution_check(spec) == "Neither"
+    assert revolution_tag(spec, _sampled(spec), "transformed") == "SumOnly"
 
 
 def test_linear_gl1_plus_sign():
@@ -126,13 +156,13 @@ def test_linear_free_constant_metric_both_signs():
     assert linear_integral_check(spec, "minus") <= 1e-12
     # g and w of this Lie metric depend on eta alone: p_eta is not conserved
     lie = SystemSpec("II1", mu=0.5, nu=1.0, m=0.3, n=0.2)
-    assert linear_integral_check(lie, "plus", coords="eta-only") > 1e-3
+    assert linear_residual(lie, _sampled(lie), "plus", "eta-only") > 1e-3
 
 
 def test_linear_gl3_needs_transformed_coordinates():
     spec = SystemSpec("I2", lam=0.6, nu=1.1, ell=0.2, n=0.4)
     assert linear_integral_check(spec, "minus") > 1e-3
-    assert linear_integral_check(spec, "minus", coords="transformed") <= 1e-9
+    assert linear_residual(spec, _sampled(spec), "minus", "transformed") <= 1e-9
 
 
 @pytest.mark.xfail(strict=True, reason="|num| / (1 + scale) is an absolute test when "

@@ -443,7 +443,7 @@ def test_membership_rejects_odd_target():
 def test_membership_point_count_precondition():
     spec = SystemSpec("I1", **GENERIC)
     with pytest.raises(ValueError):
-        polynomial_membership(PXI, _gens(spec), spec, degree=3, n_points=30)
+        polynomial_membership(PXI, _gens(spec), spec, n_points=30)
 
 
 def test_membership_ill_conditioned_signal():
@@ -688,3 +688,66 @@ def test_the_max_over_one_chunk_is_the_max_over_several(monkeypatch, tag):
     several, = _chunked_max(cp, hab, pts, names)
     assert {k: v.hex() for k, v in one.items()} == {k: v.hex() for k, v in several.items()}
     assert all(type(v) is float for v in one.values())
+
+
+# -- an exact rescaling symmetry ----------------------------------------------
+# Every closed form is linear in its parameter quadruple: with the metric
+# parameters times c, the potential parameters times c^2 and the momenta times
+# c, H becomes c H and A, B become c^2 A, c^2 B.  For c = 2^k every rounding
+# scales too, so the jets scale bit for bit, and so does each term of every
+# identity's residual: |num| / scale stays the same at every point.
+
+_IDENTITIES = ("HA", "HB", "HC", "AC_row", "BC_row", "casimir")
+
+
+@functools.cache
+def _reference_sample(tag):
+    spec = SystemSpec(tag, **GENERIC)
+    return spec, sample_points(spec, 200, np.random.default_rng(3))
+
+
+def _ratios(spec, pts):
+    """|num| / scale per point for each identity, in the order the residual
+    rows pass them to ``_norm``."""
+    import superint.poisson as poisson_mod
+    from superint.systems import constants_poly, integrals
+
+    out = []
+
+    def record(num, *scales):
+        out.append(np.abs(num) / functools.reduce(np.maximum, scales))
+        return _norm(num, *scales)
+
+    poisson_mod._norm = record
+    try:
+        with np.errstate(all="ignore"):   # 0 / 0 where a scale is 0
+            _row_residuals(constants_poly(spec), integrals(spec, 2), pts, _IDENTITIES)
+    finally:
+        poisson_mod._norm = _norm
+    return out
+
+
+@given(tag=st.sampled_from(CLASS_TAGS), k=st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_rescaling_the_parameters_and_momenta_scales_every_identity_exactly(tag, k):
+    from superint.systems import integrals
+
+    spec, pts = _reference_sample(tag)
+    c = 2.0**k
+    scaled = SystemSpec(tag, *(c * x for x in spec.metric_params),
+                        *(c * c * x for x in spec.potential_params))
+    moved = PhasePoint(pts.xi, pts.eta, c * pts.p_xi, c * pts.p_eta)
+    # a derivative in a momentum carries one factor c less
+    per_var = np.array([1.0, 1.0, c, c])[:, None]
+    for power, jet, got in zip((1, 2, 2), integrals(spec, 2)(pts),
+                               integrals(scaled, 2)(moved)):
+        factor = c**power
+        assert np.array_equal(got.val, factor * jet.val)
+        assert np.array_equal(got.grad, factor / per_var * jet.grad)
+        if jet.order == 2:
+            assert np.array_equal(
+                got.hess, factor / (per_var[jet._IU] * per_var[jet._JU]) * jet.hess)
+    want, have = _ratios(spec, pts), _ratios(scaled, moved)
+    assert len(want) == len(have) == len(_IDENTITIES)
+    for name, a, b in zip(_IDENTITIES, want, have):
+        assert np.array_equal(a, b, equal_nan=True), name

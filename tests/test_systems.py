@@ -15,7 +15,7 @@ from superint.systems import (CLASS_TAGS, MIN_ABS_G, MOMENTUM_RANGE, SystemSpec,
                               _padd, _pmul, _polyval, algebra_constants, build_fns,
                               characteristic_residual, constants_poly,
                               hamiltonian, integral_A, integral_B, integrals,
-                              metric_observable, sample_domain, sample_points,
+                              sample_domain, sample_points,
                               spec_from_dict, spec_to_dict, structural_pde_residual)
 
 GENERIC = dict(kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1, m=0.2, n=1.0)
@@ -511,7 +511,7 @@ def test_metric_separability_bitwise():
         spec = SystemSpec(tag, **GENERIC)
         fns = build_fns(spec)
         pts = sample_points(spec, 30, rng)
-        g = metric_observable(spec).value(pts)
+        g = fns.metric(pts.xi, pts.eta)
         if spec.is_class_one():
             again = fns.F(pts.xi + pts.eta) + fns.G(pts.xi - pts.eta)
         else:
