@@ -53,7 +53,9 @@ The corpus is:
   deviations and linear residuals are compared, not only statuses; and at
   both sizes for two hand-built rows: every parameter fixed at an II2 spec
   whose algebra fails after the affine correction runs inside a draw, and a
-  ``curvature_zero`` claim on a curved I3 metric, whose claim fails;
+  ``curvature_zero`` claim on a curved I3 metric, whose claim fails; and
+  at one draw of 2500 points, more than one chunk of the algebra pass, for
+  one row of each checked claim kind and coordinate system (``LARGE_ROWS``);
 * ``constants_poly``'s nine fields in hexadecimal, with the shape (so the
   length) of each coefficient array, for the reference specs, the random
   draws, the all-zero spec of each class and specs whose top coefficients
@@ -503,6 +505,13 @@ def _print_entry(entry, **kwargs):
     print(_json(out if isinstance(out, str) else out.to_dict()))
 
 
+# F_2 curvature_zero, C_1 curvature_constant, R_1 and R_4 revolution in the
+# native and the transformed coordinates, GL_1, GL_3 and RL_4 linear_integral
+# in the native, the transformed and the eta-only coordinates
+LARGE_ROWS = ("F_2", "C_1", "R_1", "R_4", "GL_1", "GL_3", "RL_4")
+LARGE_POINTS = 2500   # more than one chunk of the algebra pass (2048 points)
+
+
 def _catalog():
     for table in catalog.TABLES:
         for entry in catalog.lookup(table=table, include_aliases=False):
@@ -515,6 +524,9 @@ def _catalog():
     for entry in HAND_ROWS:
         _print_entry(entry, free_draws=2)
         _print_entry(entry, free_draws=5, seed=101, n_points=50)
+    rows = {entry.row_id: entry for entry in catalog.load_catalog()}
+    for row_id in LARGE_ROWS:
+        _print_entry(rows[row_id], free_draws=1, n_points=LARGE_POINTS)
 
 
 def _cli():
