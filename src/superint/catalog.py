@@ -9,29 +9,34 @@ skipped by sweeps.
 
 Claim kinds and how they verify, each against what its row records:
 
-* ``curvature_zero``      -- geometry.curvature_class must say Zero
+* ``curvature_zero``      -- the curvature class (geometry.curvature_class_of)
+                             must say Zero
 * ``curvature_constant``  -- Constant, with mean K, for each K in {1, 2, -1}
-* ``revolution``          -- geometry.revolution_tag in the recorded
+* ``revolution``          -- geometry.revolution_tag_of in the recorded
                              ``revolution_coords`` (native or the class's
                              (X, Y)) must give the recorded ``orientation``
                              or Both (a constant metric), never Neither;
                              rows whose rotational structure needs complex
                              maps carry the annotation "revolution in
                              transformed coordinates - unchecked"
-* ``linear_integral``     -- {H, L} = 0 (geometry.linear_residual) for the
+* ``linear_integral``     -- {H, L} = 0 (geometry.linear_residual_of) for the
                              linear observable L of the recorded
                              ``certificate`` (sign and coords: p_xi +/- p_eta,
                              p_X +/- p_Y or p_eta)
 * ``koenigs_form``        -- metadata only, unverifiable in scope
 
-Each draw samples once and runs exactly one geometry check on that sample.
+Each draw samples once.  Every verification runs the row's claim and the
+quadratic-algebra check of the instantiated system on that one sample; a
+row passes only if both sides pass.  Every draw of a row is taken first,
+and their algebra checks run in one group pass (``poisson.algebra_reports``),
+which hands each draw's claim the jets it built on the draw's points: the
+claim's geometry check (``geometry.curvature_class_of``,
+``revolution_tag_of`` or ``linear_residual_of``) evaluates nothing of its
+own.  The draws are then judged in order, the claim before the algebra,
+and the row reports the first draw where either fails, as checking one
+draw at a time would; the draws after it are evaluated but never judged.
 A linear or checked revolution row without its recorded fields raises
-``ConstraintError``.  Every verification also runs the quadratic-algebra
-check on the instantiated system, on the same sample; a row passes only if
-both sides pass.  The draws are taken first, in order, up to the first
-whose claim fails, and their algebra checks run in one group pass
-(``poisson.algebra_reports``); the row reports the first draw where the
-claim or the algebra fails, as checking one draw at a time would.
+``ConstraintError``.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import numpy as np
 
 from .errors import ConstraintError, SamplingError
 from . import geometry
-from .poisson import DEFAULT_SEED, algebra_reports
+from .poisson import DEFAULT_SEED, _judged_algebra
 from .systems import _FIELD_MAP, SystemSpec, sample_points, spec_from_dict
 
 __all__ = ["CatalogEntry", "load_catalog", "lookup", "instantiate",
@@ -184,12 +189,13 @@ def _recorded(entry, record, *keys):
             f"{entry.row_id}: {entry.claim_kind} row records no {exc}") from None
 
 
-def _check_claim(entry, spec, scale, pts):
-    """The row's own claim on ``spec``, by one geometry check at the points
-    ``pts``: (passed, details)."""
+def _judge(entry, spec, scale, jets):
+    """The row's own claim on ``spec``, by one geometry check on the jets
+    ``jets`` of a sample (:class:`~superint.systems.SampleJets`):
+    (passed, details)."""
     kind, ann = entry.claim_kind, entry.annotation
     if kind in ("curvature_zero", "curvature_constant"):
-        c = geometry.curvature_class(spec, pts)
+        c = geometry.curvature_class_of(jets)
         if kind == "curvature_zero":
             return c.tag == "Zero", {"max_abs_K": c.max_abs}
         ok = c.tag == "Constant" and abs(c.mean - scale) <= geometry.TOL_CURV_MEAN
@@ -198,22 +204,21 @@ def _check_claim(entry, spec, scale, pts):
         return True, {"revolution": "unchecked", "annotation": ann["status"]}
     if kind == "revolution":
         orientation, coords = _recorded(entry, ann, "orientation", "revolution_coords")
-        tag = geometry.revolution_tag(spec, pts, coords)
+        tag = geometry.revolution_tag_of(spec, jets, coords)
         # a recorded "Neither" claims no structure; a constant metric (Both) has either
         ok = tag != "Neither" and tag in (orientation, "Both")
         return ok, {"revolution": tag, "coords": coords}
     if kind == "linear_integral":
         sign, coords = _recorded(entry, ann.get("certificate", {}), "sign", "coords")
-        r = geometry.linear_residual(spec, pts, sign, coords)
+        r = geometry.linear_residual_of(spec, jets, sign, coords)
         return r <= geometry.TOL_LINEAR, {"sign": sign, "coords": coords, "residual": r}
     raise ValueError(f"claim {kind} is not dispatchable")
 
 
 def _take_draws(entry, scales, free_draws, seed, n_points, draws):
-    """Append the row's draws to ``draws`` in order, up to the first whose
-    claim fails: ``(i, scale, spec, draw_seed, points, ok, info)`` each,
-    with the one sample the claim and the algebra checks read, and the
-    claim's verdict and details.
+    """Append the row's draws to ``draws`` in order: ``(i, scale, spec,
+    draw_seed, points)`` each, with the one sample its claim and its
+    algebra check read.
 
     A draw whose sampling fails is redrawn, up to six times; returns the
     index of a draw that kept failing, or None.
@@ -231,10 +236,7 @@ def _take_draws(entry, scales, free_draws, seed, n_points, draws):
                     continue
             else:
                 return i
-            ok, info = _check_claim(entry, spec, scale, pts)
-            draws.append((i, scale, spec, draw_seed, pts, ok, info))
-            if not ok:
-                return None
+            draws.append((i, scale, spec, draw_seed, pts))
     return None
 
 
@@ -244,14 +246,17 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_S
 
     Every draw samples once, and its claim and the quadratic-algebra
     verification of the instantiated system read that sample; passing
-    requires both.  The draws are taken first, up to the first whose claim
-    fails; their algebra checks then run together
-    (:func:`superint.poisson.algebra_reports`), and the first draw where
-    the claim or the algebra fails is reported, as checking each draw in
-    turn would report it.  A draw whose sampling fails is redrawn, up to
-    six times.  Metadata-only claims report ``unverifiable`` (not failed).
-    ``free_draws`` below 1 raises ``ValueError``: a row checked zero times
-    is not verified.
+    requires both.  The draws are taken first, and their algebra checks run
+    together (:func:`superint.poisson.algebra_reports`); the pass hands each
+    draw's claim the jets it built on the draw's points (a draw whose pass
+    leaves a domain is re-run alone, its claim judged from fresh jets of its
+    sample).  The draws are then judged in order, the claim before the
+    algebra, and the first draw where either fails is reported, as checking
+    each draw in turn would report it, with the same error where one
+    raises; the draws after it are sampled and evaluated, but never judged.
+    A draw whose sampling fails is redrawn, up to six times.  Metadata-only
+    claims report ``unverifiable`` (not failed).  ``free_draws`` below 1
+    raises ``ValueError``: a row checked zero times is not verified.
     """
     if free_draws < 1:
         raise ValueError(f"free_draws must be at least 1, got {free_draws}")
@@ -266,9 +271,11 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_S
     except Exception as exc:
         # raised once the draws before it have their verdicts, as in turn
         error = exc
-    reports = algebra_reports([(spec, s, pts) for _, _, spec, s, pts, _, _ in draws])
+    judged = _judged_algebra([(spec, s, pts) for _, _, spec, s, pts in draws],
+                             [functools.partial(_judge, entry, spec, scale)
+                              for _, scale, spec, _, _ in draws])
     details = {"draws": []}
-    for (i, scale, _, _, _, ok, info), rep in zip(draws, reports):
+    for (i, scale, *_), ((ok, info), rep) in zip(draws, judged):
         info["algebra_pass"] = rep.passed
         details["draws"].append(info)
         if not (ok and rep.passed):

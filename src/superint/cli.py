@@ -25,7 +25,7 @@ from .errors import DomainError, SamplingError, StepFailure
 from .jets import PhasePoint
 from .poisson import (DEFAULT_SEED, REPORT_SCHEMA, TOL_BRACKET, TOL_NESTED,
                       report_header, verify_algebra, verify_casimir)
-from .systems import CLASS_TAGS, sample_points, spec_from_dict
+from .systems import CLASS_TAGS, SampleJets, sample_points, spec_from_dict
 
 
 def _add_spec_args(p):
@@ -151,8 +151,8 @@ def _cmd_curvature(args):
 
 def _cmd_revolution(args):
     spec = _spec_from_args(args)
-    pts = sample_points(spec, args.points, np.random.default_rng(args.seed))
-    out = {coords: geometry.revolution_tag(spec, pts, coords)
+    jets = SampleJets(spec, sample_points(spec, args.points, np.random.default_rng(args.seed)), 1)
+    out = {coords: geometry.revolution_tag_of(spec, jets, coords)
            for coords in ("liouville", "transformed")}
     doc = {**report_header("revolution", spec, args.seed, args.points), "result": out}
     verified = any(v != "Neither" for v in out.values())
@@ -164,13 +164,13 @@ def _cmd_revolution(args):
 def _cmd_linear(args):
     spec = _spec_from_args(args)
     signs = ("plus", "minus") if args.sign == "both" else (args.sign,)
-    pts = sample_points(spec, args.points, np.random.default_rng(args.seed))
+    jets = SampleJets(spec, sample_points(spec, args.points, np.random.default_rng(args.seed)), 1)
     results = {}
     for sign in signs:
         for coords in ("liouville", "transformed"):
             try:
-                results[f"{sign}/{coords}"] = geometry.linear_residual(spec, pts, sign,
-                                                                       coords)
+                results[f"{sign}/{coords}"] = geometry.linear_residual_of(spec, jets, sign,
+                                                                          coords)
             except DomainError:
                 continue
     best = min(results.values(), default=None)

@@ -16,11 +16,16 @@ xi-eta; that is detected as a directional-derivative null test, either in
 the native coordinates or after the class's real recoordinatization
 (X, Y) where the structure often only appears there.
 
-Each check is written once, on given points (:func:`curvature_class`,
-:func:`revolution_tag`, :func:`linear_residual`); :func:`classify_curvature`,
+Each check is written once, as a function of the jets of a sample
+(:class:`~superint.systems.SampleJets`: the phase seeds, the metric g and
+H): :func:`curvature_class_of` reads g, :func:`revolution_tag_of` g and the
+seeds, and :func:`linear_residual_of` H and the linear observable built on
+the seeds.  The catalog hands them the jets its algebra pass built;
+:func:`curvature_class`, :func:`revolution_tag` and :func:`linear_residual`
+hand them fresh jets of the given points; :func:`classify_curvature`,
 :func:`revolution_check` and :func:`linear_integral_check` draw
-``sample_points(spec, n_points, default_rng(seed))`` and run it there, the
-last two in the native coordinates.
+``sample_points(spec, n_points, default_rng(seed))`` and run the check
+there, the last two in the native coordinates.
 """
 
 from __future__ import annotations
@@ -33,16 +38,19 @@ import numpy as np
 from .errors import DomainError
 from .jets import CoordJet, Observable, PhasePoint, _norm
 from .poisson import DEFAULT_SEED, bracket_value
-from .systems import SystemSpec, build_fns, hamiltonian, sample_points
+from .systems import SampleJets, SystemSpec, build_fns, sample_points
 
 __all__ = [
     "CurvatureClass",
     "curvature",
     "curvature_class",
+    "curvature_class_of",
     "classify_curvature",
     "revolution_tag",
+    "revolution_tag_of",
     "revolution_check",
     "linear_residual",
+    "linear_residual_of",
     "linear_integral_check",
     "linear_observable",
     "TOL_CURV_ZERO",
@@ -69,21 +77,25 @@ class CurvatureClass:
     stddev: float
 
 
-def _metric_jet(spec: SystemSpec, xi, eta, order=2) -> CoordJet:
+def _metric_jet(spec: SystemSpec, xi, eta) -> CoordJet:
     fns = build_fns(spec)
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     if xi.shape != eta.shape:
         xi, eta = np.broadcast_arrays(xi, eta)
-    return fns.metric(CoordJet.seed(xi, 0, order), CoordJet.seed(eta, 1, order))
+    return fns.metric(CoordJet.seed(xi, 0), CoordJet.seed(eta, 1))
+
+
+def _curvature(g):
+    """Gaussian curvature K from the order-2 jet g of the metric."""
+    g_xi, g_eta = g.grad[0], g.grad[1]
+    g_cross = g.hess_at(0, 1)
+    return -(g.val * g_cross - g_xi * g_eta) / (2.0 * g.val**3)
 
 
 def curvature(spec: SystemSpec, xi, eta):
     """Gaussian curvature K at (xi, eta); batched, momenta irrelevant."""
-    g = _metric_jet(spec, xi, eta)
-    g_xi, g_eta = g.grad[0], g.grad[1]
-    g_cross = g.hess_at(0, 1)
-    return -(g.val * g_cross - g_xi * g_eta) / (2.0 * g.val**3)
+    return _curvature(_metric_jet(spec, xi, eta))
 
 
 def classify_curvature(spec: SystemSpec, n_points: int = 50,
@@ -94,13 +106,20 @@ def classify_curvature(spec: SystemSpec, n_points: int = 50,
 
 
 def curvature_class(spec: SystemSpec, pts: PhasePoint) -> CurvatureClass:
-    """Compute K at the points and classify the field.
+    """Compute K at the points and classify the field
+    (:func:`curvature_class_of`)."""
+    return curvature_class_of(SampleJets(spec, pts))
+
+
+def curvature_class_of(jets) -> CurvatureClass:
+    """Compute K from the order-2 metric jet ``jets.g`` of a sample and
+    classify the field.
 
     Raises :class:`DomainError` when K is not finite at some point: the
     metric's values then left float64, and NaN or inf is no curvature a
     tolerance can judge.
     """
-    K = curvature(spec, pts.xi, pts.eta)
+    K = _curvature(jets.g)
     max_abs = float(np.abs(K).max())  # ndarray.max keeps a NaN
     if not math.isfinite(max_abs):
         raise DomainError("curvature", max_abs, f"max |K| is {max_abs}, not finite")
@@ -119,31 +138,31 @@ def curvature_class(spec: SystemSpec, pts: PhasePoint) -> CurvatureClass:
 # Revolution detection
 
 
-def _directional_residuals(spec: SystemSpec, xi, eta, coords: str):
+def _directional_residuals(spec: SystemSpec, xi, eta, coords: str, g=None):
     """Normalized |dg/d(xi-eta)| and |dg/d(xi+eta)| samples (or X,Y analogue).
 
-    Reads first derivatives only, so the jets are of order 1.
+    ``xi`` and ``eta`` are the coordinate arrays, or their seeds with ``g``
+    the metric's jet on them.  Reads first derivatives only, so the jets are
+    taken at order 1.
     """
+    if g is None:
+        xi = CoordJet.seed(np.asarray(xi, dtype=float), 0, 1)
+        eta = CoordJet.seed(np.asarray(eta, dtype=float), 1, 1)
+        g = build_fns(spec).metric(xi, eta)
+    g, xj, ej = g.first_order(), xi.first_order(), eta.first_order()
     if coords == "liouville":
-        g = _metric_jet(spec, xi, eta, 1)
         gx, gy = g.grad[0], g.grad[1]
     elif coords == "transformed":
-        fns = build_fns(spec)
         # d xi / dX and d eta / dY of the class's B-integral map, except for
         # II1, whose own map is the identity; there the log map (d xi / dX =
         # xi) linearizes the Lie metric's xi-dependence, which is the natural
         # real map exhibiting rotational symmetry (e.g. g = kappa xi eta).
-        if spec.tag == "II1":
-            dxi = deta = lambda c: c
-        else:
-            dxi = deta = fns.sqrtA
-        xi = np.asarray(xi, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        xj, ej = CoordJet.seed(xi, 0, 1), CoordJet.seed(eta, 1, 1)
+        dxi = (lambda c: c) if spec.tag == "II1" else build_fns(spec).sqrtA
+        dX, dY = dxi(xj), dxi(ej)
         # transformed conformal factor g~ = g * (dxi/dX) * (deta/dY)
-        gt = fns.metric(xj, ej) * dxi(xj) * deta(ej)
-        gx = gt.grad[0] * dxi(xi)    # d g~ / dX
-        gy = gt.grad[1] * deta(eta)  # d g~ / dY
+        gt = g * dX * dY
+        gx = gt.grad[0] * dX.val    # d g~ / dX
+        gy = gt.grad[1] * dY.val    # d g~ / dY
     else:
         raise ValueError("coords must be 'liouville' or 'transformed'")
     ax, ay = np.abs(gx), np.abs(gy)
@@ -160,8 +179,15 @@ def revolution_check(spec: SystemSpec, n_points: int = 50,
 
 
 def revolution_tag(spec: SystemSpec, pts: PhasePoint, coords: str = "liouville") -> str:
-    """Classify the metric's direction dependence at the points: SumOnly,
-    DiffOnly, Both or Neither.
+    """Classify the metric's direction dependence at the points
+    (:func:`revolution_tag_of`)."""
+    return revolution_tag_of(spec, SampleJets(spec, pts, 1), coords)
+
+
+def revolution_tag_of(spec: SystemSpec, jets, coords: str = "liouville") -> str:
+    """Classify the metric's direction dependence on a sample of ``spec``,
+    from its metric jet ``jets.g`` and coordinate seeds ``jets.seeds``:
+    SumOnly, DiffOnly, Both or Neither.
 
     SumOnly means g depends only on xi+eta (the xi-eta directional
     derivative vanishes); DiffOnly the converse; Both means a constant
@@ -169,7 +195,8 @@ def revolution_tag(spec: SystemSpec, pts: PhasePoint, coords: str = "liouville")
     recoordinatized conformal factor.  A directional derivative vanishes
     when its largest normalized sample is at most ``TOL_DIRECTIONAL``.
     """
-    r_sum, r_diff = _directional_residuals(spec, pts.xi, pts.eta, coords)
+    xi, eta = jets.seeds[:2]
+    r_sum, r_diff = _directional_residuals(spec, xi, eta, coords, jets.g)
     sum_only = float(r_sum.max()) <= TOL_DIRECTIONAL
     diff_only = float(r_diff.max()) <= TOL_DIRECTIONAL
     if sum_only and diff_only:
@@ -217,12 +244,19 @@ def linear_integral_check(spec: SystemSpec, sign: str, n_points: int = 50,
 
 def linear_residual(spec: SystemSpec, pts: PhasePoint, sign: str,
                     coords: str = "liouville") -> float:
-    """Max normalized residual of {H, p_xi +/- p_eta} over the points.
+    """Max normalized residual of {H, p_xi +/- p_eta} over the points
+    (:func:`linear_residual_of`)."""
+    return linear_residual_of(spec, SampleJets(spec, pts, 1), sign, coords)
+
+
+def linear_residual_of(spec: SystemSpec, jets, sign: str, coords: str = "liouville") -> float:
+    """Max normalized residual of {H, L} over a sample of ``spec``, from its
+    jet ``jets.H`` and the linear observable L (:func:`linear_observable`)
+    built on its seeds ``jets.seeds``.
 
     A residual below ~1e-9 certifies the linear integral (whose square is
     the catalog's quadratic form).
     """
     # the bracket's value reads gradients only: order-1 jets
-    val, scale = bracket_value(hamiltonian(spec).eval(pts, 1),
-                               linear_observable(spec, sign, coords).eval(pts, 1))
-    return float(_norm(val, scale).max())
+    L = linear_observable(spec, sign, coords).fn(*(s.first_order() for s in jets.seeds))
+    return float(_norm(*bracket_value(jets.H, L)).max())

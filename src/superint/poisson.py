@@ -27,8 +27,11 @@ over its own points.  A spec whose algebra rows fail leaves the batch for
 the affine correction, and a batch whose pass raises is re-run spec by
 spec, so every report, and the first error, is the one the sample gives
 alone.  ``verify_algebra`` and ``verify_casimir`` are groups of one;
-``algebra_reports`` verifies many samples, as the catalog does for the
-draws of a row.
+``algebra_reports`` verifies many samples.  The catalog verifies the draws
+of a row so (``_judged_algebra``), and the pass also hands each draw's
+claim the seeds, g and H it built on the draw's points, so that the claim's
+geometry check evaluates nothing a second time; a sample re-run alone has
+its claim judged from fresh jets of its own points.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ import numpy as np
 
 from .errors import DomainError, IllConditioned
 from .jets import Jet2, Observable, PhasePoint, _norm
-from .systems import (SystemSpec, constants_poly, group_constants, group_fns, integral_A,
-                      integral_B, integrals, pass_key, sample_points, spec_to_dict)
+from .systems import (SampleJets, SystemSpec, constants_poly, group_constants, group_fns,
+                      integral_A, integral_B, integrals, pass_key, sample_points,
+                      spec_to_dict)
 
 __all__ = [
     "BracketValue",
@@ -377,9 +381,50 @@ def _passes(group, counts, cps):
     return passes
 
 
-def _group_max(group, counts, cps, names, order):
+def _cut(jets, lo, hi):
+    """One jet over the points ``lo:hi`` of ``jets``, the jets of one
+    quantity over consecutive chunks of a pass."""
+    first = jets[0]
+
+    def cut(parts):
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1))[..., lo:hi]
+
+    return first._of(cut([j.val for j in jets]), cut([j.grad for j in jets]),
+                     None if first.order == 1 else cut([j.hess for j in jets]))
+
+
+class _Part:
+    """The seeds, g and H that a pass built (:func:`~superint.systems.integrals`'
+    ``keep``), at one sample's own points ``lo:hi``: the attributes of a
+    :class:`~superint.systems.SampleJets`, each cut out on its first read.
+
+    ``kept`` holds one 6-tuple per chunk; a sample of more than ``_CHUNK``
+    points has a pass of its own, and its jets are joined over the chunks.
+    """
+
+    def __init__(self, kept, lo, hi):
+        self._kept, self._lo, self._hi = kept, lo, hi
+
+    def _column(self, k):
+        return _cut([chunk[k] for chunk in self._kept], self._lo, self._hi)
+
+    @functools.cached_property
+    def seeds(self):
+        return tuple(map(self._column, range(4)))
+
+    @functools.cached_property
+    def g(self):
+        return self._column(4)
+
+    @functools.cached_property
+    def H(self):
+        return self._column(5)
+
+
+def _group_max(group, counts, cps, names, order, keep=False):
     """Each sample's max residual per identity, one dict per sample, from one
-    residual pass per set of samples that share one (:func:`_passes`).
+    residual pass per set of samples that share one (:func:`_passes`), and,
+    with ``keep``, each sample's :class:`_Part` of its pass (else None).
 
     The points of a pass are the samples' laid end to end, and each spec's
     parameters and structure constants are repeated over its own points
@@ -389,18 +434,24 @@ def _group_max(group, counts, cps, names, order):
     own closed forms and constants.
     """
     worst = [None] * len(group)
+    parts = [None] * len(group)
     for members in _passes(group, counts, cps):
         specs = [group[i][0] for i in members]
         samples = [group[i][2] for i in members]
         sizes = [counts[i] for i in members]
         pts = samples[0] if len(samples) == 1 else PhasePoint.from_array(
             np.concatenate([p.as_array() for p in samples], axis=1))
-        hab = integrals(group_fns(specs, sizes), order)
+        hab, kept = integrals(group_fns(specs, sizes), order), []
+        if keep:
+            hab = functools.partial(hab, keep=kept)
         cp = group_constants([cps[i] for i in members], sizes)
         starts = list(itertools.accumulate(sizes[:-1], initial=0))
         for i, w in zip(members, _chunked_max(cp, hab, pts, names, starts=starts)):
             worst[i] = w
-    return worst
+        if keep:
+            for i, lo, n in zip(members, starts, sizes):
+                parts[i] = _Part(kept, lo, lo + n)
+    return worst, parts
 
 
 def _fit_offsets(cp, hab, pts):
@@ -442,10 +493,13 @@ def _finite(worst):
     return worst
 
 
-def _verify(kind, group, tols, trigger):
+def _verify(kind, group, tols, trigger, claims=None):
     """Certify the identities named in ``tols`` on each sample of ``group``,
     ``(spec, seed, points)`` triples: an iterator of one report per sample,
-    in order.
+    in order.  With ``claims``, one callable per sample, it yields
+    ``(claims[i](jets), report)`` instead: each sample's claim is judged
+    first, from the jets of its own points that its pass built (the seeds,
+    g and H, :class:`_Part`), and then its report is made.
 
     The samples are evaluated together, in one residual pass per set of
     specs that can share one (:func:`_group_max`), run by this call, and
@@ -463,18 +517,26 @@ def _verify(kind, group, tols, trigger):
     * when the batched passes leave a domain (``DomainError``): each sample
       is then verified alone, in order, as its report is read, so the first
       error is the one that order raises, and a caller that stops at a
-      failing report raises none from the samples after it.
+      failing report raises none from the samples after it.  Its claim is
+      then judged from fresh jets of its own points
+      (:class:`~superint.systems.SampleJets`), before its verification.
+
+    The affine correction judges no claim again.
     """
     order = 2 if any(k in tols for k in _NESTED) else 1
     cps = [constants_poly(spec) for spec, _, _ in group]
     counts = [pts.shape[0] for _, _, pts in group]
     try:
-        maxima = _group_max(group, counts, cps, tols, order)
+        maxima, parts = _group_max(group, counts, cps, tols, order, claims is not None)
     except DomainError:
-        if len(group) == 1:
-            raise
-        return itertools.chain.from_iterable(
-            _verify(kind, [sample], tols, trigger) for sample in group)
+        if claims is None:
+            if len(group) == 1:
+                raise
+            return itertools.chain.from_iterable(
+                _verify(kind, [sample], tols, trigger) for sample in group)
+        return ((claim(SampleJets(spec, pts)),
+                 next(_verify(kind, [(spec, seed, pts)], tols, trigger)))
+                for claim, (spec, seed, pts) in zip(claims, group))
 
     def report(sample, n_points, cp, worst):
         spec, seed, pts = sample
@@ -488,7 +550,10 @@ def _verify(kind, group, tols, trigger):
         idents = tuple(Identity(k, worst[k], tol) for k, tol in tols.items())
         return VerificationReport(kind, spec, seed, n_points, idents, correction)
 
-    return map(report, group, counts, cps, maxima)
+    if claims is None:
+        return map(report, group, counts, cps, maxima)
+    return ((claim(part), report(*rest))
+            for claim, part, *rest in zip(claims, parts, group, counts, cps, maxima))
 
 
 def verify_algebra(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SEED,
@@ -514,9 +579,16 @@ def algebra_reports(samples, tol_bracket: float = TOL_BRACKET,
     The samples are verified together, in as few passes as their specs
     allow, and each report is the one that sample gives alone.
     """
+    return _judged_algebra(samples, None, tol_bracket, tol_nested)
+
+
+def _judged_algebra(samples, claims, tol_bracket=TOL_BRACKET, tol_nested=TOL_NESTED):
+    """:func:`algebra_reports`; with ``claims``, ``(claims[i](jets), report)``
+    for each sample instead, its claim judged first from the jets of its own
+    points that the algebra's pass built (:func:`_verify`)."""
     tols = {"HA": tol_bracket, "HB": tol_bracket, "HC": tol_bracket,
             "AC_row": tol_nested, "BC_row": tol_nested}
-    return _verify("algebra", list(samples), tols, ("AC_row", "BC_row"))
+    return _verify("algebra", list(samples), tols, ("AC_row", "BC_row"), claims)
 
 
 def verify_casimir(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SEED,

@@ -51,6 +51,7 @@ __all__ = [
     "integral_A",
     "integral_B",
     "integrals",
+    "SampleJets",
     "characteristic_residual",
     "structural_pde_residual",
     "algebra_constants",
@@ -561,18 +562,51 @@ def integrals(spec, order: int = 2) -> Callable[[PhasePoint], tuple]:
     gradient equal those of ``hamiltonian(spec).eval`` bit for bit.  g keeps
     its inverse, which A's form divides by too (g = F + G is the Liouville
     form's denominator in Class I), so each pass inverts g once.
+
+    ``evaluate(point, keep)`` also appends to the list ``keep`` the jets of
+    the pass that the geometry checks read: the four seeds, g and H, as a
+    6-tuple (:class:`SampleJets` names them).
     """
     fns = spec if isinstance(spec, SystemFns) else build_fns(spec)
 
-    def evaluate(point: PhasePoint):
-        xi, eta, p_xi, p_eta = seed_phase(point, order)
+    def evaluate(point: PhasePoint, keep=None):
+        seeds = xi, eta, p_xi, p_eta = seed_phase(point, order)
         metric, potential = fns.pairs(xi, eta, guard=True)
-        return (_h_form(p_xi.first_order(), p_eta.first_order(), metric[2],
-                        potential[2].first_order()),
-                _a_form(fns, eta, p_xi, p_eta, metric, potential),
+        H = _h_form(p_xi.first_order(), p_eta.first_order(), metric[2],
+                    potential[2].first_order())
+        if keep is not None:
+            keep.append((*seeds, metric[2], H))
+        return (H, _a_form(fns, eta, p_xi, p_eta, metric, potential),
                 _b_form(fns, xi, eta, p_xi, p_eta))
 
     return evaluate
+
+
+class SampleJets:
+    """The jets the geometry checks read on the points ``pts`` of ``spec``,
+    each evaluated on its first read, at ``order``: ``seeds``, the four
+    phase seeds (:func:`~superint.jets.seed_phase`); ``g``, the metric on
+    the coordinate seeds; and ``H`` on all four.
+
+    They equal the seeds, g and H of an :func:`integrals` pass over the same
+    points (value and gradient, and the Hessian of g at ``order`` 2) bit for
+    bit, so a check reads the same numbers from either.
+    """
+
+    def __init__(self, spec: SystemSpec, pts: PhasePoint, order: int = 2):
+        self._spec, self._pts, self._order = spec, pts, order
+
+    @functools.cached_property
+    def seeds(self):
+        return seed_phase(self._pts, self._order)
+
+    @functools.cached_property
+    def g(self):
+        return build_fns(self._spec).metric(*self.seeds[:2])
+
+    @functools.cached_property
+    def H(self):
+        return hamiltonian(self._spec).fn(*self.seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +697,10 @@ class AlgebraConstants:
 class ConstantsPoly:
     """Structure constants as polynomials in the energy (coeffs low-first).
 
-    The polynomial fields are 1-D float arrays, built by :func:`_pmul` and
-    :func:`_padd` as ``numpy.polynomial``'s ``polymul`` and ``polyadd``
-    build them; :meth:`at_energy` evaluates them as its ``polyval`` does,
-    bit for bit, without importing it.
+    The polynomial fields are 1-D float arrays, built on Python floats by
+    :func:`_pmul` and :func:`_padd` as ``numpy.polynomial``'s ``polymul``
+    and ``polyadd`` build them; :meth:`at_energy` evaluates them as its
+    ``polyval`` does, bit for bit, without importing it.
     """
 
     alpha: float
@@ -692,17 +726,37 @@ class ConstantsPoly:
         )
 
 
-# Polynomial arithmetic on 1-D coefficient arrays, low order first, as
-# numpy.polynomial's polymul, polyadd and polyval compute it (same numpy
-# calls on the same values, so the same bits), without their per-call
-# conversion of every operand.
+# Energy polynomials as coefficient sequences, low order first.  _polyval
+# evaluates a 1-D array as numpy.polynomial's polyval does (the same numpy
+# calls on the same values, so the same bits).  constants_poly builds its
+# polynomials as tuples of Python floats, which for a few coefficients cost
+# less than numpy arrays: _pmul and _padd give the bits of polymul and
+# polyadd where every factor of a product is at most linear, as there.
+# np.convolve sums each coefficient's products from +0.0; with at most two
+# products per sum their order does not matter (for longer factors it may
+# fuse a product into its sum, which Python floats cannot).
+
+class _Poly(tuple):
+    """Polynomial coefficients; a number times it, and its negation, act on
+    each coefficient, as they do on an array."""
+
+    __slots__ = ()
+
+    def __rmul__(self, c):
+        return _Poly([c * x for x in self])
+
+    def __neg__(self):
+        return _Poly([-x for x in self])
+
 
 def _trim(c):
     """``c`` without trailing zeros, keeping at least one entry (``trimseq``)."""
-    n = len(c)
+    if c[-1] != 0 or len(c) == 1:
+        return c
+    n = len(c) - 1
     while n > 1 and c[n - 1] == 0:
         n -= 1
-    return c[:n]
+    return _Poly(c[:n])
 
 
 def _polyval(E, c):
@@ -715,27 +769,37 @@ def _polyval(E, c):
 
 def _lin(c, c0):
     """The linear-in-energy factor (c*E - c0) as poly coefficients."""
-    return np.array([-c0, c])
+    return _Poly((-c0, c))
 
 
 def _pmul(*polys):
-    out = np.array([1.0])
+    """The product of ``polys``, each at most linear."""
+    out = [1.0]
     for p in polys:
-        out = _trim(np.convolve(out, _trim(p)))
-    return out
+        p = _trim(p)
+        if len(p) == 1:
+            out = _trim([0.0 + x * p[0] for x in out])
+        else:
+            a, b = p
+            out = _trim([0.0 + out[0] * a, *[0.0 + x * a + y * b for x, y in zip(out[1:], out)],
+                         0.0 + out[-1] * b])
+    return _Poly(out)
 
 
 def _padd(*polys):
-    out = np.array([0.0])
+    out = (0.0,)
     for p in polys:
-        # the longer operand (the second on a tie) takes the shorter in place
-        a, b = out, _trim(p)
-        if len(a) <= len(b):
-            a, b = b, a
-        a = np.array(a, dtype=float)
-        a[:len(b)] += b
-        out = _trim(a)
-    return out
+        # the longer operand (the second on a tie) takes the shorter's terms
+        p = _trim(p)
+        a, b = (p, out) if len(out) <= len(p) else (out, p)
+        out = _trim([*(x + y for x, y in zip(a, b)), *a[len(b):]])
+    return _Poly(out)
+
+
+def _constants(alpha, gamma, a, **polys):
+    """A :class:`ConstantsPoly` whose polynomials are 1-D float arrays."""
+    return ConstantsPoly(alpha, gamma, a,
+                         **{name: np.array(c, dtype=float) for name, c in polys.items()})
 
 
 def constants_poly(spec: SystemSpec) -> ConstantsPoly:
@@ -747,10 +811,10 @@ def constants_poly(spec: SystemSpec) -> ConstantsPoly:
     L_ = _lin(la, el)
     M_ = _lin(mu, m)
     N_ = _lin(nu, n)
-    zero = np.array([0.0])
+    zero = _Poly((0.0,))
 
     if spec.tag == "I1":
-        return ConstantsPoly(
+        return _constants(
             alpha, gamma, a,
             delta=16.0 * K_,
             epsilon=256.0 * L_,
@@ -763,7 +827,7 @@ def constants_poly(spec: SystemSpec) -> ConstantsPoly:
     if spec.tag == "I2":
         KplusM = _padd(K_, M_)   # ((kappa+mu) E - (k+m))
         KminusM = _padd(K_, -M_)
-        return ConstantsPoly(
+        return _constants(
             alpha, gamma, a,
             delta=zero,
             epsilon=256.0 * L_,
@@ -774,7 +838,7 @@ def constants_poly(spec: SystemSpec) -> ConstantsPoly:
                     128.0 * _pmul(KminusM, N_, N_)),
         )
     if spec.tag == "I3":
-        return ConstantsPoly(
+        return _constants(
             alpha, gamma, a,
             delta=zero,
             epsilon=zero,
@@ -787,7 +851,7 @@ def constants_poly(spec: SystemSpec) -> ConstantsPoly:
     if spec.tag == "II1":
         # z carries the factor 8 on both squares; the printed Casimir line
         # is consistent only with this grouping (fits to 1e-13 pointwise).
-        return ConstantsPoly(
+        return _constants(
             alpha, gamma, a,
             delta=-8.0 * K_,
             epsilon=zero,
@@ -797,7 +861,7 @@ def constants_poly(spec: SystemSpec) -> ConstantsPoly:
             K=_padd(16.0 * _pmul(N_, N_, K_), -32.0 * _pmul(L_, M_, N_)),
         )
     if spec.tag == "II2":
-        return ConstantsPoly(
+        return _constants(
             alpha, gamma, a,
             delta=-4.0 * L_,
             epsilon=zero,
@@ -807,7 +871,7 @@ def constants_poly(spec: SystemSpec) -> ConstantsPoly:
             K=_padd(8.0 * _pmul(L_, M_, M_), -16.0 * _pmul(K_, M_, N_)),
         )
     # II3
-    return ConstantsPoly(
+    return _constants(
         alpha, gamma, a,
         delta=zero,
         epsilon=zero,

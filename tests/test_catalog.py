@@ -1,17 +1,19 @@
 """Catalog transcription, instantiation and claim verification."""
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from superint import catalog, geometry
+from superint import catalog, geometry, poisson
 from superint.catalog import (CatalogEntry, EntryVerification, instantiate, load_catalog,
                               lookup, verify_entry)
-from superint.errors import ConstraintError, SamplingError
+from superint.errors import ConstraintError, DomainError, SamplingError, SuperintError
 from superint.poisson import Identity, verify_algebra
-from superint.systems import sample_points
+from superint.systems import SampleJets, sample_points
 
 
 def _row(row_id):
@@ -130,46 +132,94 @@ def test_verify_tampered_row_fails():
     assert v.status == "failed"
 
 
-def test_no_draw_is_taken_after_a_failing_claim(monkeypatch):
+def _spy_verdicts(monkeypatch):
+    """Record every claim verdict and algebra report that ``verify_entry``
+    reads, in order, as ("claim", spec) and ("algebra", spec)."""
+    read = []
+    real_judge, real_judged = catalog._judge, catalog._judged_algebra
+
+    def judge(entry, spec, *args):
+        read.append(("claim", spec))
+        return real_judge(entry, spec, *args)
+
+    def judged(samples, claims):
+        for (spec, _, _), (verdict, rep) in zip(samples, real_judged(samples, claims)):
+            read.append(("algebra", spec))
+            yield verdict, rep
+
+    monkeypatch.setattr(catalog, "_judge", judge)
+    monkeypatch.setattr(catalog, "_judged_algebra", judged)
+    return read
+
+
+def test_no_verdict_is_read_after_a_failing_claim(monkeypatch):
+    # the draws after a failing claim are sampled and evaluated with the
+    # row's pass, but neither their claim nor their algebra is judged
     base = _row("F_4")
     tampered = dataclasses.replace(base, row_id="F_4_tampered", constraints={
         **base.constraints, "nu": {"kind": "fixed", "value": 1.0}})
-    real = catalog._check_claim
-    claims = []
-    monkeypatch.setattr(catalog, "_check_claim",
-                        lambda *args: claims.append(args) or real(*args))
+    sampled = []
+    real_sample = catalog.sample_points
+    monkeypatch.setattr(catalog, "sample_points",
+                        lambda *a: sampled.append(a) or real_sample(*a))
+    read = _spy_verdicts(monkeypatch)
     v = verify_entry(tampered, free_draws=5)
-    assert (v.status, v.draws, len(claims)) == ("failed", 1, 1)
+    assert (v.status, v.draws, v.details["failed_at"]["draw"]) == ("failed", 1, 0)
+    assert [kind for kind, _ in read] == ["claim", "algebra"]
+    assert len(sampled) == 5
 
 
 @pytest.mark.parametrize("rid", ["F_2", "C_7", "R_1", "GL_1"])
 def test_each_draw_samples_once_for_its_claim_and_its_algebra(rid, monkeypatch):
-    # one row of each checked claim kind: the claim's geometry check and the
-    # algebra check read the one sample the draw takes
+    # one row of each checked claim kind: the claim's geometry check reads
+    # the jets the algebra's pass built on the one sample the draw takes
     sampled, claimed, checked = [], [], []
-    real_sample, real_claim, real_reports = (catalog.sample_points, catalog._check_claim,
-                                             catalog.algebra_reports)
+    real_sample, real_judge, real_judged = (catalog.sample_points, catalog._judge,
+                                            catalog._judged_algebra)
 
     def sample(*args, **kwargs):
         sampled.append(real_sample(*args, **kwargs))
         return sampled[-1]
 
-    def claim(*args):
-        claimed.append(args[3])
-        return real_claim(*args)
+    def judge(entry, spec, scale, jets):
+        claimed.append([s.val for s in jets.seeds])
+        return real_judge(entry, spec, scale, jets)
 
-    def reports(samples):
+    def judged(samples, claims):
         checked.extend(pts for _, _, pts in samples)
-        return real_reports(samples)
+        return real_judged(samples, claims)
 
     for module in (catalog, geometry):
         monkeypatch.setattr(module, "sample_points", sample)
-    monkeypatch.setattr(catalog, "_check_claim", claim)
-    monkeypatch.setattr(catalog, "algebra_reports", reports)
+    monkeypatch.setattr(catalog, "_judge", judge)
+    monkeypatch.setattr(catalog, "_judged_algebra", judged)
     v = verify_entry(_row(rid), free_draws=3)
     assert v.status == "verified"
     assert len(sampled) == len(v.details["draws"]) >= 3
-    assert all(s is c is a for s, c, a in zip(sampled, claimed, checked, strict=True))
+    assert all(s is a for s, a in zip(sampled, checked, strict=True))
+    for s, seeds in zip(sampled, claimed, strict=True):
+        assert all(np.array_equal(x, c) for x, c in zip(seeds, s.components(), strict=True))
+
+
+def test_each_draw_evaluates_its_points_once(monkeypatch):
+    # on the normal path a claim builds no jet of its own: every point is
+    # seeded once, by the row's algebra pass, and no fresh jets are made
+    import superint.systems as systems_mod
+
+    seeded, fresh = [], []
+    real_seed = systems_mod.seed_phase
+    monkeypatch.setattr(systems_mod, "seed_phase",
+                        lambda point, order=2: seeded.append(point.shape[0])
+                        or real_seed(point, order))
+    real_init = systems_mod.SampleJets.__init__
+    monkeypatch.setattr(systems_mod.SampleJets, "__init__",
+                        lambda self, *a: fresh.append(a) or real_init(self, *a))
+    for rid in ("F_2", "C_1", "R_1", "R_4", "GL_1", "GL_3", "RL_4"):
+        seeded.clear()
+        v = verify_entry(_row(rid), free_draws=3, n_points=40)
+        assert v.status == "verified", rid
+        assert sum(seeded) == 40 * len(v.details["draws"]), rid
+    assert fresh == []
 
 
 @pytest.mark.parametrize("draws", [0, -1])
@@ -296,7 +346,7 @@ def _one_draw_at_a_time(entry, free_draws, seed, n_points=50):
                 try:
                     spec = instantiate(entry, catalog._draw_frees(entry, rng), scale)
                     pts = sample_points(spec, n_points, np.random.default_rng(draw_seed))
-                    ok, info = catalog._check_claim(entry, spec, scale, pts)
+                    ok, info = catalog._judge(entry, spec, scale, SampleJets(spec, pts))
                     rep = verify_algebra(spec, n_points=n_points, seed=draw_seed)
                     break
                 except SamplingError:
@@ -329,32 +379,32 @@ def test_rows_verify_as_one_draw_at_a_time(seed):
 
 def test_a_failing_draw_is_reported_before_a_later_draw_raises(monkeypatch):
     # in turn, the second draw's failing algebra ends the row before the
-    # third draw's claim raises
+    # third draw's claim raises; with nothing failing before it, it raises
     row = _row("F_2")
-    real = catalog._check_claim
+    real_judge, real_judged = catalog._judge, catalog._judged_algebra
     calls = []
 
-    def claim(entry, spec, *args):
+    def judge(entry, spec, *args):
         calls.append(spec)
         if len(calls) == 3:
             raise ConstraintError("third claim")
-        return real(entry, spec, *args)
+        return real_judge(entry, spec, *args)
 
-    real_reports = catalog.algebra_reports
+    def judged(samples, claims):
+        failing = (Identity("HA", 1.0, 0.0),)
+        for i, (verdict, rep) in enumerate(real_judged(samples, claims)):
+            yield verdict, dataclasses.replace(rep, identities=failing) if i == 1 else rep
 
-    def reports(samples):
-        for i, rep in enumerate(real_reports(samples)):
-            failing = (Identity("HA", 1.0, 0.0),)
-            yield dataclasses.replace(rep, identities=failing) if i == 1 else rep
-
-    monkeypatch.setattr(catalog, "_check_claim", claim)
-    monkeypatch.setattr(catalog, "algebra_reports", reports)
+    monkeypatch.setattr(catalog, "_judge", judge)
+    monkeypatch.setattr(catalog, "_judged_algebra", judged)
     v = verify_entry(row, free_draws=5)
     assert (v.status, v.draws, v.details["failed_at"]["algebra_pass"]) == ("failed", 2, False)
-    monkeypatch.setattr(catalog, "algebra_reports", real_reports)
+    assert len(calls) == 2
+    monkeypatch.setattr(catalog, "_judged_algebra", real_judged)
     with pytest.raises(ConstraintError, match="third claim"):
         calls.clear()
         verify_entry(row, free_draws=5)
+    assert len(calls) == 3
 
 
 def test_a_misspelt_certificate_sign_is_a_value_error():
@@ -362,3 +412,123 @@ def test_a_misspelt_certificate_sign_is_a_value_error():
     ann = {**row.annotation, "certificate": {"sign": "Plus", "coords": "liouville"}}
     with pytest.raises(ValueError, match="unknown sign 'Plus'"):
         verify_entry(dataclasses.replace(row, annotation=ann), free_draws=1)
+
+
+def _exact(value):
+    """``value`` with each float as its hexadecimal text and each array as its
+    bytes, so that == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return [_exact(v) for v in value]
+    return value
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` exactly (:func:`_exact`), or the error it raises."""
+    try:
+        out = fn(*args)
+    except SuperintError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return _exact(dataclasses.astuple(out) if dataclasses.is_dataclass(out) else out)
+
+
+_COORDS = ("liouville", "transformed")
+_CERTIFICATES = list(itertools.product(("plus", "minus"), ("liouville", "transformed",
+                                                           "eta-only")))
+
+
+def _from_jets(spec, jets):
+    """Every geometry check of every claim kind and coordinate system, judged
+    from a sample's jets."""
+    xi, eta = jets.seeds[:2]
+    return ([_outcome(geometry.curvature_class_of, jets)]
+            + [_outcome(geometry.revolution_tag_of, spec, jets, c) for c in _COORDS]
+            + [_outcome(geometry._directional_residuals, spec, xi, eta, c, jets.g)
+               for c in _COORDS]
+            + [_outcome(geometry.linear_residual_of, spec, jets, s, c)
+               for s, c in _CERTIFICATES])
+
+
+def _alone(spec, pts):
+    """The same checks, each by the per-sample geometry function."""
+    return ([_outcome(geometry.curvature_class, spec, pts)]
+            + [_outcome(geometry.revolution_tag, spec, pts, c) for c in _COORDS]
+            + [_outcome(geometry._directional_residuals, spec, pts.xi, pts.eta, c)
+               for c in _COORDS]
+            + [_outcome(geometry.linear_residual, spec, pts, s, c) for s, c in _CERTIFICATES])
+
+
+_CHECKED = [e.row_id for e in lookup(include_aliases=False) if e.machine_checkable]
+_LARGE = poisson._CHUNK + 1   # a pass of its own, with a one-point last chunk
+
+
+@given(row_ids=st.lists(st.sampled_from(_CHECKED), min_size=1, max_size=4),
+       sizes=st.lists(st.sampled_from([1, 7, 50, _LARGE]), min_size=1, max_size=3),
+       seed=st.integers(0, 2**16))
+@example(row_ids=["C_1", "C_4"], sizes=[50, 7], seed=1)             # T4 scales in one group
+@example(row_ids=["F_1", "F_2", "R_7", "F_4", "F_6", "F_8"], sizes=[50], seed=2)  # six classes
+@example(row_ids=["GL_3", "R_4", "C_2"], sizes=[2500, _LARGE], seed=3)
+@settings(max_examples=15, deadline=None)
+def test_claims_from_the_pass_equal_the_per_sample_checks(row_ids, sizes, seed):
+    # each row's draws at every curvature scale it uses, in one group: each
+    # geometry check judged from the pass's jets of a sample gives the bits
+    # the check gives on that sample alone
+    rng = np.random.default_rng(seed)
+    samples = []
+    for row_id in row_ids:
+        entry = _row(row_id)
+        uses_scale = any(c["kind"] == "curvature" for c in entry.constraints.values())
+        for scale in (1.0, 2.0, -1.0) if uses_scale else (None,):
+            spec = instantiate(entry, catalog._draw_frees(entry, rng), scale)
+            n = sizes[len(samples) % len(sizes)]
+            try:
+                pts = sample_points(spec, n, np.random.default_rng(seed))
+            except SamplingError:
+                continue
+            samples.append((spec, seed, pts))
+    assume(samples)
+    claims = [functools.partial(_from_jets, spec) for spec, _, _ in samples]
+    with np.errstate(all="ignore"):
+        judged = [verdict for verdict, _ in poisson._judged_algebra(samples, claims)]
+        assert judged == [_alone(spec, pts) for spec, _, pts in samples]
+
+
+def test_a_row_whose_grouped_pass_raises_is_judged_draw_by_draw(monkeypatch):
+    # a grouped pass that leaves its domain sends every draw through its own
+    # pass: its claim from fresh jets of its sample, then its algebra
+    import superint.systems as systems_mod
+
+    rows = [_row(rid) for rid in ("F_2", "C_1", "R_1", "R_4", "GL_1", "GL_3", "RL_4")]
+    want = [verify_entry(e, free_draws=2).to_dict() for e in rows]
+    real_group_fns, fresh = poisson.group_fns, []
+
+    def group_fns(specs, counts):
+        if len(specs) > 1:
+            raise DomainError("metric", 0.0, "grouped pass")
+        return real_group_fns(specs, counts)
+
+    real_init = systems_mod.SampleJets.__init__
+    monkeypatch.setattr(systems_mod.SampleJets, "__init__",
+                        lambda self, *a: fresh.append(a) or real_init(self, *a))
+    monkeypatch.setattr(poisson, "group_fns", group_fns)
+    assert [verify_entry(e, free_draws=2).to_dict() for e in rows] == want
+    assert len(fresh) == sum(len(w["details"]["draws"]) for w in want)
+
+
+def test_the_affine_correction_judges_no_claim_again(monkeypatch):
+    # the algebra fails at this II2 spec and the correction runs inside the
+    # draw; the draw's claim is still judged once, from the pass's jets
+    values = dict(zip(catalog.PARAM_NAMES, (1e6, -1.0, 1e-9, 1e6, 1e6, -1.0, -1.0, 1e6)))
+    row = CatalogEntry("T3", "II2_fails", "II2",
+                       {p: {"kind": "fixed", "value": v} for p, v in values.items()},
+                       {"kind": "curvature_zero"}, ())
+    fits = []
+    real_fit = poisson._fit_offsets
+    monkeypatch.setattr(poisson, "_fit_offsets", lambda *a: fits.append(a) or real_fit(*a))
+    read = _spy_verdicts(monkeypatch)
+    v = verify_entry(row, free_draws=3)
+    assert (v.status, v.draws, v.details["failed_at"]["algebra_pass"]) == ("failed", 1, False)
+    assert len(fits) == 1 and [kind for kind, _ in read] == ["claim", "algebra"]

@@ -440,19 +440,84 @@ def _same(got, want):
 _COEF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
                   st.floats(-1e6, 1e6), st.floats(allow_nan=False))
 _POLY = st.lists(_COEF, min_size=1, max_size=4).map(np.array)
+_LINEAR = st.lists(_COEF, min_size=1, max_size=2).map(tuple)
 _ENERGY = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
 
 
 @given(polys=st.lists(_POLY, min_size=1, max_size=4),
+       factors=st.lists(_LINEAR, min_size=1, max_size=4),
        energies=st.lists(_ENERGY, min_size=0, max_size=5))
 @settings(max_examples=400, deadline=None)
-def test_polynomial_helpers_equal_numpy_polynomial(polys, energies):
+def test_polynomial_helpers_equal_numpy_polynomial(polys, factors, energies):
+    # _pmul multiplies factors of at most two coefficients, as constants_poly
+    # does: numpy may fuse a product of longer factors into its sum
     with np.errstate(all="ignore"):
-        assert _same(_pmul(*polys), _ref_pmul(*polys))
-        assert _same(_padd(*polys), _ref_padd(*polys))
-        for c in (polys[0], _pmul(*polys), _padd(*polys)):
+        assert _same(np.array(_pmul(*factors)), _ref_pmul(*factors))
+        assert _same(np.array(_padd(*polys)), _ref_padd(*polys))
+        for c in (polys[0], _ref_pmul(*polys), _ref_padd(*polys)):
             for E in (np.array(energies), np.asarray(energies[0] if energies else -0.0)):
                 assert _same(_polyval(E, c), P.polyval(E, c))
+
+
+# The numpy helpers that built constants_poly's polynomials before it moved
+# to Python floats, copied here as its oracle.
+
+def _np_trim(c):
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _np_lin(c, c0):
+    return np.array([-c0, c])
+
+
+def _np_pmul(*polys):
+    out = np.array([1.0])
+    for p in polys:
+        out = _np_trim(np.convolve(out, _np_trim(p)))
+    return out
+
+
+def _np_padd(*polys):
+    out = np.array([0.0])
+    for p in polys:
+        a, b = out, _np_trim(p)
+        if len(a) <= len(b):
+            a, b = b, a
+        a = np.array(a, dtype=float)
+        a[:len(b)] += b
+        out = _np_trim(a)
+    return out
+
+
+# zeros of both signs, magnitudes from 1e-150 to 1e150 (so products
+# overflow and underflow) and values of order one
+_PARAM = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0),
+                   st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0),
+                             st.integers(-150, 150)))
+
+
+@given(tag=st.sampled_from(CLASS_TAGS), params=st.lists(_PARAM, min_size=8, max_size=8))
+@settings(max_examples=600, deadline=None)
+def test_constants_on_floats_equal_the_numpy_helpers(tag, params):
+    import superint.systems as systems_mod
+
+    spec = SystemSpec(tag, *params)
+    got = constants_poly(spec)
+    saved = systems_mod._lin, systems_mod._pmul, systems_mod._padd
+    systems_mod._lin, systems_mod._pmul, systems_mod._padd = _np_lin, _np_pmul, _np_padd
+    try:
+        with np.errstate(all="ignore"):
+            want = constants_poly(spec)
+    finally:
+        systems_mod._lin, systems_mod._pmul, systems_mod._padd = saved
+    assert (got.alpha, got.gamma, got.a) == (want.alpha, want.gamma, want.a)
+    for field in ("delta", "epsilon", "zeta", "d", "z", "K"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), field
+        assert g.tobytes() == w.tobytes(), field
 
 
 @pytest.mark.parametrize("tag", CLASS_TAGS)
