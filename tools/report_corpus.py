@@ -37,12 +37,12 @@ The corpus is:
   (poles, negative coordinates, |y| up to 1e3, NaN and inf) of the
   reference specs and the random draws, with the exception type and text
   where one is raised;
-* ``revolution_tag`` in both coordinate systems, with the largest
-  directional residuals behind it, and ``linear_residual`` for every sign
-  and coordinate choice (p_xi +/- p_eta, p_X +/- p_Y, p_eta), on the 50
-  points the sampling wrappers ``revolution_check`` and
-  ``linear_integral_check`` draw, on the six reference specs, the random
-  draws and three specs with such a structure;
+* ``revolution_tag_of`` in both coordinate systems, with the largest
+  directional residuals behind it, and ``linear_residual_of`` for every
+  sign and coordinate choice (p_xi +/- p_eta, p_X +/- p_Y, p_eta), each on
+  the order-1 ``SampleJets`` of the 50 points the sampling wrappers
+  ``revolution_check`` and ``linear_integral_check`` draw, on the six
+  reference specs, the random draws and three specs with such a structure;
 * ``characteristic_residual``, both ``structural_pde_residual`` pairs and
   the recoordinatized metric ``tilde_metric`` on 50 sampled points of each
   of the six reference specs and the random draws, with 17 significant
@@ -111,7 +111,7 @@ from superint import catalog, cli, dynamics, geometry, poisson  # noqa: E402
 from superint.errors import SamplingError, SuperintError  # noqa: E402
 from superint.jets import CoordJet, Jet2, Observable, PhasePoint  # noqa: E402
 from superint.poisson import verify_algebra, verify_casimir  # noqa: E402
-from superint.systems import (CLASS_TAGS, SystemSpec, build_fns,  # noqa: E402
+from superint.systems import (CLASS_TAGS, SampleJets, SystemSpec, build_fns,  # noqa: E402
                               characteristic_residual, constants_poly, hamiltonian,
                               integral_A, integral_B, sample_points,
                               structural_pde_residual)
@@ -284,19 +284,23 @@ def _sampled(spec):
 
 
 def _revolution(spec, coords):
-    return geometry.revolution_tag(spec, _sampled(spec), coords)
+    return geometry.revolution_tag_of(spec, SampleJets(spec, _sampled(spec), 1), coords)
 
 
 def _linear(spec, sign, coords):
-    return geometry.linear_residual(spec, _sampled(spec), sign, coords)
+    return geometry.linear_residual_of(spec, SampleJets(spec, _sampled(spec), 1), sign, coords)
+
+
+def _directional(spec, pts, coords):
+    jets = SampleJets(spec, pts, 1)
+    return geometry._directional_residuals(spec, *jets.seeds[:2], coords, jets.g)
 
 
 def _geometry():
     for spec in [*_specs(), *SYMMETRIC]:
         pts = sample_points(spec, 50, np.random.default_rng(0xC0FFEE))
         for coords in ("liouville", "transformed"):
-            residuals = _attempt(geometry._directional_residuals, spec, pts.xi,
-                                 pts.eta, coords)
+            residuals = _attempt(_directional, spec, pts, coords)
             if not isinstance(residuals, str):
                 residuals = [float(r.max()) for r in residuals]
             print(_json([spec.tag, coords, _attempt(_revolution, spec, coords), residuals]))
