@@ -28,14 +28,14 @@ Claim kinds and how they verify, each against what its row records:
 Each draw samples once.  Every verification runs the row's claim and the
 quadratic-algebra check of the instantiated system on that one sample; a
 row passes only if both sides pass.  Every draw of a row is taken first,
-and their algebra checks run in one group pass (``poisson.algebra_reports``),
-which hands each draw's claim the jets it built on the draw's points: the
-claim's geometry check (``geometry.curvature_class_of``,
-``revolution_tag_of`` or ``linear_residual_of``) evaluates nothing of its
-own.  The draws are then judged in order, the claim before the algebra,
-and the row reports the first draw where either fails, as checking one
-draw at a time would; the draws after it are evaluated but never judged.
-A linear or checked revolution row without its recorded fields raises
+and their algebra checks run in one group pass (``poisson._algebra``),
+which hands back the jets it built on each draw's points: the claim's
+geometry check (``geometry.curvature_class_of``, ``revolution_tag_of`` or
+``linear_residual_of``) reads them and evaluates nothing of its own.  The
+draws are then judged in order, the claim before the algebra, and the row
+reports the first draw where either fails, as checking one draw at a time
+would; the draws after it are evaluated but never judged.  A linear or
+checked revolution row without its recorded fields raises
 ``ConstraintError``.
 """
 
@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import ConstraintError, SamplingError
 from . import geometry
-from .poisson import DEFAULT_SEED, _judged_algebra
+from .poisson import DEFAULT_SEED, _algebra
 from .systems import _FIELD_MAP, SystemSpec, sample_points, spec_from_dict
 
 __all__ = ["CatalogEntry", "load_catalog", "lookup", "instantiate",
@@ -247,13 +247,14 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_S
     Every draw samples once, and its claim and the quadratic-algebra
     verification of the instantiated system read that sample; passing
     requires both.  The draws are taken first, and their algebra checks run
-    together (:func:`superint.poisson.algebra_reports`); the pass hands each
-    draw's claim the jets it built on the draw's points (a draw whose pass
-    leaves a domain is re-run alone, its claim judged from fresh jets of its
-    sample).  The draws are then judged in order, the claim before the
-    algebra, and the first draw where either fails is reported, as checking
-    each draw in turn would report it, with the same error where one
-    raises; the draws after it are sampled and evaluated, but never judged.
+    together (``superint.poisson._algebra``), whose pass hands back the jets
+    it built on each draw's points (fresh jets of each draw's sample, whose
+    algebra is re-run alone, where the pass leaves a domain).  The draws are
+    then judged in order, each claim from its draw's jets before its
+    algebra report is read, and the first draw where either fails is
+    reported, as checking each draw in turn would report it, with the same
+    error where one raises; the draws after it are sampled and evaluated,
+    but never judged.
     A draw whose sampling fails is redrawn, up to six times.  Metadata-only
     claims report ``unverifiable`` (not failed).  ``free_draws`` below 1
     raises ``ValueError``: a row checked zero times is not verified.
@@ -271,11 +272,11 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_S
     except Exception as exc:
         # raised once the draws before it have their verdicts, as in turn
         error = exc
-    judged = _judged_algebra([(spec, s, pts) for _, _, spec, s, pts in draws],
-                             [functools.partial(_judge, entry, spec, scale)
-                              for _, scale, spec, _, _ in draws])
+    jets, reports = _algebra([(spec, s, pts) for _, _, spec, s, pts in draws], True)
     details = {"draws": []}
-    for (i, scale, *_), ((ok, info), rep) in zip(draws, judged):
+    for (i, scale, spec, _, _), sample_jets in zip(draws, jets):
+        ok, info = _judge(entry, spec, scale, sample_jets)
+        rep = next(reports)
         info["algebra_pass"] = rep.passed
         details["draws"].append(info)
         if not (ok and rep.passed):

@@ -20,12 +20,13 @@ Each check is written once, as a function of the jets of a sample
 (:class:`~superint.systems.SampleJets`: the phase seeds, the metric g and
 H): :func:`curvature_class_of` reads g, :func:`revolution_tag_of` g and the
 seeds, and :func:`linear_residual_of` H and the linear observable built on
-the seeds.  The catalog hands them the jets its algebra pass built;
-:func:`curvature_class`, :func:`revolution_tag` and :func:`linear_residual`
-hand them fresh jets of the given points; :func:`classify_curvature`,
-:func:`revolution_check` and :func:`linear_integral_check` draw
-``sample_points(spec, n_points, default_rng(seed))`` and run the check
-there, the last two in the native coordinates.
+the seeds.  The catalog hands them the jets its algebra pass built; a
+caller with points of its own hands them ``SampleJets(spec, pts)``.
+:func:`classify_curvature`, :func:`revolution_check` and
+:func:`linear_integral_check` draw ``sample_points(spec, n_points,
+default_rng(seed))`` and run the check on fresh jets of those points (of
+order 1 for the last two, which read no Hessian), the last two in the
+native coordinates.
 """
 
 from __future__ import annotations
@@ -36,20 +37,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .jets import CoordJet, Observable, PhasePoint, _norm
+from .jets import CoordJet, Observable, _norm
 from .poisson import DEFAULT_SEED, bracket_value
-from .systems import SampleJets, SystemSpec, build_fns, sample_points
+from .systems import SampleJets, SystemSpec, _solution, build_fns, sample_points
 
 __all__ = [
     "CurvatureClass",
     "curvature",
-    "curvature_class",
     "curvature_class_of",
     "classify_curvature",
-    "revolution_tag",
     "revolution_tag_of",
     "revolution_check",
-    "linear_residual",
     "linear_residual_of",
     "linear_integral_check",
     "linear_observable",
@@ -101,13 +99,8 @@ def curvature(spec: SystemSpec, xi, eta):
 def classify_curvature(spec: SystemSpec, n_points: int = 50,
                        seed: int = DEFAULT_SEED) -> CurvatureClass:
     """Sample the domain and classify the curvature field there
-    (:func:`curvature_class`)."""
-    return curvature_class(spec, sample_points(spec, n_points, np.random.default_rng(seed)))
-
-
-def curvature_class(spec: SystemSpec, pts: PhasePoint) -> CurvatureClass:
-    """Compute K at the points and classify the field
     (:func:`curvature_class_of`)."""
+    pts = sample_points(spec, n_points, np.random.default_rng(seed))
     return curvature_class_of(SampleJets(spec, pts))
 
 
@@ -138,17 +131,13 @@ def curvature_class_of(jets) -> CurvatureClass:
 # Revolution detection
 
 
-def _directional_residuals(spec: SystemSpec, xi, eta, coords: str, g=None):
+def _directional_residuals(spec: SystemSpec, xi, eta, coords: str, g):
     """Normalized |dg/d(xi-eta)| and |dg/d(xi+eta)| samples (or X,Y analogue).
 
-    ``xi`` and ``eta`` are the coordinate arrays, or their seeds with ``g``
-    the metric's jet on them.  Reads first derivatives only, so the jets are
+    ``xi`` and ``eta`` are the coordinate seeds of a sample and ``g`` the
+    metric's jet on them.  Reads first derivatives only, so the jets are
     taken at order 1.
     """
-    if g is None:
-        xi = CoordJet.seed(np.asarray(xi, dtype=float), 0, 1)
-        eta = CoordJet.seed(np.asarray(eta, dtype=float), 1, 1)
-        g = build_fns(spec).metric(xi, eta)
     g, xj, ej = g.first_order(), xi.first_order(), eta.first_order()
     if coords == "liouville":
         gx, gy = g.grad[0], g.grad[1]
@@ -157,7 +146,7 @@ def _directional_residuals(spec: SystemSpec, xi, eta, coords: str, g=None):
         # II1, whose own map is the identity; there the log map (d xi / dX =
         # xi) linearizes the Lie metric's xi-dependence, which is the natural
         # real map exhibiting rotational symmetry (e.g. g = kappa xi eta).
-        dxi = (lambda c: c) if spec.tag == "II1" else build_fns(spec).sqrtA
+        dxi = (lambda c: c) if spec.tag == "II1" else _solution(spec.tag).sqrtA
         dX, dY = dxi(xj), dxi(ej)
         # transformed conformal factor g~ = g * (dxi/dX) * (deta/dY)
         gt = g * dX * dY
@@ -170,18 +159,13 @@ def _directional_residuals(spec: SystemSpec, xi, eta, coords: str, g=None):
 
 
 # kept for bench/layers.py (geometry.revolution_check_ms); the CLI and the
-# catalog call revolution_tag
+# catalog call revolution_tag_of
 def revolution_check(spec: SystemSpec, n_points: int = 50,
                      seed: int = DEFAULT_SEED) -> str:
     """Sample the domain and classify the metric's direction dependence
-    there, in the native coordinates (:func:`revolution_tag`)."""
-    return revolution_tag(spec, sample_points(spec, n_points, np.random.default_rng(seed)))
-
-
-def revolution_tag(spec: SystemSpec, pts: PhasePoint, coords: str = "liouville") -> str:
-    """Classify the metric's direction dependence at the points
-    (:func:`revolution_tag_of`)."""
-    return revolution_tag_of(spec, SampleJets(spec, pts, 1), coords)
+    there, in the native coordinates (:func:`revolution_tag_of`)."""
+    pts = sample_points(spec, n_points, np.random.default_rng(seed))
+    return revolution_tag_of(spec, SampleJets(spec, pts, 1))
 
 
 def revolution_tag_of(spec: SystemSpec, jets, coords: str = "liouville") -> str:
@@ -195,8 +179,7 @@ def revolution_tag_of(spec: SystemSpec, jets, coords: str = "liouville") -> str:
     recoordinatized conformal factor.  A directional derivative vanishes
     when its largest normalized sample is at most ``TOL_DIRECTIONAL``.
     """
-    xi, eta = jets.seeds[:2]
-    r_sum, r_diff = _directional_residuals(spec, xi, eta, coords, jets.g)
+    r_sum, r_diff = _directional_residuals(spec, *jets.seeds[:2], coords, jets.g)
     sum_only = float(r_sum.max()) <= TOL_DIRECTIONAL
     diff_only = float(r_diff.max()) <= TOL_DIRECTIONAL
     if sum_only and diff_only:
@@ -222,9 +205,9 @@ def linear_observable(spec: SystemSpec, sign: str, coords: str = "liouville") ->
         return Observable(lambda xi, eta, p_xi, p_eta: p_xi + s * p_eta,
                           label=f"p_xi{'+' if s > 0 else '-'}p_eta")
     if coords == "transformed":
-        fns = build_fns(spec)
+        sqrtA = _solution(spec.tag).sqrtA
         return Observable(lambda xi, eta, p_xi, p_eta:
-                          fns.sqrtA(xi) * p_xi + s * fns.sqrtA(eta) * p_eta,
+                          sqrtA(xi) * p_xi + s * sqrtA(eta) * p_eta,
                           label=f"p_X{'+' if s > 0 else '-'}p_Y")
     if coords == "eta-only":
         return Observable(lambda xi, eta, p_xi, p_eta: p_eta + 0.0 * p_xi,
@@ -233,20 +216,13 @@ def linear_observable(spec: SystemSpec, sign: str, coords: str = "liouville") ->
 
 
 # kept for bench/layers.py (geometry.linear_integral_check_ms); the CLI and the
-# catalog call linear_residual
+# catalog call linear_residual_of
 def linear_integral_check(spec: SystemSpec, sign: str, n_points: int = 50,
                           seed: int = DEFAULT_SEED) -> float:
     """Sample the domain and take the max normalized residual of
-    {H, p_xi +/- p_eta} there (:func:`linear_residual`)."""
-    return linear_residual(spec, sample_points(spec, n_points, np.random.default_rng(seed)),
-                           sign)
-
-
-def linear_residual(spec: SystemSpec, pts: PhasePoint, sign: str,
-                    coords: str = "liouville") -> float:
-    """Max normalized residual of {H, p_xi +/- p_eta} over the points
-    (:func:`linear_residual_of`)."""
-    return linear_residual_of(spec, SampleJets(spec, pts, 1), sign, coords)
+    {H, p_xi +/- p_eta} there (:func:`linear_residual_of`)."""
+    pts = sample_points(spec, n_points, np.random.default_rng(seed))
+    return linear_residual_of(spec, SampleJets(spec, pts, 1), sign)
 
 
 def linear_residual_of(spec: SystemSpec, jets, sign: str, coords: str = "liouville") -> float:

@@ -27,11 +27,11 @@ over its own points.  A spec whose algebra rows fail leaves the batch for
 the affine correction, and a batch whose pass raises is re-run spec by
 spec, so every report, and the first error, is the one the sample gives
 alone.  ``verify_algebra`` and ``verify_casimir`` are groups of one;
-``algebra_reports`` verifies many samples.  The catalog verifies the draws
-of a row so (``_judged_algebra``), and the pass also hands each draw's
-claim the seeds, g and H it built on the draw's points, so that the claim's
-geometry check evaluates nothing a second time; a sample re-run alone has
-its claim judged from fresh jets of its own points.
+``_algebra`` verifies many samples, as the catalog does with the draws of
+a row.  With ``keep``, the core also hands back the seeds, g and H that the
+pass built on each sample's points, or fresh jets of the sample's own
+points where the batched pass raised, so that a caller's geometry checks
+evaluate nothing a second time.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ __all__ = [
     "bracket_fd",
     "c_observable",
     "verify_algebra",
-    "algebra_reports",
     "verify_casimir",
     "polynomial_membership",
     "casimir_coefficients",
@@ -493,13 +492,13 @@ def _finite(worst):
     return worst
 
 
-def _verify(kind, group, tols, trigger, claims=None):
+def _verify(kind, group, tols, trigger, keep=False):
     """Certify the identities named in ``tols`` on each sample of ``group``,
-    ``(spec, seed, points)`` triples: an iterator of one report per sample,
-    in order.  With ``claims``, one callable per sample, it yields
-    ``(claims[i](jets), report)`` instead: each sample's claim is judged
-    first, from the jets of its own points that its pass built (the seeds,
-    g and H, :class:`_Part`), and then its report is made.
+    ``(spec, seed, points)`` triples: ``(jets, reports)``.  ``reports`` is
+    an iterator of one report per sample, in order.  With ``keep``,
+    ``jets`` holds each sample's jets of its own points that its pass built
+    (the seeds, g and H, :class:`_Part`); without it, Nones, except where
+    the batched passes raise (below).
 
     The samples are evaluated together, in one residual pass per set of
     specs that can share one (:func:`_group_max`), run by this call, and
@@ -517,26 +516,22 @@ def _verify(kind, group, tols, trigger, claims=None):
     * when the batched passes leave a domain (``DomainError``): each sample
       is then verified alone, in order, as its report is read, so the first
       error is the one that order raises, and a caller that stops at a
-      failing report raises none from the samples after it.  Its claim is
-      then judged from fresh jets of its own points
-      (:class:`~superint.systems.SampleJets`), before its verification.
-
-    The affine correction judges no claim again.
+      failing report raises none from the samples after it.  ``jets`` then
+      holds fresh jets of each sample's own points
+      (:class:`~superint.systems.SampleJets`).  A group of one raises at
+      once, unless ``keep`` asks for its jets.
     """
     order = 2 if any(k in tols for k in _NESTED) else 1
     cps = [constants_poly(spec) for spec, _, _ in group]
     counts = [pts.shape[0] for _, _, pts in group]
     try:
-        maxima, parts = _group_max(group, counts, cps, tols, order, claims is not None)
+        maxima, parts = _group_max(group, counts, cps, tols, order, keep)
     except DomainError:
-        if claims is None:
-            if len(group) == 1:
-                raise
-            return itertools.chain.from_iterable(
-                _verify(kind, [sample], tols, trigger) for sample in group)
-        return ((claim(SampleJets(spec, pts)),
-                 next(_verify(kind, [(spec, seed, pts)], tols, trigger)))
-                for claim, (spec, seed, pts) in zip(claims, group))
+        if len(group) == 1 and not keep:
+            raise
+        return ([SampleJets(spec, pts) for spec, _, pts in group],
+                itertools.chain.from_iterable(
+                    _verify(kind, [sample], tols, trigger)[1] for sample in group))
 
     def report(sample, n_points, cp, worst):
         spec, seed, pts = sample
@@ -550,10 +545,7 @@ def _verify(kind, group, tols, trigger, claims=None):
         idents = tuple(Identity(k, worst[k], tol) for k, tol in tols.items())
         return VerificationReport(kind, spec, seed, n_points, idents, correction)
 
-    if claims is None:
-        return map(report, group, counts, cps, maxima)
-    return ((claim(part), report(*rest))
-            for claim, part, *rest in zip(claims, parts, group, counts, cps, maxima))
+    return parts, map(report, group, counts, cps, maxima)
 
 
 def verify_algebra(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SEED,
@@ -566,29 +558,21 @@ def verify_algebra(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SE
     compatibility and has no effect.
     """
     pts = sample_points(spec, n_points, np.random.default_rng(seed))
-    report, = algebra_reports([(spec, seed, pts)], tol_bracket, tol_nested)
+    report, = _algebra([(spec, seed, pts)], False, tol_bracket, tol_nested)[1]
     return report
 
 
-def algebra_reports(samples, tol_bracket: float = TOL_BRACKET,
-                    tol_nested: float = TOL_NESTED):
-    """:func:`verify_algebra`'s report on each ``(spec, seed, points)`` of
-    ``samples``, where ``points`` is the spec's sample at ``seed``: an
-    iterator, in order.
+def _algebra(samples, keep=False, tol_bracket=TOL_BRACKET, tol_nested=TOL_NESTED):
+    """:func:`verify_algebra` on each ``(spec, seed, points)`` of ``samples``,
+    where ``points`` is the spec's sample at ``seed``: ``(jets, reports)``
+    (:func:`_verify`).
 
     The samples are verified together, in as few passes as their specs
     allow, and each report is the one that sample gives alone.
     """
-    return _judged_algebra(samples, None, tol_bracket, tol_nested)
-
-
-def _judged_algebra(samples, claims, tol_bracket=TOL_BRACKET, tol_nested=TOL_NESTED):
-    """:func:`algebra_reports`; with ``claims``, ``(claims[i](jets), report)``
-    for each sample instead, its claim judged first from the jets of its own
-    points that the algebra's pass built (:func:`_verify`)."""
     tols = {"HA": tol_bracket, "HB": tol_bracket, "HC": tol_bracket,
             "AC_row": tol_nested, "BC_row": tol_nested}
-    return _verify("algebra", list(samples), tols, ("AC_row", "BC_row"), claims)
+    return _verify("algebra", list(samples), tols, ("AC_row", "BC_row"), keep)
 
 
 def verify_casimir(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SEED,
@@ -599,7 +583,7 @@ def verify_casimir(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SE
     accepted for compatibility and has no effect.
     """
     pts = sample_points(spec, n_points, np.random.default_rng(seed))
-    report, = _verify("casimir", [(spec, seed, pts)], {"casimir": tol}, ("casimir",))
+    report, = _verify("casimir", [(spec, seed, pts)], {"casimir": tol}, ("casimir",))[1]
     return report
 
 

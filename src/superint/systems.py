@@ -627,9 +627,9 @@ def characteristic_residual(spec: SystemSpec, xi):
 
     Analytically zero; the numerical value is the transcription check.
     """
-    fns = build_fns(spec)
-    alpha, gamma, a = fns.char_constants
-    A, A1, _ = _univariate_jet(fns.A_of_xi, xi)
+    sol = _solution(spec.tag)
+    alpha, gamma, a = sol.char_constants
+    A, A1, _ = _univariate_jet(sol.A_of_xi, xi)
     return 6.0 * A1**2 - 3.0 * gamma * A**2 - 3.0 * alpha * A + a
 
 

@@ -1,7 +1,6 @@
 """Catalog transcription, instantiation and claim verification."""
 
 import dataclasses
-import functools
 import itertools
 
 import numpy as np
@@ -136,19 +135,24 @@ def _spy_verdicts(monkeypatch):
     """Record every claim verdict and algebra report that ``verify_entry``
     reads, in order, as ("claim", spec) and ("algebra", spec)."""
     read = []
-    real_judge, real_judged = catalog._judge, catalog._judged_algebra
+    real_judge, real_algebra = catalog._judge, catalog._algebra
 
     def judge(entry, spec, *args):
         read.append(("claim", spec))
         return real_judge(entry, spec, *args)
 
-    def judged(samples, claims):
-        for (spec, _, _), (verdict, rep) in zip(samples, real_judged(samples, claims)):
-            read.append(("algebra", spec))
-            yield verdict, rep
+    def algebra(samples, *args):
+        jets, reports = real_algebra(samples, *args)
+
+        def reading():
+            for (spec, _, _), rep in zip(samples, reports):
+                read.append(("algebra", spec))
+                yield rep
+
+        return jets, reading()
 
     monkeypatch.setattr(catalog, "_judge", judge)
-    monkeypatch.setattr(catalog, "_judged_algebra", judged)
+    monkeypatch.setattr(catalog, "_algebra", algebra)
     return read
 
 
@@ -174,8 +178,8 @@ def test_each_draw_samples_once_for_its_claim_and_its_algebra(rid, monkeypatch):
     # one row of each checked claim kind: the claim's geometry check reads
     # the jets the algebra's pass built on the one sample the draw takes
     sampled, claimed, checked = [], [], []
-    real_sample, real_judge, real_judged = (catalog.sample_points, catalog._judge,
-                                            catalog._judged_algebra)
+    real_sample, real_judge, real_algebra = (catalog.sample_points, catalog._judge,
+                                             catalog._algebra)
 
     def sample(*args, **kwargs):
         sampled.append(real_sample(*args, **kwargs))
@@ -185,14 +189,14 @@ def test_each_draw_samples_once_for_its_claim_and_its_algebra(rid, monkeypatch):
         claimed.append([s.val for s in jets.seeds])
         return real_judge(entry, spec, scale, jets)
 
-    def judged(samples, claims):
+    def algebra(samples, *args):
         checked.extend(pts for _, _, pts in samples)
-        return real_judged(samples, claims)
+        return real_algebra(samples, *args)
 
     for module in (catalog, geometry):
         monkeypatch.setattr(module, "sample_points", sample)
     monkeypatch.setattr(catalog, "_judge", judge)
-    monkeypatch.setattr(catalog, "_judged_algebra", judged)
+    monkeypatch.setattr(catalog, "_algebra", algebra)
     v = verify_entry(_row(rid), free_draws=3)
     assert v.status == "verified"
     assert len(sampled) == len(v.details["draws"]) >= 3
@@ -381,7 +385,7 @@ def test_a_failing_draw_is_reported_before_a_later_draw_raises(monkeypatch):
     # in turn, the second draw's failing algebra ends the row before the
     # third draw's claim raises; with nothing failing before it, it raises
     row = _row("F_2")
-    real_judge, real_judged = catalog._judge, catalog._judged_algebra
+    real_judge, real_algebra = catalog._judge, catalog._algebra
     calls = []
 
     def judge(entry, spec, *args):
@@ -390,17 +394,18 @@ def test_a_failing_draw_is_reported_before_a_later_draw_raises(monkeypatch):
             raise ConstraintError("third claim")
         return real_judge(entry, spec, *args)
 
-    def judged(samples, claims):
+    def algebra(samples, *args):
         failing = (Identity("HA", 1.0, 0.0),)
-        for i, (verdict, rep) in enumerate(real_judged(samples, claims)):
-            yield verdict, dataclasses.replace(rep, identities=failing) if i == 1 else rep
+        jets, reports = real_algebra(samples, *args)
+        return jets, (dataclasses.replace(rep, identities=failing) if i == 1 else rep
+                      for i, rep in enumerate(reports))
 
     monkeypatch.setattr(catalog, "_judge", judge)
-    monkeypatch.setattr(catalog, "_judged_algebra", judged)
+    monkeypatch.setattr(catalog, "_algebra", algebra)
     v = verify_entry(row, free_draws=5)
     assert (v.status, v.draws, v.details["failed_at"]["algebra_pass"]) == ("failed", 2, False)
     assert len(calls) == 2
-    monkeypatch.setattr(catalog, "_judged_algebra", real_judged)
+    monkeypatch.setattr(catalog, "_algebra", real_algebra)
     with pytest.raises(ConstraintError, match="third claim"):
         calls.clear()
         verify_entry(row, free_draws=5)
@@ -440,25 +445,24 @@ _CERTIFICATES = list(itertools.product(("plus", "minus"), ("liouville", "transfo
                                                            "eta-only")))
 
 
-def _from_jets(spec, jets):
+def _from_jets(spec, jets, jets1):
     """Every geometry check of every claim kind and coordinate system, judged
-    from a sample's jets."""
-    xi, eta = jets.seeds[:2]
+    from a sample's jets: the curvature from ``jets``, the rest from
+    ``jets1``."""
+    xi, eta = jets1.seeds[:2]
     return ([_outcome(geometry.curvature_class_of, jets)]
-            + [_outcome(geometry.revolution_tag_of, spec, jets, c) for c in _COORDS]
-            + [_outcome(geometry._directional_residuals, spec, xi, eta, c, jets.g)
+            + [_outcome(geometry.revolution_tag_of, spec, jets1, c) for c in _COORDS]
+            + [_outcome(geometry._directional_residuals, spec, xi, eta, c, jets1.g)
                for c in _COORDS]
-            + [_outcome(geometry.linear_residual_of, spec, jets, s, c)
+            + [_outcome(geometry.linear_residual_of, spec, jets1, s, c)
                for s, c in _CERTIFICATES])
 
 
 def _alone(spec, pts):
-    """The same checks, each by the per-sample geometry function."""
-    return ([_outcome(geometry.curvature_class, spec, pts)]
-            + [_outcome(geometry.revolution_tag, spec, pts, c) for c in _COORDS]
-            + [_outcome(geometry._directional_residuals, spec, pts.xi, pts.eta, c)
-               for c in _COORDS]
-            + [_outcome(geometry.linear_residual, spec, pts, s, c) for s, c in _CERTIFICATES])
+    """The same checks on fresh jets of the sample alone, of order 2 for the
+    curvature and of order 1 for the rest, as the sampling wrappers take
+    them."""
+    return _from_jets(spec, SampleJets(spec, pts), SampleJets(spec, pts, 1))
 
 
 _CHECKED = [e.row_id for e in lookup(include_aliases=False) if e.machine_checkable]
@@ -490,9 +494,10 @@ def test_claims_from_the_pass_equal_the_per_sample_checks(row_ids, sizes, seed):
                 continue
             samples.append((spec, seed, pts))
     assume(samples)
-    claims = [functools.partial(_from_jets, spec) for spec, _, _ in samples]
     with np.errstate(all="ignore"):
-        judged = [verdict for verdict, _ in poisson._judged_algebra(samples, claims)]
+        jets, _ = poisson._algebra(samples, True)
+        judged = [_from_jets(spec, j, j)
+                  for (spec, _, _), j in zip(samples, jets, strict=True)]
         assert judged == [_alone(spec, pts) for spec, _, pts in samples]
 
 
@@ -516,6 +521,27 @@ def test_a_row_whose_grouped_pass_raises_is_judged_draw_by_draw(monkeypatch):
     monkeypatch.setattr(poisson, "group_fns", group_fns)
     assert [verify_entry(e, free_draws=2).to_dict() for e in rows] == want
     assert len(fresh) == sum(len(w["details"]["draws"]) for w in want)
+
+
+def test_a_one_draw_row_whose_pass_raises_judges_its_claim_first(monkeypatch):
+    # a group of one whose pass leaves its domain still has its claim judged,
+    # from fresh jets of its sample, before its algebra raises
+    def group_fns(specs, counts):
+        raise DomainError("metric", 0.0, "every pass")
+
+    judged, real_judge = [], catalog._judge
+    monkeypatch.setattr(poisson, "group_fns", group_fns)
+    monkeypatch.setattr(catalog, "_judge",
+                        lambda *a: judged.append(a[1]) or real_judge(*a))
+    row = _row("GL_1")
+    assert not any(c["kind"] == "curvature" for c in row.constraints.values())
+    with pytest.raises(ConstraintError, match="hand_built"):
+        verify_entry(dataclasses.replace(row, row_id="hand_built", annotation={}),
+                     free_draws=1)
+    judged.clear()
+    with pytest.raises(DomainError, match="every pass"):
+        verify_entry(row, free_draws=1)
+    assert len(judged) == 1
 
 
 def test_the_affine_correction_judges_no_claim_again(monkeypatch):

@@ -3,17 +3,23 @@
 import numpy as np
 import pytest
 from superint.errors import DomainError
-from superint.geometry import (TOL_LINEAR, classify_curvature, curvature, curvature_class,
-                               linear_integral_check, linear_residual, revolution_check,
-                               revolution_tag)
+from superint.geometry import (TOL_LINEAR, classify_curvature, curvature, curvature_class_of,
+                               linear_integral_check, linear_residual_of, revolution_check,
+                               revolution_tag_of)
 from superint.jets import CoordJet
 from superint.poisson import DEFAULT_SEED
-from superint.systems import SystemSpec, build_fns, sample_points
+from superint.systems import SampleJets, SystemSpec, build_fns, sample_points
 
 
 def _sampled(spec):
     """The 50 points the sampling wrappers draw by default."""
     return sample_points(spec, 50, np.random.default_rng(DEFAULT_SEED))
+
+
+def _jets(spec):
+    """The order-1 jets on those points that the revolution and linear
+    wrappers read."""
+    return SampleJets(spec, _sampled(spec), 1)
 
 
 def _fd_curvature_oracle(g_fn, xi, eta, h=1e-5):
@@ -91,7 +97,7 @@ def test_a_curvature_that_is_not_finite_is_a_domain_error(spec, n_bad):
         K = curvature(spec, pts.xi, pts.eta)
         assert (~np.isfinite(K)).sum() == n_bad
         with pytest.raises(DomainError, match="max [|]K[|] is nan, not finite"):
-            curvature_class(spec, pts)
+            curvature_class_of(SampleJets(spec, pts))
         with pytest.raises(DomainError, match="not finite"):
             classify_curvature(spec)
 
@@ -125,7 +131,7 @@ def test_revolution_generic_neither():
 def test_revolution_r10_transformed_only():
     spec = SystemSpec("II1", kappa=0.8, nu=1.2)
     assert revolution_check(spec) == "Neither"
-    assert revolution_tag(spec, _sampled(spec), "transformed") == "SumOnly"
+    assert revolution_tag_of(spec, _jets(spec), "transformed") == "SumOnly"
 
 
 def test_linear_gl1_plus_sign():
@@ -156,13 +162,13 @@ def test_linear_free_constant_metric_both_signs():
     assert linear_integral_check(spec, "minus") <= 1e-12
     # g and w of this Lie metric depend on eta alone: p_eta is not conserved
     lie = SystemSpec("II1", mu=0.5, nu=1.0, m=0.3, n=0.2)
-    assert linear_residual(lie, _sampled(lie), "plus", "eta-only") > 1e-3
+    assert linear_residual_of(lie, _jets(lie), "plus", "eta-only") > 1e-3
 
 
 def test_linear_gl3_needs_transformed_coordinates():
     spec = SystemSpec("I2", lam=0.6, nu=1.1, ell=0.2, n=0.4)
     assert linear_integral_check(spec, "minus") > 1e-3
-    assert linear_residual(spec, _sampled(spec), "minus", "transformed") <= 1e-9
+    assert linear_residual_of(spec, _jets(spec), "minus", "transformed") <= 1e-9
 
 
 @pytest.mark.xfail(strict=True, reason="|num| / (1 + scale) is an absolute test when "
