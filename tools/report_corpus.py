@@ -40,7 +40,7 @@ The corpus is:
 * ``revolution_tag_of`` in both coordinate systems, with the largest
   directional residuals behind it, and ``linear_residual_of`` for every
   sign and coordinate choice (p_xi +/- p_eta, p_X +/- p_Y, p_eta), each on
-  the order-1 ``SampleJets`` of the 50 points the sampling wrappers
+  the ``SampleJets`` of the 50 points the sampling wrappers
   ``revolution_check`` and ``linear_integral_check`` draw, on the six
   reference specs, the random draws and three specs with such a structure;
 * ``characteristic_residual``, both ``structural_pde_residual`` pairs and
@@ -284,15 +284,15 @@ def _sampled(spec):
 
 
 def _revolution(spec, coords):
-    return geometry.revolution_tag_of(spec, SampleJets(spec, _sampled(spec), 1), coords)
+    return geometry.revolution_tag_of(spec, SampleJets(spec, _sampled(spec)), coords)
 
 
 def _linear(spec, sign, coords):
-    return geometry.linear_residual_of(spec, SampleJets(spec, _sampled(spec), 1), sign, coords)
+    return geometry.linear_residual_of(spec, SampleJets(spec, _sampled(spec)), sign, coords)
 
 
 def _directional(spec, pts, coords):
-    jets = SampleJets(spec, pts, 1)
+    jets = SampleJets(spec, pts)
     return geometry._directional_residuals(spec, *jets.seeds[:2], coords, jets.g)
 
 
