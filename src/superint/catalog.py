@@ -248,16 +248,20 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_S
     verification of the instantiated system read that sample; passing
     requires both.  The draws are taken first, and their algebra checks run
     together (``superint.poisson._algebra``), whose pass hands back the jets
-    it built on each draw's points (fresh jets of each draw's sample, whose
-    algebra is re-run alone, where the pass leaves a domain).  The draws are
-    then judged in order, each claim from its draw's jets before its
-    algebra report is read, and the first draw where either fails is
-    reported, as checking each draw in turn would report it, with the same
-    error where one raises; the draws after it are sampled and evaluated,
-    but never judged.
-    A draw whose sampling fails is redrawn, up to six times.  Metadata-only
-    claims report ``unverifiable`` (not failed).  ``free_draws`` below 1
-    raises ``ValueError``: a row checked zero times is not verified.
+    it built on each draw's points.  Where the pass leaves a domain, each
+    draw gets fresh jets of its sample, and its algebra is re-run alone; a
+    row of one draw raises its pass's error when its report is read, after
+    its claim, without a second pass.  The draws are then judged in order,
+    each claim from its draw's jets before its algebra report is read, and
+    the first draw where either fails is reported, as checking each draw in
+    turn would report it, with the same error where one raises; the draws
+    after it are sampled and evaluated, but never judged.
+    A draw whose sampling fails is redrawn, up to six times; a draw that
+    fails six times ends the row as ``failed`` once the draws before it are
+    judged.  An error raised while taking a draw is raised once the draws
+    before it are judged, unless one of them fails.  Metadata-only claims
+    report ``unverifiable`` (not failed).  ``free_draws`` below 1 raises
+    ``ValueError``: a row checked zero times is not verified.
     """
     if free_draws < 1:
         raise ValueError(f"free_draws must be at least 1, got {free_draws}")
@@ -272,7 +276,7 @@ def verify_entry(entry: CatalogEntry, free_draws: int = 5, seed: int = DEFAULT_S
     except Exception as exc:
         # raised once the draws before it have their verdicts, as in turn
         error = exc
-    jets, reports = _algebra([(spec, s, pts) for _, _, spec, s, pts in draws], True)
+    jets, reports = _algebra([(spec, s, pts) for _, _, spec, s, pts in draws])
     details = {"draws": []}
     for (i, scale, spec, _, _), sample_jets in zip(draws, jets):
         ok, info = _judge(entry, spec, scale, sample_jets)

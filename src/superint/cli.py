@@ -151,7 +151,7 @@ def _cmd_curvature(args):
 
 def _cmd_revolution(args):
     spec = _spec_from_args(args)
-    jets = SampleJets(spec, sample_points(spec, args.points, np.random.default_rng(args.seed)), 1)
+    jets = SampleJets(spec, sample_points(spec, args.points, np.random.default_rng(args.seed)))
     out = {coords: geometry.revolution_tag_of(spec, jets, coords)
            for coords in ("liouville", "transformed")}
     doc = {**report_header("revolution", spec, args.seed, args.points), "result": out}
@@ -164,7 +164,7 @@ def _cmd_revolution(args):
 def _cmd_linear(args):
     spec = _spec_from_args(args)
     signs = ("plus", "minus") if args.sign == "both" else (args.sign,)
-    jets = SampleJets(spec, sample_points(spec, args.points, np.random.default_rng(args.seed)), 1)
+    jets = SampleJets(spec, sample_points(spec, args.points, np.random.default_rng(args.seed)))
     results = {}
     for sign in signs:
         for coords in ("liouville", "transformed"):

@@ -21,12 +21,12 @@ Each check is written once, as a function of the jets of a sample
 H): :func:`curvature_class_of` reads g, :func:`revolution_tag_of` g and the
 seeds, and :func:`linear_residual_of` H and the linear observable built on
 the seeds.  The catalog hands them the jets its algebra pass built; a
-caller with points of its own hands them ``SampleJets(spec, pts)``.
+caller with points of its own hands them ``SampleJets(spec, pts)``, as
+:func:`curvature` does with the points (xi, eta) at zero momenta.
 :func:`classify_curvature`, :func:`revolution_check` and
 :func:`linear_integral_check` draw ``sample_points(spec, n_points,
-default_rng(seed))`` and run the check on fresh jets of those points (of
-order 1 for the last two, which read no Hessian), the last two in the
-native coordinates.
+default_rng(seed))`` and run the check on fresh jets of those points, the
+last two in the native coordinates.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .jets import CoordJet, Observable, _norm
+from .jets import Observable, PhasePoint, _norm
 from .poisson import DEFAULT_SEED, bracket_value
-from .systems import SampleJets, SystemSpec, _solution, build_fns, sample_points
+from .systems import SampleJets, SystemSpec, _solution, sample_points
 
 __all__ = [
     "CurvatureClass",
@@ -75,15 +75,6 @@ class CurvatureClass:
     stddev: float
 
 
-def _metric_jet(spec: SystemSpec, xi, eta) -> CoordJet:
-    fns = build_fns(spec)
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if xi.shape != eta.shape:
-        xi, eta = np.broadcast_arrays(xi, eta)
-    return fns.metric(CoordJet.seed(xi, 0), CoordJet.seed(eta, 1))
-
-
 def _curvature(g):
     """Gaussian curvature K from the order-2 jet g of the metric."""
     g_xi, g_eta = g.grad[0], g.grad[1]
@@ -92,8 +83,12 @@ def _curvature(g):
 
 
 def curvature(spec: SystemSpec, xi, eta):
-    """Gaussian curvature K at (xi, eta); batched, momenta irrelevant."""
-    return _curvature(_metric_jet(spec, xi, eta))
+    """Gaussian curvature K at (xi, eta); batched, momenta irrelevant.
+
+    Raises :class:`DomainError` when a coordinate is not finite
+    (:class:`~superint.jets.PhasePoint`).
+    """
+    return _curvature(SampleJets(spec, PhasePoint(xi, eta, 0.0, 0.0)).g)
 
 
 def classify_curvature(spec: SystemSpec, n_points: int = 50,
@@ -165,7 +160,7 @@ def revolution_check(spec: SystemSpec, n_points: int = 50,
     """Sample the domain and classify the metric's direction dependence
     there, in the native coordinates (:func:`revolution_tag_of`)."""
     pts = sample_points(spec, n_points, np.random.default_rng(seed))
-    return revolution_tag_of(spec, SampleJets(spec, pts, 1))
+    return revolution_tag_of(spec, SampleJets(spec, pts))
 
 
 def revolution_tag_of(spec: SystemSpec, jets, coords: str = "liouville") -> str:
@@ -222,7 +217,7 @@ def linear_integral_check(spec: SystemSpec, sign: str, n_points: int = 50,
     """Sample the domain and take the max normalized residual of
     {H, p_xi +/- p_eta} there (:func:`linear_residual_of`)."""
     pts = sample_points(spec, n_points, np.random.default_rng(seed))
-    return linear_residual_of(spec, SampleJets(spec, pts, 1), sign)
+    return linear_residual_of(spec, SampleJets(spec, pts), sign)
 
 
 def linear_residual_of(spec: SystemSpec, jets, sign: str, coords: str = "liouville") -> float:

@@ -28,10 +28,11 @@ the affine correction, and a batch whose pass raises is re-run spec by
 spec, so every report, and the first error, is the one the sample gives
 alone.  ``verify_algebra`` and ``verify_casimir`` are groups of one;
 ``_algebra`` verifies many samples, as the catalog does with the draws of
-a row.  With ``keep``, the core also hands back the seeds, g and H that the
-pass built on each sample's points, or fresh jets of the sample's own
-points where the batched pass raised, so that a caller's geometry checks
-evaluate nothing a second time.
+a row.  The core also hands back the seeds, g and H that a pass of at most
+``_CHUNK`` points built on each sample's points, so that a caller's
+geometry checks evaluate nothing a second time; a sample of more points,
+or one whose batched pass raised, gets fresh jets of its own points,
+evaluated only if they are read.
 """
 
 from __future__ import annotations
@@ -380,32 +381,29 @@ def _passes(group, counts, cps):
     return passes
 
 
-def _cut(jets, lo, hi):
-    """One jet over the points ``lo:hi`` of ``jets``, the jets of one
-    quantity over consecutive chunks of a pass."""
-    first = jets[0]
-
-    def cut(parts):
-        return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1))[..., lo:hi]
-
-    return first._of(cut([j.val for j in jets]), cut([j.grad for j in jets]),
-                     None if first.order == 1 else cut([j.hess for j in jets]))
+def _cut(jet, lo, hi):
+    """``jet``, a jet over the points of one pass, at its points ``lo:hi``."""
+    return jet._of(jet.val[..., lo:hi], jet.grad[..., lo:hi],
+                   None if jet.order == 1 else jet.hess[..., lo:hi])
 
 
 class _Part:
-    """The seeds, g and H that a pass built (:func:`~superint.systems.integrals`'
-    ``keep``), at one sample's own points ``lo:hi``: the attributes of a
+    """The seeds, g and H that a pass of at most ``_CHUNK`` points built
+    (:func:`~superint.systems.integrals`' ``keep``), at one sample's own
+    points ``lo:hi``: the attributes of a
     :class:`~superint.systems.SampleJets`, each cut out on its first read.
 
-    ``kept`` holds one 6-tuple per chunk; a sample of more than ``_CHUNK``
-    points has a pass of its own, and its jets are joined over the chunks.
+    ``kept`` is the pass's 6-tuple.  An algebra pass keeps the seeds and g
+    of order 2 and H of order 1, the orders of ``SampleJets``, and the bits
+    of its values and derivatives are those of ``SampleJets`` on the
+    sample's points.
     """
 
     def __init__(self, kept, lo, hi):
         self._kept, self._lo, self._hi = kept, lo, hi
 
     def _column(self, k):
-        return _cut([chunk[k] for chunk in self._kept], self._lo, self._hi)
+        return _cut(self._kept[k], self._lo, self._hi)
 
     @functools.cached_property
     def seeds(self):
@@ -420,17 +418,22 @@ class _Part:
         return self._column(5)
 
 
-def _group_max(group, counts, cps, names, order, keep=False):
+def _group_max(group, counts, cps, names, order):
     """Each sample's max residual per identity, one dict per sample, from one
-    residual pass per set of samples that share one (:func:`_passes`), and,
-    with ``keep``, each sample's :class:`_Part` of its pass (else None).
+    residual pass per set of samples that share one (:func:`_passes`), and
+    the jets of each sample's points.
 
     The points of a pass are the samples' laid end to end, and each spec's
     parameters and structure constants are repeated over its own points
     (:func:`~superint.systems.group_fns`,
     :func:`~superint.systems.group_constants`), so every point's residuals
     are those of its spec's own pass.  A group of one runs on the spec's
-    own closed forms and constants.
+    own closed forms and constants.  A pass of at most ``_CHUNK`` points
+    keeps its seeds, g and H, and each of its samples gets its
+    :class:`_Part` of them; a sample of more points, whose pass of its own
+    is chunked, keeps none, and gets a
+    :class:`~superint.systems.SampleJets` of its points that evaluates
+    nothing until it is read.
     """
     worst = [None] * len(group)
     parts = [None] * len(group)
@@ -440,16 +443,15 @@ def _group_max(group, counts, cps, names, order, keep=False):
         sizes = [counts[i] for i in members]
         pts = samples[0] if len(samples) == 1 else PhasePoint.from_array(
             np.concatenate([p.as_array() for p in samples], axis=1))
-        hab, kept = integrals(group_fns(specs, sizes), order), []
-        if keep:
-            hab = functools.partial(hab, keep=kept)
+        kept = []
+        hab = functools.partial(integrals(group_fns(specs, sizes), order),
+                                keep=kept if pts.shape[0] <= _CHUNK else None)
         cp = group_constants([cps[i] for i in members], sizes)
         starts = list(itertools.accumulate(sizes[:-1], initial=0))
         for i, w in zip(members, _chunked_max(cp, hab, pts, names, starts=starts)):
             worst[i] = w
-        if keep:
-            for i, lo, n in zip(members, starts, sizes):
-                parts[i] = _Part(kept, lo, lo + n)
+        for i, lo, n in zip(members, starts, sizes):
+            parts[i] = _Part(kept[0], lo, lo + n) if kept else SampleJets(specs[0], pts)
     return worst, parts
 
 
@@ -492,13 +494,17 @@ def _finite(worst):
     return worst
 
 
-def _verify(kind, group, tols, trigger, keep=False):
+def _raising(exc):
+    """An iterator that raises ``exc`` when its first item is read."""
+    raise exc
+    yield  # a generator: nothing runs until the read
+
+
+def _verify(kind, group, tols):
     """Certify the identities named in ``tols`` on each sample of ``group``,
     ``(spec, seed, points)`` triples: ``(jets, reports)``.  ``reports`` is
-    an iterator of one report per sample, in order.  With ``keep``,
-    ``jets`` holds each sample's jets of its own points that its pass built
-    (the seeds, g and H, :class:`_Part`); without it, Nones, except where
-    the batched passes raise (below).
+    an iterator of one report per sample, in order, and ``jets`` holds each
+    sample's seeds, g and H on its own points (:func:`_group_max`).
 
     The samples are evaluated together, in one residual pass per set of
     specs that can share one (:func:`_group_max`), run by this call, and
@@ -508,30 +514,31 @@ def _verify(kind, group, tols, trigger, keep=False):
 
     * with :class:`DomainError`, as its report is read, when a residual
       maximum is not finite: NaN or inf is no residual a tolerance can judge;
-    * when an identity in ``trigger`` exceeds its tolerance: the
-      affine-match pre-step fits constant offsets for A and B on that
-      sample alone and re-verifies it, as its report is read;
-      ``correction_applied`` records that it was needed (it must not be,
-      for the printed forms);
+    * when an identity of the affine-match fit (``_FIT``) that ``tols``
+      names exceeds its tolerance: the affine-match pre-step fits constant
+      offsets for A and B on that sample alone and re-verifies it, as its
+      report is read; ``correction_applied`` records that it was needed (it
+      must not be, for the printed forms);
     * when the batched passes leave a domain (``DomainError``): each sample
       is then verified alone, in order, as its report is read, so the first
       error is the one that order raises, and a caller that stops at a
-      failing report raises none from the samples after it.  ``jets`` then
-      holds fresh jets of each sample's own points
-      (:class:`~superint.systems.SampleJets`).  A group of one raises at
-      once, unless ``keep`` asks for its jets.
+      failing report raises none from the samples after it.  A group of one
+      raises its pass's error again as its report is read, without a second
+      pass.  ``jets`` then holds fresh jets of each sample's own points
+      (:class:`~superint.systems.SampleJets`).
     """
+    trigger = [k for k in _FIT if k in tols]
     order = 2 if any(k in tols for k in _NESTED) else 1
     cps = [constants_poly(spec) for spec, _, _ in group]
     counts = [pts.shape[0] for _, _, pts in group]
     try:
-        maxima, parts = _group_max(group, counts, cps, tols, order, keep)
-    except DomainError:
-        if len(group) == 1 and not keep:
-            raise
-        return ([SampleJets(spec, pts) for spec, _, pts in group],
-                itertools.chain.from_iterable(
-                    _verify(kind, [sample], tols, trigger)[1] for sample in group))
+        maxima, parts = _group_max(group, counts, cps, tols, order)
+    except DomainError as exc:
+        fresh = [SampleJets(spec, pts) for spec, _, pts in group]
+        if len(group) == 1:
+            return fresh, _raising(exc)
+        return fresh, itertools.chain.from_iterable(
+            _verify(kind, [sample], tols)[1] for sample in group)
 
     def report(sample, n_points, cp, worst):
         spec, seed, pts = sample
@@ -558,11 +565,11 @@ def verify_algebra(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SE
     compatibility and has no effect.
     """
     pts = sample_points(spec, n_points, np.random.default_rng(seed))
-    report, = _algebra([(spec, seed, pts)], False, tol_bracket, tol_nested)[1]
+    report, = _algebra([(spec, seed, pts)], tol_bracket, tol_nested)[1]
     return report
 
 
-def _algebra(samples, keep=False, tol_bracket=TOL_BRACKET, tol_nested=TOL_NESTED):
+def _algebra(samples, tol_bracket=TOL_BRACKET, tol_nested=TOL_NESTED):
     """:func:`verify_algebra` on each ``(spec, seed, points)`` of ``samples``,
     where ``points`` is the spec's sample at ``seed``: ``(jets, reports)``
     (:func:`_verify`).
@@ -572,7 +579,7 @@ def _algebra(samples, keep=False, tol_bracket=TOL_BRACKET, tol_nested=TOL_NESTED
     """
     tols = {"HA": tol_bracket, "HB": tol_bracket, "HC": tol_bracket,
             "AC_row": tol_nested, "BC_row": tol_nested}
-    return _verify("algebra", list(samples), tols, ("AC_row", "BC_row"), keep)
+    return _verify("algebra", list(samples), tols)
 
 
 def verify_casimir(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SEED,
@@ -583,7 +590,7 @@ def verify_casimir(spec: SystemSpec, n_points: int = 100, seed: int = DEFAULT_SE
     accepted for compatibility and has no effect.
     """
     pts = sample_points(spec, n_points, np.random.default_rng(seed))
-    report, = _verify("casimir", [(spec, seed, pts)], {"casimir": tol}, ("casimir",))[1]
+    report, = _verify("casimir", [(spec, seed, pts)], {"casimir": tol})[1]
     return report
 
 

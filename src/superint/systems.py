@@ -565,7 +565,8 @@ def integrals(spec, order: int = 2) -> Callable[[PhasePoint], tuple]:
 
     ``evaluate(point, keep)`` also appends to the list ``keep`` the jets of
     the pass that the geometry checks read: the four seeds, g and H, as a
-    6-tuple (:class:`SampleJets` names them).
+    6-tuple (:class:`SampleJets` names them).  At ``order`` 2 they have the
+    orders of :class:`SampleJets` on the same points, and its bits.
     """
     fns = spec if isinstance(spec, SystemFns) else build_fns(spec)
 
@@ -584,21 +585,22 @@ def integrals(spec, order: int = 2) -> Callable[[PhasePoint], tuple]:
 
 class SampleJets:
     """The jets the geometry checks read on the points ``pts`` of ``spec``,
-    each evaluated on its first read, at ``order``: ``seeds``, the four
-    phase seeds (:func:`~superint.jets.seed_phase`); ``g``, the metric on
-    the coordinate seeds; and ``H`` on all four.
+    each evaluated on its first read: ``seeds``, the four phase seeds
+    (:func:`~superint.jets.seed_phase`), and ``g``, the metric on the
+    coordinate seeds, of order 2; and ``H`` on the seeds' order-1 views,
+    of order 1.
 
-    They equal the seeds, g and H of an :func:`integrals` pass over the same
-    points (value and gradient, and the Hessian of g at ``order`` 2) bit for
-    bit, so a check reads the same numbers from either.
+    These are the orders of the seeds, g and H that an algebra pass of
+    :func:`integrals` keeps, and over the same points they are equal to
+    those bit for bit, so a check reads the same numbers from either.
     """
 
-    def __init__(self, spec: SystemSpec, pts: PhasePoint, order: int = 2):
-        self._spec, self._pts, self._order = spec, pts, order
+    def __init__(self, spec: SystemSpec, pts: PhasePoint):
+        self._spec, self._pts = spec, pts
 
     @functools.cached_property
     def seeds(self):
-        return seed_phase(self._pts, self._order)
+        return seed_phase(self._pts)
 
     @functools.cached_property
     def g(self):
@@ -606,7 +608,7 @@ class SampleJets:
 
     @functools.cached_property
     def H(self):
-        return hamiltonian(self._spec).fn(*self.seeds)
+        return hamiltonian(self._spec).fn(*(s.first_order() for s in self.seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +618,6 @@ class SampleJets:
 def _univariate_jet(fn, x):
     """(fn(x), fn'(x), fn''(x)) for a univariate callable, via a jet in slot 0."""
     j = fn(CoordJet.seed(np.asarray(x, dtype=float), 0))
-    if not isinstance(j, Jet2):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.asarray(j, dtype=float), x.shape), np.zeros(x.shape), np.zeros(x.shape)
     return j.val, j.grad[0], j.hess_at(0, 0)
 
 
@@ -905,14 +904,14 @@ def group_constants(cps, counts) -> ConstantsPoly:
 
 def pass_key(spec: SystemSpec, cp: ConstantsPoly) -> tuple:
     """What specs must share to be evaluated in one pass, each point as it is
-    alone: the subclass, the basis functions each closed form keeps (those
-    whose coefficient is non-zero, :func:`_terms`), and the characteristic
-    constants and the length of each coefficient array of ``cp``, the spec's
-    :func:`constants_poly`."""
+    alone: the subclass, which also fixes the characteristic constants of
+    :func:`constants_poly`, the basis functions each closed form keeps (those
+    whose coefficient is non-zero, :func:`_terms`), and the length of each
+    coefficient array of ``cp``, the spec's :func:`constants_poly`."""
     forms = _forms(spec.tag, *spec.metric_params) + _forms(spec.tag, *spec.potential_params)
     return (spec.tag,
             tuple(None if f is None else tuple(b for _, b in f.args[0]) for f in forms),
-            (cp.alpha, cp.gamma, cp.a), tuple(len(getattr(cp, name)) for name in _POLY_FIELDS))
+            tuple(len(getattr(cp, name)) for name in _POLY_FIELDS))
 
 
 def algebra_constants(spec: SystemSpec, E: float) -> AlgebraConstants:

@@ -156,12 +156,18 @@ def _spy_verdicts(monkeypatch):
     return read
 
 
+def _curved_f4():
+    """F_4 with nu = 1 fixed: g = kappa xi eta + 1 is curved, so its
+    curvature_zero claim fails at draw 0."""
+    base = _row("F_4")
+    return dataclasses.replace(base, row_id="F_4_tampered", constraints={
+        **base.constraints, "nu": {"kind": "fixed", "value": 1.0}})
+
+
 def test_no_verdict_is_read_after_a_failing_claim(monkeypatch):
     # the draws after a failing claim are sampled and evaluated with the
     # row's pass, but neither their claim nor their algebra is judged
-    base = _row("F_4")
-    tampered = dataclasses.replace(base, row_id="F_4_tampered", constraints={
-        **base.constraints, "nu": {"kind": "fixed", "value": 1.0}})
+    tampered = _curved_f4()
     sampled = []
     real_sample = catalog.sample_points
     monkeypatch.setattr(catalog, "sample_points",
@@ -445,24 +451,22 @@ _CERTIFICATES = list(itertools.product(("plus", "minus"), ("liouville", "transfo
                                                            "eta-only")))
 
 
-def _from_jets(spec, jets, jets1):
+def _from_jets(spec, jets):
     """Every geometry check of every claim kind and coordinate system, judged
-    from a sample's jets: the curvature from ``jets``, the rest from
-    ``jets1``."""
-    xi, eta = jets1.seeds[:2]
+    from a sample's jets."""
+    xi, eta = jets.seeds[:2]
     return ([_outcome(geometry.curvature_class_of, jets)]
-            + [_outcome(geometry.revolution_tag_of, spec, jets1, c) for c in _COORDS]
-            + [_outcome(geometry._directional_residuals, spec, xi, eta, c, jets1.g)
+            + [_outcome(geometry.revolution_tag_of, spec, jets, c) for c in _COORDS]
+            + [_outcome(geometry._directional_residuals, spec, xi, eta, c, jets.g)
                for c in _COORDS]
-            + [_outcome(geometry.linear_residual_of, spec, jets1, s, c)
+            + [_outcome(geometry.linear_residual_of, spec, jets, s, c)
                for s, c in _CERTIFICATES])
 
 
 def _alone(spec, pts):
-    """The same checks on fresh jets of the sample alone, of order 2 for the
-    curvature and of order 1 for the rest, as the sampling wrappers take
-    them."""
-    return _from_jets(spec, SampleJets(spec, pts), SampleJets(spec, pts, 1))
+    """The same checks on fresh jets of the sample alone, as the sampling
+    wrappers take them."""
+    return _from_jets(spec, SampleJets(spec, pts))
 
 
 _CHECKED = [e.row_id for e in lookup(include_aliases=False) if e.machine_checkable]
@@ -495,8 +499,8 @@ def test_claims_from_the_pass_equal_the_per_sample_checks(row_ids, sizes, seed):
             samples.append((spec, seed, pts))
     assume(samples)
     with np.errstate(all="ignore"):
-        jets, _ = poisson._algebra(samples, True)
-        judged = [_from_jets(spec, j, j)
+        jets, _ = poisson._algebra(samples)
+        judged = [_from_jets(spec, j)
                   for (spec, _, _), j in zip(samples, jets, strict=True)]
         assert judged == [_alone(spec, pts) for spec, _, pts in samples]
 
@@ -525,8 +529,12 @@ def test_a_row_whose_grouped_pass_raises_is_judged_draw_by_draw(monkeypatch):
 
 def test_a_one_draw_row_whose_pass_raises_judges_its_claim_first(monkeypatch):
     # a group of one whose pass leaves its domain still has its claim judged,
-    # from fresh jets of its sample, before its algebra raises
+    # from fresh jets of its sample, before its algebra raises the error of
+    # that one pass again, without building the pass a second time
+    passes = []
+
     def group_fns(specs, counts):
+        passes.append(len(specs))
         raise DomainError("metric", 0.0, "every pass")
 
     judged, real_judge = [], catalog._judge
@@ -539,9 +547,78 @@ def test_a_one_draw_row_whose_pass_raises_judges_its_claim_first(monkeypatch):
         verify_entry(dataclasses.replace(row, row_id="hand_built", annotation={}),
                      free_draws=1)
     judged.clear()
+    passes.clear()
     with pytest.raises(DomainError, match="every pass"):
         verify_entry(row, free_draws=1)
-    assert len(judged) == 1
+    assert len(judged) == 1 and passes == [1]
+
+
+def _failing_sampler(monkeypatch, fails):
+    """Make ``catalog.sample_points`` raise ``SamplingError`` on the calls
+    whose index ``fails`` accepts; returns the list of the specs it is
+    called with."""
+    real_sample, calls = catalog.sample_points, []
+
+    def sample(spec, *args):
+        calls.append(spec)
+        if fails(len(calls) - 1):
+            raise SamplingError("no point kept")
+        return real_sample(spec, *args)
+
+    monkeypatch.setattr(catalog, "sample_points", sample)
+    return calls
+
+
+def test_a_draw_whose_sampling_fails_is_redrawn(monkeypatch):
+    calls = _failing_sampler(monkeypatch, lambda k: k == 0)
+    read = _spy_verdicts(monkeypatch)
+    v = verify_entry(_row("F_2"), free_draws=2)
+    assert (v.status, v.draws, len(v.details["draws"])) == ("verified", 2, 2)
+    # the redraw takes new free values, and only the two drawn samples are judged
+    assert len(calls) == 3 and calls[0] != calls[1]
+    assert [spec for _, spec in read] == [calls[1], calls[1], calls[2], calls[2]]
+
+
+def test_a_draw_whose_sampling_keeps_failing_fails_the_row(monkeypatch):
+    # draw 0 samples; draw 1 fails six times: the row fails at draw 1 once
+    # draw 0 is judged, and draw 2 is never taken
+    calls = _failing_sampler(monkeypatch, lambda k: k > 0)
+    read = _spy_verdicts(monkeypatch)
+    v = verify_entry(_row("F_2"), free_draws=3)
+    assert (v.status, v.draws, v.details) == ("failed", 1, {"error": "sampling kept failing"})
+    assert len(calls) == 7
+    assert read == [("claim", calls[0]), ("algebra", calls[0])]
+
+
+def _raising_instantiate(monkeypatch, at):
+    """Make ``catalog.instantiate`` raise ``ConstraintError`` on its call of
+    index ``at``, the first attempt at draw ``at`` of a row of one scale."""
+    real, calls = catalog.instantiate, []
+
+    def instantiate(*args):
+        calls.append(None)
+        if len(calls) - 1 == at:
+            raise ConstraintError(f"draw {at} cannot be instantiated")
+        return real(*args)
+
+    monkeypatch.setattr(catalog, "instantiate", instantiate)
+
+
+def test_an_error_taking_a_draw_is_raised_after_the_draws_before_it(monkeypatch):
+    _raising_instantiate(monkeypatch, 2)
+    read = _spy_verdicts(monkeypatch)
+    with pytest.raises(ConstraintError, match="draw 2"):
+        verify_entry(_row("F_2"), free_draws=4)
+    assert [kind for kind, _ in read] == ["claim", "algebra"] * 2
+
+
+def test_an_error_taking_a_draw_is_not_raised_after_a_failing_draw(monkeypatch):
+    # draw 0 fails before draw 2's error is due
+    _raising_instantiate(monkeypatch, 2)
+    read = _spy_verdicts(monkeypatch)
+    v = verify_entry(_curved_f4(), free_draws=4)
+    assert (v.status, v.draws, v.details["failed_at"]["draw"]) == ("failed", 1, 0)
+    assert [kind for kind, _ in read] == ["claim", "algebra"]
 
 
 def test_the_affine_correction_judges_no_claim_again(monkeypatch):

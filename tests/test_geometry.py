@@ -17,9 +17,9 @@ def _sampled(spec):
 
 
 def _jets(spec):
-    """The order-1 jets on those points that the revolution and linear
-    wrappers read."""
-    return SampleJets(spec, _sampled(spec), 1)
+    """The jets on those points that the revolution and linear wrappers
+    read."""
+    return SampleJets(spec, _sampled(spec))
 
 
 def _fd_curvature_oracle(g_fn, xi, eta, h=1e-5):
@@ -100,6 +100,12 @@ def test_a_curvature_that_is_not_finite_is_a_domain_error(spec, n_bad):
             curvature_class_of(SampleJets(spec, pts))
         with pytest.raises(DomainError, match="not finite"):
             classify_curvature(spec)
+
+
+@pytest.mark.parametrize("xi, eta", [(np.nan, 1.0), (1.0, [0.5, np.inf])])
+def test_a_curvature_at_a_coordinate_that_is_not_finite_is_a_domain_error(xi, eta):
+    with pytest.raises(DomainError, match="non-finite component"):
+        curvature(SystemSpec("I1", kappa=1.0, nu=2.0), xi, eta)
 
 
 def test_negative_conformal_factor_supported():

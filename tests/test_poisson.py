@@ -151,8 +151,8 @@ def test_affine_correction_absorbs_constant_offset(monkeypatch):
     def shifted_integrals(spec, order=2):
         hab = real_integrals(spec, order)
 
-        def evaluate(point):
-            H, A, B = hab(point)
+        def evaluate(point, keep=None):
+            H, A, B = hab(point, keep)
             return H, A + 3.0, B
 
         return evaluate
@@ -254,8 +254,8 @@ def _spy_integrals(monkeypatch, orders):
     def spy(spec, order=2):
         hab = real(spec, order)
 
-        def evaluate(point):
-            jets = hab(point)
+        def evaluate(point, keep=None):
+            jets = hab(point, keep)
             orders.append(tuple(j.order for j in jets))
             return jets
 
