@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .jets import Observable, PhasePoint, _norm
+from .jets import Observable, PhasePoint, _ipow, _norm
 from .poisson import DEFAULT_SEED, bracket_value
 from .systems import SampleJets, SystemSpec, _solution, sample_points
 
@@ -79,7 +79,7 @@ def _curvature(g):
     """Gaussian curvature K from the order-2 jet g of the metric."""
     g_xi, g_eta = g.grad[0], g.grad[1]
     g_cross = g.hess_at(0, 1)
-    return -(g.val * g_cross - g_xi * g_eta) / (2.0 * g.val**3)
+    return -(g.val * g_cross - g_xi * g_eta) / (2.0 * _ipow(g.val, 3))
 
 
 def curvature(spec: SystemSpec, xi, eta):

@@ -49,6 +49,16 @@ Both share one derivative rule per primitive (f, f' and f'' at the value);
 each applies the chain rule to its own storage, and both raise the same
 :class:`DomainError` outside a primitive's domain, NaN included.
 
+Integer powers of arrays other than squares (in ``x**n`` and the inverse's
+``v**3``, and in the closed forms and the curvature of the other modules)
+are taken as ``|v|**n`` with the sign put back for odd n (``_ipow``):
+numpy's float64 pow is vectorised for non-negative bases only, and its
+scalar path for negative ones is more than an order of magnitude slower and
+rounds otherwise.  So ``-x`` gives the sign image of ``x`` bit for bit, and
+a 0-d point the bits it has in a batch.  A square stays ``v**2``, which
+numpy computes as ``v * v``.  :class:`Dual4` and the traced floats of
+:func:`trace` keep Python's float ``**``.
+
 :func:`straight_line` runs a function of floats once on symbolic floats,
 records every float operation, math or numpy call and domain check in
 order, and compiles them into a straight-line function that gives the
@@ -104,6 +114,23 @@ def _packed(nv):
     unpack = np.empty((nv, nv), dtype=int)
     unpack[iu, ju] = unpack[ju, iu] = np.arange(iu.size)
     return iu, ju, unpack
+
+
+def _ipow(v, n):
+    """``v**n`` for an integer ``n``; of a float64 array ``v``, ``|v|**n`` with
+    the sign put back for odd ``n``, so that both signs take numpy's
+    vectorised pow (see the module docstring).  ``|v|`` is raised as an array
+    also where ``v`` is 0-d and ``np.abs`` returns a numpy scalar, whose pow
+    is the C library's.  On an array, ``n`` = 1 returns ``v`` itself and
+    ``n`` = 2 keeps ``v**2``; anything else (a float or numpy scalar, a dual,
+    a traced float, a jet) keeps ``**``.
+    """
+    if n == 2 or not isinstance(v, np.ndarray):
+        return v**n
+    if n == 1:
+        return v
+    p = np.asarray(np.abs(v)) ** n
+    return np.copysign(p, v) if n % 2 else p
 
 
 @dataclass(frozen=True)
@@ -163,9 +190,9 @@ class _Jet:
     """The derivative rules shared by :class:`Jet2` and :class:`Dual4`.
 
     Each rule computes f, f' and f'' at ``val`` in the math namespace ``_m``
-    and hands them to ``_chain``; f'' only where the jet carries a Hessian
-    (``_hess`` is not None: never for ``Dual4`` or an order-1 jet, whose
-    ``_chain`` does not read it).  Domain checks give
+    (an integer power with ``_ipow``) and hands them to ``_chain``; f'' only
+    where the jet carries a Hessian (``_hess`` is not None: never for
+    ``Dual4`` or an order-1 jet, whose ``_chain`` does not read it).  Domain checks give
     ``_require`` the condition that must hold (``val > 0``), so NaN, for
     which every comparison is false, fails them.  Subclasses keep the
     storage arithmetic: +, -, * and negation.  Both keep the values computed
@@ -215,13 +242,13 @@ class _Jet:
             # 2 * v**1 and 2 * v**0 of the rule below, whose v**1 is v and v**0
             # is 1, NaN and inf included
             return self._chain(v**2, 2 * v, 2)
-        return self._chain(v**n, n * v ** (n - 1),
-                           self._hess is not None and n * (n - 1) * v ** (n - 2))
+        return self._chain(_ipow(v, n), n * _ipow(v, n - 1),
+                           self._hess is not None and n * (n - 1) * _ipow(v, n - 2))
 
     def inv(self):
         v = self.val
         self._require(v != 0.0, "inv")
-        return self._chain(1.0 / v, -1.0 / v**2, self._hess is not None and 2.0 / v**3)
+        return self._chain(1.0 / v, -1.0 / v**2, self._hess is not None and 2.0 / _ipow(v, 3))
 
     def sqrt(self):
         v = self.val
@@ -605,10 +632,7 @@ class _TraceDual(Dual4):
     _m = SimpleNamespace(**{k: _traced_call(f) for k, f in vars(_FLOAT_MATH).items()})
 
     def _require(self, ok, primitive):
-        if isinstance(ok, _Sym):
-            ok.tape.guard(ok, primitive, self.val)
-        else:
-            Dual4._require(self, ok, primitive)
+        ok.tape.guard(ok, primitive, self.val)
 
 
 def straight_line(fn, nargs):

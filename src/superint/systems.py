@@ -33,8 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SamplingError
-from .jets import (CoordJet, Jet2, Observable, PhasePoint, _Jet, _norm, arctan, exp,
-                   log, seed_phase, sqrt, tan)
+from .jets import (CoordJet, Jet2, Observable, PhasePoint, _ipow, _Jet, _norm, arctan,
+                   exp, log, seed_phase, sqrt, tan)
 
 __all__ = [
     "CLASS_TAGS",
@@ -289,7 +289,7 @@ _tan = lambda x: tan(x)
 
 
 def _power(p):
-    return lambda x: x**p
+    return lambda x: _ipow(x, p)
 
 
 _POW = {p: _power(p) for p in (-3, -2, 2, 3, 4, 6)}
@@ -387,7 +387,7 @@ _den = lambda u: (_once(_exp2, u) - 1.0)**2                             # I3's F
 _even = lambda u: _once(_exp2, u) / _once(_den, u)
 _odd = lambda u: _once(_exp, u) * (1.0 + _once(_exp2, u)) / _once(_den, u)
 _tan2 = lambda u: _once(_tan, u)**2                                     # I3's F~, G~
-_cot2 = lambda u: _once(_tan, u)**-2
+_cot2 = lambda u: _ipow(_once(_tan, u), -2)
 
 
 def _forms(tag, ka, la, mu, nu):

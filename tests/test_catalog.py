@@ -418,6 +418,22 @@ def test_a_failing_draw_is_reported_before_a_later_draw_raises(monkeypatch):
     assert len(calls) == 3
 
 
+def test_a_tie_to_a_parameter_tied_after_it_is_unresolved():
+    row = _row("R_6")
+    constraints = {**row.constraints, "kappa": {"kind": "tied", "param": "nu", "coef": 1.0},
+                   "nu": {"kind": "tied", "param": "mu", "coef": 1.0}}
+    with pytest.raises(ConstraintError, match="R_6: tie target nu unresolved"):
+        instantiate(dataclasses.replace(row, constraints=constraints),
+                    {"lambda": 0.3, "mu": 0.8, "k": 0, "ell": 0, "m": 0, "n": 0})
+
+
+def test_a_claim_of_no_known_kind_is_a_value_error():
+    row = _row("GL_1")
+    with pytest.raises(ValueError, match="claim bogus is not dispatchable"):
+        verify_entry(dataclasses.replace(row, claim={**row.claim, "kind": "bogus"}),
+                     free_draws=1)
+
+
 def test_a_misspelt_certificate_sign_is_a_value_error():
     row = _row("GL_1")
     ann = {**row.annotation, "certificate": {"sign": "Plus", "coords": "liouville"}}

@@ -565,3 +565,9 @@ def test_compiled_flow_cache_stays_at_its_bound():
     for i in range(bound + 3):
         dynamics._flow(SystemSpec("II1", mu=1.0, nu=1.0 + i))
     assert dynamics._compiled.cache_info().currsize == bound
+
+
+def test_the_drift_of_an_empty_trajectory_is_a_value_error():
+    empty = dynamics.Trajectory(np.empty(0), np.empty((4, 0)), "completed")
+    with pytest.raises(ValueError, match="empty trajectory"):
+        drift_report(FIXED_PAIRS[0][0], empty)

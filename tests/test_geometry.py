@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from superint.errors import DomainError
 from superint.geometry import (TOL_LINEAR, classify_curvature, curvature, curvature_class_of,
-                               linear_integral_check, linear_residual_of, revolution_check,
-                               revolution_tag_of)
+                               linear_integral_check, linear_observable, linear_residual_of,
+                               revolution_check, revolution_tag_of)
 from superint.jets import CoordJet
 from superint.poisson import DEFAULT_SEED
 from superint.systems import SampleJets, SystemSpec, build_fns, sample_points
@@ -186,3 +186,12 @@ def test_a_missing_linear_integral_fails_at_any_scale():
     for kappa in (1.0, 1e9):
         assert linear_integral_check(SystemSpec("II1", kappa=kappa), "plus") > TOL_LINEAR
     assert linear_integral_check(SystemSpec("II1", kappa=1e12), "plus") > TOL_LINEAR
+
+
+def test_unknown_coordinates_are_a_value_error():
+    spec = SystemSpec("I1", mu=0.5, nu=1.5)
+    jets = SampleJets(spec, sample_points(spec, 10, np.random.default_rng(0)))
+    with pytest.raises(ValueError, match="coords must be 'liouville' or 'transformed'"):
+        revolution_tag_of(spec, jets, "polar")
+    with pytest.raises(ValueError, match="unknown coords 'polar'"):
+        linear_observable(spec, "plus", "polar")

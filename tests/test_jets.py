@@ -542,13 +542,23 @@ def _ref_chain(x, f, f1, f2):
     return f, f1 * g, f1 * x._hess + f2 * (g.take(x._IU, 0) * g.take(x._JU, 0))
 
 
+def _signed_pow(v, n):
+    """v**n of the jets' rule: numpy's array pow of |v| (np.power, also on a
+    0-d v), the sign of v put back for odd n."""
+    p = np.power(np.abs(v), n)
+    return np.copysign(p, v) if n % 2 else p
+
+
 _REF_PRIMITIVES = {
     "exp": (lambda x: x.exp(), lambda x, v: _ref_chain(x, np.exp(v), np.exp(v), np.exp(v))),
     "inv": (lambda x: x.inv(),
-            lambda x, v: _ref_chain(x, 1.0 / v, -1.0 / v**2, 2.0 / v**3)),
+            lambda x, v: _ref_chain(x, 1.0 / v, -1.0 / v**2, 2.0 / _signed_pow(v, 3))),
     "pow-2": (lambda x: x**-2,
-              lambda x, v: _ref_chain(x, v**-2, -2 * v**-3, -2 * -3 * v**-4)),
+              lambda x, v: _ref_chain(x, _signed_pow(v, -2), -2 * _signed_pow(v, -3),
+                                      -2 * -3 * _signed_pow(v, -4))),
     "pow2": (lambda x: x**2, lambda x, v: _ref_chain(x, v**2, 2 * v**1, 2 * 1 * v**0)),
+    "pow3": (lambda x: x**3,
+             lambda x, v: _ref_chain(x, _signed_pow(v, 3), 3 * v**2, 3 * 2 * v**1)),
 }
 
 
@@ -635,6 +645,54 @@ def test_the_chain_rule_keeps_the_bits_of_its_expression(seed, shape, special, c
         assert _jet_bits(rule(x)) == _bits(*ref(x, x.val))
 
 
+def _same_bits(a, b, zero_sign=True):
+    """Whether a and b agree bit for bit but for NaN payloads and signs, and,
+    without ``zero_sign``, the signs of zeros."""
+    a, b = np.asarray(a), np.asarray(b)
+    same = a.view(np.int64) == b.view(np.int64)
+    same |= np.isnan(a) & np.isnan(b)
+    if not zero_sign:
+        same |= (a == 0.0) & (b == 0.0)
+    return bool(same.all())
+
+
+_SIGN_RULES = {**{f"pow{n}": (lambda x, n=n: x**n, (-1.0) ** n) for n in (-3, -2, 3, 4, 6)},
+               "inv": (lambda x: x.inv(), -1.0)}
+
+
+@pytest.mark.parametrize("cls", [Jet2, CoordJet])
+@pytest.mark.parametrize("name", sorted(_SIGN_RULES))
+def test_an_integer_power_of_minus_x_is_the_sign_image_of_that_of_x(cls, name):
+    # |v|**n with the sign put back: both signs take one pow, so f(-x) is
+    # (-1)**n f(x) in every bit; a Hessian entry is a sum, whose zero is +0
+    # for either sign of its terms
+    rule, sign = _SIGN_RULES[name]
+    rng = np.random.default_rng(25)
+    val = _floats(rng, (2048,), (0.05, _SPECIAL))
+    if name == "inv":  # outside its domain: zero and NaN raise
+        val[(val == 0.0) | np.isnan(val)] = -1.5
+    else:
+        assert np.signbit(val[val == 0.0]).any() and np.isnan(val).any()
+    x = cls(val, _floats(rng, (cls._NV, 2048), (0.0, _SPECIAL)),
+            _floats(rng, (cls._IU.size, 2048), (0.0, _SPECIAL)))
+    assert (val < 0.0).any() and np.isinf(val).any()
+    with np.errstate(all="ignore"):
+        fx, fy = rule(x), rule(-x)
+        assert _same_bits(fy.val, sign * fx.val)
+        assert _same_bits(fy.grad, sign * fx.grad)
+        assert _same_bits(fy.hess, sign * fx.hess, zero_sign=False)
+        # a point gives the bits it has in a batch, 0-d or of one, up to the
+        # sign of a NaN, which numpy's loops for 0-d and longer arrays do not
+        # set alike
+        for i in range(0, 2048, 7):
+            for shape in ((), (1,)):
+                one = rule(cls(val[i].reshape(shape), x.grad[:, i].reshape((-1,) + shape),
+                               x.hess[:, i].reshape((-1,) + shape)))
+                assert one.val.shape == shape
+                for part, batch in zip((one.val, one.grad, one.hess), (fx.val, fx.grad, fx.hess)):
+                    assert _same_bits(part.ravel(), batch[..., i])
+
+
 @given(**_JET_CASES)
 @settings(max_examples=100, deadline=None)
 def test_the_bracket_keeps_the_bits_of_its_stacked_sums(seed, shape, special):
@@ -712,3 +770,17 @@ def test_a_point_with_scalar_momenta_is_the_point_of_full_arrays(tag, order):
     for point in (mixed, full):
         assert not any(s.val.flags.writeable for s in seed_phase(point, order))
     assert xi.flags.writeable
+
+
+@pytest.mark.parametrize("call", [lambda x: np.modf(x), lambda x: np.sqrt(x, dtype=float),
+                                  lambda x: np.add.reduce(x)])
+def test_a_numpy_call_a_trace_cannot_record_is_a_type_error(call):
+    # only a plain ufunc call with one result is recorded
+    with pytest.raises(TypeError):
+        straight_line(lambda x: (call(x),), 1)
+
+
+def test_the_dual_of_an_observable_that_returns_a_number_has_no_gradient():
+    val, grad = Observable(lambda xi, eta, p_xi, p_eta: 2.5).dual(PhasePoint(1.0, 2.0, 3.0, 4.0))
+    assert val == 2.5 and type(val) is float
+    assert np.array_equal(grad, np.zeros(4))

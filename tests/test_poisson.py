@@ -751,3 +751,13 @@ def test_rescaling_the_parameters_and_momenta_scales_every_identity_exactly(tag,
     assert len(want) == len(have) == len(_IDENTITIES)
     for name, a, b in zip(_IDENTITIES, want, have):
         assert np.array_equal(a, b, equal_nan=True), name
+
+
+def test_the_summary_has_one_line_per_identity():
+    rep = verify_algebra(SystemSpec("I1", **GENERIC), n_points=20)
+    lines = rep.summary_lines()
+    assert [line.split()[0] for line in lines] == [i.name for i in rep.identities]
+    assert lines[0] == (f"{'HA':12s} max_residual={rep.identities[0].max_residual:.3e} "
+                        f"tol={rep.identities[0].tolerance:.1e} pass")
+    failing = verify_algebra(SystemSpec("I1", **GENERIC), n_points=20, tol_nested=1e-30)
+    assert any(line.endswith(" FAIL") for line in failing.summary_lines())

@@ -798,3 +798,14 @@ def test_a_group_pass_gives_each_spec_its_own_jets():
                     got = getattr(g, part)[..., lo:lo + p.shape[0]]
                     assert got.tobytes() == getattr(a, part).tobytes(), (tag, part)
             lo += p.shape[0]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_parameter_that_is_not_finite_is_a_value_error(bad):
+    with pytest.raises(ValueError, match="parameter mu is not finite"):
+        SystemSpec("I1", mu=bad)
+
+
+def test_an_unknown_pair_of_the_structural_pde_is_a_value_error():
+    with pytest.raises(ValueError, match="which must be 'metric_pair' or 'potential_pair'"):
+        structural_pde_residual(SystemSpec("I1", mu=1.0), "metric", 0.5, 0.7)

@@ -1,6 +1,7 @@
 """Run a revision's benchmark and the working tree's in alternating pairs.
 
     python3 tools/bench_pairs.py [REV] --workload W --pairs N --seconds S [--seed K]
+        [--record LABEL]
 
 ``REV`` is any git revision (default ``HEAD``).  Its ``src/``, ``bench/`` and
 ``BENCHMARK.json`` are extracted with ``git archive`` into a temporary
@@ -17,6 +18,13 @@ median and quartiles of each side, the median change and the number of
 pairs where the working tree is better.  It exits 1 when a run fails or is
 not correct, 2 when ``git archive`` fails, and 0 otherwise.  Nothing under
 ``bench/`` is changed.
+
+With ``--record LABEL`` it also writes ``BENCH_<LABEL>.json`` at the root of
+the working tree: per metric, each side's median and quartiles, the change
+and the pairs where the tree is better; the values of every pair; the
+workload, seeds and seconds; both git revisions (the tree's as its ``HEAD``
+and whether files differ from it); and the CPU model and the Python, numpy
+and scipy versions.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import argparse
 import io
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -46,11 +55,32 @@ def _run(tree, command, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
-def _summary(values):
-    """Median and quartiles of ``values``, as text."""
+def _quartiles(values):
+    """Median and quartiles of ``values``: ``{"median", "q1", "q3"}``."""
     q1, q3 = (statistics.quantiles(values, n=4, method="inclusive")[::2]
               if len(values) > 1 else values * 2)
-    return f"{statistics.median(values):.6g} [{q1:.6g}, {q3:.6g}]"
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def _machine():
+    """The CPU model and the Python, numpy and scipy versions."""
+    import numpy
+    import scipy
+
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next(line.split(":", 1)[1].strip() for line in fh
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"cpu": cpu, "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__}
 
 
 def main(argv=None):
@@ -60,11 +90,14 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
+    parser.add_argument("--record", metavar="LABEL",
+                        help="also write BENCH_<LABEL>.json at the repository root")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
     archive = subprocess.run(["git", "archive", args.rev, "src", "bench", "BENCHMARK.json"],
                              cwd=ROOT, capture_output=True)
     if archive.returncode != 0:
@@ -93,18 +126,37 @@ def main(argv=None):
             sys.stdout.flush()
 
     print(f"median [quartiles] over {args.pairs} pairs ({args.rev} -> tree):")
+    summary = {}
     for name, better in metrics:
         pairs = [(o["metrics"][name]["value"], n["metrics"][name]["value"])
                  for o, n in zip(runs[args.rev], runs["tree"])
                  if name in o["metrics"] and name in n["metrics"]]
         if not pairs:
             continue
-        sides = [_summary([a for a, _ in pairs]), _summary([b for _, b in pairs])]
-        changes = [100.0 * (b / a - 1.0) for a, b in pairs]
+        sides = [_quartiles([a for a, _ in pairs]), _quartiles([b for _, b in pairs])]
+        change = statistics.median(100.0 * (b / a - 1.0) for a, b in pairs)
         wins = sum((b < a) if better == "lower" else (b > a) for a, b in pairs)
-        print(f"  {name:12s} {' -> '.join(sides)} (change {statistics.median(changes):+.1f} %,"
+        summary[name] = {"unit": units[name], "better": better,
+                         "rev": sides[0], "tree": sides[1], "change_pct": change,
+                         "tree_better": wins, "pairs": [list(p) for p in pairs]}
+        text = [f"{q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]" for q in sides]
+        print(f"  {name:12s} {' -> '.join(text)} (change {change:+.1f} %,"
               f" tree better in {wins}/{len(pairs)})")
     bad = [r for rs in runs.values() for r in rs if not r["correct"] or r["failed"]]
+    if args.record:
+        record = {
+            "workload": args.workload, "seeds": [args.seed + i for i in range(args.pairs)],
+            "seconds": args.seconds,
+            "revisions": {"rev": args.rev, "rev_commit": _git("rev-parse", args.rev),
+                          "tree_head": _git("rev-parse", "HEAD"),
+                          "tree_modified": bool(_git("status", "--porcelain", "--",
+                                                     "src", "bench", "BENCHMARK.json"))},
+            "machine": _machine(), "all_correct": not bad, "metrics": summary}
+        path = os.path.join(ROOT, f"BENCH_{args.record}.json")
+        with open(path, "w") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
+        print(f"recorded {path}")
     return 1 if bad else 0
 
 

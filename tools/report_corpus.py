@@ -87,7 +87,9 @@ The corpus is:
   spec of each class and the vanishing-coefficient specs of
   ``constants_poly``.
 
-It takes under a minute on one core.
+Each section starts with a line ``=== NAME``, NAME its function's name
+without the underscore (``library``, ``cli``, ``flow``, ...).  It takes under
+a minute on one core.
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ REF = dict(kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1, m=0.2, n=1.0)
 SIZES = (100, 513, 4097)
 FORCED_SIZES = (513, 4097)
 FORCING_TOL = 1e-30  # below any residual, so the affine correction always runs
+SECTION = "=== "  # starts the line that names the section after it
 
 GENERIC = ["--class", "I1", "--kappa", "1", "--lambda", "0.5", "--mu", "-0.3",
            "--nu", "2", "--k", "0.4", "--ell", "-0.1", "--m", "0.2", "--n", "1"]
@@ -551,15 +554,7 @@ def _cli():
 
 
 if __name__ == "__main__":
-    _library()
-    _cli()
-    _flow()
-    _exits()
-    _rhs()
-    _geometry()
-    _closed_forms()
-    _constants()
-    _catalog()
-    _sampling()
-    _observables()
-    _fields()
+    for section in (_library, _cli, _flow, _exits, _rhs, _geometry, _closed_forms,
+                    _constants, _catalog, _sampling, _observables, _fields):
+        print(SECTION + section.__name__.lstrip("_"))
+        section()
