@@ -23,7 +23,7 @@ from .poisson import (VerificationReport, bracket, bracket_fd, c_observable,
                       verify_algebra, verify_casimir)
 from .geometry import (CurvatureClass, classify_curvature, curvature,
                        linear_integral_check, revolution_check)
-from .dynamics import Trajectory, drift_report, integrate, trajectory_csv
+from .dynamics import Trajectory, drift_report, integrate
 from .catalog import (CatalogEntry, instantiate, load_catalog, lookup,
                       verify_entry)
 

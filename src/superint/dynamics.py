@@ -48,8 +48,8 @@ from .poisson import bracket_value, casimir_combination
 from .systems import (MIN_ABS_G, SystemSpec, algebra_constants, build_fns,
                       hamiltonian, integrals, sample_domain)
 
-__all__ = ["Trajectory", "integrate", "drift_report", "trajectory_csv",
-           "clamp_energy", "REL_TOL", "ABS_TOL", "MAX_ABS_H"]
+__all__ = ["Trajectory", "integrate", "drift_report", "clamp_energy", "REL_TOL",
+           "ABS_TOL", "MAX_ABS_H"]
 
 REL_TOL = 1e-10   # the integrator's default relative tolerance
 ABS_TOL = 1e-12   # and absolute tolerance
@@ -304,12 +304,10 @@ def _drifts(vals):
     return out
 
 
-def trajectory_csv(spec: SystemSpec, traj: Trajectory) -> str:
-    """CSV export: t,xi,eta,p_xi,p_eta,H,A,B,K with 17 significant digits."""
-    return _csv(traj, conserved_values(spec, traj.points))
-
-
 def _csv(traj, vals):
+    """CSV export of ``traj``: t,xi,eta,p_xi,p_eta,H,A,B,K with 17 significant
+    digits, H, A, B and K from ``vals``, the trajectory's
+    :func:`conserved_values`."""
     cols = [traj.times, traj.states[0], traj.states[1], traj.states[2],
             traj.states[3], vals["H"], vals["A"], vals["B"], vals["K"]]
     lines = ["t,xi,eta,p_xi,p_eta,H,A,B,K"]

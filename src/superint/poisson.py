@@ -24,14 +24,17 @@ the same structure-constant lengths (``systems.pass_key``) are laid end to
 end, up to ``_CHUNK`` points, with each spec's parameters repeated over its
 own points, and evaluated in one jet pass; each spec's maxima are taken
 over its own points.  A spec whose algebra rows fail leaves the batch for
-the affine correction, and a batch whose pass raises is re-run spec by
-spec, so every report, and the first error, is the one the sample gives
-alone.  ``verify_algebra`` and ``verify_casimir`` are groups of one;
-``_algebra`` verifies many samples, as the catalog does with the draws of
-a row.  The core also hands back the seeds, g and H that a pass of at most
-``_CHUNK`` points built on each sample's points, so that a caller's
-geometry checks evaluate nothing a second time; a sample of more points,
-or one whose batched pass raised, gets fresh jets of its own points,
+the affine correction, which reads one order-2 pass of that sample alone:
+the offsets move only the values of A and B, so the pass's jets, brackets
+and constants serve every step of the fit and the re-judged maxima.  A
+batch whose pass raises is re-run spec by spec, so every report, and the
+first error, is the one the sample gives alone.  ``verify_algebra`` and
+``verify_casimir`` are groups of one; ``_algebra`` verifies many samples,
+as the catalog does with the draws of a row.  The core also hands back
+the seeds, g and H that an order-2 pass of at most ``_CHUNK`` points built
+on each sample's points, so that a caller's geometry checks evaluate
+nothing a second time; a sample of an order-1 pass or of more points, or
+one whose batched pass raised, gets fresh jets of its own points,
 evaluated only if they are read.
 """
 
@@ -281,50 +284,64 @@ def casimir_combination(con, c, a, b):
     return functools.reduce(np.add, terms), np.maximum.reduce(np.abs(t, out=t))
 
 
-def _row_residuals(cp, hab, pts, names, a_off=0.0, b_off=0.0):
-    """Per-point residuals of the identities in ``names``, as a dict.
+def _row_residuals(cp, hab, pts, names):
+    """The residuals of the identities in ``names`` at the points ``pts``, as a
+    function of the affine-match offsets ``(a_off=0.0, b_off=0.0)`` that
+    returns them per point, in a dict.
 
     The identities are HA, HB, HC, AC_row, BC_row and casimir.  ``cp`` is
     the spec's ``constants_poly``; ``hab`` maps points to the jets of H, A
     and B (``systems.integrals``; A and B of order 2 where ``names`` holds
-    one of ``_NESTED`` and of order 1 otherwise, H always of order 1);
-    ``a_off``/``b_off`` are the affine-match offsets (normally zero).
+    one of ``_NESTED`` and of order 1 otherwise, H always of order 1).  The
+    jets, the brackets and their scales, and the constants at E = H are
+    evaluated here, once.  The offsets move only the values of A and B, so
+    the function holds those values and what their terms are set against:
+    no jet.  It gives the residuals at zero offsets for the verdict, and
+    each of the affine-match fit's costs.
     """
     H, A, B = hab(pts)
-    E = H.val
-    con = cp.at_energy(E)
-    Av, Bv = A.val + a_off, B.val + b_off
-    res = {}
+    con = cp.at_energy(H.val)
+    A_val, B_val = A.val, B.val
+    fixed = {}
     if "HA" in names:
-        res["HA"] = _norm(*_contract(H.grad, A.grad))
+        fixed["HA"] = _norm(*_contract(H.grad, A.grad))
     if "HB" in names:
-        res["HB"] = _norm(*_contract(H.grad, B.grad))
+        fixed["HB"] = _norm(*_contract(H.grad, B.grad))
 
     if any(k in names for k in _NESTED):
         C = bracket_jets(A, B)
         C_val, C_scale = C.val, C.val_scale
         if "HC" in names:
-            res["HC"] = _norm(*_grad_bracket_value(H, C))
-        if "AC_row" in names:
-            AC_val, AC_scale = _grad_bracket_value(A, C)
+            fixed["HC"] = _norm(*_grad_bracket_value(H, C))
+        AC = _grad_bracket_value(A, C) if "AC_row" in names else None
+        BC = _grad_bracket_value(B, C) if "BC_row" in names else None
+    else:
+        # the value of C = {A, B} reads only the gradients of A and B
+        C_val, C_scale = _contract(A.grad, B.grad)
+        AC = BC = None
+
+    def residuals(a_off=0.0, b_off=0.0):
+        Av, Bv = A_val + a_off, B_val + b_off
+        res = dict(fixed)
+        if AC:
+            AC_val, AC_scale = AC
             rhs_AC, s_AC = _sum_and_scale([con.alpha * Av**2, 2.0 * con.gamma * Av * Bv,
                                            con.delta * Av, con.epsilon * Bv, con.zeta])
             res["AC_row"] = _norm(AC_val - rhs_AC, AC_scale, s_AC)
-        if "BC_row" in names:
-            BC_val, BC_scale = _grad_bracket_value(B, C)
+        if BC:
+            BC_val, BC_scale = BC
             rhs_BC, s_BC = _sum_and_scale([con.a * Av**2, -con.gamma * Bv**2,
                                            -2.0 * con.alpha * Av * Bv, con.d * Av,
                                            -con.delta * Bv, con.z])
             res["BC_row"] = _norm(BC_val - rhs_BC, BC_scale, s_BC)
-    else:
-        # the value of C = {A, B} reads only the gradients of A and B
-        C_val, C_scale = _contract(A.grad, B.grad)
-    if "casimir" in names:
-        kcomb, s_K = casimir_combination(con, C_val, Av, Bv)
-        # roundoff carrier of C^2 via C's own contraction scale
-        s_K = np.maximum(s_K, np.abs(C_val) * C_scale)
-        res["casimir"] = _norm(kcomb - con.K_casimir, s_K, np.abs(con.K_casimir))
-    return res
+        if "casimir" in names:
+            kcomb, s_K = casimir_combination(con, C_val, Av, Bv)
+            # roundoff carrier of C^2 via C's own contraction scale
+            s_K = np.maximum(s_K, np.abs(C_val) * C_scale)
+            res["casimir"] = _norm(kcomb - con.K_casimir, s_K, np.abs(con.K_casimir))
+        return res
+
+    return residuals
 
 
 def _chunks(pts):
@@ -339,17 +356,16 @@ def _chunks(pts):
         yield PhasePoint.from_array(arr[:, lo:lo + _CHUNK])
 
 
-def _chunked_max(cp, hab, pts, names, a_off=0.0, b_off=0.0, starts=(0,)):
-    """Max residual per identity over chunks of ``_CHUNK`` points: one dict
-    per spec of the pass, whose points begin at ``starts``.
+def _chunked_max(chunks, names, starts=(0,)):
+    """Max residual per identity in ``names`` over ``chunks``, the residual
+    dicts of a pass's consecutive chunks of points: one dict per spec of the
+    pass, whose points begin at ``starts``.
 
     A pass of several specs has at most ``_CHUNK`` points, one chunk.
+    ``chunks`` is read one dict at a time.
     """
-    maxima = []
-    for sub in _chunks(pts):
-        res = _row_residuals(cp, hab, sub, names, a_off, b_off)
-        # reduceat, like ndarray.max, keeps a NaN
-        maxima.append([np.maximum.reduceat(res[k], starts) for k in names])
+    # reduceat, like ndarray.max, keeps a NaN
+    maxima = [[np.maximum.reduceat(res[k], starts) for k in names] for res in chunks]
     # np.max, unlike the builtin max, keeps a NaN from any chunk
     worst = maxima[0] if len(maxima) == 1 else np.max(maxima, axis=0)
     return [dict(zip(names, map(float, col))) for col in zip(*worst)]
@@ -393,7 +409,7 @@ class _Part:
     points ``lo:hi``: the attributes of a
     :class:`~superint.systems.SampleJets`, each cut out on its first read.
 
-    ``kept`` is the pass's 6-tuple.  An algebra pass keeps the seeds and g
+    ``kept`` is the 6-tuple of an algebra pass, of order 2: the seeds and g
     of order 2 and H of order 1, the orders of ``SampleJets``, and the bits
     of its values and derivatives are those of ``SampleJets`` on the
     sample's points.
@@ -428,12 +444,12 @@ def _group_max(group, counts, cps, names, order):
     (:func:`~superint.systems.group_fns`,
     :func:`~superint.systems.group_constants`), so every point's residuals
     are those of its spec's own pass.  A group of one runs on the spec's
-    own closed forms and constants.  A pass of at most ``_CHUNK`` points
-    keeps its seeds, g and H, and each of its samples gets its
-    :class:`_Part` of them; a sample of more points, whose pass of its own
-    is chunked, keeps none, and gets a
-    :class:`~superint.systems.SampleJets` of its points that evaluates
-    nothing until it is read.
+    own closed forms and constants.  A pass of ``order`` 2 and of at most
+    ``_CHUNK`` points keeps its seeds, g and H, and each of its samples gets
+    its :class:`_Part` of them; every other sample (of an order-1 pass,
+    whose seeds are of order 1, or of more points, whose pass of its own is
+    chunked) gets a :class:`~superint.systems.SampleJets` of its own spec
+    and points that evaluates nothing until it is read.
     """
     worst = [None] * len(group)
     parts = [None] * len(group)
@@ -443,35 +459,34 @@ def _group_max(group, counts, cps, names, order):
         sizes = [counts[i] for i in members]
         pts = samples[0] if len(samples) == 1 else PhasePoint.from_array(
             np.concatenate([p.as_array() for p in samples], axis=1))
-        kept = []
-        hab = functools.partial(integrals(group_fns(specs, sizes), order),
-                                keep=kept if pts.shape[0] <= _CHUNK else None)
+        kept = [] if order == 2 and pts.shape[0] <= _CHUNK else None
+        hab = functools.partial(integrals(group_fns(specs, sizes), order), keep=kept)
         cp = group_constants([cps[i] for i in members], sizes)
         starts = list(itertools.accumulate(sizes[:-1], initial=0))
-        for i, w in zip(members, _chunked_max(cp, hab, pts, names, starts=starts)):
+        chunks = (_row_residuals(cp, hab, sub, names)() for sub in _chunks(pts))
+        for i, w in zip(members, _chunked_max(chunks, names, starts)):
             worst[i] = w
-        for i, lo, n in zip(members, starts, sizes):
-            parts[i] = _Part(kept[0], lo, lo + n) if kept else SampleJets(specs[0], pts)
+        for i, lo, n, spec, own in zip(members, starts, sizes, specs, samples):
+            parts[i] = _Part(kept[0], lo, lo + n) if kept else SampleJets(spec, own)
     return worst, parts
 
 
-def _fit_offsets(cp, hab, pts):
+def _fit_offsets(fns):
     """Affine-match pre-step: constant offsets for A and B (q=1, r=0).
 
-    ``hab`` gives order-2 jets: the cost reads the algebra rows.  Raises
-    :class:`DomainError` when a residual of the cost at zero offsets is not
-    finite: the cost includes the Casimir, which ``verify_algebra`` does not
-    check first.
+    ``fns`` are the residual functions (:func:`_row_residuals`) of a
+    sample's consecutive chunks, of order 2 and with the identities of
+    ``_FIT``: the cost is those residuals, per identity over every chunk in
+    order, the vector a single pass would give.  Raises :class:`DomainError`
+    when a residual of the cost at zero offsets is not finite: the cost
+    includes the Casimir, which ``verify_algebra`` does not check first.
     """
     # imported here: the fit runs only on a failing row, and scipy.optimize
     # would otherwise dominate the import time of the CLI
     from scipy.optimize import least_squares
 
     def cost(x):
-        # chunked like _chunked_max, for its memory; each identity's points
-        # stay in order, so the vector is the one a single pass would give
-        res = [_row_residuals(cp, hab, sub, _FIT, a_off=x[0], b_off=x[1])
-               for sub in _chunks(pts)]
+        res = [fn(*x) for fn in fns]
         return np.concatenate([r[k] for k in _FIT for r in res])
 
     x0 = np.zeros(2)
@@ -515,10 +530,14 @@ def _verify(kind, group, tols):
     * with :class:`DomainError`, as its report is read, when a residual
       maximum is not finite: NaN or inf is no residual a tolerance can judge;
     * when an identity of the affine-match fit (``_FIT``) that ``tols``
-      names exceeds its tolerance: the affine-match pre-step fits constant
-      offsets for A and B on that sample alone and re-verifies it, as its
-      report is read; ``correction_applied`` records that it was needed (it
-      must not be, for the printed forms);
+      names exceeds its tolerance: as its report is read, one order-2 pass
+      over that sample alone evaluates the residual functions of its chunks
+      (:func:`_row_residuals`) for ``_FIT`` and ``tols``; the affine-match
+      pre-step fits constant offsets for A and B on them, and the same
+      functions re-judge the sample at those offsets (an order-2 pass gives
+      the values and gradients of an order-1 one, bit for bit).
+      ``correction_applied`` records that the fit was needed (it must not
+      be, for the printed forms);
     * when the batched passes leave a domain (``DomainError``): each sample
       is then verified alone, in order, as its report is read, so the first
       error is the one that order raises, and a caller that stops at a
@@ -545,10 +564,11 @@ def _verify(kind, group, tols):
         correction = None
         _finite(worst)
         if any(worst[k] > tols[k] for k in trigger):
-            a_off, b_off = _fit_offsets(cp, integrals(spec, 2), pts)
+            hab = integrals(spec, 2)
+            fns = [_row_residuals(cp, hab, sub, (*tols, *_FIT)) for sub in _chunks(pts)]
+            a_off, b_off = _fit_offsets(fns)
             correction = {"a_offset": a_off, "b_offset": b_off}
-            worst = _finite(_chunked_max(cp, integrals(spec, order), pts, tols,
-                                         a_off, b_off)[0])
+            worst = _finite(_chunked_max((f(a_off, b_off) for f in fns), tols)[0])
         idents = tuple(Identity(k, worst[k], tol) for k, tol in tols.items())
         return VerificationReport(kind, spec, seed, n_points, idents, correction)
 
@@ -605,12 +625,14 @@ _MONOMIALS = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)
 
 @dataclass(frozen=True)
 class MembershipResult:
+    """A membership fit: ``coefficients`` maps each monomial (i, j, k) of
+    H^i A^j B^k to its fitted coefficient; ``rms_holdout`` is the relative
+    rms residual on the held-out points, ``condition`` that of the scaled
+    design."""
+
     coefficients: dict
     rms_holdout: float
     condition: float
-
-    def coefficient(self, i, j, k):
-        return self.coefficients.get((i, j, k), 0.0)
 
 
 def polynomial_membership(target, generators, spec: SystemSpec, n_points: int = 400,

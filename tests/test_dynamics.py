@@ -11,8 +11,7 @@ from superint.poisson import TOL_NESTED
 from superint.systems import (CLASS_TAGS, MIN_ABS_G, SystemSpec, algebra_constants,
                               build_fns, hamiltonian, integral_A, integral_B,
                               sample_domain, sample_points)
-from superint.dynamics import (clamp_energy, conserved_values, drift_report,
-                               integrate, trajectory_csv)
+from superint.dynamics import _csv, clamp_energy, conserved_values, drift_report, integrate
 
 # The five pinned (spec, initial) pairs of the acceptance suite; all stay
 # inside their class domains for at least 10 time units.
@@ -139,7 +138,7 @@ def test_step_stats_recorded():
 def test_trajectory_csv_format():
     spec, y0 = FIXED_PAIRS[2]
     traj = integrate(spec, PhasePoint(*y0), t_end=1.0, rel_tol=1e-10)
-    csv = trajectory_csv(spec, traj)
+    csv = _csv(traj, conserved_values(spec, traj.points))
     lines = csv.strip().split("\n")
     assert lines[0] == "t,xi,eta,p_xi,p_eta,H,A,B,K"
     assert len(lines) == len(traj) + 1

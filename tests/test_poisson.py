@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from superint.errors import DomainError, IllConditioned
 from superint.jets import Jet2, Observable, PhasePoint, _norm, norm_residual
-from superint.poisson import (_algebra, _chunked_max, _contract, _row_residuals,
-                              bracket, bracket_fd, bracket_jets, c_observable,
+from superint.poisson import (TOL_NESTED, _algebra, _chunked_max, _contract,
+                              _row_residuals, bracket, bracket_fd, bracket_jets, c_observable,
                               casimir_coefficients, casimir_combination,
                               polynomial_membership, verify_algebra, verify_casimir)
 from superint.systems import (CLASS_TAGS, ConstantsPoly, SystemSpec,
@@ -174,12 +174,18 @@ def test_nan_in_a_later_chunk_fails(monkeypatch):
     real_row_residuals = poisson_mod._row_residuals
     calls = []
 
-    def poisoned(*args, **kwargs):
-        res = real_row_residuals(*args, **kwargs)
+    def poisoned(*args):
+        residuals = real_row_residuals(*args)
         calls.append(None)
-        if len(calls) == 2:
-            res["HA"][0] = np.nan
-        return res
+        poison = len(calls) == 2
+
+        def at(*offsets):
+            res = residuals(*offsets)
+            if poison:
+                res["HA"][0] = np.nan
+            return res
+
+        return at
 
     monkeypatch.setattr(poisson_mod, "_row_residuals", poisoned)
     with pytest.raises(DomainError, match="max HA residual is nan"):
@@ -205,8 +211,11 @@ def test_the_affine_fit_refuses_a_cost_that_is_not_finite_at_zero_offsets():
 
     spec = SystemSpec("II3", kappa=1e155, nu=1.0)
     pts = sample_points(spec, 100, np.random.default_rng(0))
-    with np.errstate(all="ignore"), pytest.raises(DomainError, match="affine fit"):
-        poisson_mod._fit_offsets(constants_poly(spec), integrals(spec, 2), pts)
+    with np.errstate(all="ignore"):
+        fn = poisson_mod._row_residuals(constants_poly(spec), integrals(spec, 2), pts,
+                                        poisson_mod._FIT)
+        with pytest.raises(DomainError, match="affine fit"):
+            poisson_mod._fit_offsets([fn])
 
 
 @pytest.mark.parametrize("chunk", [256, 1000])
@@ -235,13 +244,15 @@ def test_residuals_of_a_point_do_not_depend_on_its_batch(tag):
     pts = sample_points(spec, 30, np.random.default_rng(3))
     cp, hab = constants_poly(spec), integrals(spec)
     names = ("HA", "HB", "HC", "AC_row", "BC_row", "casimir")
+    arr = pts.as_array()
+    batch_fn = _row_residuals(cp, hab, pts, names)
+    alone_fns = [_row_residuals(cp, hab, PhasePoint.from_array(arr[:, i:i + 1]), names)
+                 for i in range(arr.shape[1])]
     for offsets in ((0.0, 0.0), (1e-9, -3e-9)):
-        batch = _row_residuals(cp, hab, pts, names, *offsets)
+        batch = batch_fn(*offsets)
         assert tuple(batch) == names
-        arr = pts.as_array()
-        for i in range(arr.shape[1]):
-            alone = _row_residuals(cp, hab, PhasePoint.from_array(arr[:, i:i + 1]),
-                                   names, *offsets)
+        for i, alone_fn in enumerate(alone_fns):
+            alone = alone_fn(*offsets)
             for name, res in batch.items():
                 assert alone[name].tobytes() == res[i:i + 1].tobytes(), (name, i)
 
@@ -278,13 +289,33 @@ def test_casimir_pass_builds_no_hessian(monkeypatch):
 
 
 def test_forced_casimir_correction_fits_at_order_two(monkeypatch):
-    # the fit reads the algebra rows; the pass before and after it does not
+    # the fit reads the algebra rows; the verdict's pass does not, and the
+    # fit's one pass also re-judges the sample
     orders = []
     _spy_integrals(monkeypatch, orders)
     rep = verify_casimir(SystemSpec("II2", **GENERIC), n_points=100, tol=1e-30)
     assert rep.correction_applied
-    assert orders[0] == orders[-1] == (1, 1, 1)
-    assert set(orders[1:-1]) == {(1, 2, 2)}
+    assert orders == [(1, 1, 1), (1, 2, 2)]
+
+
+def test_a_forced_correction_evaluates_each_chunk_once(monkeypatch):
+    # one pass for the verdict and one for the fit and the re-judged maxima,
+    # each over the sample's chunks in order
+    import superint.poisson as poisson_mod
+
+    orders = []
+    _spy_integrals(monkeypatch, orders)
+    real_row_residuals = poisson_mod._row_residuals
+    firsts = []
+    monkeypatch.setattr(poisson_mod, "_row_residuals",
+                        lambda cp, hab, pts, names: firsts.append(float(pts.xi[0]))
+                        or real_row_residuals(cp, hab, pts, names))
+    spec, chunk = SystemSpec("I2", **GENERIC), poisson_mod._CHUNK
+    rep = verify_algebra(spec, n_points=3 * chunk, tol_nested=1e-30)
+    assert rep.correction_applied
+    assert orders == [(1, 2, 2)] * 6
+    xi = sample_points(spec, 3 * chunk, np.random.default_rng(poisson_mod.DEFAULT_SEED)).xi
+    assert firsts == [float(xi[lo]) for lo in (0, chunk, 2 * chunk)] * 2
 
 
 @pytest.mark.parametrize("kw", [{}, {"tol_nested": 1e-30}], ids=["plain", "forced"])
@@ -398,7 +429,7 @@ def test_membership_identity_h_squared():
     spec = SystemSpec("I1", **GENERIC)
     res = polynomial_membership(_Square(hamiltonian(spec)), _gens(spec), spec,
                                 n_points=400)
-    assert res.coefficient(2, 0, 0) == pytest.approx(1.0, abs=1e-8)
+    assert res.coefficients[(2, 0, 0)] == pytest.approx(1.0, abs=1e-8)
     others = [v for k, v in res.coefficients.items() if k != (2, 0, 0)]
     assert max(abs(v) for v in others) <= 1e-8
     assert res.rms_holdout <= 1e-9
@@ -495,6 +526,22 @@ def test_a_forced_correction_in_a_group_is_the_one_alone():
     reports = [r.to_json() for r in _algebra(samples, tol_nested=1e-30)[1]]
     assert reports == _alone(samples, tol_nested=1e-30)
     assert all(json.loads(r)["correction_applied"] for r in reports)
+
+
+def test_a_casimir_pass_hands_back_order_two_jets_of_each_samples_own_points():
+    # a casimir pass is of order 1 and keeps none of its jets: each sample
+    # gets the jets of its own spec and points, at the orders the geometry
+    # checks read
+    from superint.geometry import curvature_class_of
+    from superint.poisson import _verify
+    from superint.systems import SampleJets
+
+    samples = _samples(_draws("I2", 2, 4))
+    jets, reports = _verify("casimir", samples, {"casimir": TOL_NESTED})
+    assert all(r.passed for r in reports)
+    got = [curvature_class_of(j) for j in jets]
+    assert got == [curvature_class_of(SampleJets(spec, pts)) for spec, _, pts in samples]
+    assert got[0] != got[1]
 
 
 def test_a_group_raises_the_error_of_the_first_sample_that_raises(monkeypatch):
@@ -668,7 +715,7 @@ def test_the_residual_rows_keep_the_bits_of_their_stacked_sums(seed, shape, spec
     cp = _constants(rng, special)
     names = ("HA", "HB", "HC", "AC_row", "BC_row", "casimir")
     with np.errstate(all="ignore"):
-        got = _row_residuals(cp, lambda pts: (H, A, B), None, names, *offsets)
+        got = _row_residuals(cp, lambda pts: (H, A, B), None, names)(*offsets)
         ref = _ref_rows(cp, H, A, B, *offsets)
     assert list(got) == list(names)
     assert {k: v.tobytes() for k, v in got.items()} == {k: v.tobytes() for k, v in ref.items()}
@@ -683,9 +730,14 @@ def test_the_max_over_one_chunk_is_the_max_over_several(monkeypatch, tag):
     pts = sample_points(spec, 300, np.random.default_rng(5))
     cp, hab = constants_poly(spec), integrals(spec)
     names = ("HA", "HB", "HC", "AC_row", "BC_row", "casimir")
-    one, = _chunked_max(cp, hab, pts, names)
+
+    def chunked_max():
+        chunks = (_row_residuals(cp, hab, sub, names)() for sub in poisson_mod._chunks(pts))
+        return _chunked_max(chunks, names)
+
+    one, = chunked_max()
     monkeypatch.setattr(poisson_mod, "_CHUNK", 64)
-    several, = _chunked_max(cp, hab, pts, names)
+    several, = chunked_max()
     assert {k: v.hex() for k, v in one.items()} == {k: v.hex() for k, v in several.items()}
     assert all(type(v) is float for v in one.values())
 
@@ -721,7 +773,7 @@ def _ratios(spec, pts):
     poisson_mod._norm = record
     try:
         with np.errstate(all="ignore"):   # 0 / 0 where a scale is 0
-            _row_residuals(constants_poly(spec), integrals(spec, 2), pts, _IDENTITIES)
+            _row_residuals(constants_poly(spec), integrals(spec, 2), pts, _IDENTITIES)()
     finally:
         poisson_mod._norm = _norm
     return out
