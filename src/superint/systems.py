@@ -459,39 +459,116 @@ def _h_form(p_xi, p_eta, g, w):
     return (p_xi * p_eta + w) / g
 
 
-def _liouville_form(p1, p2, F, G, f, g, m):
-    """p1^2 + p2^2 - 2 p1 p2 (F - G)/m + 4 (f G - g F)/m, where m = F + G is
-    given, so that a metric g built already keeps its one inverse."""
-    return (p1**2 + p2**2
-            - 2.0 * p1 * p2 * (F - G) / m
-            + 4.0 * (f * G - g * F) / m)
+def _seed_of(var):
+    """The test that a jet is :func:`seed_phase`'s seed of variable ``var``:
+    a unit gradient in ``var`` and a zero Hessian, or none."""
+    unit = np.eye(Jet2._NV)[var]
+    return lambda p: bool((p.grad.T == unit).all()) and (p.order == 1 or not p.hess.any())
+
+
+_SEEDS = {2: _seed_of(2), 3: _seed_of(3)}
+_MOMENTUM_HESS = np.setdiff1d(np.arange(Jet2._IU.size), CoordJet._LIFT)
+
+
+def _coord_block(c):
+    """The value, gradient and packed Hessian (None at order 1) of ``c`` over
+    (xi, eta): a :class:`CoordJet`'s own rows, and a four-variable jet's
+    coordinate rows (gradient 0-1, Hessian 0, 1, 4) where every momentum row
+    is zero, None where one is not.  A number's gradient is None."""
+    if not isinstance(c, Jet2):
+        return c, None, None
+    h = c.hess if c.order == 2 else None
+    if isinstance(c, CoordJet):
+        return c.val, c.grad, h
+    if c.grad[2:].any() or (h is not None and h[_MOMENTUM_HESS].any()):
+        return None
+    return c.val, c.grad[:2], None if h is None else h.take(CoordJet._LIFT, 0)
+
+
+def _dot(pairs):
+    """The sum of ``rows * m`` over the pairs whose rows are not None, in
+    order; 0.0 when there are none."""
+    terms = (rows * m for rows, m in pairs if rows is not None)
+    out = next(terms, 0.0)
+    for term in terms:
+        out += term    # ``out`` is a product made here, never an operand
+    return out
+
+
+def _quadratic(p1, p2, c20, c11, c02, c00):
+    """c20 p1^2 + c11 p1 p2 + c02 p2^2 + c00: a quadratic form in the momenta
+    ``p1`` = p_xi and ``p2`` = p_eta, whose coefficients depend on the
+    coordinates alone.
+
+    On :func:`seed_phase`'s momentum seeds it writes the four-variable jet
+    from the coefficients' (xi, eta) jets (:func:`_coord_block`) and the
+    momenta's values: the value and the coordinate rows are the sums of
+    ``c * m`` over the monomials m = p1^2, p1 p2, p2^2 (and 1 for c00), the
+    momentum gradient is (2 c20 p1 + c11 p2, c11 p1 + 2 c02 p2), the mixed
+    Hessian rows are the same sums of the coefficients' gradients, and the
+    momentum rows are (2 c20, c11, 2 c02), so a numeric 0.0 coefficient
+    leaves its row +0.0.  Like the jet rules, it has a Hessian only if every
+    operand has one.  On anything else (floats, arrays, duals, traced
+    floats, other jets) it is the plain expression.
+    """
+    blocks = [_coord_block(c) for c in (c20, c11, c02, c00)]
+    if (type(p1) is not Jet2 or type(p2) is not Jet2 or None in blocks
+            or not (p1.once(_SEEDS[2]) and p2.once(_SEEDS[3]))):
+        return c20 * p1**2 + c11 * p1 * p2 + c02 * p2**2 + c00
+    (v20, g20, h20), (v11, g11, h11), (v02, g02, h02), (v00, g00, h00) = blocks
+    P1, P2 = p1.val, p2.val
+    m20, m11, m02 = P1 * P1, P1 * P2, P2 * P2
+    t20, t02 = 2.0 * v20, 2.0 * v02
+    val = v20 * m20 + v11 * m11 + v02 * m02 + v00
+    shape = np.shape(val)
+    grad = np.empty((Jet2._NV,) + shape)
+    grad[:2] = _dot([(g20, m20), (g11, m11), (g02, m02), (g00, 1.0)])
+    grad[2] = t20 * P1 + v11 * P2
+    grad[3] = v11 * P1 + t02 * P2
+    if p1.order == 1 or p2.order == 1 or any(g is not None and h is None for _, g, h in blocks):
+        return Jet2._of(val, grad, None)
+    hess = np.empty((Jet2._IU.size,) + shape)
+    hess[CoordJet._LIFT] = _dot([(h20, m20), (h11, m11), (h02, m02), (h00, 1.0)])
+    hess[2:6:3] = _dot([(g20, 2.0 * P1), (g11, P2)])    # (xi, p_xi), (eta, p_xi)
+    hess[3:7:3] = _dot([(g11, P1), (g02, 2.0 * P2)])    # (xi, p_eta), (eta, p_eta)
+    hess[7], hess[8], hess[9] = t20, v11, t02
+    return Jet2._of(val, grad, hess)
+
+
+def _liouville_form(p1, p2, F, G, f, g, m, s1=1.0, s2=1.0):
+    """The Liouville form in the momenta ``s1 p1`` and ``s2 p2``: (s1 p1)^2 +
+    (s2 p2)^2 - 2 (s1 p1)(s2 p2) (F - G)/m + 4 (f G - g F)/m, as the
+    quadratic form of :func:`_quadratic`.  m = F + G is given, so that a
+    metric g built already keeps its one inverse."""
+    sq = _POW[2]    # a square kept on s, which may be a coordinate seed
+    return _quadratic(p1, p2, _once(sq, s1), -2.0 * s1 * s2 * (F - G) / m, _once(sq, s2),
+                      4.0 * (f * G - g * F) / m)
 
 
 def _a_form(fns, eta, p_xi, p_eta, metric, potential):
     """A from the metric and potential pairs ``(F, G, g)`` and ``(f, g_pot, w)``.
 
-    Liouville form for Class I; Lie form with the antiderivatives ``intF``
-    and ``intf`` for Class II.
+    Liouville form for Class I; for Class II the Lie form with the
+    antiderivatives ``intF`` and ``intf``, the quadratic form with
+    coefficients (1, -2 beta/g, 0, -2 w beta/g + 2 intf), beta = intF(eta).
     """
     F, G, g = metric
     f, g_pot, w = potential
     if _class_one(fns.tag):
         return _liouville_form(p_xi, p_eta, F, G, f, g_pot, g)
-    beta = fns.intF(eta)
-    return (p_xi**2
-            - 2.0 * p_xi * p_eta * beta / g
-            - 2.0 * w * beta / g
-            + 2.0 * fns.intf(eta))
+    c11 = -2.0 * fns.intF(eta) / g
+    return _quadratic(p_xi, p_eta, 1.0, c11, 0.0, w * c11 + 2.0 * fns.intf(eta))
 
 
 def _b_form(fns, xi, eta, p_xi, p_eta):
-    """B: the Liouville form of the tilde functions in the (X, Y) coordinates."""
+    """B: the Liouville form of the tilde functions in the (X, Y)
+    coordinates, whose momenta are sqrt(A) p_xi and sqrt(A) p_eta, with
+    ``sqrtA`` of ``_CHARACTERISTIC`` taken at xi and at eta."""
     X, Y = fns.X_of_xi(xi), fns.X_of_xi(eta)
-    pX = _once(fns.sqrtA, xi) * p_xi    # sqrt(A) may be X's own basis
-    pY = _once(fns.sqrtA, eta) * p_eta
+    sX, sY = _once(fns.sqrtA, xi), _once(fns.sqrtA, eta)    # sqrt(A) may be X's own basis
     U, V = X + Y, X - Y
     F, G, f, g = fns.F_tilde(U), fns.G_tilde(V), fns.f_tilde(U), fns.g_tilde(V)
-    return _liouville_form(pX, pY, F, G, f, g, F + G)
+    return _liouville_form(p_xi, p_eta, F, G, f, g, F + G, sX, sY)
 
 
 # enforce_min_g=False: kept for bench/workloads.py; no program path sets it

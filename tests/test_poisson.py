@@ -392,6 +392,27 @@ def test_every_characteristic_constant_mutation_fails(monkeypatch, tag):
         assert not (verify_algebra(spec).passed and verify_casimir(spec).passed), i
 
 
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_a_mutation_of_bs_momentum_cross_term_fails(monkeypatch, tag):
+    # x1.01 on B's coefficient of p_xi p_eta must fail an identity; the
+    # affine fit is stubbed out so that it cannot absorb the mutant
+    import superint.poisson as poisson_mod
+    import superint.systems as systems_mod
+
+    monkeypatch.setattr(poisson_mod, "_fit_offsets", lambda *args: (0.0, 0.0))
+    spec = SystemSpec(tag, **GENERIC)
+    assert verify_algebra(spec).passed
+    quadratic = systems_mod._quadratic
+
+    def mutant(p1, p2, c20, c11, c02, c00):
+        # in a jet pass B's c20 is a jet, A's the number 1.0
+        return quadratic(p1, p2, c20, c11 if isinstance(c20, float) else 1.01 * c11,
+                         c02, c00)
+
+    monkeypatch.setattr(systems_mod, "_quadratic", mutant)
+    assert not verify_algebra(spec).passed
+
+
 def test_report_document_schema():
     rep = verify_algebra(SystemSpec("I1", **GENERIC), n_points=50, seed=7)
     doc = rep.to_dict()

@@ -8,7 +8,7 @@ import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superint import jets
+from superint import jets, systems
 from superint.errors import DomainError, SamplingError
 from superint.jets import CoordJet, Jet2, PhasePoint, seed_phase
 from superint.systems import (CLASS_TAGS, MIN_ABS_G, MOMENTUM_RANGE, SystemSpec,
@@ -321,6 +321,99 @@ def test_tilde_metric_consistency():
         gt = fns.F_tilde(X + Y) + fns.G_tilde(X - Y)
         want = fns.metric(pts.xi, pts.eta) * fns.sqrtA(pts.xi) * fns.sqrtA(pts.eta)
         assert np.abs(gt - want).max() <= 1e-9 * (1 + np.abs(want).max()), tag
+
+
+# -- the quadratic form of A and B -----------------------------------------
+
+
+def _coefficients(rng, shape, order):
+    """Four coordinate jets with random values, gradients and Hessians."""
+    rows = lambda n: rng.uniform(-2.0, 2.0, (n,) + shape)
+    return [CoordJet(rows(1)[0], rows(2), rows(3) if order == 2 else None) for _ in range(4)]
+
+
+def _generic(p1, p2, c20, c11, c02, c00):
+    """The quadratic form by the generic rules of the jets."""
+    return c20 * p1**2 + c11 * p1 * p2 + c02 * p2**2 + c00
+
+
+def _magnitude(x):
+    """``x`` with every part replaced by its absolute value."""
+    if not isinstance(x, Jet2):
+        return abs(x)
+    return type(x)(np.abs(x.val), np.abs(x.grad), np.abs(x.hess) if x.order == 2 else None)
+
+
+def _no_jet_product(*args):
+    raise AssertionError("a jet product in the quadratic form's assembly")
+
+
+# the numeric coefficients, by slot, of the forms that have them
+_NUMERIC = {"none": {}, "A of Class I": {0: 1.0, 2: 1.0}, "A of Class II": {0: 1.0, 2: 0.0},
+            "all": {0: 0.0, 1: 1.0, 2: 0.0, 3: 1.0}}
+
+
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (1,), (7,)]),
+       order=st.sampled_from([1, 2]), numeric=st.sampled_from(sorted(_NUMERIC)))
+@settings(max_examples=300, deadline=None)
+def test_quadratic_form_on_seeds_equals_the_generic_jet_rules(seed, shape, order, numeric):
+    rng = np.random.default_rng(seed)
+    _, _, p1, p2 = seed_phase(PhasePoint(*rng.uniform(-2.0, 2.0, (4,) + shape)), order)
+    coefs = _coefficients(rng, shape, order)
+    coefs = [_NUMERIC[numeric].get(i, c) for i, c in enumerate(coefs)]
+    four = [c.lift(order) if isinstance(c, Jet2) else c for c in coefs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Jet2, "__mul__", _no_jet_product)   # the assembly is taken
+        got, got_four = systems._quadratic(p1, p2, *coefs), systems._quadratic(p1, p2, *four)
+    want = _generic(p1, p2, *coefs)
+    scale = _generic(*map(_magnitude, (p1, p2, *coefs)))
+    assert type(got) is Jet2 and got.order == want.order == order
+    for part in _parts(want):
+        g, w = getattr(got, part), getattr(want, part)
+        assert g.shape == w.shape and np.array_equal(g, getattr(got_four, part)), part
+        assert (np.abs(g - w) <= 4 * np.finfo(float).eps * getattr(scale, part)).all(), part
+    # a numeric 0.0 coefficient of p2^2 leaves d2/dp_eta2 at +0.0
+    if order == 2 and isinstance(coefs[2], float) and coefs[2] == 0.0:
+        assert (got.hess_at(3, 3) == 0.0).all() and not np.signbit(got.hess_at(3, 3)).any()
+    # order 1 carries the value and gradient of order 2
+    _, _, q1, q2 = seed_phase(PhasePoint(p1.val, p2.val, p1.val, p2.val), 1)
+    one = systems._quadratic(q1, q2, *(c.first_order() if isinstance(c, Jet2) else c
+                                       for c in coefs))
+    assert one.order == 1
+    assert np.array_equal(one.val, got.val) and np.array_equal(one.grad, got.grad)
+
+
+_OTHER_MOMENTA = {
+    "scaled momentum": lambda xi, p1, p2, c: (2.0 * p1, p2, c),
+    "swapped momenta": lambda xi, p1, p2, c: (p2, p1, c),
+    "coordinate as momentum": lambda xi, p1, p2, c: (xi, p2, c),
+    "coefficient of a momentum": lambda xi, p1, p2, c: (p1, p2, [c[0] * p1, *c[1:]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OTHER_MOMENTA))
+def test_quadratic_form_of_other_jets_takes_the_generic_rules(case, monkeypatch):
+    # the assembly holds for seed_phase's momentum seeds alone
+    rng = np.random.default_rng(27)
+    xi, _, p1, p2 = seed_phase(PhasePoint(*rng.uniform(-2.0, 2.0, (4, 7))))
+    q1, q2, coefs = _OTHER_MOMENTA[case](xi, p1, p2, _coefficients(rng, (7,), 2))
+    got, want = systems._quadratic(q1, q2, *coefs), _generic(q1, q2, *coefs)
+    for part in _parts(want):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+    monkeypatch.setattr(Jet2, "__mul__", _no_jet_product)
+    with pytest.raises(AssertionError, match="jet product"):
+        systems._quadratic(q1, q2, *coefs)
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_plain_values_of_a_and_b_equal_their_jet_values(tag):
+    # the plain expression on arrays and the assembly on seeds, to rounding
+    spec = SystemSpec(tag, **GENERIC)
+    pts = sample_points(spec, 300, np.random.default_rng(26))
+    for obs in (integral_A(spec), integral_B(spec)):
+        plain, jet = obs.value(pts), obs.eval(pts).val
+        tol = 16 * np.finfo(float).eps * (1 + np.abs(jet).max())
+        assert np.abs(plain - jet).max() <= tol, obs.label
 
 
 # -- characteristic equation ---------------------------------------------
