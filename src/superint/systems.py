@@ -467,7 +467,6 @@ def _seed_of(var):
 
 
 _SEEDS = {2: _seed_of(2), 3: _seed_of(3)}
-_MOMENTUM_HESS = np.setdiff1d(np.arange(Jet2._IU.size), CoordJet._LIFT)
 
 
 def _coord_block(c):
@@ -480,7 +479,7 @@ def _coord_block(c):
     h = c.hess if c.order == 2 else None
     if isinstance(c, CoordJet):
         return c.val, c.grad, h
-    if c.grad[2:].any() or (h is not None and h[_MOMENTUM_HESS].any()):
+    if c.grad[2:].any() or (h is not None and h[Jet2._JU >= 2].any()):  # a momentum row
         return None
     return c.val, c.grad[:2], None if h is None else h.take(CoordJet._LIFT, 0)
 
