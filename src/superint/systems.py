@@ -17,6 +17,10 @@ The module builds, per subclass:
   with hard-coded antiderivatives for Class II),
 * the second quadratic integral ``B`` through the per-class
   recoordinatization ``(X, Y) = (X(xi), X(eta))`` and the tilde functions,
+  A and B each written as a quadratic form in the momenta whose four
+  coefficients are functions of the coordinates (``_quadratic``): on
+  jets the coefficients stay in (xi, eta), and the four-variable jet of
+  the form is written once from theirs,
 * the characteristic-equation and structural-PDE residuals,
 * the structure constants of the quadratic Poisson algebra and the Casimir
   polynomial, as explicit polynomials in the energy.
@@ -625,8 +629,11 @@ def integrals(spec, order: int = 2) -> Callable[[PhasePoint], tuple]:
     theirs at u, G and g at v, the tilde functions at U and V, and in
     Class II F, G, f, g, intF, intf, X and sqrt(A) share theirs at eta.
     They are computed as the forms ask: the pairs with the metric guard,
-    then A's and B's own terms.  The forms run on (xi, eta) jets,
-    lifted to four variables where a momentum enters.  The jets equal the
+    then A's and B's own terms.  The closed forms run on (xi, eta) jets.
+    H's form lifts them to four variables where a momentum enters; A and B
+    are quadratic forms in the momenta, whose four-variable jets
+    :func:`_quadratic` writes from their coefficients' (xi, eta) jets and
+    the momenta's values.  The jets equal the
     ``eval`` of :func:`hamiltonian`, :func:`integral_A` and
     :func:`integral_B` bit for bit, and the first ``DomainError`` is the
     one the three would raise in that order.  A caller that reads no
