@@ -10,6 +10,12 @@ the algebra rows are evaluated with order-2 jets.  The value of a single
 bracket needs gradients only, so the Casimir identity, a value identity
 in H, A, B and C = {A, B}, is evaluated with order-1 jets.
 
+The algebra is written once, as its Casimir polynomial C^2 = F(A, B) +
+K(H), one row per monomial of F in ``_CASIMIR``.  The Casimir combination
+C^2 - F, the right-hand sides of the rows {A, C} = F_B / 2 and {B, C} =
+-F_A / 2, and the expected coefficients of C^2 are all read from that
+table.
+
 Residuals are normalized as |lhs - rhs| / (1 + max(|lhs|, |rhs|)) where
 lhs/rhs are the signed-term aggregates of the identity under test; the
 denominator also carries the largest term entering the bracket
@@ -45,6 +51,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -265,19 +272,50 @@ class VerificationReport:
 # Core residual assembly
 
 
-def casimir_combination(con, c, a, b):
-    """Value and largest |term| of the Casimir combination.
+# The Casimir polynomial C^2 = F(A, B) + K(H) of the quadratic algebra, one
+# row per monomial of F = 2 alpha A^2 B + 2 gamma A B^2 + 2 delta A B
+# + epsilon B^2 + 2 zeta B - (2/3) a A^3 - d A^2 - 2 z A:
+# (constant, factor, power of A, power of B), the factors exact.
+_CASIMIR = (("alpha", 2, 2, 1), ("gamma", 2, 1, 2), ("delta", 2, 1, 1), ("epsilon", 1, 0, 2),
+            ("zeta", 2, 0, 1), ("a", Fraction(-2, 3), 3, 0), ("d", -1, 2, 0), ("z", -2, 1, 0))
 
-    C^2 - 2 alpha A^2 B - 2 gamma A B^2 - 2 delta A B - epsilon B^2
-    - 2 zeta B + (2/3) a A^3 + d A^2 + 2 z A, with the structure constants
-    ``con``; it equals K(H) wherever A, B and C = {A, B} are the values of
-    the integrals.
+
+def _tables(casimir):
+    """The rows, with float factors, of the combination C^2 - F and of the
+    bracket rows {A, C} = F_B / 2 and {B, C} = -F_A / 2, read from the
+    Casimir table ``casimir``, in its order."""
+    return (tuple((n, float(-f), i, j) for n, f, i, j in casimir),
+            tuple((n, float(Fraction(f) * j / 2), i, j - 1) for n, f, i, j in casimir if j),
+            tuple((n, float(-Fraction(f) * i / 2), i - 1, j) for n, f, i, j in casimir if i))
+
+
+_COMBINATION, _AC, _BC = _tables(_CASIMIR)
+
+
+def _term(f, k, x, i, y, j):
+    """f k x^i y^j: a factor f of 1 or -1 is k or -k, which keeps the sign of a
+    NaN that a product might not, and a power 0 is left out."""
+    t = k if f == 1.0 else -k if f == -1.0 else f * k
+    if i:
+        t = t * (x if i == 1 else x**i)
+    if j:
+        t = t * (y if j == 1 else y**j)
+    return t
+
+
+def _terms_of(table, con, A, B):
+    """The terms of ``table``'s rows at the structure constants ``con``."""
+    return [_term(f, getattr(con, n), A, i, B, j) for n, f, i, j in table]
+
+
+def casimir_combination(con, c, a, b):
+    """Value and largest |term| of the Casimir combination C^2 - F(A, B).
+
+    F is the polynomial of ``_CASIMIR`` at the structure constants ``con``;
+    the combination equals K(H) wherever A, B and C = {A, B} are the values
+    of the integrals.
     """
-    terms = [c**2, -2.0 * con.alpha * a**2 * b,
-             -2.0 * con.gamma * a * b**2, -2.0 * con.delta * a * b,
-             -con.epsilon * b**2, -2.0 * con.zeta * b,
-             (2.0 / 3.0) * con.a * a**3, con.d * a**2,
-             2.0 * con.z * a]
+    terms = [c**2, *_terms_of(_COMBINATION, con, a, b)]
     # summed row by row: numpy's axis-0 sum of 8 or more rows groups the
     # terms differently for a single point, so a one-point batch would differ
     t = np.array(terms)
@@ -325,14 +363,11 @@ def _row_residuals(cp, hab, pts, names):
         res = dict(fixed)
         if AC:
             AC_val, AC_scale = AC
-            rhs_AC, s_AC = _sum_and_scale([con.alpha * Av**2, 2.0 * con.gamma * Av * Bv,
-                                           con.delta * Av, con.epsilon * Bv, con.zeta])
+            rhs_AC, s_AC = _sum_and_scale(_terms_of(_AC, con, Av, Bv))
             res["AC_row"] = _norm(AC_val - rhs_AC, AC_scale, s_AC)
         if BC:
             BC_val, BC_scale = BC
-            rhs_BC, s_BC = _sum_and_scale([con.a * Av**2, -con.gamma * Bv**2,
-                                           -2.0 * con.alpha * Av * Bv, con.d * Av,
-                                           -con.delta * Bv, con.z])
+            rhs_BC, s_BC = _sum_and_scale(_terms_of(_BC, con, Av, Bv))
             res["BC_row"] = _norm(BC_val - rhs_BC, BC_scale, s_BC)
         if "casimir" in names:
             kcomb, s_K = casimir_combination(con, C_val, Av, Bv)
@@ -692,27 +727,13 @@ def polynomial_membership(target, generators, spec: SystemSpec, n_points: int = 
 
 def casimir_coefficients(spec: SystemSpec) -> dict:
     """Expected monomial coefficients of C^2 over H^i A^j B^k, from the
-    printed structure constants (the rearranged Casimir identity)."""
+    printed structure constants: F's, row by row of ``_CASIMIR``, and
+    K(H)'s; zero coefficients are left out."""
     cp = constants_poly(spec)
     out = {}
-
-    def put(i, j, k, value):
-        if value != 0.0:
-            out[(i, j, k)] = out.get((i, j, k), 0.0) + value
-
-    put(0, 2, 1, 2.0 * cp.alpha)
-    put(0, 1, 2, 2.0 * cp.gamma)
-    put(0, 3, 0, -(2.0 / 3.0) * cp.a)
-    for i, c in enumerate(np.atleast_1d(cp.delta)):
-        put(i, 1, 1, 2.0 * c)
-    for i, c in enumerate(np.atleast_1d(cp.epsilon)):
-        put(i, 0, 2, c)
-    for i, c in enumerate(np.atleast_1d(cp.zeta)):
-        put(i, 0, 1, 2.0 * c)
-    for i, c in enumerate(np.atleast_1d(cp.d)):
-        put(i, 2, 0, -c)
-    for i, c in enumerate(np.atleast_1d(cp.z)):
-        put(i, 1, 0, -2.0 * c)
+    for name, f, j, k in _CASIMIR:
+        for i, c in enumerate(np.atleast_1d(getattr(cp, name))):
+            out[(i, j, k)] = float(f) * c
     for i, c in enumerate(np.atleast_1d(cp.K)):
-        put(i, 0, 0, c)
-    return out
+        out[(i, 0, 0)] = c
+    return {key: v for key, v in out.items() if v != 0.0}

@@ -720,39 +720,27 @@ def structural_pde_residual(spec: SystemSpec, which: str, xi, eta):
 
     ``which`` selects the metric pair (F, G) or the potential pair (f, g);
     both satisfy the same equation.  The operator is the master equation
-    (A''-B'') g + 3 A' g_xi - 3 B' g_eta + 2 A g_xixi - 2 B g_etaeta = 0
-    specialized per class; residuals are normalized by the largest term.
+
+        (A_xixi - B_etaeta) g + 3 A_xi g_xi - 3 B_eta g_eta
+        + 2 A g_xixi - 2 B g_etaeta = 0
+
+    on order-2 jets in (xi, eta) of g, A = A(xi) and B = A(eta), with g the
+    class's metric rule (:meth:`SystemFns.metric`) over the selected pair;
+    the residual is normalized by the largest term.
     """
     if which not in ("metric_pair", "potential_pair"):
         raise ValueError("which must be 'metric_pair' or 'potential_pair'")
     params = spec.metric_params if which == "metric_pair" else spec.potential_params
-    Ffn, Gfn = _forms(spec.tag, *params)[:2]
-    A_of_xi = _solution(spec.tag).A_of_xi
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-
-    A, A1, A2 = _univariate_jet(A_of_xi, xi)
-    B, B1, B2 = _univariate_jet(A_of_xi, eta)  # B is the same solution at eta
-
-    if spec.is_class_one():
-        F, F1, F2 = _univariate_jet(Ffn, xi + eta)
-        G, G1, G2 = _univariate_jet(Gfn, xi - eta)
-        terms = np.stack([
-            (A2 - B2) * (F + G),
-            3.0 * A1 * (F1 + G1),
-            -3.0 * B1 * (F1 - G1),
-            2.0 * (A - B) * (F2 + G2),
-        ])
-    else:
-        F, F1, F2 = _univariate_jet(Ffn, eta)
-        G, G1, G2 = _univariate_jet(Gfn, eta)
-        # g = F(eta) xi + G(eta): g_xixi = 0, g_etaeta = F'' xi + G''
-        terms = np.stack([
-            (A2 - B2) * (F * xi + G),
-            3.0 * A1 * F,
-            -3.0 * B1 * (F1 * xi + G1),
-            -2.0 * B * (F2 * xi + G2),
-        ])
+    fns = _fns(spec.tag, params, params)
+    X, Y = CoordJet.seed(xi, 0), CoordJet.seed(eta, 1)
+    g, A, B = fns.metric(X, Y), fns.A_of_xi(X), fns.A_of_xi(Y)
+    terms = np.stack([
+        (A.hess_at(0, 0) - B.hess_at(1, 1)) * g.val,
+        3.0 * A.grad[0] * g.grad[0],
+        -3.0 * B.grad[1] * g.grad[1],
+        2.0 * A.val * g.hess_at(0, 0),
+        -2.0 * B.val * g.hess_at(1, 1),
+    ])
     return _norm(terms.sum(axis=0), np.abs(terms).max(axis=0))
 
 

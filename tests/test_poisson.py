@@ -2,6 +2,8 @@
 
 import functools
 import json
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -430,6 +432,110 @@ def test_report_thread_count_invariance():
     assert r1.to_json() == r4.to_json()
 
 
+# -- the one Casimir table ----------------------------------------------------
+# C^2 = F(A, B) + K(H) is written once in the package, as poisson._CASIMIR;
+# the printed rows, combination and coefficients are kept here as references.
+
+_CONSTANTS = ("alpha", "gamma", "a", "delta", "epsilon", "zeta", "d", "z")
+
+
+def _exact(table):
+    """``table``'s rows with each float factor read back as the rational of
+    denominator at most 3 whose float it is."""
+    rows = [(n, Fraction(f).limit_denominator(3), i, j) for n, f, i, j in table]
+    assert [float(q) for _, q, _, _ in rows] == [f for _, f, _, _ in table]
+    return rows
+
+
+def test_the_casimir_tables_sum_exactly_to_the_printed_forms():
+    import superint.poisson as poisson_mod
+
+    rng = np.random.default_rng(28)
+    q = lambda: Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 100)))
+    for _ in range(20):
+        c = SimpleNamespace(**{n: q() for n in _CONSTANTS})
+        A, B, C = q(), q(), q()
+        terms = lambda table: poisson_mod._terms_of(_exact(table), c, A, B)
+        assert sum(terms(poisson_mod._AC)) == (c.alpha * A**2 + 2 * c.gamma * A * B
+                                               + c.delta * A + c.epsilon * B + c.zeta)
+        assert sum(terms(poisson_mod._BC)) == (c.a * A**2 - c.gamma * B**2
+                                               - 2 * c.alpha * A * B + c.d * A
+                                               - c.delta * B + c.z)
+        assert C**2 + sum(terms(poisson_mod._COMBINATION)) == (
+            C**2 - 2 * c.alpha * A**2 * B - 2 * c.gamma * A * B**2 - 2 * c.delta * A * B
+            - c.epsilon * B**2 - 2 * c.zeta * B + Fraction(2, 3) * c.a * A**3
+            + c.d * A**2 + 2 * c.z * A)
+
+
+def test_every_casimir_factor_mutation_fails(monkeypatch):
+    # x1.01 on each factor of the Casimir table, read into the combination and
+    # both rows, must fail an identity on GENERIC in every class where the
+    # factor's constant is nonzero; the affine fit is stubbed out so that it
+    # cannot absorb a mutant
+    import superint.poisson as poisson_mod
+    from superint.systems import constants_poly
+
+    monkeypatch.setattr(poisson_mod, "_fit_offsets", lambda *args: (0.0, 0.0))
+    table = poisson_mod._CASIMIR
+    mutants = survivors = 0
+    for row, (name, f, i, j) in enumerate(table):
+        mutated = (*table[:row], (name, f * 1.01, i, j), *table[row + 1:])
+        monkeypatch.setattr(poisson_mod, "_CASIMIR", mutated)
+        for attr, derived in zip(("_COMBINATION", "_AC", "_BC"), poisson_mod._tables(mutated)):
+            monkeypatch.setattr(poisson_mod, attr, derived)
+        for tag in CLASS_TAGS:
+            spec = SystemSpec(tag, **GENERIC)
+            if not np.any(getattr(constants_poly(spec), name)):
+                continue
+            mutants += 1
+            survivors += verify_algebra(spec).passed and verify_casimir(spec).passed
+    assert mutants == 27
+    assert survivors == 0
+
+
+def _ref_casimir_coefficients(spec):
+    """The printed coefficients of C^2, written out term by term."""
+    from superint.systems import constants_poly
+
+    cp = constants_poly(spec)
+    out = {}
+
+    def put(i, j, k, value):
+        if value != 0.0:
+            out[(i, j, k)] = out.get((i, j, k), 0.0) + value
+
+    put(0, 2, 1, 2.0 * cp.alpha)
+    put(0, 1, 2, 2.0 * cp.gamma)
+    put(0, 3, 0, -(2.0 / 3.0) * cp.a)
+    for i, c in enumerate(np.atleast_1d(cp.delta)):
+        put(i, 1, 1, 2.0 * c)
+    for i, c in enumerate(np.atleast_1d(cp.epsilon)):
+        put(i, 0, 2, c)
+    for i, c in enumerate(np.atleast_1d(cp.zeta)):
+        put(i, 0, 1, 2.0 * c)
+    for i, c in enumerate(np.atleast_1d(cp.d)):
+        put(i, 2, 0, -c)
+    for i, c in enumerate(np.atleast_1d(cp.z)):
+        put(i, 1, 0, -2.0 * c)
+    for i, c in enumerate(np.atleast_1d(cp.K)):
+        put(i, 0, 0, c)
+    return out
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_casimir_coefficients_are_the_printed_ones(tag):
+    rng = np.random.default_rng(29)
+    # a fifth of the random parameters are zero, so that terms drop out
+    specs = [SystemSpec(tag, **GENERIC)] + [
+        SystemSpec(tag, *np.where(rng.random(8) < 0.2, 0.0, rng.uniform(-2, 2, 8)))
+        for _ in range(20)]
+    for spec in specs:
+        got, ref = casimir_coefficients(spec), _ref_casimir_coefficients(spec)
+        assert sorted(got) == sorted(ref)
+        assert {k: float(v).hex() for k, v in got.items()} == {
+            k: float(v).hex() for k, v in ref.items()}
+
+
 # -- membership -------------------------------------------------------------
 
 
@@ -661,9 +767,8 @@ def _ref_rows(cp, H, A, B, a_off, b_off):
     rhs_AC, s_AC = _stacked(con.alpha * Av**2, 2.0 * con.gamma * Av * Bv,
                             con.delta * Av, con.epsilon * Bv, con.zeta * one)
     BC_val, BC_scale = _ref_grad_bracket(B, C)
-    rhs_BC, s_BC = _stacked(con.a * Av**2, -con.gamma * Bv**2,
-                            -2.0 * con.alpha * Av * Bv, con.d * Av,
-                            -con.delta * Bv, con.z * one)
+    rhs_BC, s_BC = _stacked(-2.0 * con.alpha * Av * Bv, -con.gamma * Bv**2,
+                            -con.delta * Bv, con.a * Av**2, con.d * Av, con.z * one)
     kcomb, s_K = _ref_casimir(con, C.val, Av, Bv)
     s_K = np.maximum(s_K, np.abs(C.val) * C.val_scale)
     return {"HA": _norm(*_ref_contract(H.grad, A.grad)),

@@ -70,3 +70,44 @@ def test_corpus_cmp_verdicts_fails_a_changed_verdict_or_text(capsys, line, new):
 def test_corpus_cmp_verdicts_fails_a_changed_line_count(capsys):
     assert _tool("corpus_cmp").verdicts(_CORPUS, _CORPUS[:-1]) == 1
     assert "line counts differ: 17 -> 16" in capsys.readouterr().out
+
+
+_SOURCE = '''"""A module docstring,
+over two lines."""
+
+import os  # a comment after code
+
+__all__ = [
+    "f",
+    "g",
+]
+
+
+def f(x):
+    """A function docstring."""
+    # a comment line
+
+    return (x +
+            1)
+
+
+def g():
+    """A docstring
+    over three lines.
+    """
+    return "a string that is no docstring"
+'''
+
+
+def test_code_lines_counts_code_but_no_docstring_comment_or_blank(tmp_path, capsys):
+    tool = _tool("code_lines")
+    # import, the four lines of __all__, def f, its two return lines, def g, return
+    assert tool.code_lines(_SOURCE) == 10
+    assert tool.public_names(_SOURCE) == 2
+    assert tool.public_names("x = 1\n") == 0
+    (tmp_path / "superint").mkdir()
+    (tmp_path / "superint" / "m.py").write_text(_SOURCE)
+    (tmp_path / "superint" / "notes.txt").write_text("not a module\n")
+    assert tool.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["    10       2  m.py",
+                                                        "    10       2  total"]
