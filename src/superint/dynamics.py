@@ -17,7 +17,9 @@ LRU cache, so a forward and a time-reversed run trace H once):
 
 * the right-hand side is H's gradient, traced (:func:`superint.jets.trace`)
   into straight-line float code that gives the Dual4 evaluation's floats
-  and errors bit for bit;
+  and errors bit for bit; the seeds' structural zeros fold as it is
+  traced, so the code holds no arithmetic on a derivative that is zero by
+  construction, such as the momentum derivatives of g and w;
 * the domain check runs on floats: the positivity and pole-margin tests of
   :class:`SampleDomain`, then g and the recoordinatized metric, whose
   closed forms are traced with their numpy calls kept.

