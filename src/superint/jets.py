@@ -599,8 +599,9 @@ class _Sym:
     of its result, but +, - and * with Dual4's structural zero on the
     right, which give the ``_Sym`` or the zero and record nothing.  An
     operation on constants alone never reaches it: Python runs it at trace
-    time, on the same objects, so it is folded exactly.  A ``_Sym`` has no truth value, so a branch on a traced value
-    fails the trace instead of fixing one side of the branch.
+    time, on the same objects, so it is folded exactly.  A ``_Sym`` has no
+    truth value, so a branch on a traced value fails the trace instead of
+    fixing one side of the branch.
     """
 
     __slots__ = ("tape", "name")
