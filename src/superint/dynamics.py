@@ -20,15 +20,18 @@ LRU cache, so a forward and a time-reversed run trace H once):
   and errors bit for bit; the seeds' structural zeros fold as it is
   traced, so the code holds no arithmetic on a derivative that is zero by
   construction, such as the momentum derivatives of g and w;
-* the domain check runs on floats: the positivity and pole-margin tests of
-  :class:`SampleDomain`, then g and the recoordinatized metric, whose
-  closed forms are traced with their numpy calls kept.
+* the domain check runs on Python floats: the positivity and pole-margin
+  tests of :class:`SampleDomain`, then g and the recoordinatized metric,
+  whose closed forms are traced on math's functions in place of numpy's
+  (:func:`superint.jets.float_straight_line`); where that code raises,
+  the closed forms on numpy's functions decide.
 
-The DP5(4) step itself, six stages, the 5th-order update and the error
-estimate on Python floats, is written once in :func:`_attempt` and
-compiled once with :func:`superint.jets.straight_line`; it calls the
-spec's gradient at each stage.  Its sums keep the order of operations of
-numpy's sums over 4-arrays, so every step is bit-identical to them.
+The DP5(4) step itself, six stages, the 5th-order update, the error
+estimate and its RMS norm on Python floats, is written once in
+:func:`_attempt` and compiled once with :func:`superint.jets.straight_line`;
+it calls the spec's gradient at each stage.  Its sums keep the order of
+operations of numpy's sums over 4-arrays, so every step is bit-identical
+to them, and so is the norm wherever numpy's is finite.
 
 Integration stops early with a ``domain_exit`` status when the state
 leaves the class domain (pole-margin exclusions, positivity, metric
@@ -45,7 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StepFailure
-from .jets import PhasePoint, one_call, straight_line, trace
+from .jets import (PhasePoint, float_call, float_straight_line, one_call, straight_line,
+                   trace, where)
 from .poisson import bracket_value, casimir_combination
 from .systems import (MIN_ABS_G, SystemSpec, algebra_constants, build_fns,
                       hamiltonian, integrals, sample_domain)
@@ -100,35 +104,33 @@ def _slope(dH, y):
     return d2, d3, -d0, -d1
 
 
-def _attempt(dH, y, h, k0):
+_sqrt = float_call(math.sqrt)  # one call in the compiled step
+
+
+def _attempt(dH, y, h, k0, rel_tol, abs_tol):
     """One DP5(4) step of size ``h`` from ``y``, whose slope is ``k0``.
 
-    Returns the 5th-order state, the error estimate and the slope there,
-    twelve floats.  Each stage sum starts from 0 and adds left to right,
-    and the two weight sums add all seven stages, zero weights included:
-    the operations of numpy's sums over 4-arrays.
+    Returns the 5th-order state, the RMS norm of the error estimate over
+    the scales ``abs_tol + rel_tol * max(|y_new|, |y|)``, and the slope at
+    the new state: nine floats.  Each stage sum starts from 0.0 and adds
+    left to right, and the two weight sums add all seven stages, zero
+    weights included: the operations of numpy's sums over 4-arrays.  ``y``
+    is finite, so the max keeps a NaN of ``y_new`` as ``np.maximum`` does.
+    A zero scale, by which float division would raise, divides as NaN: the
+    norm is NaN, non-finite as numpy's, and the step is rejected.
     """
     k = [k0]
     for a in _A[1:]:
-        k.append(_slope(dH, [yc + h * sum(aj * kj[c] for aj, kj in zip(a, k))
+        k.append(_slope(dH, [yc + h * sum((aj * kj[c] for aj, kj in zip(a, k)), 0.0)
                              for c, yc in enumerate(y)]))
-    y_new = [yc + h * sum(b * kj[c] for b, kj in zip(_B5, k)) for c, yc in enumerate(y)]
-    err = [h * sum(e * kj[c] for e, kj in zip(_E, k)) for c in range(4)]
-    return (*y_new, *err, *k[6])
-
-
-def _error_norm(y, y_new, err, rel_tol, abs_tol):
-    """RMS of ``err`` over ``abs_tol + rel_tol * max(|y|, |y_new|)``.
-
-    ``y`` is finite, so ``max`` keeps a NaN of ``y_new`` as ``np.maximum``
-    does.  A zero scale gives inf, where numpy gives inf or NaN: a rejected
-    step either way.
-    """
-    try:
-        r = [e / (abs_tol + rel_tol * max(abs(b), abs(a))) for e, a, b in zip(err, y, y_new)]
-    except ZeroDivisionError:
-        return math.inf
-    return math.sqrt(sum(x * x for x in r) / 4)
+    y_new = [yc + h * sum((b * kj[c] for b, kj in zip(_B5, k)), 0.0) for c, yc in enumerate(y)]
+    r = []
+    for c, (yc, yn) in enumerate(zip(y, y_new)):
+        old, new = abs(yc), abs(yn)
+        scale = abs_tol + rel_tol * where(old > new, old, new)
+        err = h * sum((e * kj[c] for e, kj in zip(_E, k)), 0.0)
+        r.append(err / where(scale > 0.0, scale, math.nan))
+    return (*y_new, _sqrt(sum((x * x for x in r), 0.0) / 4.0), *k[6])
 
 
 def _domain_check(spec: SystemSpec):
@@ -139,10 +141,21 @@ def _domain_check(spec: SystemSpec):
     at least ``MIN_ABS_G`` in magnitude (an exception evaluating them means
     outside).  The two factors are the closed forms of
     :meth:`SystemFns.metric` and :meth:`SystemFns.tilde_metric`, traced to
-    straight-line code once.
+    straight-line code on math's functions once, so the check stays on
+    Python floats.  Where that code raises, numpy's functions may still
+    give a finite factor (``1 / exp(x)`` is 0.0 where ``exp`` overflows to
+    inf), so the closed forms themselves decide there: the verdict is that
+    of the closed forms on every state.
     """
     fns, dom = build_fns(spec), sample_domain(spec)
-    metrics = straight_line(lambda xi, eta: (fns.metric(xi, eta), fns.tilde_metric(xi, eta)), 2)
+    metrics = float_straight_line(
+        lambda xi, eta: (fns.metric(xi, eta), fns.tilde_metric(xi, eta)), 2)
+
+    def closed_forms(xi, eta):
+        try:
+            return fns.metric(xi, eta), fns.tilde_metric(xi, eta)
+        except (DomainError, FloatingPointError, ZeroDivisionError, OverflowError):
+            return math.nan, math.nan
 
     def in_domain(y):
         xi, eta = y[0], y[1]
@@ -151,8 +164,8 @@ def _domain_check(spec: SystemSpec):
             return False
         try:
             g, gt = metrics(xi, eta)
-        except (DomainError, FloatingPointError, ZeroDivisionError, OverflowError):
-            return False
+        except (OverflowError, ValueError, ZeroDivisionError):
+            g, gt = closed_forms(xi, eta)
         # both conformal factors must stay non-degenerate: g divides H and A,
         # the recoordinatized one divides B
         return (math.isfinite(g) and abs(g) >= MIN_ABS_G
@@ -163,9 +176,9 @@ def _domain_check(spec: SystemSpec):
 
 @functools.cache
 def _step():
-    """:func:`_attempt` as straight-line code: ``step(dH, *y, h, *k0)``,
-    with one call of the gradient ``dH`` per stage."""
-    return straight_line(lambda dH, *a: _attempt(one_call(dH, 5), a[:4], a[4], a[5:]), 10)
+    """:func:`_attempt` as straight-line code: ``step(dH, *y, h, *k0,
+    rel_tol, abs_tol)``, with one call of the gradient ``dH`` per stage."""
+    return straight_line(lambda dH, *a: _attempt(one_call(dH, 5), a[:4], a[4], a[5:9], *a[9:]), 12)
 
 
 _Flow = namedtuple("_Flow", "dH in_domain")
@@ -236,15 +249,14 @@ def integrate(spec: SystemSpec, initial: PhasePoint, t_end: float,
         if h < _MIN_DT:
             raise StepFailure(f"step size underflow (dt={h:.3e}) at t={t:.6g}")
         try:
-            out = step(flow.dH, *y, h, *k0)
+            out = step(flow.dH, *y, h, *k0, rel_tol, abs_tol)
             nevals += 6
         except (DomainError, OverflowError, ZeroDivisionError, ValueError):
             n_rej += 1
             h *= 0.5
             continue
 
-        y_new = out[:4]
-        err = _error_norm(y, y_new, out[4:8], rel_tol, abs_tol)
+        err = out[4]
 
         if not math.isfinite(err) or err > 1.0:
             n_rej += 1
@@ -256,7 +268,7 @@ def integrate(spec: SystemSpec, initial: PhasePoint, t_end: float,
         t += h
         n_acc += 1
         min_dt, max_dt = min(min_dt, h), max(max_dt, h)
-        y, k0 = y_new, out[8:]  # FSAL
+        y, k0 = out[:4], out[5:]  # FSAL
         if not flow.in_domain(y):
             status, exit_time = "domain_exit", t
             break

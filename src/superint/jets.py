@@ -75,8 +75,12 @@ structural-zero rules.  A structural zero is met at trace time, so an
 operation on one records no line: the trace holds only the derivative
 arithmetic the seeds reach (sparse forward mode; Griewank & Walther,
 *Evaluating Derivatives*, ch. 7): 38 to 56 % fewer lines in H's gradient.
-The flow (:mod:`superint.dynamics`) runs its right-hand side, its DP5(4)
-step and its domain check this way.
+A traced float also records ``abs``, the branch-free choice :func:`where`
+and a call of a builtin or of math's (:func:`float_call`); and
+:func:`float_straight_line` records numpy's sqrt, exp, log, tan and
+arctan as math's, so that its code stays on Python floats.  The flow
+(:mod:`superint.dynamics`) runs its right-hand side, its DP5(4) step with
+the error norm, and its domain check this way.
 
 :func:`fd_derivatives` is the independent finite-difference oracle used to
 cross-check jet propagation.
@@ -101,7 +105,10 @@ __all__ = [
     "Observable",
     "trace",
     "straight_line",
+    "float_straight_line",
     "one_call",
+    "float_call",
+    "where",
     "seed_phase",
     "fd_derivatives",
     "norm_residual",
@@ -614,10 +621,11 @@ class _Sym:
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         """A numpy ufunc on traced floats (``np.sqrt(x)``, or ``np.float64 *
-        x``), recorded as the same ufunc call."""
+        x``), recorded as the same ufunc call, or as the tape's stand-in for
+        it (:func:`float_straight_line`)."""
         if method != "__call__" or kwargs or ufunc.nout != 1:
             return NotImplemented
-        return self.tape.emit("{}(" + ", ".join(["{}"] * len(inputs)) + ")", ufunc, *inputs)
+        return self.tape.apply(self.tape.stand_ins.get(ufunc, ufunc), inputs)
 
     # a structural zero on the right folds here, with no line; on the left,
     # _Zero's own methods run first
@@ -636,6 +644,7 @@ class _Sym:
     __truediv__, __rtruediv__ = _emit("{} / {}"), _emit("{} / {}", reflected=True)
     __pow__ = _emit("{} ** {}")
     __neg__ = _emit("-{}")
+    __abs__ = _emit("abs({})")
     __gt__ = _emit("{} > {}")
     __ne__ = _emit("{} != {}")
 
@@ -644,9 +653,11 @@ class _Tape:
     """The lines of one traced evaluation, in execution order, and the
     namespace they run in.  A constant operand is bound by object under a
     name of its own, so it keeps its type (float, np.float64, int) and its
-    sign."""
+    sign.  ``stand_ins`` maps a numpy ufunc to the function recorded in its
+    place, if any."""
 
-    def __init__(self):
+    def __init__(self, stand_ins=None):
+        self.stand_ins = stand_ins or {}
         self.lines = []
         self.env = {"DomainError": DomainError}
         self._bound = {}  # id of a bound constant -> its name; env keeps it alive
@@ -666,6 +677,10 @@ class _Tape:
         self.lines.append(f"{out.name} = " + fmt.format(*map(self.ref, args)))
         return out
 
+    def apply(self, fn, args):
+        """Append ``t<k> = fn(args)`` and return the ``_Sym`` of its result."""
+        return self.emit("{}(" + ", ".join(["{}"] * len(args)) + ")", fn, *args)
+
     def call(self, fn, args, n_out):
         """Append ``t<k>_0, ..., = fn(args)`` and return the ``_Sym`` of each of
         its ``n_out`` results."""
@@ -680,8 +695,32 @@ class _Tape:
                           f"{self.ref(primitive)}, float({self.ref(value)}))")
 
 
-def _traced_call(fn):
-    return lambda x: x.tape.emit("{}({})", fn, x) if isinstance(x, _Sym) else fn(x)
+def where(ok, a, b):
+    """``a if ok else b``, of floats already computed.
+
+    On a traced ``ok`` (a traced comparison) it records that expression as
+    one line and returns its traced result: a branch-free choice, since
+    both operands are computed either way.
+    """
+    if isinstance(ok, _Sym):
+        return ok.tape.emit("{} if {} else {}", a, ok, b)
+    return a if ok else b
+
+
+def float_call(fn):
+    """``fn``, a function of floats that returns one float (a builtin such as
+    ``max``, or one of math's), kept as one call in a trace.
+
+    On a traced argument it records the call and returns the traced result;
+    on plain numbers it calls ``fn``.
+    """
+    def call(*args):
+        for a in args:
+            if isinstance(a, _Sym):
+                return a.tape.apply(fn, args)
+        return fn(*args)
+
+    return call
 
 
 class _TraceDual(Dual4):
@@ -692,7 +731,7 @@ class _TraceDual(Dual4):
     """
 
     __slots__ = ()
-    _m = SimpleNamespace(**{k: _traced_call(f) for k, f in vars(_FLOAT_MATH).items()})
+    _m = SimpleNamespace(**{k: float_call(f) for k, f in vars(_FLOAT_MATH).items()})
 
     def _require(self, ok, primitive):
         ok.tape.guard(ok, primitive, self.val)
@@ -710,7 +749,28 @@ def straight_line(fn, nargs):
     alone runs once, at trace time; a branch on a traced value fails the
     trace with ``TypeError``.
     """
-    tape = _Tape()
+    return _compile(fn, nargs, _Tape())
+
+
+# numpy's scalar functions, each with math's in its place (Dual4's)
+_MATH_STAND_INS = {getattr(np, k): f for k, f in vars(_FLOAT_MATH).items()}
+
+
+def float_straight_line(fn, nargs):
+    """:func:`straight_line`, with numpy's sqrt, exp, log, tan and arctan
+    recorded as math's functions, the ones :class:`Dual4` takes.
+
+    So the code stays on Python floats where ``fn`` turns to numpy scalars.
+    It gives ``fn``'s floats up to the last bits of those functions where it
+    returns, and raises ``ValueError``, ``OverflowError`` or
+    ``ZeroDivisionError`` where math's functions or float ``**`` and ``/``
+    do, as where numpy's sqrt, exp or log of a float gives NaN or inf.
+    """
+    return _compile(fn, nargs, _Tape(_MATH_STAND_INS))
+
+
+def _compile(fn, nargs, tape):
+    """``fn`` run once on ``nargs`` traced floats of ``tape``, compiled."""
     args = [_Sym(tape, f"a{i}") for i in range(nargs)]
     ret = ", ".join(map(tape.ref, fn(*args)))
     body = "\n    ".join([*tape.lines, f"return {ret},"])

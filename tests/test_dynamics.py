@@ -1,12 +1,15 @@
 """Trajectory integration and conservation drift."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superint import dynamics
 from superint.errors import DomainError, StepFailure
-from superint.jets import Dual4, Observable, PhasePoint, norm_residual, straight_line, trace
+from superint.jets import (Dual4, Observable, PhasePoint, float_straight_line, norm_residual,
+                           straight_line, trace)
 from superint.poisson import TOL_NESTED
 from superint.systems import (CLASS_TAGS, MIN_ABS_G, SystemSpec, algebra_constants,
                               build_fns, hamiltonian, integral_A, integral_B,
@@ -308,12 +311,14 @@ def _numpy_in_domain(fns, dom, y):
 
 
 def _reference_integrate(spec, initial, t_end, rel_tol=dynamics.REL_TOL,
-                         abs_tol=dynamics.ABS_TOL, max_steps=1_000_000):
+                         abs_tol=dynamics.ABS_TOL, max_steps=1_000_000, flow=None):
     """The reference integrator: the DP5(4) loop on 4-element numpy arrays,
-    with the per-call Dual4 right-hand side and the numpy domain check."""
-    fns, dom, rhs = build_fns(spec), sample_domain(spec), _dual_rhs_fn(spec)
+    with the per-call Dual4 right-hand side and the numpy domain check, or
+    the pair ``flow`` of a right-hand side and a domain check."""
+    fns, dom = build_fns(spec), sample_domain(spec)
+    rhs, inside = flow or (_dual_rhs_fn(spec), lambda y: _numpy_in_domain(fns, dom, y))
     y = initial.as_array().astype(float).reshape(4)
-    if not _numpy_in_domain(fns, dom, y):
+    if not inside(y):
         raise DomainError("initial", tuple(y), "initial state outside class domain")
     t, times, states = 0.0, [0.0], [y.copy()]
     n_acc = n_rej = 0
@@ -357,7 +362,7 @@ def _reference_integrate(spec, initial, t_end, rel_tol=dynamics.REL_TOL,
         min_dt, max_dt = min(min_dt, h), max(max_dt, h)
         y = y_new
         k[0] = k[6]
-        if not _numpy_in_domain(fns, dom, y):
+        if not inside(y):
             status, exit_time = "domain_exit", t
             break
         times.append(t)
@@ -468,6 +473,55 @@ def test_domain_check_counts_an_overflow_as_outside():
         integrate(spec, PhasePoint(*y), t_end=1.0)
 
 
+def _float_metrics(spec):
+    """The domain check's g and tilde metric: their closed forms, traced on
+    math's functions."""
+    fns = build_fns(spec)
+    return float_straight_line(lambda xi, eta: (fns.metric(xi, eta), fns.tilde_metric(xi, eta)), 2)
+
+
+# an admitted state per class where the float code raises: Python's ** or
+# math's exp overflows, or 0.0 ** -2 divides by zero; in I2, numpy's exp
+# gives inf there and 1 / inf a finite tilde metric, so the state is inside
+_FALLBACKS = [(SystemSpec("I1", lam=1.0, nu=2.0), (1e200, 1.0, 1.0, 1.0), False),
+              (SystemSpec("I2", mu=1.0, nu=1.0), (1e155, 1.0, 1.0, 1.0), True),
+              (SystemSpec("I3", nu=1.0), (-1000.0, -800.0, 1.0, 1.0), False),
+              (SystemSpec("I3", kappa=1.0, nu=1.0), (1000.0, 800.0, 1.0, 1.0), False),
+              (SystemSpec("II1", kappa=1.0, mu=1.0, nu=1.0), (1e200, 1.0, 0.1, 0.1), False),
+              (SystemSpec("II2", kappa=0.3, nu=2.0), (1e250, 1.0, 1.0, 1.0), False),
+              (SystemSpec("II3", lam=0.5, mu=0.5, nu=2.0), (1e200, 1.0, 1.0, 1.0), False)]
+
+
+@pytest.mark.parametrize("spec,y,inside", _FALLBACKS,
+                         ids=[f"{s.tag}-{y[0]:g}" for s, y, _ in _FALLBACKS])
+def test_the_closed_forms_decide_where_the_float_code_raises(spec, y, inside):
+    assert sample_domain(spec).admits_point(*y[:2])
+    with pytest.raises((OverflowError, ZeroDivisionError)):
+        _float_metrics(spec)(*y[:2])
+    with np.errstate(all="ignore"):
+        assert _numpy_predicate(build_fns(spec), sample_domain(spec), y) is inside
+        assert dynamics._flow(spec).in_domain(list(y)) == inside
+
+
+# the largest difference in ulps at 2000 sampled states: exp(v) - 1 in I2's
+# tilde metric and tan in I3's magnify the last bit of math's exp and tan
+_ULPS = {"I1": 0, "I2": 2048, "I3": 64, "II1": 0, "II2": 0, "II3": 4}
+
+
+@pytest.mark.parametrize("tag", CLASS_TAGS)
+def test_the_float_metrics_are_the_closed_forms_to_a_few_ulps(tag):
+    # sqrt and the arithmetic are the same; math's exp, log, tan and atan
+    # differ from numpy's in the last bit now and then
+    spec = SystemSpec(tag, kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1, m=0.2, n=1.0)
+    fns, metrics = build_fns(spec), _float_metrics(spec)
+    pts = sample_points(spec, 2000, np.random.default_rng(31))
+    for y in zip(pts.xi.tolist(), pts.eta.tolist()):
+        got, want = metrics(*y), (fns.metric(*y), fns.tilde_metric(*y))
+        assert all(type(v) is float for v in got)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= _ULPS[tag] * math.ulp(w), (y, g, w)
+
+
 @given(tag=st.sampled_from(CLASS_TAGS), params=st.lists(_PARAM, min_size=8, max_size=8),
        states=st.lists(_STATE, min_size=1, max_size=8))
 @settings(max_examples=100, deadline=None)
@@ -496,12 +550,15 @@ def _stand_in(grads, seen):
 
 
 @given(y=st.tuples(*[_SIGNED] * 4), h=st.one_of(st.floats(0.0, 1.0), st.just(-0.0)),
-       grads=st.lists(st.tuples(*[_SIGNED] * 5), min_size=7, max_size=7))
-@settings(max_examples=200, deadline=None)
-def test_float_step_equals_the_numpy_stage_sums(y, h, grads):
-    # the stages, the update and the error estimate of one step, on floats
-    # and compiled, against the numpy loop: every stage state, every output
-    # float, signed zeros, infinities and NaN included
+       grads=st.lists(st.tuples(*[_SIGNED] * 5), min_size=7, max_size=7),
+       rel_tol=st.sampled_from([1e-10, 1e-3, 0.0]), abs_tol=st.sampled_from([1e-12, 0.0]))
+@settings(max_examples=300, deadline=None)
+def test_float_step_equals_the_numpy_stage_sums(y, h, grads, rel_tol, abs_tol):
+    # the stages, the update and the slope of one step, on floats and
+    # compiled, against the numpy loop: every stage state and every float,
+    # signed zeros, infinities and NaN included; the error norm, the same
+    # float where numpy's is finite, and where it is not, non-finite too:
+    # the step is rejected either way
     seen = []
     dH = _stand_in(grads, seen)
     k = np.empty((7, 4))
@@ -511,33 +568,73 @@ def test_float_step_equals_the_numpy_stage_sums(y, h, grads):
         for i in range(1, 7):
             yi = ya + h * sum(a * k[j] for j, a in enumerate(_REF_A[i]))
             k[i] = dynamics._slope(dH, yi.tolist())
-        ref = [*(ya + h * (_REF_B5[:, None] * k).sum(axis=0)),
-               *(h * (_REF_E[:, None] * k).sum(axis=0)), *k[6]]
-    want = [list(map(float.hex, ref)), [list(map(float.hex, s)) for s in seen]]
+        y_new = ya + h * (_REF_B5[:, None] * k).sum(axis=0)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(ya), np.abs(y_new))
+        norm = float(np.sqrt(np.mean((h * (_REF_E[:, None] * k).sum(axis=0) / scale) ** 2)))
+    want = [list(map(float.hex, [*y_new, *k[6]])), [list(map(float.hex, s)) for s in seen]]
 
     for compiled in (False, True):
         seen = []
         dH = _stand_in(grads, seen)
         k0 = dynamics._slope(dH, y)
-        out = dynamics._step()(dH, *y, h, *k0) if compiled else dynamics._attempt(dH, y, h, k0)
-        assert [list(map(float.hex, out)), [list(map(float.hex, s)) for s in seen]] == want
+        out = (dynamics._step()(dH, *y, h, *k0, rel_tol, abs_tol) if compiled
+               else dynamics._attempt(dH, y, h, k0, rel_tol, abs_tol))
+        assert len(out) == 9
+        got = [list(map(float.hex, [*out[:4], *out[5:]])), [list(map(float.hex, s)) for s in seen]]
+        assert got == want
+        if np.isfinite(norm):
+            assert float.hex(out[4]) == float.hex(norm)
+        else:
+            assert not np.isfinite(out[4])
 
 
-@given(y=st.tuples(*[st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))] * 4),
-       y_new=st.tuples(*[_SIGNED] * 4), err=st.tuples(*[_SIGNED] * 4),
-       rel_tol=st.sampled_from([1e-10, 1e-3, 0.0]), abs_tol=st.sampled_from([1e-12, 0.0]))
-@settings(max_examples=300, deadline=None)
-def test_error_norm_equals_numpys(y, y_new, err, rel_tol, abs_tol):
-    # the same float where numpy's is finite; where it is not, the step is
-    # rejected either way, so the float norm need only be non-finite too
+def test_a_zero_scale_rejects_every_step_as_the_reference():
+    # free motion with p_eta = 0: p_eta and its update are exactly 0, so at
+    # abs_tol 0 its scale is zero in every attempt, each rejected until the
+    # step size underflows
+    spec, y0 = SystemSpec("I1", nu=2.0), (1.0, 0.5, 1.0, 0.0)
+    texts = []
     with np.errstate(all="ignore"):
-        scale = abs_tol + rel_tol * np.maximum(np.abs(np.array(y)), np.abs(np.array(y_new)))
-        want = float(np.sqrt(np.mean((np.array(err) / scale) ** 2)))
-    got = dynamics._error_norm(y, y_new, err, rel_tol, abs_tol)
-    if np.isfinite(want):
-        assert float.hex(got) == float.hex(want)
-    else:
-        assert not np.isfinite(got)
+        for run in (integrate, _reference_integrate):
+            with pytest.raises(StepFailure) as err:
+                run(spec, PhasePoint(*y0), t_end=1.0, abs_tol=0.0)
+            texts.append(str(err.value))
+    assert texts[0] == texts[1]
+
+
+def _eta_starts_late():
+    """A stand-in gradient whose slope is (1, 0, -0.0, -0.0) in its first
+    seven calls, those of the first step attempt, and (1, 1, -0.0, -0.0)
+    after."""
+    calls = []
+
+    def dH(*y):
+        calls.append(y)
+        return 0.0, 0.0, 0.0, 1.0, float(len(calls) > 7)
+
+    return dH
+
+
+def test_a_zero_scale_counts_the_rejected_steps_evaluations(monkeypatch):
+    # at abs_tol 0, eta = 0 and its update is exactly 0 in the first attempt:
+    # a zero scale rejects the step and counts its six evaluations, as
+    # numpy's 0/0 does, where an exception would count none.  A real flow
+    # keeps such a component at 0 (above), so a stand-in gradient moves eta
+    # from the second attempt on.
+    spec, y0 = FIXED_PAIRS[2][0], PhasePoint(1.0, 0.0, 1.0, 1.0)
+    controls = dict(t_end=1.0, rel_tol=0.1, abs_tol=0.0)
+    inside = lambda y: True  # noqa: E731
+    monkeypatch.setattr(dynamics, "_flow", lambda spec: dynamics._Flow(_eta_starts_late(), inside))
+    ref_dH = _eta_starts_late()
+    with np.errstate(all="ignore"):
+        traj = integrate(spec, y0, **controls)
+        ref = _reference_integrate(spec, y0, **controls, flow=(
+            lambda y: np.array(dynamics._slope(ref_dH, y.tolist())), inside))
+    assert traj.times.tobytes() == ref.times.tobytes()
+    assert traj.states.tobytes() == ref.states.tobytes()
+    assert (traj.stats, traj.status) == (ref.stats, ref.status) and traj.status == "completed"
+    stats = traj.stats
+    assert stats["rejected"] == 1 and stats["rhs_evals"] == 1 + 6 * (stats["accepted"] + 1)
 
 
 def test_forward_and_reversed_runs_trace_h_once(monkeypatch):

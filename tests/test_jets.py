@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superint.errors import DomainError
-from superint.jets import (_ZERO, CoordJet, Dual4, Jet2, Observable, PhasePoint, _Sym,
-                           _Tape, _TraceDual, arctan, exp, fd_derivatives, log,
-                           norm_residual, one_call, seed_phase, sqrt, straight_line, tan,
-                           trace)
+from superint.jets import (_FLOAT_MATH, _ZERO, CoordJet, Dual4, Jet2, Observable, PhasePoint,
+                           _Sym, _Tape, _TraceDual, arctan, exp, fd_derivatives, float_call,
+                           float_straight_line, log, norm_residual, one_call, seed_phase,
+                           sqrt, straight_line, tan, trace, where)
 from superint.poisson import bracket_jets
 from superint.systems import CLASS_TAGS, SystemSpec, hamiltonian, integrals, sample_points
 
@@ -392,6 +392,43 @@ def test_straight_line_replays_numpy_calls(steps, x, e):
 
     with np.errstate(all="ignore"):
         assert _outcome(straight_line(fn, 2), x, e) == _outcome(fn, x, e)
+
+
+@given(steps=st.lists(st.integers(0, len(_NUMPY_STEPS) - 1), min_size=1, max_size=6),
+       x=st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, np.nan, np.inf, 1e300])),
+       e=st.floats(-3.0, 3.0))
+@settings(max_examples=200, deadline=None)
+def test_float_straight_line_records_maths_functions(steps, x, e):
+    # numpy's sqrt, exp, log, tan and arctan become math's: the floats and
+    # the errors (ValueError, OverflowError) of the same steps on math's
+    # functions; a numpy scalar constant still takes numpy's product
+    def steps_on(m):
+        def fn(x, e):
+            v = x + e
+            for i in steps:
+                v = _NUMPY_STEPS[i](v) if i > 4 else getattr(m, _MATH_NAMES[i])(v)
+            return (v,)
+        return fn
+
+    with np.errstate(all="ignore"):
+        assert _outcome(float_straight_line(steps_on(np), 2), x, e) == _outcome(
+            steps_on(_FLOAT_MATH), x, e)
+
+
+_MATH_NAMES = ("sqrt", "exp", "log", "tan", "arctan")
+
+
+@given(a=st.one_of(st.floats(), st.just(-0.0)), b=st.one_of(st.floats(), st.just(-0.0)))
+@settings(max_examples=200, deadline=None)
+def test_abs_where_and_float_call_record_one_line_each(a, b):
+    # the same floats as on plain numbers, NaN and signed zeros included
+    def fn(a, b):
+        return abs(a), where(a > b, a, b), float_call(max)(b, a)
+
+    traced = straight_line(fn, 2)
+    # the def line, abs, the comparison, the choice, the call and the return
+    assert _line_count(traced) == 6
+    assert _outcome(traced, a, b) == _outcome(fn, a, b)
 
 
 def test_trace_refuses_a_branch_on_a_traced_value():

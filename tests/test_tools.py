@@ -53,6 +53,23 @@ def test_corpus_cmp_verdicts_passes_moved_digits_only(capsys):
     assert "only digits moved" in out
 
 
+def test_corpus_cmp_verdicts_lists_every_changed_line_by_section(capsys):
+    # more lines than the plain diff shows (SHOWN), in two sections
+    cmp = _tool("corpus_cmp")
+    old = ["=== rhs", *[f"II1 rhs {i} -> 0.1" for i in range(30)],
+           "=== exits", *[f"II2 domain_exit {i} {{}}" for i in range(30)]]
+    new = [line.replace("0.1", "0.10000000000000001") if " rhs " in line
+           else line.replace(" {}", ".5 {}") for line in old]
+    assert cmp.SHOWN < 60 and cmp.verdicts(old, new) == 0
+    out = capsys.readouterr().out
+    for i, (a, b) in enumerate(zip(old, new), 1):
+        if a != b:
+            assert f"digits changed at line {i}:\n- {a}\n+ {b}\n" in out
+    assert out.index("=== rhs\n") < out.index("line 2:") < out.index("=== exits\n")
+    assert out.index("=== exits\n") < out.index("line 33:")
+    assert "changed lines per section (60 of 62):\n  rhs: 30\n  exits: 30\n" in out
+
+
 @pytest.mark.parametrize("line, new", [
     (1, '{"identities": [{"max_residual": 1.25e-14, "name": "HA", "pass": false}], "pass": false}'),
     (5, ' "classification": "Constant",'), (7, ' "pass": false'), (10, "--- exit 1"),

@@ -11,13 +11,14 @@ first differing lines as a unified diff and exits 1.  It exits 2 when a corpus
 run itself fails.
 
 With ``--verdicts``, a change that moves only digits passes.  After the diff
-the script prints the changed lines of each corpus section (``=== NAME``
-lines) and compares the two corpora line by line: the verdict tokens of each
+the script compares the two corpora line by line: the verdict tokens of each
 line (``"pass"`` and ``"..._pass"`` values, ``"status"`` values, ``--- exit
 N``, trajectory statuses, revolution and curvature tags and error names)
 must be the same, and so must the text left when every number and hash is
-masked.  It prints the first lines where either differs, and exits 0 when
-none does and 1 otherwise, as when the line counts differ.
+masked.  It lists every changed line, old and new, under the name of its
+corpus section (the ``=== NAME`` line), marked as a change of digits, of a
+verdict or of text; then the count per section.  It exits 0 when only
+digits changed and 1 otherwise, as when the line counts differ.
 """
 
 from __future__ import annotations
@@ -80,13 +81,13 @@ def verdicts(old, new):
             section = a[len(SECTION):]
         if a == b:
             continue
+        if section not in changed:
+            print(f"{SECTION}{section}")
         changed[section] = changed.get(section, 0) + 1
         what = ("verdict" if _VERDICT.findall(a) != _VERDICT.findall(b) else
-                "text" if _NUMBER.sub("#", a) != _NUMBER.sub("#", b) else None)
-        if what:
-            shown += 1
-            if shown <= SHOWN:
-                print(f"{what} changed at line {i}:\n- {a}\n+ {b}")
+                "text" if _NUMBER.sub("#", a) != _NUMBER.sub("#", b) else "digits")
+        shown += what != "digits"
+        print(f"{what} changed at line {i}:\n- {a}\n+ {b}")
     print(f"changed lines per section ({sum(changed.values())} of {len(old)}):")
     for name, count in changed.items():
         print(f"  {name}: {count}")
