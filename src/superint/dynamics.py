@@ -22,9 +22,9 @@ LRU cache, so a forward and a time-reversed run trace H once):
   construction, such as the momentum derivatives of g and w;
 * the domain check runs on Python floats: the positivity and pole-margin
   tests of :class:`SampleDomain`, then g and the recoordinatized metric,
-  whose closed forms are traced on math's functions in place of numpy's
-  (:func:`superint.jets.float_straight_line`); where that code raises,
-  the closed forms on numpy's functions decide.
+  are traced with math's functions and the builtin ``abs`` in place of
+  numpy's (:func:`superint.jets.float_straight_line`); where the metrics'
+  code raises, their closed forms on numpy's functions decide.
 
 The DP5(4) step itself, six stages, the 5th-order update, the error
 estimate and its RMS norm on Python floats, is written once in
@@ -136,18 +136,21 @@ def _attempt(dH, y, h, k0, rel_tol, abs_tol):
 def _domain_check(spec: SystemSpec):
     """Whether a state of four floats lies in ``spec``'s class domain.
 
-    The state must be finite, pass :meth:`SampleDomain.admits_point`, and
+    The state must be finite, pass the tests of :class:`SampleDomain`, and
     have both conformal factors, g and the recoordinatized one, finite and
     at least ``MIN_ABS_G`` in magnitude (an exception evaluating them means
-    outside).  The two factors are the closed forms of
-    :meth:`SystemFns.metric` and :meth:`SystemFns.tilde_metric`, traced to
-    straight-line code on math's functions once, so the check stays on
-    Python floats.  Where that code raises, numpy's functions may still
-    give a finite factor (``1 / exp(x)`` is 0.0 where ``exp`` overflows to
-    inf), so the closed forms themselves decide there: the verdict is that
-    of the closed forms on every state.
+    outside).  The tests and the two factors, the closed forms of
+    :meth:`SystemFns.metric` and :meth:`SystemFns.tilde_metric`, are traced
+    to straight-line code on math's functions and the builtin ``abs`` once
+    (:func:`superint.jets.float_straight_line`), so the check stays on
+    Python floats.  The tests compare floats and cannot raise.  Where the
+    factors' code raises, numpy's functions may still give a finite factor
+    (``1 / exp(x)`` is 0.0 where ``exp`` overflows to inf), so the closed
+    forms themselves decide there: the verdict is that of the closed forms
+    on every state.
     """
     fns, dom = build_fns(spec), sample_domain(spec)
+    tests = float_straight_line(lambda xi, eta: [test(xi, eta) for test in dom.tests], 2)
     metrics = float_straight_line(
         lambda xi, eta: (fns.metric(xi, eta), fns.tilde_metric(xi, eta)), 2)
 
@@ -160,7 +163,7 @@ def _domain_check(spec: SystemSpec):
     def in_domain(y):
         xi, eta = y[0], y[1]
         # math.isfinite classifies a float exactly as np.isfinite does
-        if not all(map(math.isfinite, y)) or not dom.admits_point(xi, eta):
+        if not all(map(math.isfinite, y)) or not all(tests(xi, eta)):
             return False
         try:
             g, gt = metrics(xi, eta)

@@ -76,11 +76,12 @@ operation on one records no line: the trace holds only the derivative
 arithmetic the seeds reach (sparse forward mode; Griewank & Walther,
 *Evaluating Derivatives*, ch. 7): 38 to 56 % fewer lines in H's gradient.
 A traced float also records ``abs``, the branch-free choice :func:`where`
-and a call of a builtin or of math's (:func:`float_call`); and
+and a call of one of math's functions (:func:`float_call`); and
 :func:`float_straight_line` records numpy's sqrt, exp, log, tan and
-arctan as math's, so that its code stays on Python floats.  The flow
-(:mod:`superint.dynamics`) runs its right-hand side, its DP5(4) step with
-the error norm, and its domain check this way.
+arctan as math's, and numpy's abs as the builtin, so that its code stays
+on Python floats.  The flow (:mod:`superint.dynamics`) runs its
+right-hand side, its DP5(4) step with the error norm, and its domain
+check this way.
 
 :func:`fd_derivatives` is the independent finite-difference oracle used to
 cross-check jet propagation.
@@ -646,6 +647,7 @@ class _Sym:
     __neg__ = _emit("-{}")
     __abs__ = _emit("abs({})")
     __gt__ = _emit("{} > {}")
+    __ge__ = _emit("{} >= {}")
     __ne__ = _emit("{} != {}")
 
 
@@ -708,19 +710,13 @@ def where(ok, a, b):
 
 
 def float_call(fn):
-    """``fn``, a function of floats that returns one float (a builtin such as
-    ``max``, or one of math's), kept as one call in a trace.
+    """``fn``, a function of one float that returns one float (one of
+    math's), kept as one call in a trace.
 
     On a traced argument it records the call and returns the traced result;
-    on plain numbers it calls ``fn``.
+    on a plain number it calls ``fn``.
     """
-    def call(*args):
-        for a in args:
-            if isinstance(a, _Sym):
-                return a.tape.apply(fn, args)
-        return fn(*args)
-
-    return call
+    return lambda x: x.tape.apply(fn, (x,)) if isinstance(x, _Sym) else fn(x)
 
 
 class _TraceDual(Dual4):
@@ -752,19 +748,22 @@ def straight_line(fn, nargs):
     return _compile(fn, nargs, _Tape())
 
 
-# numpy's scalar functions, each with math's in its place (Dual4's)
-_MATH_STAND_INS = {getattr(np, k): f for k, f in vars(_FLOAT_MATH).items()}
+# numpy's scalar functions, each with math's in its place (Dual4's), and
+# numpy's abs with the builtin
+_MATH_STAND_INS = {np.absolute: abs, **{getattr(np, k): f for k, f in vars(_FLOAT_MATH).items()}}
 
 
 def float_straight_line(fn, nargs):
     """:func:`straight_line`, with numpy's sqrt, exp, log, tan and arctan
-    recorded as math's functions, the ones :class:`Dual4` takes.
+    recorded as math's functions, the ones :class:`Dual4` takes, and
+    numpy's abs as the builtin ``abs``.
 
     So the code stays on Python floats where ``fn`` turns to numpy scalars.
-    It gives ``fn``'s floats up to the last bits of those functions where it
-    returns, and raises ``ValueError``, ``OverflowError`` or
-    ``ZeroDivisionError`` where math's functions or float ``**`` and ``/``
-    do, as where numpy's sqrt, exp or log of a float gives NaN or inf.
+    It gives ``fn``'s floats up to the last bits of math's functions where
+    it returns (``abs`` is exact), and raises ``ValueError``,
+    ``OverflowError`` or ``ZeroDivisionError`` where math's functions or
+    float ``**`` and ``/`` do, as where numpy's sqrt, exp or log of a float
+    gives NaN or inf.
     """
     return _compile(fn, nargs, _Tape(_MATH_STAND_INS))
 

@@ -495,7 +495,7 @@ _FALLBACKS = [(SystemSpec("I1", lam=1.0, nu=2.0), (1e200, 1.0, 1.0, 1.0), False)
 @pytest.mark.parametrize("spec,y,inside", _FALLBACKS,
                          ids=[f"{s.tag}-{y[0]:g}" for s, y, _ in _FALLBACKS])
 def test_the_closed_forms_decide_where_the_float_code_raises(spec, y, inside):
-    assert sample_domain(spec).admits_point(*y[:2])
+    assert sample_domain(spec).admits(*y[:2])
     with pytest.raises((OverflowError, ZeroDivisionError)):
         _float_metrics(spec)(*y[:2])
     with np.errstate(all="ignore"):

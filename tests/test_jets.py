@@ -1,5 +1,7 @@
 """Jet arithmetic against definitions and the finite-difference oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -394,28 +396,31 @@ def test_straight_line_replays_numpy_calls(steps, x, e):
         assert _outcome(straight_line(fn, 2), x, e) == _outcome(fn, x, e)
 
 
-@given(steps=st.lists(st.integers(0, len(_NUMPY_STEPS) - 1), min_size=1, max_size=6),
+# the steps of _NUMPY_STEPS that float_straight_line records in Python's
+# terms, by index, and numpy's abs as step -1
+_STAND_IN_NAMES = {0: "sqrt", 1: "exp", 2: "log", 3: "tan", 4: "arctan", -1: "abs"}
+
+
+@given(steps=st.lists(st.integers(-1, len(_NUMPY_STEPS) - 1), min_size=1, max_size=6),
        x=st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, np.nan, np.inf, 1e300])),
        e=st.floats(-3.0, 3.0))
 @settings(max_examples=200, deadline=None)
 def test_float_straight_line_records_maths_functions(steps, x, e):
-    # numpy's sqrt, exp, log, tan and arctan become math's: the floats and
-    # the errors (ValueError, OverflowError) of the same steps on math's
-    # functions; a numpy scalar constant still takes numpy's product
+    # numpy's sqrt, exp, log, tan and arctan become math's and numpy's abs
+    # the builtin: the floats and the errors (ValueError, OverflowError) of
+    # the same steps on those; a numpy scalar constant still takes numpy's
+    # product
     def steps_on(m):
         def fn(x, e):
             v = x + e
             for i in steps:
-                v = _NUMPY_STEPS[i](v) if i > 4 else getattr(m, _MATH_NAMES[i])(v)
+                v = getattr(m, _STAND_IN_NAMES[i])(v) if i in _STAND_IN_NAMES else _NUMPY_STEPS[i](v)
             return (v,)
         return fn
 
     with np.errstate(all="ignore"):
         assert _outcome(float_straight_line(steps_on(np), 2), x, e) == _outcome(
-            steps_on(_FLOAT_MATH), x, e)
-
-
-_MATH_NAMES = ("sqrt", "exp", "log", "tan", "arctan")
+            steps_on(SimpleNamespace(**vars(_FLOAT_MATH), abs=abs)), x, e)
 
 
 @given(a=st.one_of(st.floats(), st.just(-0.0)), b=st.one_of(st.floats(), st.just(-0.0)))
@@ -423,7 +428,7 @@ _MATH_NAMES = ("sqrt", "exp", "log", "tan", "arctan")
 def test_abs_where_and_float_call_record_one_line_each(a, b):
     # the same floats as on plain numbers, NaN and signed zeros included
     def fn(a, b):
-        return abs(a), where(a > b, a, b), float_call(max)(b, a)
+        return abs(a), where(a > b, a, b), float_call(_FLOAT_MATH.arctan)(b)
 
     traced = straight_line(fn, 2)
     # the def line, abs, the comparison, the choice, the call and the return
