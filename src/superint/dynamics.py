@@ -22,9 +22,9 @@ LRU cache, so a forward and a time-reversed run trace H once):
   construction, such as the momentum derivatives of g and w;
 * the domain check runs on Python floats: the positivity and pole-margin
   tests of :class:`SampleDomain`, then g and the recoordinatized metric,
-  are traced with math's functions and the builtin ``abs`` in place of
-  numpy's (:func:`superint.jets.float_straight_line`); where the metrics'
-  code raises, their closed forms on numpy's functions decide.
+  are traced (:func:`superint.jets.straight_line`), which records numpy's
+  functions as math's and numpy's abs as the builtin ``abs``; where the
+  metrics' code raises, their closed forms on numpy's functions decide.
 
 The DP5(4) step itself, six stages, the 5th-order update, the error
 estimate and its RMS norm on Python floats, is written once in
@@ -48,8 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StepFailure
-from .jets import (PhasePoint, float_call, float_straight_line, one_call, straight_line,
-                   trace, where)
+from .jets import PhasePoint, one_call, straight_line, trace, where
 from .poisson import bracket_value, casimir_combination
 from .systems import (MIN_ABS_G, SystemSpec, algebra_constants, build_fns,
                       hamiltonian, integrals, sample_domain)
@@ -72,7 +71,7 @@ _A = [
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 ]
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B5 = (*_A[6], 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
@@ -104,9 +103,6 @@ def _slope(dH, y):
     return d2, d3, -d0, -d1
 
 
-_sqrt = float_call(math.sqrt)  # one call in the compiled step
-
-
 def _attempt(dH, y, h, k0, rel_tol, abs_tol):
     """One DP5(4) step of size ``h`` from ``y``, whose slope is ``k0``.
 
@@ -117,7 +113,9 @@ def _attempt(dH, y, h, k0, rel_tol, abs_tol):
     weights included: the operations of numpy's sums over 4-arrays.  ``y``
     is finite, so the max keeps a NaN of ``y_new`` as ``np.maximum`` does.
     A zero scale, by which float division would raise, divides as NaN: the
-    norm is NaN, non-finite as numpy's, and the step is rejected.
+    norm is NaN, non-finite as numpy's, and the step is rejected.  The
+    norm's ``np.sqrt`` is traced as ``math.sqrt``; both round correctly, so
+    run untraced it gives the same bits.
     """
     k = [k0]
     for a in _A[1:]:
@@ -130,7 +128,7 @@ def _attempt(dH, y, h, k0, rel_tol, abs_tol):
         scale = abs_tol + rel_tol * where(old > new, old, new)
         err = h * sum((e * kj[c] for e, kj in zip(_E, k)), 0.0)
         r.append(err / where(scale > 0.0, scale, math.nan))
-    return (*y_new, _sqrt(sum((x * x for x in r), 0.0) / 4.0), *k[6])
+    return (*y_new, np.sqrt(sum((x * x for x in r), 0.0) / 4.0), *k[6])
 
 
 def _domain_check(spec: SystemSpec):
@@ -141,17 +139,17 @@ def _domain_check(spec: SystemSpec):
     at least ``MIN_ABS_G`` in magnitude (an exception evaluating them means
     outside).  The tests and the two factors, the closed forms of
     :meth:`SystemFns.metric` and :meth:`SystemFns.tilde_metric`, are traced
-    to straight-line code on math's functions and the builtin ``abs`` once
-    (:func:`superint.jets.float_straight_line`), so the check stays on
-    Python floats.  The tests compare floats and cannot raise.  Where the
-    factors' code raises, numpy's functions may still give a finite factor
-    (``1 / exp(x)`` is 0.0 where ``exp`` overflows to inf), so the closed
-    forms themselves decide there: the verdict is that of the closed forms
-    on every state.
+    once to straight-line code (:func:`superint.jets.straight_line`), which
+    calls math's functions and the builtin ``abs`` in place of numpy's, so
+    the check stays on Python floats.  The tests compare floats and cannot
+    raise.  Where the factors' code raises, numpy's functions may still give
+    a finite factor (``1 / exp(x)`` is 0.0 where ``exp`` overflows to inf),
+    so the closed forms themselves decide there: the verdict is that of the
+    closed forms on every state.
     """
     fns, dom = build_fns(spec), sample_domain(spec)
-    tests = float_straight_line(lambda xi, eta: [test(xi, eta) for test in dom.tests], 2)
-    metrics = float_straight_line(
+    tests = straight_line(lambda xi, eta: [test(xi, eta) for test in dom.tests], 2)
+    metrics = straight_line(
         lambda xi, eta: (fns.metric(xi, eta), fns.tilde_metric(xi, eta)), 2)
 
     def closed_forms(xi, eta):

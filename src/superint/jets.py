@@ -75,13 +75,13 @@ structural-zero rules.  A structural zero is met at trace time, so an
 operation on one records no line: the trace holds only the derivative
 arithmetic the seeds reach (sparse forward mode; Griewank & Walther,
 *Evaluating Derivatives*, ch. 7): 38 to 56 % fewer lines in H's gradient.
-A traced float also records ``abs``, the branch-free choice :func:`where`
-and a call of one of math's functions (:func:`float_call`); and
-:func:`float_straight_line` records numpy's sqrt, exp, log, tan and
-arctan as math's, and numpy's abs as the builtin, so that its code stays
-on Python floats.  The flow (:mod:`superint.dynamics`) runs its
-right-hand side, its DP5(4) step with the error norm, and its domain
-check this way.
+A traced float also records ``abs`` and the branch-free choice
+:func:`where`.  A trace records numpy's sqrt, exp, log, tan and arctan
+as math's functions, the ones :class:`Dual4` takes, and numpy's abs as
+the builtin ``abs``, so its code stays on Python floats (and gives
+numpy's floats up to the last bits of math's functions).  The flow
+(:mod:`superint.dynamics`) runs its right-hand side, its DP5(4) step with
+the error norm, and its domain check this way.
 
 :func:`fd_derivatives` is the independent finite-difference oracle used to
 cross-check jet propagation.
@@ -106,9 +106,7 @@ __all__ = [
     "Observable",
     "trace",
     "straight_line",
-    "float_straight_line",
     "one_call",
-    "float_call",
     "where",
     "seed_phase",
     "fd_derivatives",
@@ -598,6 +596,11 @@ def _emit(fmt, reflected=False):
     return lambda a, *b: a.tape.emit(fmt, a, *b)
 
 
+# numpy's scalar functions, each recorded as math's (Dual4's), and numpy's
+# abs as the builtin
+_STAND_INS = {np.absolute: abs, **{getattr(np, k): f for k, f in vars(_FLOAT_MATH).items()}}
+
+
 class _Sym:
     """A float of one traced evaluation: a name in the code
     :func:`straight_line` emits.
@@ -622,11 +625,11 @@ class _Sym:
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         """A numpy ufunc on traced floats (``np.sqrt(x)``, or ``np.float64 *
-        x``), recorded as the same ufunc call, or as the tape's stand-in for
-        it (:func:`float_straight_line`)."""
+        x``), recorded as the same ufunc call, or as math's function or the
+        builtin ``abs`` in its place."""
         if method != "__call__" or kwargs or ufunc.nout != 1:
             return NotImplemented
-        return self.tape.apply(self.tape.stand_ins.get(ufunc, ufunc), inputs)
+        return self.tape.apply(_STAND_INS.get(ufunc, ufunc), inputs)
 
     # a structural zero on the right folds here, with no line; on the left,
     # _Zero's own methods run first
@@ -648,6 +651,7 @@ class _Sym:
     __abs__ = _emit("abs({})")
     __gt__ = _emit("{} > {}")
     __ge__ = _emit("{} >= {}")
+    __eq__ = _emit("{} == {}")
     __ne__ = _emit("{} != {}")
 
 
@@ -655,11 +659,9 @@ class _Tape:
     """The lines of one traced evaluation, in execution order, and the
     namespace they run in.  A constant operand is bound by object under a
     name of its own, so it keeps its type (float, np.float64, int) and its
-    sign.  ``stand_ins`` maps a numpy ufunc to the function recorded in its
-    place, if any."""
+    sign."""
 
-    def __init__(self, stand_ins=None):
-        self.stand_ins = stand_ins or {}
+    def __init__(self):
         self.lines = []
         self.env = {"DomainError": DomainError}
         self._bound = {}  # id of a bound constant -> its name; env keeps it alive
@@ -709,25 +711,16 @@ def where(ok, a, b):
     return a if ok else b
 
 
-def float_call(fn):
-    """``fn``, a function of one float that returns one float (one of
-    math's), kept as one call in a trace.
-
-    On a traced argument it records the call and returns the traced result;
-    on a plain number it calls ``fn``.
-    """
-    return lambda x: x.tape.apply(fn, (x,)) if isinstance(x, _Sym) else fn(x)
-
-
 class _TraceDual(Dual4):
     """A :class:`Dual4` over traced floats: Dual4's own rules, recorded.
 
-    Its math namespace records each call, and a domain check on a traced
-    value becomes a guard that raises Dual4's ``DomainError``.
+    Its math namespace is numpy's, whose calls the trace records as math's,
+    so the code calls Dual4's functions; a domain check on a traced value
+    becomes a guard that raises Dual4's ``DomainError``.
     """
 
     __slots__ = ()
-    _m = SimpleNamespace(**{k: float_call(f) for k, f in vars(_FLOAT_MATH).items()})
+    _m = np
 
     def _require(self, ok, primitive):
         ok.tape.guard(ok, primitive, self.val)
@@ -740,36 +733,21 @@ def straight_line(fn, nargs):
     The result is a function of ``nargs`` floats that replays, in order and
     on the same constant objects, every float operation, math or numpy call
     and :func:`one_call` of that run, and returns the sequence as a tuple.
-    So it returns ``fn``'s floats bit for bit, of the same types, and raises
-    where ``fn`` raises, with the same exception.  An operation on constants
-    alone runs once, at trace time; a branch on a traced value fails the
-    trace with ``TypeError``.
-    """
-    return _compile(fn, nargs, _Tape())
+    An operation on constants alone runs once, at trace time; a branch on a
+    traced value fails the trace with ``TypeError``.
 
-
-# numpy's scalar functions, each with math's in its place (Dual4's), and
-# numpy's abs with the builtin
-_MATH_STAND_INS = {np.absolute: abs, **{getattr(np, k): f for k, f in vars(_FLOAT_MATH).items()}}
-
-
-def float_straight_line(fn, nargs):
-    """:func:`straight_line`, with numpy's sqrt, exp, log, tan and arctan
-    recorded as math's functions, the ones :class:`Dual4` takes, and
-    numpy's abs as the builtin ``abs``.
-
-    So the code stays on Python floats where ``fn`` turns to numpy scalars.
-    It gives ``fn``'s floats up to the last bits of math's functions where
-    it returns (``abs`` is exact), and raises ``ValueError``,
+    numpy's sqrt, exp, log, tan and arctan are recorded as math's
+    functions, the ones :class:`Dual4` takes, and numpy's abs as the
+    builtin ``abs``, so the code stays on Python floats where ``fn`` turns
+    to numpy scalars; any other numpy call is replayed as numpy's.  Where
+    ``fn`` calls none of those six, the result gives its floats bit for
+    bit, of the same types, and raises where it raises, with the same
+    exception.  Where it does, the result gives them up to the last bits of
+    math's functions (``abs`` is exact), and raises ``ValueError``,
     ``OverflowError`` or ``ZeroDivisionError`` where math's functions or
-    float ``**`` and ``/`` do, as where numpy's sqrt, exp or log of a float
-    gives NaN or inf.
+    float ``**`` and ``/`` do, as where numpy's give NaN or inf.
     """
-    return _compile(fn, nargs, _Tape(_MATH_STAND_INS))
-
-
-def _compile(fn, nargs, tape):
-    """``fn`` run once on ``nargs`` traced floats of ``tape``, compiled."""
+    tape = _Tape()
     args = [_Sym(tape, f"a{i}") for i in range(nargs)]
     ret = ", ".join(map(tape.ref, fn(*args)))
     body = "\n    ".join([*tape.lines, f"return {ret},"])

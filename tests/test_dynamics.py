@@ -1,5 +1,6 @@
 """Trajectory integration and conservation drift."""
 
+import inspect
 import math
 
 import numpy as np
@@ -8,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from superint import dynamics
 from superint.errors import DomainError, StepFailure
-from superint.jets import (Dual4, Observable, PhasePoint, float_straight_line, norm_residual,
-                           straight_line, trace)
+from superint.jets import Dual4, Observable, PhasePoint, norm_residual, straight_line, trace
 from superint.poisson import TOL_NESTED
 from superint.systems import (CLASS_TAGS, MIN_ABS_G, SystemSpec, algebra_constants,
                               build_fns, hamiltonian, integral_A, integral_B,
@@ -477,7 +477,7 @@ def _float_metrics(spec):
     """The domain check's g and tilde metric: their closed forms, traced on
     math's functions."""
     fns = build_fns(spec)
-    return float_straight_line(lambda xi, eta: (fns.metric(xi, eta), fns.tilde_metric(xi, eta)), 2)
+    return straight_line(lambda xi, eta: (fns.metric(xi, eta), fns.tilde_metric(xi, eta)), 2)
 
 
 # an admitted state per class where the float code raises: Python's ** or
@@ -522,21 +522,25 @@ def test_the_float_metrics_are_the_closed_forms_to_a_few_ulps(tag):
             assert abs(g - w) <= _ULPS[tag] * math.ulp(w), (y, g, w)
 
 
-@given(tag=st.sampled_from(CLASS_TAGS), params=st.lists(_PARAM, min_size=8, max_size=8),
-       states=st.lists(_STATE, min_size=1, max_size=8))
-@settings(max_examples=100, deadline=None)
-def test_traced_metrics_equal_the_closed_forms(tag, params, states):
-    # the domain check's g and tilde metric keep their numpy calls: the
-    # same floats of the same types, and the same exceptions
-    fns = build_fns(SystemSpec(tag, *params))
+_REF = dict(kappa=1.0, lam=0.5, mu=-0.3, nu=2.0, k=0.4, ell=-0.1, m=0.2, n=1.0)
+_FLOW_SPECS = [s for s, _ in FIXED_PAIRS] + [SystemSpec(t, **_REF) for t in CLASS_TAGS]
 
-    def metrics(xi, eta):
-        return fns.metric(xi, eta), fns.tilde_metric(xi, eta)
 
-    traced = straight_line(metrics, 2)
-    with np.errstate(all="ignore"):
-        for y in states:
-            assert _outcome(traced, *y[:2]) == _outcome(metrics, *y[:2]), (tag, params, y)
+@pytest.mark.parametrize("spec", _FLOW_SPECS, ids=[f"fixed-{s.tag}" for s in _FLOW_SPECS[:5]]
+                         + [f"ref-{s.tag}" for s in _FLOW_SPECS[5:]])
+def test_the_compiled_flow_runs_on_python_floats(spec):
+    # the step, H's gradient and the domain check's two traced functions bind
+    # builtin functions (math's and abs), Python floats, ints and strs and
+    # DomainError: no numpy ufunc and no numpy scalar, whose arithmetic is
+    # the slow path
+    flow = dynamics._flow(spec)
+    domain = inspect.getclosurevars(flow.in_domain).nonlocals
+    for fn in (dynamics._step(), flow.dH, domain["tests"], domain["metrics"]):
+        for name, value in fn.__globals__.items():
+            if name == "__builtins__" or value is fn:
+                continue
+            assert (type(value) in (float, int, str, type(abs)) or value is DomainError), (
+                spec.tag, name, value)
 
 
 _SIGNED = st.one_of(st.floats(-1e3, 1e3), st.floats(),

@@ -1,16 +1,17 @@
 """Jet arithmetic against definitions and the finite-difference oracle."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superint.errors import DomainError
 from superint.jets import (_FLOAT_MATH, _ZERO, CoordJet, Dual4, Jet2, Observable, PhasePoint,
-                           _Sym, _Tape, _TraceDual, arctan, exp, fd_derivatives, float_call,
-                           float_straight_line, log, norm_residual, one_call, seed_phase,
-                           sqrt, straight_line, tan, trace, where)
+                           _Sym, _Tape, _TraceDual, arctan, exp, fd_derivatives, log,
+                           norm_residual, one_call, seed_phase, sqrt, straight_line, tan, trace,
+                           where)
 from superint.poisson import bracket_jets
 from superint.systems import CLASS_TAGS, SystemSpec, hamiltonian, integrals, sample_points
 
@@ -379,61 +380,52 @@ _NUMPY_STEPS = [lambda v: np.sqrt(v), lambda v: np.exp(v), lambda v: np.log(v),
                 lambda v: v ** -2, lambda v: np.float64(0.5) * v - 0.0]
 
 
-@given(steps=st.lists(st.integers(0, len(_NUMPY_STEPS) - 1), min_size=1, max_size=6),
-       x=st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, np.nan, np.inf, 1e300])),
-       e=st.floats(-3.0, 3.0))
-@settings(max_examples=200, deadline=None)
-def test_straight_line_replays_numpy_calls(steps, x, e):
-    # numpy calls on Python floats stay numpy calls: the same floats of the
-    # same types, and Python's ZeroDivisionError where a float divides by 0
-    def fn(x, e):
-        v = x + e
-        for i in steps:
-            v = _NUMPY_STEPS[i](v)
-        return v, one_call(lambda a, b: (a * b, a - b), 2)(v, e)[1]
-
-    with np.errstate(all="ignore"):
-        assert _outcome(straight_line(fn, 2), x, e) == _outcome(fn, x, e)
-
-
-# the steps of _NUMPY_STEPS that float_straight_line records in Python's
-# terms, by index, and numpy's abs as step -1
+# the steps of _NUMPY_STEPS that a trace records in Python's terms, by
+# index, and numpy's abs as step -1
 _STAND_IN_NAMES = {0: "sqrt", 1: "exp", 2: "log", 3: "tan", 4: "arctan", -1: "abs"}
 
 
 @given(steps=st.lists(st.integers(-1, len(_NUMPY_STEPS) - 1), min_size=1, max_size=6),
-       x=st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, np.nan, np.inf, 1e300])),
+       x=st.one_of(st.floats(-3.0, 3.0),
+                   st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300])),
        e=st.floats(-3.0, 3.0))
 @settings(max_examples=200, deadline=None)
-def test_float_straight_line_records_maths_functions(steps, x, e):
+def test_straight_line_records_maths_functions(steps, x, e):
     # numpy's sqrt, exp, log, tan and arctan become math's and numpy's abs
-    # the builtin: the floats and the errors (ValueError, OverflowError) of
-    # the same steps on those; a numpy scalar constant still takes numpy's
-    # product
+    # the builtin: the floats of the same types and the errors
+    # (ValueError, OverflowError, Python's ZeroDivisionError where a float
+    # divides by 0) of the same steps on those; a numpy scalar constant
+    # still takes numpy's product, and one_call replays its call
     def steps_on(m):
         def fn(x, e):
             v = x + e
             for i in steps:
                 v = getattr(m, _STAND_IN_NAMES[i])(v) if i in _STAND_IN_NAMES else _NUMPY_STEPS[i](v)
-            return (v,)
+            return v, one_call(lambda a, b: (a * b, a - b), 2)(v, e)[1]
         return fn
 
     with np.errstate(all="ignore"):
-        assert _outcome(float_straight_line(steps_on(np), 2), x, e) == _outcome(
+        assert _outcome(straight_line(steps_on(np), 2), x, e) == _outcome(
             steps_on(SimpleNamespace(**vars(_FLOAT_MATH), abs=abs)), x, e)
 
 
 @given(a=st.one_of(st.floats(), st.just(-0.0)), b=st.one_of(st.floats(), st.just(-0.0)))
+@example(a=0.0, b=-0.0)
 @settings(max_examples=200, deadline=None)
-def test_abs_where_and_float_call_record_one_line_each(a, b):
-    # the same floats as on plain numbers, NaN and signed zeros included
-    def fn(a, b):
-        return abs(a), where(a > b, a, b), float_call(_FLOAT_MATH.arctan)(b)
+def test_abs_where_equality_and_arctan_record_one_line_each(a, b):
+    # the same floats as on plain numbers with math's atan, NaN and signed
+    # zeros included; == is recorded, where object identity would fold it
+    # to False and choose -0.0 at (0.0, -0.0)
+    def fn_on(atan):
+        def fn(a, b):
+            return abs(a), where(a > b, a, b), atan(b), where(a == b, a, b)
+        return fn
 
-    traced = straight_line(fn, 2)
-    # the def line, abs, the comparison, the choice, the call and the return
-    assert _line_count(traced) == 6
-    assert _outcome(traced, a, b) == _outcome(fn, a, b)
+    traced = straight_line(fn_on(np.arctan), 2)
+    # the def line, abs, the comparison, the choice, the call, the equality,
+    # its choice and the return
+    assert _line_count(traced) == 8
+    assert _outcome(traced, a, b) == _outcome(fn_on(math.atan), a, b)
 
 
 def test_trace_refuses_a_branch_on_a_traced_value():
