@@ -385,17 +385,37 @@ _NUMPY_STEPS = [lambda v: np.sqrt(v), lambda v: np.exp(v), lambda v: np.log(v),
 _STAND_IN_NAMES = {0: "sqrt", 1: "exp", 2: "log", 3: "tan", 4: "arctan", -1: "abs"}
 
 
+@given(steps=st.lists(st.integers(max(_STAND_IN_NAMES) + 1, len(_NUMPY_STEPS) - 1),
+                      min_size=1, max_size=6),
+       x=st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, np.nan, np.inf, 1e300])),
+       e=st.floats(-3.0, 3.0))
+@settings(max_examples=200, deadline=None)
+def test_straight_line_replays_numpy_calls(steps, x, e):
+    # numpy operations a trace has no stand-in for (a numpy scalar product,
+    # 1/v, v**-2) and one_call replay on Python floats: the same floats of
+    # the same types, and Python's ZeroDivisionError where a float divides
+    # by 0
+    def fn(x, e):
+        v = x + e
+        for i in steps:
+            v = _NUMPY_STEPS[i](v)
+        return v, one_call(lambda a, b: (a * b, a - b), 2)(v, e)[1]
+
+    with np.errstate(all="ignore"):
+        assert _outcome(straight_line(fn, 2), x, e) == _outcome(fn, x, e)
+
+
 @given(steps=st.lists(st.integers(-1, len(_NUMPY_STEPS) - 1), min_size=1, max_size=6),
        x=st.one_of(st.floats(-3.0, 3.0),
                    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300])),
        e=st.floats(-3.0, 3.0))
 @settings(max_examples=200, deadline=None)
-def test_straight_line_records_maths_functions(steps, x, e):
-    # numpy's sqrt, exp, log, tan and arctan become math's and numpy's abs
-    # the builtin: the floats of the same types and the errors
-    # (ValueError, OverflowError, Python's ZeroDivisionError where a float
-    # divides by 0) of the same steps on those; a numpy scalar constant
-    # still takes numpy's product, and one_call replays its call
+def test_float_straight_line_records_maths_functions(steps, x, e):
+    # on Python floats, numpy's sqrt, exp, log, tan and arctan become
+    # math's and numpy's abs the builtin: the floats of the same types and
+    # the errors (ValueError, OverflowError, Python's ZeroDivisionError
+    # where a float divides by 0) of the same steps on those; a numpy scalar
+    # constant still takes numpy's product, and one_call replays its call
     def steps_on(m):
         def fn(x, e):
             v = x + e
