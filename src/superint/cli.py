@@ -109,12 +109,16 @@ def _emit(doc, args, human_lines=None):
 
 
 def _write(text, path):
-    """Write ``text`` to ``path``, or to stdout when no path is given."""
-    if path:
+    """Write ``text`` to ``path``, or to stdout when no path is given; a path
+    that cannot be written is a :class:`ConfigError`."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --output {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_verify(args):

@@ -50,8 +50,8 @@ import numpy as np
 from .errors import DomainError, StepFailure
 from .jets import PhasePoint, one_call, straight_line, trace, where
 from .poisson import bracket_value, casimir_combination
-from .systems import (MIN_ABS_G, SystemSpec, algebra_constants, build_fns,
-                      hamiltonian, integrals, sample_domain)
+from .systems import (MIN_ABS_G, SampleJets, SystemSpec, algebra_constants, build_fns,
+                      hamiltonian, sample_domain)
 
 __all__ = ["Trajectory", "integrate", "drift_report", "clamp_energy", "REL_TOL",
            "ABS_TOL", "MAX_ABS_H"]
@@ -295,7 +295,7 @@ def conserved_values(spec: SystemSpec, points: PhasePoint):
     with ``|g| < MIN_ABS_G``, which no stored trajectory state has, raises.
     """
     # values only: C = {A, B} reads the gradients, so order-1 jets suffice
-    H, A, B = integrals(spec, 1)(points)
+    H, A, B = SampleJets.evaluate(spec, points, 1).hab
     C, _ = bracket_value(A, B)
     E0 = float(np.atleast_1d(H.val)[0])
     con = algebra_constants(spec, E0)

@@ -20,9 +20,11 @@ Each check is written once, as a function of the jets of a sample
 (:class:`~superint.systems.SampleJets`: the phase seeds, the metric g and
 H): :func:`curvature_class_of` reads g, :func:`revolution_tag_of` g and the
 seeds, and :func:`linear_residual_of` H and the linear observable built on
-the seeds.  The catalog hands them the jets its algebra pass built; a
-caller with points of its own hands them ``SampleJets(spec, pts)``, as
-:func:`curvature` does with the points (xi, eta) at zero momenta.
+the seeds.  The catalog hands them each draw's part of its algebra pass
+(``SampleJets.part`` of a ``SampleJets.evaluate``); a caller with points
+of its own hands them ``SampleJets(spec, pts)``, which evaluates each jet
+on its first read, as :func:`curvature` does with the points (xi, eta) at
+zero momenta.
 :func:`classify_curvature`, :func:`revolution_check` and
 :func:`linear_integral_check` draw ``sample_points(spec, n_points,
 default_rng(seed))`` and run the check on fresh jets of those points, the

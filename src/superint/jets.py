@@ -14,7 +14,7 @@ and gradient rules never read the Hessian, so an order-1 jet's ``val`` and
 ``hess_at`` or ``hess_full`` of an order-1 jet raises ``AttributeError``.
 Callers that read no second derivative evaluate at order 1, and
 ``first_order()`` views an order-2 jet as one, so that what is built from
-it carries no Hessian (as H in :func:`superint.systems.integrals`).
+it carries no Hessian (as H in :meth:`superint.systems.SampleJets.evaluate`).
 
 The Hessian rules gather gradient rows into packed order (and
 ``hess_full`` the packed rows into a square) with ``ndarray.take``, the
@@ -850,9 +850,14 @@ class Observable:
     __call__ = eval  # kept for bench/tracing.py, which wraps it
 
     def value(self, point: PhasePoint):
-        """Plain value, no derivatives."""
-        out = self.fn(*point.components())
-        return np.asarray(out, dtype=float)
+        """Plain value, no derivatives.  A single (0-d) point is evaluated as
+        a batch of one, whose value it returns as a 0-d array: on 0-d arrays
+        numpy's functions return numpy scalars, whose ``**`` is the C
+        library's pow, so the point would not give the bits it has in a
+        batch."""
+        batch = [c.reshape(1) if point.shape == () else c for c in point.components()]
+        out = np.asarray(self.fn(*batch), dtype=float)
+        return out.reshape(()) if point.shape == () else out
 
     # kept for bench/layers.py (jets.dual_us); the flow traces Dual4's rules instead
     def dual(self, point: PhasePoint):

@@ -36,12 +36,14 @@ and constants serve every step of the fit and the re-judged maxima.  A
 batch whose pass raises is re-run spec by spec, so every report, and the
 first error, is the one the sample gives alone.  ``verify_algebra`` and
 ``verify_casimir`` are groups of one; ``_algebra`` verifies many samples,
-as the catalog does with the draws of a row.  The core also hands back
-the seeds, g and H that an order-2 pass of at most ``_CHUNK`` points built
-on each sample's points, so that a caller's geometry checks evaluate
-nothing a second time; a sample of an order-1 pass or of more points, or
-one whose batched pass raised, gets fresh jets of its own points,
-evaluated only if they are read.
+as the catalog does with the draws of a row.  Every pass is a
+``systems.SampleJets.evaluate``, and the core hands back each sample's
+``SampleJets``: the part of an order-2 pass of at most ``_CHUNK`` points
+that covers the sample's points, so that a caller's geometry checks read
+the seeds, g and H that pass built and evaluate nothing a second time; a
+sample of an order-1 pass or of more points, or one whose batched pass
+raised, gets fresh jets of its own points, evaluated only if they are
+read.
 """
 
 from __future__ import annotations
@@ -57,9 +59,8 @@ import numpy as np
 
 from .errors import DomainError, IllConditioned
 from .jets import Jet2, Observable, PhasePoint, _norm
-from .systems import (SampleJets, SystemSpec, constants_poly, group_constants, group_fns,
-                      integral_A, integral_B, integrals, pass_key, sample_points,
-                      spec_to_dict)
+from .systems import (SampleJets, SystemSpec, build_fns, constants_poly, group_constants,
+                      group_fns, integral_A, integral_B, pass_key, sample_points, spec_to_dict)
 
 __all__ = [
     "BracketValue",
@@ -322,22 +323,23 @@ def casimir_combination(con, c, a, b):
     return functools.reduce(np.add, terms), np.maximum.reduce(np.abs(t, out=t))
 
 
-def _row_residuals(cp, hab, pts, names):
-    """The residuals of the identities in ``names`` at the points ``pts``, as a
-    function of the affine-match offsets ``(a_off=0.0, b_off=0.0)`` that
-    returns them per point, in a dict.
+def _row_residuals(cp, hab, names):
+    """The residuals of the identities in ``names`` at the points of a pass,
+    as a function of the affine-match offsets ``(a_off=0.0, b_off=0.0)``
+    that returns them per point, in a dict.
 
     The identities are HA, HB, HC, AC_row, BC_row and casimir.  ``cp`` is
-    the spec's ``constants_poly``; ``hab`` maps points to the jets of H, A
-    and B (``systems.integrals``; A and B of order 2 where ``names`` holds
-    one of ``_NESTED`` and of order 1 otherwise, H always of order 1).  The
-    jets, the brackets and their scales, and the constants at E = H are
-    evaluated here, once.  The offsets move only the values of A and B, so
-    the function holds those values and what their terms are set against:
-    no jet.  It gives the residuals at zero offsets for the verdict, and
-    each of the affine-match fit's costs.
+    the spec's ``constants_poly``; ``hab`` holds the jets of H, A and B of a
+    pass (``SampleJets.evaluate(...).hab``; A and B of order 2 where
+    ``names`` holds one of ``_NESTED`` and of order 1 otherwise, H always of
+    order 1), and not the pass, so that the pass's seeds and g are freed
+    before the brackets are contracted.  The brackets and their scales, and
+    the constants at E = H, are evaluated here, once.  The offsets move
+    only the values of A and B, so the function holds those values and what
+    their terms are set against: no jet.  It gives the residuals at zero
+    offsets for the verdict, and each of the affine-match fit's costs.
     """
-    H, A, B = hab(pts)
+    H, A, B = hab
     con = cp.at_energy(H.val)
     A_val, B_val = A.val, B.val
     fixed = {}
@@ -432,47 +434,11 @@ def _passes(group, counts, cps):
     return passes
 
 
-def _cut(jet, lo, hi):
-    """``jet``, a jet over the points of one pass, at its points ``lo:hi``."""
-    return jet._of(jet.val[..., lo:hi], jet.grad[..., lo:hi],
-                   None if jet.order == 1 else jet.hess[..., lo:hi])
-
-
-class _Part:
-    """The seeds, g and H that a pass of at most ``_CHUNK`` points built
-    (:func:`~superint.systems.integrals`' ``keep``), at one sample's own
-    points ``lo:hi``: the attributes of a
-    :class:`~superint.systems.SampleJets`, each cut out on its first read.
-
-    ``kept`` is the 6-tuple of an algebra pass, of order 2: the seeds and g
-    of order 2 and H of order 1, the orders of ``SampleJets``, and the bits
-    of its values and derivatives are those of ``SampleJets`` on the
-    sample's points.
-    """
-
-    def __init__(self, kept, lo, hi):
-        self._kept, self._lo, self._hi = kept, lo, hi
-
-    def _column(self, k):
-        return _cut(self._kept[k], self._lo, self._hi)
-
-    @functools.cached_property
-    def seeds(self):
-        return tuple(map(self._column, range(4)))
-
-    @functools.cached_property
-    def g(self):
-        return self._column(4)
-
-    @functools.cached_property
-    def H(self):
-        return self._column(5)
-
-
 def _group_max(group, counts, cps, names, order):
     """Each sample's max residual per identity, one dict per sample, from one
-    residual pass per set of samples that share one (:func:`_passes`), and
-    the jets of each sample's points.
+    residual pass (:meth:`~superint.systems.SampleJets.evaluate`) per set of
+    samples that share one (:func:`_passes`), and the
+    :class:`~superint.systems.SampleJets` of each sample's points.
 
     The points of a pass are the samples' laid end to end, and each spec's
     parameters and structure constants are repeated over its own points
@@ -480,11 +446,12 @@ def _group_max(group, counts, cps, names, order):
     :func:`~superint.systems.group_constants`), so every point's residuals
     are those of its spec's own pass.  A group of one runs on the spec's
     own closed forms and constants.  A pass of ``order`` 2 and of at most
-    ``_CHUNK`` points keeps its seeds, g and H, and each of its samples gets
-    its :class:`_Part` of them; every other sample (of an order-1 pass,
-    whose seeds are of order 1, or of more points, whose pass of its own is
-    chunked) gets a :class:`~superint.systems.SampleJets` of its own spec
-    and points that evaluates nothing until it is read.
+    ``_CHUNK`` points is kept, and each of its samples gets its
+    :meth:`~superint.systems.SampleJets.part` of it; every other sample (of
+    an order-1 pass, whose seeds are of order 1, or of more points, whose
+    pass of its own is chunked) gets a
+    :class:`~superint.systems.SampleJets` of its own spec and points that
+    evaluates nothing until it is read.
     """
     worst = [None] * len(group)
     parts = [None] * len(group)
@@ -494,15 +461,17 @@ def _group_max(group, counts, cps, names, order):
         sizes = [counts[i] for i in members]
         pts = samples[0] if len(samples) == 1 else PhasePoint.from_array(
             np.concatenate([p.as_array() for p in samples], axis=1))
-        kept = [] if order == 2 and pts.shape[0] <= _CHUNK else None
-        hab = functools.partial(integrals(group_fns(specs, sizes), order), keep=kept)
+        fns = group_fns(specs, sizes)
         cp = group_constants([cps[i] for i in members], sizes)
         starts = list(itertools.accumulate(sizes[:-1], initial=0))
-        chunks = (_row_residuals(cp, hab, sub, names)() for sub in _chunks(pts))
+        # a pass kept for its parts is one chunk, the only one _chunks gives
+        whole = SampleJets.evaluate(fns, pts) if order == 2 and pts.shape[0] <= _CHUNK else None
+        chunks = (_row_residuals(cp, (whole or SampleJets.evaluate(fns, sub, order)).hab, names)()
+                  for sub in _chunks(pts))
         for i, w in zip(members, _chunked_max(chunks, names, starts)):
             worst[i] = w
         for i, lo, n, spec, own in zip(members, starts, sizes, specs, samples):
-            parts[i] = _Part(kept[0], lo, lo + n) if kept else SampleJets(spec, own)
+            parts[i] = whole.part(lo, lo + n) if whole else SampleJets(spec, own)
     return worst, parts
 
 
@@ -554,7 +523,8 @@ def _verify(kind, group, tols):
     """Certify the identities named in ``tols`` on each sample of ``group``,
     ``(spec, seed, points)`` triples: ``(jets, reports)``.  ``reports`` is
     an iterator of one report per sample, in order, and ``jets`` holds each
-    sample's seeds, g and H on its own points (:func:`_group_max`).
+    sample's :class:`~superint.systems.SampleJets`, whose seeds, g and H are
+    on its own points (:func:`_group_max`).
 
     The samples are evaluated together, in one residual pass per set of
     specs that can share one (:func:`_group_max`), run by this call, and
@@ -599,11 +569,12 @@ def _verify(kind, group, tols):
         correction = None
         _finite(worst)
         if any(worst[k] > tols[k] for k in trigger):
-            hab = integrals(spec, 2)
-            fns = [_row_residuals(cp, hab, sub, (*tols, *_FIT)) for sub in _chunks(pts)]
-            a_off, b_off = _fit_offsets(fns)
+            fns = build_fns(spec)
+            rows = [_row_residuals(cp, SampleJets.evaluate(fns, sub).hab, (*tols, *_FIT))
+                    for sub in _chunks(pts)]
+            a_off, b_off = _fit_offsets(rows)
             correction = {"a_offset": a_off, "b_offset": b_off}
-            worst = _finite(_chunked_max((f(a_off, b_off) for f in fns), tols)[0])
+            worst = _finite(_chunked_max((f(a_off, b_off) for f in rows), tols)[0])
         idents = tuple(Identity(k, worst[k], tol) for k, tol in tols.items())
         return VerificationReport(kind, spec, seed, n_points, idents, correction)
 

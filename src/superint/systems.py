@@ -21,6 +21,8 @@ The module builds, per subclass:
   coefficients are functions of the coordinates (``_quadratic``): on
   jets the coefficients stay in (xi, eta), and the four-variable jet of
   the form is written once from theirs,
+* one jet pass for H, A and B (``SampleJets.evaluate``), whose seeds,
+  metric g and H the geometry checks read too (``SampleJets``),
 * the characteristic-equation and structural-PDE residuals,
 * the structure constants of the quadratic Poisson algebra and the Casimir
   polynomial, as explicit polynomials in the energy.
@@ -54,7 +56,6 @@ __all__ = [
     "hamiltonian",
     "integral_A",
     "integral_B",
-    "integrals",
     "SampleJets",
     "characteristic_residual",
     "structural_pde_residual",
@@ -586,7 +587,7 @@ def hamiltonian(spec: SystemSpec, enforce_min_g: bool = True) -> Observable:
 
 
 # integral_A and integral_B: kept for bench/layers.py, bench/workloads.py and
-# CObservable; the verifiers and the flow evaluate A and B through integrals
+# CObservable; the verifiers and the flow evaluate A and B in SampleJets.evaluate
 def integral_A(spec: SystemSpec) -> Observable:
     """The first quadratic integral, in Liouville (Class I) or Lie (Class II) form."""
     fns = build_fns(spec)
@@ -611,82 +612,98 @@ def integral_B(spec: SystemSpec) -> Observable:
     return Observable(fn, label="B")
 
 
-def integrals(spec, order: int = 2) -> Callable[[PhasePoint], tuple]:
-    """One pass for H, A and B: a map from points to their jets of ``order``.
-
-    ``spec`` is a :class:`SystemSpec`, or the :class:`SystemFns` of one
-    (:func:`build_fns`) or of several laid end to end (:func:`group_fns`).
-
-    The closed forms are built once, and H and A share one
-    :meth:`SystemFns.pairs` call (g and w; for Class I also F(u), G(v),
-    f(u), g(v)).  Each basis function runs once per argument jet, whose
-    basis values live as long as it does (:meth:`_Jet.once`): F and f share
-    theirs at u, G and g at v, the tilde functions at U and V, and in
-    Class II F, G, f, g, intF, intf, X and sqrt(A) share theirs at eta.
-    They are computed as the forms ask: the pairs with the metric guard,
-    then A's and B's own terms.  The closed forms run on (xi, eta) jets.
-    H's form lifts them to four variables where a momentum enters; A and B
-    are quadratic forms in the momenta, whose four-variable jets
-    :func:`_quadratic` writes from their coefficients' (xi, eta) jets and
-    the momenta's values.  The jets equal the
-    ``eval`` of :func:`hamiltonian`, :func:`integral_A` and
-    :func:`integral_B` bit for bit, and the first ``DomainError`` is the
-    one the three would raise in that order.  A caller that reads no
-    Hessian asks for ``order`` 1.
-
-    H is an order-1 jet at either order: no identity reads its Hessian.
-    It is built from order-1 views of p_xi, p_eta and w, divided by g, and
-    the value and gradient rules never read a Hessian, so its value and
-    gradient equal those of ``hamiltonian(spec).eval`` bit for bit.  g keeps
-    its inverse, which A's form divides by too (g = F + G is the Liouville
-    form's denominator in Class I), so each pass inverts g once.
-
-    ``evaluate(point, keep)`` also appends to the list ``keep`` the jets of
-    the pass that the geometry checks read: the four seeds, g and H, as a
-    6-tuple (:class:`SampleJets` names them).  At ``order`` 2 they have the
-    orders of :class:`SampleJets` on the same points, and its bits.
-    """
-    fns = spec if isinstance(spec, SystemFns) else build_fns(spec)
-
-    def evaluate(point: PhasePoint, keep=None):
-        seeds = xi, eta, p_xi, p_eta = seed_phase(point, order)
-        metric, potential = fns.pairs(xi, eta, guard=True)
-        H = _h_form(p_xi.first_order(), p_eta.first_order(), metric[2],
-                    potential[2].first_order())
-        if keep is not None:
-            keep.append((*seeds, metric[2], H))
-        return (H, _a_form(fns, eta, p_xi, p_eta, metric, potential),
-                _b_form(fns, xi, eta, p_xi, p_eta))
-
-    return evaluate
-
-
 class SampleJets:
-    """The jets the geometry checks read on the points ``pts`` of ``spec``,
-    each evaluated on its first read: ``seeds``, the four phase seeds
-    (:func:`~superint.jets.seed_phase`), and ``g``, the metric on the
-    coordinate seeds, of order 2; and ``H`` on the seeds' order-1 views,
-    of order 1.
+    """The jets of one pass over the points ``pts`` of ``spec``: ``seeds``,
+    the four phase seeds (:func:`~superint.jets.seed_phase`), and ``g``, the
+    metric on the coordinate seeds, of order 2; and ``H`` on the seeds'
+    order-1 views, of order 1.  The geometry checks read these three.
 
-    These are the orders of the seeds, g and H that an algebra pass of
-    :func:`integrals` keeps, and over the same points they are equal to
-    those bit for bit, so a check reads the same numbers from either.
+    ``SampleJets(spec, pts)`` evaluates each on its first read, g as the
+    metric alone, with no guard and no potential.  :meth:`evaluate` runs the
+    pass that the verifiers read, which sets A and B too, and :meth:`part`
+    cuts one sample's share out of a pass over several.  Over the same
+    points the seeds, g and H of the three are equal bit for bit, so a check
+    reads the same numbers from any of them.
     """
+
+    _whole = None   # the pass a part is cut from
 
     def __init__(self, spec: SystemSpec, pts: PhasePoint):
         self._spec, self._pts = spec, pts
 
+    @classmethod
+    def evaluate(cls, spec, pts: PhasePoint, order: int = 2) -> "SampleJets":
+        """One pass for H, A and B on the points ``pts``, with the seeds and g
+        it builds on the way: jets of ``order``, but H of order 1.
+
+        ``spec`` is a :class:`SystemSpec`, or the :class:`SystemFns` of one
+        (:func:`build_fns`) or of several laid end to end (:func:`group_fns`).
+
+        The closed forms are built once, and H and A share one
+        :meth:`SystemFns.pairs` call (g and w; for Class I also F(u), G(v),
+        f(u), g(v)).  Each basis function runs once per argument jet, whose
+        basis values live as long as it does (:meth:`_Jet.once`): F and f
+        share theirs at u, G and g at v, the tilde functions at U and V, and
+        in Class II F, G, f, g, intF, intf, X and sqrt(A) share theirs at
+        eta.  They are computed as the forms ask: the seeds, the pairs with
+        the metric guard, H, then A's and B's own terms.  The closed forms
+        run on (xi, eta) jets.  H's form lifts them to four variables where a
+        momentum enters; A and B are quadratic forms in the momenta, whose
+        four-variable jets :func:`_quadratic` writes from their coefficients'
+        (xi, eta) jets and the momenta's values.  The jets equal the ``eval``
+        of :func:`hamiltonian`, :func:`integral_A` and :func:`integral_B` bit
+        for bit, and the first ``DomainError`` is the one the three would
+        raise in that order.  A caller that reads no Hessian asks for
+        ``order`` 1.
+
+        H is an order-1 jet at either order: no identity reads its Hessian.
+        It is built from order-1 views of p_xi, p_eta and w, divided by g,
+        and the value and gradient rules never read a Hessian, so its value
+        and gradient equal those of ``hamiltonian(spec).eval`` bit for bit.
+        g keeps its inverse, which A's form divides by too (g = F + G is the
+        Liouville form's denominator in Class I), so each pass inverts g
+        once.  At ``order`` 2 the seeds, g and H have the orders and the bits
+        of ``SampleJets(spec, pts)``'s.
+        """
+        fns = spec if isinstance(spec, SystemFns) else build_fns(spec)
+        jets = cls.__new__(cls)   # not __init__: every jet is set here, none read lazily
+        jets.seeds = xi, eta, p_xi, p_eta = seed_phase(pts, order)
+        metric, potential = fns.pairs(xi, eta, guard=True)
+        jets.g, jets.H = metric[2], _h_form(p_xi.first_order(), p_eta.first_order(), metric[2],
+                                            potential[2].first_order())
+        jets.A = _a_form(fns, eta, p_xi, p_eta, metric, potential)
+        jets.B = _b_form(fns, xi, eta, p_xi, p_eta)
+        return jets
+
+    @property
+    def hab(self):
+        """The jets of H, A and B of an evaluated pass."""
+        return self.H, self.A, self.B
+
+    def part(self, lo: int, hi: int) -> "SampleJets":
+        """The seeds, g and H of this pass at its points ``lo:hi``, each cut
+        out on its first read."""
+        part = SampleJets.__new__(SampleJets)
+        part._whole, part._span = self, np.s_[..., lo:hi]
+        return part
+
+    def _cut(self, jet):
+        s = self._span
+        return jet._of(jet.val[s], jet.grad[s], None if jet.order == 1 else jet.hess[s])
+
     @functools.cached_property
     def seeds(self):
-        return seed_phase(self._pts)
+        return tuple(map(self._cut, self._whole.seeds)) if self._whole else seed_phase(self._pts)
 
     @functools.cached_property
     def g(self):
-        return build_fns(self._spec).metric(*self.seeds[:2])
+        return (self._cut(self._whole.g) if self._whole
+                else build_fns(self._spec).metric(*self.seeds[:2]))
 
     @functools.cached_property
     def H(self):
-        return hamiltonian(self._spec).fn(*(s.first_order() for s in self.seeds))
+        return (self._cut(self._whole.H) if self._whole
+                else hamiltonian(self._spec).fn(*(s.first_order() for s in self.seeds)))
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,27 @@ def test_output_file_replaces_stdout(tmp_path):
     assert out.read_text() == to_stdout.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--class", "I1", "--kappa", "1", "--points", "20"],
+    ["casimir", "--class", "I1", "--kappa", "1", "--points", "20"],
+    ["curvature", "--class", "I1", "--kappa", "1", "--points", "20"],
+    ["revolution", "--class", "I1", "--kappa", "1", "--points", "20"],
+    ["linear", "--class", "I1", "--kappa", "1", "--points", "20"],
+    ["tables", "--table", "T3", "--draws", "1", "--points", "10"],
+    ["tables", "--table", "T3", "--draws", "1", "--points", "10", "--format", "csv"],
+    [*TRAJECTORY, "--t-end", "0.1"],
+    ["dump-catalog"],
+], ids=["verify", "casimir", "curvature", "revolution", "linear", "tables-json",
+        "tables-csv", "trajectory", "dump-catalog"])
+def test_an_output_path_that_cannot_be_written_exits_2(argv, tmp_path):
+    # a config error, after the work, not a traceback with the failure code 1
+    out = tmp_path / "missing" / "out"
+    r = run(*argv, "--output", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("config error: ") and "Traceback" not in r.stderr
+    assert str(out) in r.stderr and not out.parent.exists()
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # only the affine correction uses scipy.optimize, and it rarely runs
     # and the structure constants need no numpy.polynomial

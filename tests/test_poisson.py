@@ -16,7 +16,7 @@ from superint.poisson import (TOL_NESTED, _algebra, _chunked_max, _contract,
                               _row_residuals, bracket, bracket_fd, bracket_jets, c_observable,
                               casimir_coefficients, casimir_combination,
                               polynomial_membership, verify_algebra, verify_casimir)
-from superint.systems import (CLASS_TAGS, ConstantsPoly, SystemSpec,
+from superint.systems import (CLASS_TAGS, ConstantsPoly, SampleJets, SystemSpec,
                               characteristic_residual, hamiltonian, integral_A,
                               integral_B, sample_points)
 
@@ -147,19 +147,14 @@ def test_affine_correction_absorbs_constant_offset(monkeypatch):
     # shifting A by a constant (an integration-constant convention change)
     # must be absorbed by the affine-match pre-step and flagged, while the
     # printed forms keep passing raw
-    import superint.poisson as poisson_mod
-    from superint.systems import integrals as real_integrals
+    real_evaluate = SampleJets.evaluate.__func__
 
-    def shifted_integrals(spec, order=2):
-        hab = real_integrals(spec, order)
+    def shifted(cls, spec, pts, order=2):
+        jets = real_evaluate(cls, spec, pts, order)
+        jets.A = jets.A + 3.0
+        return jets
 
-        def evaluate(point, keep=None):
-            H, A, B = hab(point, keep)
-            return H, A + 3.0, B
-
-        return evaluate
-
-    monkeypatch.setattr(poisson_mod, "integrals", shifted_integrals)
+    monkeypatch.setattr(SampleJets, "evaluate", classmethod(shifted))
     spec = SystemSpec("II1", **GENERIC)
     rep = verify_algebra(spec, n_points=100)
     assert rep.passed
@@ -209,12 +204,12 @@ def test_a_residual_maximum_that_is_not_finite_raises(verifier, spec):
 def test_the_affine_fit_refuses_a_cost_that_is_not_finite_at_zero_offsets():
     # the fit's cost holds the Casimir, which verify_algebra does not check first
     import superint.poisson as poisson_mod
-    from superint.systems import constants_poly, integrals
+    from superint.systems import constants_poly
 
     spec = SystemSpec("II3", kappa=1e155, nu=1.0)
     pts = sample_points(spec, 100, np.random.default_rng(0))
     with np.errstate(all="ignore"):
-        fn = poisson_mod._row_residuals(constants_poly(spec), integrals(spec, 2), pts,
+        fn = poisson_mod._row_residuals(constants_poly(spec), SampleJets.evaluate(spec, pts).hab,
                                         poisson_mod._FIT)
         with pytest.raises(DomainError, match="affine fit"):
             poisson_mod._fit_offsets([fn])
@@ -239,17 +234,17 @@ def test_residuals_of_a_point_do_not_depend_on_its_batch(tag):
     # a point alone gets the residuals it gets in a batch, so no chunk size,
     # not even a one-point last chunk, and no chunking of the fit's cost
     # can move a bit
-    from superint.poisson import _row_residuals
-    from superint.systems import constants_poly, integrals
+    from superint.systems import constants_poly
 
     spec = SystemSpec(tag, **GENERIC)
     pts = sample_points(spec, 30, np.random.default_rng(3))
-    cp, hab = constants_poly(spec), integrals(spec)
+    cp = constants_poly(spec)
     names = ("HA", "HB", "HC", "AC_row", "BC_row", "casimir")
     arr = pts.as_array()
-    batch_fn = _row_residuals(cp, hab, pts, names)
-    alone_fns = [_row_residuals(cp, hab, PhasePoint.from_array(arr[:, i:i + 1]), names)
-                 for i in range(arr.shape[1])]
+    batch_fn = _row_residuals(cp, SampleJets.evaluate(spec, pts).hab, names)
+    habs = [SampleJets.evaluate(spec, PhasePoint.from_array(arr[:, i:i + 1])).hab
+            for i in range(arr.shape[1])]
+    alone_fns = [_row_residuals(cp, hab, names) for hab in habs]
     for offsets in ((0.0, 0.0), (1e-9, -3e-9)):
         batch = batch_fn(*offsets)
         assert tuple(batch) == names
@@ -259,29 +254,26 @@ def test_residuals_of_a_point_do_not_depend_on_its_batch(tag):
                 assert alone[name].tobytes() == res[i:i + 1].tobytes(), (name, i)
 
 
-def _spy_integrals(monkeypatch, orders):
-    """Record the order of every H, A, B jet that the verifiers evaluate."""
-    import superint.poisson as poisson_mod
-    real = poisson_mod.integrals
+def _spy_passes(monkeypatch, orders, points=None):
+    """Record the order of every H, A, B jet that the verifiers evaluate, one
+    tuple per pass, and in ``points`` each pass's points."""
+    real = SampleJets.evaluate.__func__
 
-    def spy(spec, order=2):
-        hab = real(spec, order)
+    def spy(cls, spec, pts, order=2):
+        jets = real(cls, spec, pts, order)
+        orders.append((jets.H.order, jets.A.order, jets.B.order))
+        if points is not None:
+            points.append(pts)
+        return jets
 
-        def evaluate(point, keep=None):
-            jets = hab(point, keep)
-            orders.append(tuple(j.order for j in jets))
-            return jets
-
-        return evaluate
-
-    monkeypatch.setattr(poisson_mod, "integrals", spy)
+    monkeypatch.setattr(SampleJets, "evaluate", classmethod(spy))
 
 
 def test_casimir_pass_builds_no_hessian(monkeypatch):
     from superint.poisson import _CHUNK
 
     orders = []
-    _spy_integrals(monkeypatch, orders)
+    _spy_passes(monkeypatch, orders)
     spec = SystemSpec("I3", **GENERIC)
     rep = verify_casimir(spec, n_points=2 * _CHUNK + 1)
     assert rep.passed and orders == [(1, 1, 1)] * 3
@@ -294,7 +286,7 @@ def test_forced_casimir_correction_fits_at_order_two(monkeypatch):
     # the fit reads the algebra rows; the verdict's pass does not, and the
     # fit's one pass also re-judges the sample
     orders = []
-    _spy_integrals(monkeypatch, orders)
+    _spy_passes(monkeypatch, orders)
     rep = verify_casimir(SystemSpec("II2", **GENERIC), n_points=100, tol=1e-30)
     assert rep.correction_applied
     assert orders == [(1, 1, 1), (1, 2, 2)]
@@ -305,19 +297,20 @@ def test_a_forced_correction_evaluates_each_chunk_once(monkeypatch):
     # each over the sample's chunks in order
     import superint.poisson as poisson_mod
 
-    orders = []
-    _spy_integrals(monkeypatch, orders)
+    orders, points = [], []
+    _spy_passes(monkeypatch, orders, points)
     real_row_residuals = poisson_mod._row_residuals
-    firsts = []
+    rows = []
     monkeypatch.setattr(poisson_mod, "_row_residuals",
-                        lambda cp, hab, pts, names: firsts.append(float(pts.xi[0]))
-                        or real_row_residuals(cp, hab, pts, names))
+                        lambda cp, hab, names: rows.append(hab[0].val.shape)
+                        or real_row_residuals(cp, hab, names))
     spec, chunk = SystemSpec("I2", **GENERIC), poisson_mod._CHUNK
     rep = verify_algebra(spec, n_points=3 * chunk, tol_nested=1e-30)
     assert rep.correction_applied
     assert orders == [(1, 2, 2)] * 6
     xi = sample_points(spec, 3 * chunk, np.random.default_rng(poisson_mod.DEFAULT_SEED)).xi
-    assert firsts == [float(xi[lo]) for lo in (0, chunk, 2 * chunk)] * 2
+    assert [float(p.xi[0]) for p in points] == [float(xi[lo]) for lo in (0, chunk, 2 * chunk)] * 2
+    assert rows == [(chunk,)] * 6
 
 
 @pytest.mark.parametrize("kw", [{}, {"tol_nested": 1e-30}], ids=["plain", "forced"])
@@ -841,7 +834,7 @@ def test_the_residual_rows_keep_the_bits_of_their_stacked_sums(seed, shape, spec
     cp = _constants(rng, special)
     names = ("HA", "HB", "HC", "AC_row", "BC_row", "casimir")
     with np.errstate(all="ignore"):
-        got = _row_residuals(cp, lambda pts: (H, A, B), None, names)(*offsets)
+        got = _row_residuals(cp, (H, A, B), names)(*offsets)
         ref = _ref_rows(cp, H, A, B, *offsets)
     assert list(got) == list(names)
     assert {k: v.tobytes() for k, v in got.items()} == {k: v.tobytes() for k, v in ref.items()}
@@ -850,15 +843,16 @@ def test_the_residual_rows_keep_the_bits_of_their_stacked_sums(seed, shape, spec
 @pytest.mark.parametrize("tag", CLASS_TAGS)
 def test_the_max_over_one_chunk_is_the_max_over_several(monkeypatch, tag):
     import superint.poisson as poisson_mod
-    from superint.systems import constants_poly, integrals
+    from superint.systems import constants_poly
 
     spec = SystemSpec(tag, **GENERIC)
     pts = sample_points(spec, 300, np.random.default_rng(5))
-    cp, hab = constants_poly(spec), integrals(spec)
+    cp = constants_poly(spec)
     names = ("HA", "HB", "HC", "AC_row", "BC_row", "casimir")
 
     def chunked_max():
-        chunks = (_row_residuals(cp, hab, sub, names)() for sub in poisson_mod._chunks(pts))
+        chunks = (_row_residuals(cp, SampleJets.evaluate(spec, sub).hab, names)()
+                  for sub in poisson_mod._chunks(pts))
         return _chunked_max(chunks, names)
 
     one, = chunked_max()
@@ -888,7 +882,7 @@ def _ratios(spec, pts):
     """|num| / scale per point for each identity, in the order the residual
     rows pass them to ``_norm``."""
     import superint.poisson as poisson_mod
-    from superint.systems import constants_poly, integrals
+    from superint.systems import constants_poly
 
     out = []
 
@@ -899,7 +893,8 @@ def _ratios(spec, pts):
     poisson_mod._norm = record
     try:
         with np.errstate(all="ignore"):   # 0 / 0 where a scale is 0
-            _row_residuals(constants_poly(spec), integrals(spec, 2), pts, _IDENTITIES)()
+            _row_residuals(constants_poly(spec), SampleJets.evaluate(spec, pts).hab,
+                           _IDENTITIES)()
     finally:
         poisson_mod._norm = _norm
     return out
@@ -908,8 +903,6 @@ def _ratios(spec, pts):
 @given(tag=st.sampled_from(CLASS_TAGS), k=st.integers(1, 40))
 @settings(max_examples=60, deadline=None)
 def test_rescaling_the_parameters_and_momenta_scales_every_identity_exactly(tag, k):
-    from superint.systems import integrals
-
     spec, pts = _reference_sample(tag)
     c = 2.0**k
     scaled = SystemSpec(tag, *(c * x for x in spec.metric_params),
@@ -917,8 +910,8 @@ def test_rescaling_the_parameters_and_momenta_scales_every_identity_exactly(tag,
     moved = PhasePoint(pts.xi, pts.eta, c * pts.p_xi, c * pts.p_eta)
     # a derivative in a momentum carries one factor c less
     per_var = np.array([1.0, 1.0, c, c])[:, None]
-    for power, jet, got in zip((1, 2, 2), integrals(spec, 2)(pts),
-                               integrals(scaled, 2)(moved)):
+    for power, jet, got in zip((1, 2, 2), SampleJets.evaluate(spec, pts).hab,
+                               SampleJets.evaluate(scaled, moved).hab):
         factor = c**power
         assert np.array_equal(got.val, factor * jet.val)
         assert np.array_equal(got.grad, factor / per_var * jet.grad)

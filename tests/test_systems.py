@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from superint import jets, systems
 from superint.errors import DomainError, SamplingError
 from superint.jets import CoordJet, Jet2, PhasePoint, seed_phase
-from superint.systems import (CLASS_TAGS, MIN_ABS_G, MOMENTUM_RANGE, SystemSpec,
+from superint.systems import (CLASS_TAGS, MIN_ABS_G, MOMENTUM_RANGE, SampleJets, SystemSpec,
                               _padd, _pmul, _polyval, algebra_constants, build_fns,
                               characteristic_residual, constants_poly,
-                              hamiltonian, integral_A, integral_B, integrals,
+                              hamiltonian, integral_A, integral_B,
                               sample_domain, sample_points,
                               spec_from_dict, spec_to_dict, structural_pde_residual)
 
@@ -126,7 +126,7 @@ def _parts(jet):
 def test_shared_pass_equals_separate_integrals(tag):
     spec = SystemSpec(tag, **GENERIC)
     pts = sample_points(spec, 300, np.random.default_rng(21))
-    shared = integrals(spec)(pts)
+    shared = SampleJets.evaluate(spec, pts).hab
     assert [j.order for j in shared] == [1, 2, 2]   # H's Hessian is not built
     for obs, jet in zip((hamiltonian(spec), integral_A(spec), integral_B(spec)), shared):
         ref = obs.eval(pts)
@@ -141,7 +141,7 @@ def test_shared_pass_gives_h_at_order_one(tag):
     pts = sample_points(spec, 50, np.random.default_rng(25))
     one = PhasePoint(*(float(c[0]) for c in pts.components()))
     for p in (pts, one):
-        H = integrals(spec, 2)(p)[0]
+        H = SampleJets.evaluate(spec, p, 2).H
         ref = hamiltonian(spec).eval(p, 2)
         assert type(H) is Jet2 and H.order == 1 and ref.order == 2
         assert H.val.shape == ref.val.shape == p.shape
@@ -157,7 +157,7 @@ def test_shared_pass_equals_four_variable_jets(tag):
     # coordinate jets of the shared pass must reproduce bit for bit
     spec = SystemSpec(tag, **GENERIC)
     pts = sample_points(spec, 300, np.random.default_rng(22))
-    shared = integrals(spec)(pts)
+    shared = SampleJets.evaluate(spec, pts).hab
     assert [j.order for j in shared] == [1, 2, 2]
     for obs, jet in zip((hamiltonian(spec), integral_A(spec), integral_B(spec)), shared):
         ref = obs.fn(*(j.lift() for j in seed_phase(pts)))
@@ -166,20 +166,57 @@ def test_shared_pass_equals_four_variable_jets(tag):
             assert np.array_equal(getattr(jet, part), getattr(ref, part)), (obs.label, part)
 
 
+_BELOW_THE_GUARD = [
+    (SystemSpec("II1", nu=1e-4), PhasePoint(1.0, 1.0, 0.5, 0.5)),  # g = 1e-4 everywhere
+    # g = 0, and f = 1/sqrt(eta) raises at eta < 0: the guard must come first
+    (SystemSpec("II2", k=1.0), PhasePoint(1.0, -0.5, 0.5, 0.5)),
+]
+
+
 def test_shared_pass_raises_the_metric_error():
-    cases = [
-        (SystemSpec("II1", nu=1e-4), PhasePoint(1.0, 1.0, 0.5, 0.5)),  # g = 1e-4 everywhere
-        # g = 0, and f = 1/sqrt(eta) raises at eta < 0: the guard must come first
-        (SystemSpec("II2", k=1.0), PhasePoint(1.0, -0.5, 0.5, 0.5)),
-    ]
-    for spec, pt in cases:
+    for spec, pt in _BELOW_THE_GUARD:
         for order in (2, 1):
             with pytest.raises(DomainError) as shared:
-                integrals(spec, order)(pt)
+                SampleJets.evaluate(spec, pt, order)
             with pytest.raises(DomainError) as separate:
                 hamiltonian(spec).eval(pt, order)
             assert shared.value.primitive == separate.value.primitive == "metric"
             assert str(shared.value) == str(separate.value)
+
+
+def test_fresh_jets_read_the_metric_without_the_guard():
+    # the catalog judges a claim from fresh jets where its pass raised, so a
+    # fresh g is the metric alone; H, like the pass, raises the guard's error
+    for spec, pt in _BELOW_THE_GUARD:
+        g = SampleJets(spec, pt).g
+        assert g.val.tobytes() == build_fns(spec).metric(*seed_phase(pt)[:2]).val.tobytes()
+        assert abs(float(g.val)) < MIN_ABS_G
+        with pytest.raises(DomainError) as fresh:
+            SampleJets(spec, pt).H
+        with pytest.raises(DomainError) as evaluated:
+            SampleJets.evaluate(spec, pt)
+        assert fresh.value.primitive == evaluated.value.primitive == "metric"
+        assert str(fresh.value) == str(evaluated.value)
+
+
+@pytest.mark.parametrize("name", ["seeds", "g", "H"])
+def test_reading_one_jet_of_a_part_cuts_nothing_else(name, monkeypatch):
+    spec = SystemSpec("I2", **GENERIC)
+    pts = sample_points(spec, 12, np.random.default_rng(9))
+    own = PhasePoint.from_array(pts.as_array()[:, 3:8])
+    part = SampleJets.evaluate(spec, pts).part(3, 8)
+    cut, real_cut = [], SampleJets._cut
+    monkeypatch.setattr(SampleJets, "_cut",
+                        lambda self, jet: cut.append(jet) or real_cut(self, jet))
+    got = getattr(part, name)
+    assert len(cut) == (4 if name == "seeds" else 1)
+    assert [k for k in ("seeds", "g", "H") if k in vars(part)] == [name]
+    # the bits of fresh jets of the part's own points
+    ref = getattr(SampleJets(spec, own), name)
+    for jet, want in zip(got if name == "seeds" else [got], ref if name == "seeds" else [ref]):
+        assert jet.order == want.order
+        for storage in _parts(jet):
+            assert getattr(jet, storage).tobytes() == getattr(want, storage).tobytes()
 
 
 _PRIMITIVES = ("exp", "tan", "sqrt", "log", "arctan", "__pow__")
@@ -207,7 +244,7 @@ def _spied(monkeypatch, names=_PRIMITIVES):
 
 def _evaluations(spec, order):
     """The shared pass and the ``eval`` of H, A and B, at ``order``."""
-    return [integrals(spec, order)] + [
+    return [functools.partial(SampleJets.evaluate, spec, order=order)] + [
         functools.partial(obs.eval, order=order)
         for obs in (hamiltonian(spec), integral_A(spec), integral_B(spec))]
 
@@ -292,7 +329,8 @@ def test_order_one_pass_raises_the_metric_error_of_order_two():
     spec = SystemSpec("II1", nu=1e-4)   # g = 1e-4 everywhere, below MIN_ABS_G
     pt = PhasePoint(1.0, 1.0, 0.5, 0.5)
     errors = []
-    for evaluate in (integrals(spec), integrals(spec, 1),
+    for evaluate in (functools.partial(SampleJets.evaluate, spec),
+                     functools.partial(SampleJets.evaluate, spec, order=1),
                      lambda p: hamiltonian(spec).eval(p, order=1)):
         with pytest.raises(DomainError) as err:
             evaluate(pt)
@@ -304,7 +342,7 @@ def test_order_one_pass_raises_the_metric_error_of_order_two():
 def test_order_one_pass_equals_order_two_values_and_gradients(tag):
     spec = SystemSpec(tag, **GENERIC)
     pts = sample_points(spec, 300, np.random.default_rng(23))
-    ones, twos = integrals(spec, 1)(pts), integrals(spec)(pts)
+    ones, twos = SampleJets.evaluate(spec, pts, 1).hab, SampleJets.evaluate(spec, pts).hab
     assert [j.order for j in ones] == [1, 1, 1] and [j.order for j in twos] == [1, 2, 2]
     for one, two in zip(ones, twos):
         assert np.array_equal(one.val, two.val) and np.array_equal(one.grad, two.grad)
@@ -868,7 +906,7 @@ def test_each_pass_inverts_each_divisor_once(order, monkeypatch):
     calls = _spied(monkeypatch, ("inv",))
     for tag in CLASS_TAGS:
         spec = SystemSpec(tag, **GENERIC)
-        integrals(spec, order)(sample_points(spec, 64, np.random.default_rng(24)))
+        SampleJets.evaluate(spec, sample_points(spec, 64, np.random.default_rng(24)), order)
     assert len(calls) == 16
 
 
@@ -882,10 +920,10 @@ def test_a_group_pass_gives_each_spec_its_own_jets():
                  for _ in range(3)]
         pts = [sample_points(s, n, np.random.default_rng(n)) for s, n in zip(specs, (5, 1, 9))]
         joined = PhasePoint.from_array(np.concatenate([p.as_array() for p in pts], axis=1))
-        group = integrals(group_fns(specs, [5, 1, 9]), 2)(joined)
+        group = SampleJets.evaluate(group_fns(specs, [5, 1, 9]), joined).hab
         lo = 0
         for spec, p in zip(specs, pts):
-            alone = integrals(spec, 2)(p)
+            alone = SampleJets.evaluate(spec, p).hab
             for g, a in zip(group, alone):
                 for part in _parts(a):
                     got = getattr(g, part)[..., lo:lo + p.shape[0]]

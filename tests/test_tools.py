@@ -128,3 +128,40 @@ def test_code_lines_counts_code_but_no_docstring_comment_or_blank(tmp_path, caps
     assert tool.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["    10       2  m.py",
                                                         "    10       2  total"]
+
+
+_PARENT = [1.00, 1.01, 0.99, 1.00, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00]
+
+
+@pytest.mark.parametrize("tree, better, bound, want", [
+    # the tree's median 30 % above the parent's, against a 25 % bound
+    ([1.3 * a for a in _PARENT], "lower", 0.25, "worse"),
+    # the same numbers where higher is better: 10 of 10 pairs and far out of the spread
+    ([1.3 * a for a in _PARENT], "higher", 0.25, "gain"),
+    ([0.9 * a for a in _PARENT], "lower", 0.25, "gain"),
+    # 8 of 10 pairs better is no gain, however far the medians
+    ([0.9 * a for a in _PARENT[:8]] + [1.1, 1.1], "lower", 0.25, "within bound"),
+    # a tie counts for neither side: 8 better and 2 ties is no gain, 9 and 1 is
+    ([0.9 * a for a in _PARENT[:8]] + _PARENT[8:], "lower", 0.25, "within bound"),
+    ([0.9 * a for a in _PARENT[:9]] + _PARENT[9:], "lower", 0.25, "gain"),
+    # within the bound and the spread, whichever side is better
+    ([a + 0.005 for a in _PARENT], "lower", 0.25, "within bound"),
+    ([a - 0.005 for a in _PARENT], "lower", 0.25, "within bound"),
+    # the parent's quartiles 2 % apart: a 1 % bound cannot resolve that spread
+    ([a + 0.005 for a in _PARENT], "lower", 0.01, "unresolved"),
+    # unless every tree run is better than every parent run
+    ([0.97 - 0.001 * i for i in range(10)], "lower", 0.01, "gain"),
+])
+def test_bench_pairs_verdicts(tree, better, bound, want):
+    pairs = list(zip(_PARENT, tree))
+    assert _tool("bench_pairs").verdict(pairs, better, bound) == want
+
+
+def test_bench_pairs_reads_a_ten_percent_swing_under_a_tight_bound_as_unresolved():
+    # the same code, run to run, with its quartiles 10 % apart: under a bound
+    # of 5 % the pairs cannot show a move either way
+    parent = [60.0, 66.0, 61.0, 68.0, 59.0, 67.0, 60.0, 69.0, 62.0, 66.0]
+    tree = parent[1:] + parent[:1]
+    bench_pairs = _tool("bench_pairs")
+    assert bench_pairs.verdict(list(zip(parent, tree)), "lower", 0.05) == "unresolved"
+    assert bench_pairs.verdict(list(zip(parent, tree)), "lower", 0.25) == "within bound"

@@ -14,17 +14,18 @@ tree's ``BENCHMARK.json``) are read from the last line of its output.
 
 For every pair it prints each metric's value in both runs and the relative
 change, and ``correct``/``failed`` of both runs; at the end, per metric, the
-median and quartiles of each side, the median change and the number of
-pairs where the working tree is better.  It exits 1 when a run fails or is
-not correct, 2 when ``git archive`` fails, and 0 otherwise.  Nothing under
-``bench/`` is changed.
+median and quartiles of each side, the median change, the number of pairs
+where the working tree is better and the verdict (:func:`verdict`), whose
+bound is the metric's ``bound`` in ``BENCHMARK.json``.  It exits 1 when a
+run fails or is not correct, 2 when ``git archive`` fails, and 0 otherwise.
+Nothing under ``bench/`` is changed.
 
 With ``--record LABEL`` it also writes ``BENCH_<LABEL>.json`` at the root of
-the working tree: per metric, each side's median and quartiles, the change
-and the pairs where the tree is better; the values of every pair; the
-workload, seeds and seconds; both git revisions (the tree's as its ``HEAD``
-and whether files differ from it); and the CPU model and the Python, numpy
-and scipy versions.
+the working tree: per metric, each side's median and quartiles, the change,
+the pairs where the tree is better and the verdict; the values of every
+pair; the workload, seeds and seconds; both git revisions (the tree's as
+its ``HEAD`` and whether files differ from it); and the CPU model and the
+Python, numpy and scipy versions.
 """
 
 from __future__ import annotations
@@ -60,6 +61,36 @@ def _quartiles(values):
     q1, q3 = (statistics.quantiles(values, n=4, method="inclusive")[::2]
               if len(values) > 1 else values * 2)
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def verdict(pairs, better, bound):
+    """The verdict on one metric from its ``(rev, tree)`` value pairs, with
+    ``better`` "lower" or "higher" and ``bound`` the relative change the
+    metric may show.  The first that holds of:
+
+    * ``worse``: the tree's median is worse than the revision's by more than
+      ``bound`` of it;
+    * ``gain``: the tree is better in at least nine tenths of the pairs (a
+      tie counts for neither), and the medians differ by more than the
+      distance between the revision's quartiles;
+    * ``unresolved``: that distance exceeds ``bound`` of the revision's
+      median, and not every tree run is better than every revision run, so
+      a move within the bound cannot be told from the spread;
+    * ``within bound``.
+    """
+    sign = 1.0 if better == "lower" else -1.0    # sign * value: lower is better
+    old, new = [sign * a for a, _ in pairs], [sign * b for _, b in pairs]
+    rev = _quartiles(old)
+    scale = abs(rev["median"])
+    worse_by = statistics.median(new) - rev["median"]
+    spread = rev["q3"] - rev["q1"]
+    if worse_by > bound * scale:
+        return "worse"
+    if sum(b < a for a, b in zip(old, new)) >= 0.9 * len(pairs) and -worse_by > spread:
+        return "gain"
+    if spread > bound * scale and not max(new) < min(old):
+        return "unresolved"
+    return "within bound"
 
 
 def _git(*args):
@@ -98,6 +129,7 @@ def main(argv=None):
         bench = json.load(fh)
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     archive = subprocess.run(["git", "archive", args.rev, "src", "bench", "BENCHMARK.json"],
                              cwd=ROOT, capture_output=True)
     if archive.returncode != 0:
@@ -136,12 +168,14 @@ def main(argv=None):
         sides = [_quartiles([a for a, _ in pairs]), _quartiles([b for _, b in pairs])]
         change = statistics.median(100.0 * (b / a - 1.0) for a, b in pairs)
         wins = sum((b < a) if better == "lower" else (b > a) for a, b in pairs)
+        said = verdict(pairs, better, bounds[name])
         summary[name] = {"unit": units[name], "better": better,
                          "rev": sides[0], "tree": sides[1], "change_pct": change,
-                         "tree_better": wins, "pairs": [list(p) for p in pairs]}
+                         "tree_better": wins, "verdict": said,
+                         "pairs": [list(p) for p in pairs]}
         text = [f"{q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]" for q in sides]
         print(f"  {name:12s} {' -> '.join(text)} (change {change:+.1f} %,"
-              f" tree better in {wins}/{len(pairs)})")
+              f" tree better in {wins}/{len(pairs)}, {said})")
     bad = [r for rs in runs.values() for r in rs if not r["correct"] or r["failed"]]
     if args.record:
         record = {
